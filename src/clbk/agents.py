@@ -18,10 +18,10 @@ from .formula import (
     NEGATIVE,
     POSITIVE,
     Truth,
-    children,
+    atom_name,
     print_formula,
-    substitute_at,
     surface_occurrences,
+    transform,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Script, subrun
 from .prover import hybridize, prove
@@ -331,10 +331,6 @@ class Simulation:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
         may forward the challenge and collect the answer from a counterparty."""
         atom_slots: dict[str, list] = {qid: surface_occurrences(f, "atom") for qid, f in self.planned.items()}
-
-        def atom_name(node):
-            return node.name if isinstance(node, General) else node.general
-
         for aid, agent in self.agents.items():
             manuals = agent.manuals()
             produce: dict[str, list[Slot]] = {}
@@ -422,8 +418,7 @@ class Simulation:
         occ = next((o for o in surface_occurrences(planned, "atom") if o.spec == lm.spec), None)
         if occ is None or occ.env != aid or occ.polarity != NEGATIVE:
             return
-        name = occ.node.name if isinstance(occ.node, General) else occ.node.general
-        manual = manuals.get(name)
+        manual = manuals.get(atom_name(occ.node))
         if manual is None:
             return
         view = self.claim_views.setdefault((aid, sid, lm.spec), [])
@@ -502,7 +497,7 @@ class Simulation:
             manuals = agent.manuals()
             bindings: dict[str, Binding] = {}
             for occ in surface_occurrences(formula, "atom"):
-                name = occ.node.name if isinstance(occ.node, General) else occ.node.general
+                name = atom_name(occ.node)
                 if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
                     bindings[occ.spec] = Binding(
                         occ.spec, agent.games[name], occ.polarity, occ.env, heuristic=manuals[name]
@@ -620,9 +615,8 @@ class Simulation:
                 binding = session.bindings.get(occ.spec)
                 if binding is None or not binding.game.complete(session.local_run(occ.spec, occ.polarity)):
                     continue
-                name = occ.node.name if isinstance(occ.node, General) else occ.node.general
                 side = "paid" if occ.polarity == NEGATIVE else "received"
-                ledgers[result.client][side][name] += 1
+                ledgers[result.client][side][atom_name(occ.node)] += 1
         return ledgers
 
     def _evolve_all(self) -> None:
@@ -645,19 +639,12 @@ class Simulation:
 def binding_atom(session: Session, binding: Binding) -> str:
     for occ in surface_occurrences(session.formula, "atom"):
         if occ.spec == binding.spec:
-            return occ.node.name if isinstance(occ.node, General) else occ.node.general
+            return atom_name(occ.node)
     return binding.game.name
 
 
 def _revert_hybrids(f: Formula) -> Formula:
-    match f:
-        case Hybrid(gen, _, note):
-            return General(gen, note)
-        case _:
-            out = f
-            for i, c in enumerate(children(f), start=1):
-                out = substitute_at(out, (i,), _revert_hybrids(c))
-            return out
+    return transform(f, lambda n: General(n.general, n.note) if isinstance(n, Hybrid) else n)
 
 
 def evolve_rb(agent: Agent, finished: Session, consumed: list[int] | None = None) -> list[ResourceEntry]:
@@ -682,9 +669,7 @@ def evolve_rb(agent: Agent, finished: Session, consumed: list[int] | None = None
             run = finished.local_run(spec, NEGATIVE)
             if binding is not None and binding.game.complete(run):
                 continue
-            kept.append(ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec)))
-        else:
-            kept.append(ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec)))
+        kept.append(ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec)))
     out: list[ResourceEntry] = []
     consumed_set = set(consumed)
     for i, entry in enumerate(agent.rb):

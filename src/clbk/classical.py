@@ -18,6 +18,7 @@ from .formula import (
     Not,
     Or,
     Truth,
+    elementary_names,
     is_elementary,
 )
 
@@ -46,43 +47,16 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
     raise FormulaError(f"cannot evaluate {f!r}")
 
 
-def _atoms(f: Formula) -> list[str]:
-    out: list[str] = []
-
-    def walk(node):
-        match node:
-            case Elementary(name):
-                if name not in out:
-                    out.append(name)
-            case _:
-                pass
-        for c in _children(node):
-            walk(c)
-
-    walk(f)
-    return out
-
-
-def _children(f: Formula):
-    match f:
-        case Not(c) | EnvAnn(c, _):
-            return (c,)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return (l, r)
-        case _:
-            return ()
-
-
 def is_valid(f: Formula) -> bool:
     """True iff f holds under every valuation of its atoms; rejects non-elementary input."""
     if not is_elementary(f):
         raise FormulaError("validity is defined for elementary formulas only")
-    names = _atoms(f)
+    names = sorted(elementary_names(f))
     return all(evaluate(f, dict(zip(names, bits))) for bits in product((False, True), repeat=len(names)))
 
 
 def satisfiable(f: Formula) -> bool:
     if not is_elementary(f):
         raise FormulaError("satisfiability is defined for elementary formulas only")
-    names = _atoms(f)
+    names = sorted(elementary_names(f))
     return any(evaluate(f, dict(zip(names, bits))) for bits in product((False, True), repeat=len(names)))

@@ -10,10 +10,10 @@ import sys
 from . import engine
 from .agents import Simulation
 from .engine import Binding, Status
-from .formula import FormulaError, General, parse_formula, print_formula, surface_occurrences
-from .games import GAME_FACTORIES, Labmove, Player, Script
+from .formula import FormulaError, atom_name, parse_formula, print_formula, surface_occurrences
+from .games import GameDef, Labmove, Player, Script
 from .prover import format_proof, hybridize, prove
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_resource_directive, resolve_heuristics
 
 EXIT_OK = 0
 EXIT_UNPROVABLE = 1
@@ -43,15 +43,12 @@ def cmd_prove(args) -> int:
 
 _BIND_RE = re.compile(r"^bind\s+(?P<spec>(\d+\.)*)\s*(?P<kind>script|heuristic)\s+(?P<name>[a-zA-Z][a-zA-Z0-9]*)$")
 _LET_RE = re.compile(r"^let\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*(?P<value>true|false)$")
-_GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(zmax|vmax)\s*=\s*(?P<value>\d+)\s*\)$")
-_SCRIPT_RE = re.compile(r"^script\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*\[(?P<items>[^\]]*)\]$")
-_HEURISTIC_RE = re.compile(r"^heuristic\s+(?P<name>[a-z][a-zA-Z0-9]*)\s*=\s*(?P<kind>coffee|dollar)$")
 
 
 def _load_bind_file(path: str):
-    games: dict[str, object] = {}
+    games: dict[str, GameDef] = {}
     scripts: dict[str, Script] = {}
-    heuristics: dict[str, object] = {}
+    heuristics: list[tuple[str, str]] = []
     binds: list[tuple[str, str, str]] = []
     interpretation: dict[str, bool] = {}
     with open(path, encoding="utf-8") as fh:
@@ -59,24 +56,15 @@ def _load_bind_file(path: str):
             line = raw.split("#")[0].strip()
             if not line:
                 continue
-            if m := _GAME_RE.match(line):
-                games[m.group("atom")] = GAME_FACTORIES[m.group("factory")](int(m.group("value")))
-            elif m := _SCRIPT_RE.match(line):
-                items = tuple(p.strip() for p in m.group("items").split(",") if p.strip())
-                scripts[m.group("name")] = Script(items)
-            elif m := _HEURISTIC_RE.match(line):
-                heuristics[m.group("name")] = (m.group("kind"), None)
-            elif m := _BIND_RE.match(line):
+            if parse_resource_directive(line, games, scripts, heuristics):
+                continue
+            if m := _BIND_RE.match(line):
                 binds.append((m.group("spec"), m.group("kind"), m.group("name")))
             elif m := _LET_RE.match(line):
                 interpretation[m.group("name")] = m.group("value") == "true"
             else:
                 raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
-    named_heuristics = {}
-    for name, (kind, _) in heuristics.items():
-        game = next((g for g in games.values() if g.name == kind), None) or GAME_FACTORIES[kind]()
-        named_heuristics[name] = game.default_heuristic
-    return games, scripts, named_heuristics, binds, interpretation
+    return games, scripts, resolve_heuristics(games, heuristics), binds, interpretation
 
 
 _MOVE_RE = re.compile(r"^(?P<spec>(\d+\.)*)(?P<payload>[a-z][a-z0-9=]*|\d+)$")
@@ -110,7 +98,7 @@ def cmd_play(args) -> int:
         if occ is None:
             _err(f"bind target {spec!r} is not a surface atom occurrence")
             return EXIT_INPUT
-        atom = occ.node.name if isinstance(occ.node, General) else occ.node.general
+        atom = atom_name(occ.node)
         game = games.get(atom)
         if game is None:
             _err(f"unbound general atom {atom!r}")

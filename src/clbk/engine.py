@@ -24,6 +24,8 @@ from .formula import (
     POSITIVE,
     Truth,
     agent_ids,
+    atom_name,
+    env_chooses,
     surface_occurrences,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, flip_run, subrun
@@ -115,12 +117,11 @@ class Session:
 
 
 def _occurrence_binding(session: Session, occ) -> Binding:
-    node = occ.node
-    name = node.name if isinstance(node, General) else node.general
+    name = atom_name(occ.node)
     game = session.games.get(name)
     heuristic = None
     script = None
-    note = node.note
+    note = occ.node.note
     if note is not None:
         if note.kind == "h":
             heuristic = session.heuristics.get(note.name)
@@ -231,8 +232,7 @@ def env_move(session: Session, lm: Labmove) -> Outgoing:
         for choice in surface_occurrences(session.formula, "choice"):
             if choice.spec != lm.spec:
                 continue
-            wanted = Chand if choice.polarity == POSITIVE else Chor
-            if not isinstance(choice.node, wanted) or not 1 <= branch <= len(choice.node.parts):
+            if not env_chooses(choice) or not 1 <= branch <= len(choice.node.parts):
                 return []
             index = session.node.premise_index or {}
             k = index.get((lm.spec, branch))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import is_not
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -121,18 +123,46 @@ Path = tuple[int, ...]
 
 ATOM_KINDS = (Truth, Elementary, General, Hybrid)
 CHOICE_KINDS = (Chand, Chor)
+BINARY_KINDS = (And, Or, Implies)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Not(c) | EnvAnn(c, _):
-            return (c,)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return (l, r)
-        case Chand(parts) | Chor(parts):
-            return parts
-        case _:
-            return ()
+    if isinstance(f, BINARY_KINDS):
+        return (f.left, f.right)
+    if isinstance(f, (Not, EnvAnn)):
+        return (f.child,)
+    if isinstance(f, CHOICE_KINDS):
+        return f.parts
+    return ()
+
+
+def rebuild(node: Formula, kids: Sequence[Formula]) -> Formula:
+    """``node``'s connective over the new children ``kids``; an atom comes back as it is."""
+    if isinstance(node, BINARY_KINDS):
+        return type(node)(kids[0], kids[1])
+    if isinstance(node, Not):
+        return Not(kids[0])
+    if isinstance(node, EnvAnn):
+        return EnvAnn(kids[0], node.agent)
+    if isinstance(node, CHOICE_KINDS):
+        return type(node)(tuple(kids))
+    return node
+
+
+def transform(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """Bottom-up rewrite: ``fn`` maps each node after its children have been rewritten. A node
+    whose children all come back as the same objects is passed to ``fn`` itself, not a copy."""
+    kids = children(f)
+    if kids:
+        new = [transform(k, fn) for k in kids]
+        if any(map(is_not, new, kids)):
+            f = rebuild(f, new)
+    return fn(f)
+
+
+def atom_name(node: General | Hybrid) -> str:
+    """Name of the game a general or hybrid atom stands for."""
+    return node.name if isinstance(node, General) else node.general
 
 
 def child_at(f: Formula, path: Path) -> Formula:
@@ -149,49 +179,17 @@ def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
     """Replace the subformula addressed by ``path`` with ``g``, leaving every other node intact."""
     if not path:
         return g
-    step, rest = path[0], path[1:]
-    kids = children(f)
+    step = path[0]
+    kids = list(children(f))
     if not 1 <= step <= len(kids):
         raise PathError(f"path step {step} does not resolve")
-    new_kid = substitute_at(kids[step - 1], rest, g)
-    match f:
-        case Not(_):
-            return Not(new_kid)
-        case EnvAnn(_, agent):
-            return EnvAnn(new_kid, agent)
-        case And(l, r):
-            return And(new_kid, r) if step == 1 else And(l, new_kid)
-        case Or(l, r):
-            return Or(new_kid, r) if step == 1 else Or(l, new_kid)
-        case Implies(l, r):
-            return Implies(new_kid, r) if step == 1 else Implies(l, new_kid)
-        case Chand(parts):
-            return Chand(parts[: step - 1] + (new_kid,) + parts[step:])
-        case Chor(parts):
-            return Chor(parts[: step - 1] + (new_kid,) + parts[step:])
-        case _:
-            raise PathError("cannot descend into an atom")
+    kids[step - 1] = substitute_at(kids[step - 1], path[1:], g)
+    return rebuild(f, kids)
 
 
 def skeleton(f: Formula) -> Formula:
     """Strip every environment annotation; nothing else changes."""
-    match f:
-        case EnvAnn(c, _):
-            return skeleton(c)
-        case Not(c):
-            return Not(skeleton(c))
-        case And(l, r):
-            return And(skeleton(l), skeleton(r))
-        case Or(l, r):
-            return Or(skeleton(l), skeleton(r))
-        case Implies(l, r):
-            return Implies(skeleton(l), skeleton(r))
-        case Chand(parts):
-            return Chand(tuple(skeleton(p) for p in parts))
-        case Chor(parts):
-            return Chor(tuple(skeleton(p) for p in parts))
-        case _:
-            return f
+    return transform(f, lambda n: n.child if isinstance(n, EnvAnn) else n)
 
 
 def polarity(f: Formula, path: Path) -> int:
@@ -281,8 +279,6 @@ def _surface_walk(f: Formula):
                 yield Occurrence(node, path, spec, sign, env)
                 yield from walk(l, path + (1,), spec + "1.", sign, env)
                 yield from walk(r, path + (2,), spec + "2.", sign, env)
-            case Chand(_) | Chor(_):
-                yield Occurrence(node, path, spec, sign, env)
             case _:
                 yield Occurrence(node, path, spec, sign, env)
 
@@ -303,6 +299,12 @@ def surface_occurrences(f: Formula, kind: str) -> list[Occurrence]:
     return [occ for occ in _surface_walk(f) if pick(occ.node)]
 
 
+def env_chooses(occ: Occurrence) -> bool:
+    """Whether the environment picks the branch of a surface choice occurrence: a positive
+    choice conjunction or a negative choice disjunction. The machine picks the other two."""
+    return isinstance(occ.node, Chand) == (occ.polarity == POSITIVE)
+
+
 def is_elementary(f: Formula) -> bool:
     """No choice operators, no general atoms, no hybrid atoms anywhere."""
     match f:
@@ -312,8 +314,10 @@ def is_elementary(f: Formula) -> bool:
             return all(is_elementary(c) for c in children(f))
 
 
-def elementarize(f: Formula) -> Formula:
-    """Collapse surface choices and general atoms to truth constants; hybrids become their elementary component."""
+def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False) -> Formula:
+    """Collapse surface choices and general atoms to truth constants; hybrids become their
+    elementary component. A negative general atom becomes T; a positive one becomes T exactly
+    when ``backed(atom)`` holds (by default never), i.e. the machine already holds a way to win it."""
 
     def go(node, sign):
         match node:
@@ -322,7 +326,7 @@ def elementarize(f: Formula) -> Formula:
             case Chor(_):
                 return Truth(False)
             case General(_, _):
-                return Truth(sign == NEGATIVE)
+                return Truth(sign == NEGATIVE or backed(node))
             case Hybrid(_, elem, _):
                 return Elementary(elem)
             case Not(c):
@@ -342,16 +346,17 @@ def elementarize(f: Formula) -> Formula:
 
 
 def elementary_names(f: Formula) -> set[str]:
-    match f:
-        case Elementary(name):
-            return {name}
-        case Hybrid(_, elem, _):
-            return {elem}
-        case _:
-            out: set[str] = set()
-            for c in children(f):
-                out |= elementary_names(c)
-            return out
+    out: set[str] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Elementary):
+            out.add(node.name)
+        elif isinstance(node, Hybrid):
+            out.add(node.elementary)
+        else:
+            stack.extend(children(node))
+    return out
 
 
 def general_names(f: Formula) -> set[str]:

@@ -9,26 +9,23 @@ from .formula import (
     Chand,
     Chor,
     Elementary,
-    EnvAnn,
     Formula,
     FormulaError,
     General,
     Hybrid,
-    Implies,
     NEGATIVE,
-    Not,
-    And,
-    Or,
     POSITIVE,
-    Truth,
     child_at,
     children,
+    elementarize,
     elementary_names,
+    env_chooses,
     print_formula,
     resolve_spec,
     skeleton,
     substitute_at,
     surface_occurrences,
+    transform,
 )
 
 
@@ -103,65 +100,30 @@ def measure(f: Formula) -> int:
             return sum(measure(c) for c in children(f))
 
 
-def _elementarize_capable(f: Formula, winnable: frozenset[str]) -> Formula:
-    """Elementarization that treats a positive general atom as already won when the machine
-    holds a strategy for it (an inline 'h' annotation or membership in ``winnable``)."""
-
-    def go(node, sign):
-        match node:
-            case Chand(_):
-                return Truth(True)
-            case Chor(_):
-                return Truth(False)
-            case General(name, note):
-                if sign == NEGATIVE:
-                    return Truth(True)
-                backed = name in winnable or (note is not None and note.kind == "h")
-                return Truth(backed)
-            case Hybrid(_, elem, _):
-                return Elementary(elem)
-            case Not(c):
-                return Not(go(c, -sign))
-            case EnvAnn(c, agent):
-                return EnvAnn(go(c, sign), agent)
-            case And(l, r):
-                return And(go(l, sign), go(r, sign))
-            case Or(l, r):
-                return Or(go(l, sign), go(r, sign))
-            case Implies(l, r):
-                return Implies(go(l, -sign), go(r, sign))
-            case _:
-                return node
-
-    return go(f, POSITIVE)
-
-
 def is_stable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
-    return is_valid(_elementarize_capable(f, winnable))
+    """Whether the elementarization of ``f`` is classically valid, counting a positive general
+    atom as won when the machine holds a strategy for it: an inline 'h' note or membership
+    in ``winnable``."""
+    return is_valid(elementarize(f, lambda g: g.name in winnable or (g.note is not None and g.note.kind == "h")))
+
+
+def _branch_premises(f: Formula, env_side: bool) -> list[BranchPremise]:
+    return [
+        BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part))
+        for occ in surface_occurrences(f, "choice")
+        if env_chooses(occ) == env_side
+        for i, part in enumerate(occ.node.parts, start=1)
+    ]
 
 
 def premises_A(f: Formula) -> list[BranchPremise]:
     """One premise per branch of each positive choice-conjunction / negative choice-disjunction."""
-    out = []
-    for occ in surface_occurrences(f, "choice"):
-        wanted = Chand if occ.polarity == POSITIVE else Chor
-        if not isinstance(occ.node, wanted):
-            continue
-        for i, part in enumerate(occ.node.parts, start=1):
-            out.append(BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part)))
-    return out
+    return _branch_premises(f, True)
 
 
 def premises_B(f: Formula) -> list[BranchPremise]:
     """One premise per branch of each negative choice-conjunction / positive choice-disjunction."""
-    out = []
-    for occ in surface_occurrences(f, "choice"):
-        wanted = Chand if occ.polarity == NEGATIVE else Chor
-        if not isinstance(occ.node, wanted):
-            continue
-        for i, part in enumerate(occ.node.parts, start=1):
-            out.append(BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part)))
-    return out
+    return _branch_premises(f, False)
 
 
 _FRESH_BASE = "pqrstuvwxyz"
@@ -188,10 +150,7 @@ def premises_C(f: Formula, avoid: frozenset[str] = frozenset()) -> list[PairPrem
     """One premise per (negative, positive) surface pair of the same general atom, both
     replaced by a fresh elementary atom not occurring in the conclusion."""
     occs = surface_occurrences(f, "general")
-    names: list[str] = []
-    for occ in occs:
-        if occ.node.name not in names:
-            names.append(occ.node.name)
+    names = list(dict.fromkeys(occ.node.name for occ in occs))
     fresh = fresh_elementary(f, avoid)
     out = []
     for name in names:
@@ -261,49 +220,29 @@ def provable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
     return prove(f, winnable) is not None
 
 
-def _replace_elementary(f: Formula, name: str, general: str) -> Formula:
-    match f:
-        case Elementary(n) if n == name:
-            return Hybrid(general, name)
-        case Not(c):
-            return Not(_replace_elementary(c, name, general))
-        case EnvAnn(c, agent):
-            return EnvAnn(_replace_elementary(c, name, general), agent)
-        case And(l, r):
-            return And(_replace_elementary(l, name, general), _replace_elementary(r, name, general))
-        case Or(l, r):
-            return Or(_replace_elementary(l, name, general), _replace_elementary(r, name, general))
-        case Implies(l, r):
-            return Implies(_replace_elementary(l, name, general), _replace_elementary(r, name, general))
-        case Chand(parts):
-            return Chand(tuple(_replace_elementary(p, name, general) for p in parts))
-        case Chor(parts):
-            return Chor(tuple(_replace_elementary(p, name, general) for p in parts))
-        case _:
-            return f
-
-
-def _map_formulas(t: ProofTree, fn) -> ProofTree:
-    return ProofTree(fn(t.conclusion), t.rule, tuple(_map_formulas(p, fn) for p in t.premises), t.premise_index)
-
-
 def hybridize(t: ProofTree) -> ProofTree:
-    """Replace each pairing rule's fresh atom by the matching hybrid atom in its premise subtree."""
-    rule = t.rule
-    premises = t.premises
-    if isinstance(rule, RuleC):
-        pos = child_at(t.conclusion, resolve_spec(t.conclusion, rule.pos_spec))
-        if not isinstance(pos, General):
-            raise FormulaError("pairing rule must address a general atom")
-        premises = (_map_formulas(premises[0], lambda g: _replace_elementary(g, rule.name, pos.name)),)
-    return ProofTree(t.conclusion, rule, tuple(hybridize(p) for p in premises), t.premise_index)
+    """Replace each pairing rule's fresh atom by the matching hybrid atom throughout its premise
+    subtree. One pass carries the renaming made by the pairings above each node down the tree,
+    so every conclusion is rewritten once; an outer pairing's renaming wins over an inner one."""
+
+    def convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
+        rule = node.rule
+        conclusion = node.conclusion
+        inner = renaming
+        if isinstance(rule, RuleC):
+            pos = child_at(conclusion, resolve_spec(conclusion, rule.pos_spec))
+            if not isinstance(pos, General):
+                raise FormulaError("pairing rule must address a general atom")
+            inner = {rule.name: Hybrid(pos.name, rule.name)} | renaming
+        if renaming:
+            conclusion = transform(conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
+        return ProofTree(conclusion, rule, tuple(convert(p, inner) for p in node.premises), node.premise_index)
+
+    return convert(t, {})
 
 
 def _find_choice(f: Formula, spec: str):
-    for occ in surface_occurrences(f, "choice"):
-        if occ.spec == spec:
-            return occ
-    return None
+    return next((occ for occ in surface_occurrences(f, "choice") if occ.spec == spec), None)
 
 
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
@@ -327,8 +266,7 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
             occ = _find_choice(g, spec)
             if occ is None or occ.env != env:
                 return False
-            wanted = Chand if occ.polarity == NEGATIVE else Chor
-            if not isinstance(occ.node, wanted) or not 1 <= branch <= len(occ.node.parts):
+            if env_chooses(occ) or not 1 <= branch <= len(occ.node.parts):
                 return False
             if len(t.premises) != 1:
                 return False

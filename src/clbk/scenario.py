@@ -8,7 +8,7 @@ from importlib import resources
 
 from .agents import Agent, ResourceEntry, is_contract
 from .formula import FormulaError, parse_formula
-from .games import GAME_FACTORIES, Script
+from .games import GAME_FACTORIES, GameDef, Heuristic, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
 _GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(?P<param>zmax|vmax)\s*=\s*(?P<value>\d+)\s*\)$")
@@ -28,6 +28,33 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def parse_resource_directive(
+    line: str, games: dict[str, GameDef], scripts: dict[str, Script], heuristics: list[tuple[str, str]]
+) -> bool:
+    """Apply a ``game``, ``script`` or ``heuristic`` line, the directives scenario and bind
+    files share. Heuristics are queued as (name, kind) for ``resolve_heuristics``. Returns
+    False when the line is none of the three."""
+    if m := _GAME_RE.match(line):
+        games[m.group("atom")] = GAME_FACTORIES[m.group("factory")](int(m.group("value")))
+    elif m := _SCRIPT_RE.match(line):
+        scripts[m.group("name")] = Script(tuple(p.strip() for p in m.group("items").split(",") if p.strip()))
+    elif m := _HEURISTIC_RE.match(line):
+        heuristics.append((m.group("name"), m.group("kind")))
+    else:
+        return False
+    return True
+
+
+def resolve_heuristics(games: dict[str, GameDef], heuristics: list[tuple[str, str]]) -> dict[str, Heuristic]:
+    """Each named heuristic is the default strategy of the bound game of its kind, or of the
+    factory-default game of that kind when none is bound."""
+    out: dict[str, Heuristic] = {}
+    for name, kind in heuristics:
+        game = next((g for g in games.values() if g.name == kind), None) or GAME_FACTORIES[kind]()
+        out[name] = game.default_heuristic
+    return out
+
+
 def parse_scenario(text: str) -> list[Agent]:
     agents: list[Agent] = []
     pending_heuristics: dict[str, list[tuple[str, str]]] = {}
@@ -44,16 +71,7 @@ def parse_scenario(text: str) -> list[Agent]:
             continue
         if current is None:
             raise ScenarioError(f"line {lineno}: directive before any agent block")
-        if m := _GAME_RE.match(line):
-            factory = GAME_FACTORIES[m.group("factory")]
-            current.games[m.group("atom")] = factory(int(m.group("value")))
-            continue
-        if m := _SCRIPT_RE.match(line):
-            items = tuple(p.strip() for p in m.group("items").split(",") if p.strip())
-            current.scripts[m.group("name")] = Script(items)
-            continue
-        if m := _HEURISTIC_RE.match(line):
-            pending_heuristics[current.id].append((m.group("name"), m.group("kind")))
+        if parse_resource_directive(line, current.games, current.scripts, pending_heuristics[current.id]):
             continue
         if m := _RB_RE.match(line):
             try:
@@ -69,11 +87,7 @@ def parse_scenario(text: str) -> list[Agent]:
             continue
         raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     for agent in agents:
-        for name, kind in pending_heuristics[agent.id]:
-            game = next((g for g in agent.games.values() if g.name == kind), None)
-            if game is None:
-                game = GAME_FACTORIES[kind]()
-            agent.heuristics[name] = game.default_heuristic
+        agent.heuristics.update(resolve_heuristics(agent.games, pending_heuristics[agent.id]))
         if agent.kind == "provider" and not any(is_contract(e.formula) for e in agent.rb):
             raise ScenarioError(f"provider {agent.id!r} has no God-annotated manual in its resource base")
     return agents

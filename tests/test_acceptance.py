@@ -33,7 +33,7 @@ from clbk.prover import (
     prove,
     verify_proof,
 )
-from clbk.scenario import load_scenario
+from clbk.scenario import builtin_scenario, parse_scenario
 from genlib import random_ast, random_elementary, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -206,11 +206,13 @@ def test_criterion_4_copycat_soundness():
 
 
 def test_criterion_5_starbucks_end_to_end(tmp_path):
+    scenario = tmp_path / "starbucks.clbk"
+    scenario.write_text(builtin_scenario("starbucks"), encoding="utf-8")
     start = time.perf_counter()
     runs = []
     for sub in ("a", "b"):
         proc = subprocess.run(
-            [sys.executable, "-m", "clbk.cli", "simulate", "starbucks.clbk", "--trace-dir", str(tmp_path / sub)],
+            [sys.executable, "-m", "clbk.cli", "simulate", str(scenario), "--trace-dir", str(tmp_path / sub)],
             capture_output=True,
             text=True,
         )
@@ -223,7 +225,7 @@ def test_criterion_5_starbucks_end_to_end(tmp_path):
     bytes_b = (tmp_path / "b" / "trace.txt").read_bytes()
     assert bytes_a == bytes_b and bytes_a
 
-    report = Simulation(load_scenario("starbucks.clbk")).run(10_000)
+    report = Simulation(parse_scenario(builtin_scenario("starbucks"))).run(10_000)
     assert report.quiescent
     assert report.all_won()
     coffee_wins = [w for w in report.heuristic_wins if w.atom == "C"]

@@ -14,7 +14,7 @@ from clbk.agents import (
 from clbk.engine import Status
 from clbk.formula import parse_formula
 from clbk.games import Labmove, Player, coffee_game
-from clbk.scenario import load_scenario, parse_scenario
+from clbk.scenario import builtin_scenario, parse_scenario
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 
@@ -139,8 +139,8 @@ def test_evolve_rb_direct_contract():
 
 
 def test_starbucks_trace_deterministic():
-    agents1 = load_scenario("starbucks.clbk")
-    agents2 = load_scenario("starbucks.clbk")
+    agents1 = parse_scenario(builtin_scenario("starbucks"))
+    agents2 = parse_scenario(builtin_scenario("starbucks"))
     r1 = Simulation(agents1).run(10_000)
     r2 = Simulation(agents2).run(10_000)
     assert r1.trace == r2.trace
@@ -148,7 +148,7 @@ def test_starbucks_trace_deterministic():
 
 
 def test_starbucks_conservation_copies():
-    report = Simulation(load_scenario("starbucks.clbk")).run(10_000)
+    report = Simulation(parse_scenario(builtin_scenario("starbucks"))).run(10_000)
     assert report.quiescent
     coffee_wins = [w for w in report.heuristic_wins if w.atom == "C"]
     dollar_wins = [w for w in report.heuristic_wins if w.atom == "D"]
@@ -156,7 +156,7 @@ def test_starbucks_conservation_copies():
     assert len(dollar_wins) == 10
     original_coffees = {w.payloads for w in coffee_wins}
     original_dollars = {w.payloads for w in dollar_wins}
-    sim = Simulation(load_scenario("starbucks.clbk"))
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)
     for qid, session in sim.sessions.items():
         for binding in session.bindings.values():
@@ -169,7 +169,7 @@ def test_starbucks_conservation_copies():
 
 
 def test_no_labmove_delivered_to_god():
-    sim = Simulation(load_scenario("starbucks.clbk"))
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)
     assert "God" not in sim.bus.arrivals
     assert all(to != "God" for (_frm, to) in sim.bus.channels)

@@ -2,8 +2,7 @@ import io
 import sys
 
 from clbk.cli import main
-
-STARBUCKS = "starbucks.clbk"
+from clbk.scenario import builtin_scenario
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +23,35 @@ def test_prove_hybrid_listing(capsys):
     code, out, _ = run_cli(capsys, "prove", "(C /\\ C) -> (C \\/ C) @ w", "--hybrid")
     assert code == 0
     assert "(C_p /\\ C_q) -> (C_p \\/ C_q) @ w" in out
+
+
+# Proofs with three pairings along one branch; in the second, the innermost pairing sits
+# under two choice rules, so each hybrid renaming must reach three rule-C levels down.
+THREE_PAIRING_LISTINGS = {
+    "(C /\\ C /\\ C) -> (C /\\ C /\\ C)": """\
+1. (C_p /\\ C_q /\\ C_r) -> (C_p /\\ C_q /\\ C_r), rule A, 0
+2. (C_p /\\ C_q /\\ C) -> (C_p /\\ C_q /\\ C), rule C, 1
+3. (C_p /\\ C /\\ C) -> (C_p /\\ C /\\ C), rule C, 2
+4. (C /\\ C /\\ C) -> (C /\\ C /\\ C), rule C, 3
+""",
+    "((C /\\ D) /\\ (C & p)) -> ((D /\\ C) /\\ (C & p)) @ w": """\
+1. (C_q /\\ D_r /\\ C_s) -> (D_r /\\ C_q /\\ C_s) @ w, rule A, 0
+2. (C_q /\\ D_r /\\ C) -> (D_r /\\ C_q /\\ C) @ w, rule C, 1
+3. (C_q /\\ D_r /\\ (C & p)) -> (D_r /\\ C_q /\\ C) @ w, rule B, 2
+4. (C_q /\\ D_r /\\ p) -> (D_r /\\ C_q /\\ p) @ w, rule A, 0
+5. (C_q /\\ D_r /\\ (C & p)) -> (D_r /\\ C_q /\\ p) @ w, rule B, 4
+6. (C_q /\\ D_r /\\ (C & p)) -> (D_r /\\ C_q /\\ (C & p)) @ w, rule A, 3, 5
+7. (C_q /\\ D /\\ (C & p)) -> (D /\\ C_q /\\ (C & p)) @ w, rule C, 6
+8. (C /\\ D /\\ (C & p)) -> (D /\\ C /\\ (C & p)) @ w, rule C, 7
+""",
+}
+
+
+def test_prove_hybrid_listing_three_pairings(capsys):
+    for formula, listing in THREE_PAIRING_LISTINGS.items():
+        code, out, _ = run_cli(capsys, "prove", formula, "--hybrid")
+        assert code == 0
+        assert out == listing
 
 
 def test_prove_trivial_success(capsys):
@@ -65,6 +93,14 @@ def test_play_zero_budget_reports_immediately(capsys):
     assert "winner: T" in out
 
 
+def test_play_bad_bind_line(tmp_path, capsys):
+    bind = tmp_path / "bad.bind"
+    bind.write_text("game C = coffee(zmax=10)\nheuristic prov = tea\n")
+    code, _, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", str(bind))
+    assert code == 2
+    assert "line 2: cannot parse 'heuristic prov = tea'" in err
+
+
 def test_play_unbound_atom(tmp_path, capsys):
     code, _, err = run_cli(capsys, "play", "(C -> C) @ w")
     assert code == 2
@@ -87,7 +123,9 @@ def test_play_interactive_choice(monkeypatch, capsys):
 
 
 def test_simulate_starbucks(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "simulate", STARBUCKS, "--trace-dir", str(tmp_path))
+    scenario = tmp_path / "starbucks.clbk"
+    scenario.write_text(builtin_scenario("starbucks"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", str(scenario), "--trace-dir", str(tmp_path))
     assert code == 0
     assert "u: 2/2 won; o: 2/2 won; *C: 1/1 won; *1: 1/1 won" in out
     assert "heuristic wins: 20" in out
@@ -101,8 +139,7 @@ def test_simulate_missing_file(capsys):
 
 
 def test_simulate_truncated_scenario(tmp_path, capsys):
-    text = open(STARBUCKS, encoding="utf-8").read()
-    head = text.split('agent "*1"')[0]
+    head = builtin_scenario("starbucks").split('agent "*1"')[0]
     path = tmp_path / "truncated.clbk"
     path.write_text(head)
     code, out, _ = run_cli(capsys, "simulate", str(path))

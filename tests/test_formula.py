@@ -21,16 +21,19 @@ from clbk.formula import (
     POSITIVE,
     Truth,
     child_at,
+    children,
     elementarize,
     is_elementary,
     parse_formula,
     polarity,
     print_formula,
+    rebuild,
     resolve_spec,
     skeleton,
     specification,
     substitute_at,
     surface_occurrences,
+    transform,
 )
 from genlib import random_ast
 
@@ -212,6 +215,8 @@ def test_elementarize_choice_and_generals():
 def test_elementarize_respects_polarity_of_generals():
     f = parse_formula("~P \\/ P")
     assert elementarize(f) == Or(Not(Truth(True)), Truth(False))
+    assert elementarize(parse_formula("C{h=m}")) == Truth(False)
+    assert elementarize(f, backed=lambda g: True) == Or(Not(Truth(True)), Truth(True))
 
 
 # --- properties over generated formulas --------------------------------------
@@ -239,6 +244,36 @@ def test_specification_resolve_inverse():
             for occ in surface_occurrences(f, kind):
                 assert specification(f, occ.path) == occ.spec
                 assert resolve_spec(f, occ.spec) == occ.path
+
+
+def _paths(f, path=()):
+    yield path
+    for i, c in enumerate(children(f), start=1):
+        yield from _paths(c, path + (i,))
+
+
+def test_transform_identity_returns_same_object():
+    rng = random.Random(19)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        assert transform(f, lambda n: n) is f
+
+
+def test_rebuild_over_own_children_is_equal():
+    rng = random.Random(23)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        for path in _paths(f):
+            node = child_at(f, path)
+            assert rebuild(node, children(node)) == node
+
+
+def test_substitute_own_subformula_is_identity():
+    rng = random.Random(29)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        for path in _paths(f):
+            assert substitute_at(f, path, child_at(f, path)) == f
 
 
 def test_elementarize_always_elementary():

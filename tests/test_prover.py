@@ -30,6 +30,7 @@ def test_stability_with_winnable_atoms():
     assert not is_stable(f)
     assert is_stable(f, winnable=frozenset({"C"}))
     assert is_stable(parse_formula("D -> C{h=make}"))
+    assert not is_stable(parse_formula("D -> C{s=make}"))
 
 
 def test_premises_A_axiom_case():
