@@ -1,5 +1,6 @@
 import io
 import sys
+from pathlib import Path
 
 from clbk.cli import main
 from clbk.scenario import builtin_scenario
@@ -131,6 +132,21 @@ def test_simulate_starbucks(capsys, tmp_path):
     assert "heuristic wins: 20" in out
     assert (tmp_path / "trace.txt").exists()
     assert (tmp_path / "agent-_1.txt").exists()
+
+
+def test_simulate_starbucks_matches_golden(capsys, tmp_path):
+    """The reference run: stdout, global trace and every per-agent trace, byte for byte."""
+    golden = Path(__file__).parent / "golden" / "starbucks"
+    scenario = tmp_path / "starbucks.clbk"
+    scenario.write_text(builtin_scenario("starbucks"), encoding="utf-8")
+    traces = tmp_path / "traces"
+    code, out, _ = run_cli(capsys, "simulate", str(scenario), "--trace-dir", str(traces))
+    assert code == 0
+    assert out == (golden / "stdout.txt").read_text(encoding="utf-8")
+    expected = sorted(p.name for p in golden.iterdir() if p.name != "stdout.txt")
+    assert sorted(p.name for p in traces.iterdir()) == expected
+    for name in expected:
+        assert (traces / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_simulate_missing_file(capsys):
