@@ -16,6 +16,7 @@ from .formula import (
     Hybrid,
     Implies,
     NEGATIVE,
+    Occurrence,
     POSITIVE,
     Truth,
     atom_name,
@@ -177,22 +178,12 @@ def route(bus: Bus, frm: str, to: str, lm: Labmove, session_id: str | None = Non
 # --- queue and flow plumbing -------------------------------------------------
 
 
-@dataclass
-class QueueItem:
-    qid: str
-    formula: Formula
-    client: str
-    contract_ref: int | None = None  # index into the owner's RB when self-executing a contract
-    opened: bool = False
-
-
 @dataclass(frozen=True)
 class Slot:
     session_id: str
     spec: str
     polarity: int
     role: str  # "x" executor-held seat, "c" client-held seat
-    atom: str
 
 
 @dataclass
@@ -209,6 +200,30 @@ class QueryResult:
     formula: Formula
     status: str = "pending"  # won | lost | rejected | unfinished | pending
     winner: Player | None = None
+
+
+@dataclass
+class Query:
+    """One query served by ``server`` for ``client``, from submission to its result.
+    ``planned`` is the session formula: the server's consumable resources, if it has any,
+    imply the query body. ``atoms`` are its surface atom occurrences by spec."""
+
+    qid: str
+    formula: Formula
+    client: str
+    server: str
+    contract_ref: int | None  # index into the server's RB when self-executing a contract
+    planned: Formula
+    consumed: list[int]  # RB indices of the conjuncts in the planned antecedent
+    atoms: dict[str, Occurrence]
+    result: QueryResult
+    session: Session | None = None
+    early: list[Labmove] = field(default_factory=list)  # moves that arrived before opening
+
+    @property
+    def opponent(self) -> str:
+        """Who plays the environment unless a binding names someone: God for a contract."""
+        return GOD if self.contract_ref is not None else self.client
 
 
 @dataclass
@@ -248,7 +263,13 @@ class SimulationReport:
 
 class Simulation:
     """Deterministic cooperative scheduler: one bus delivery or one queue opening per visit,
-    round-robin over agents in registration order."""
+    round-robin over agents in registration order.
+
+    Two invariants keep the bookkeeping small. Resource bases are fixed until ``_finish``
+    evolves them, so each agent's manuals and winnable atoms are computed once, up front.
+    Sessions are at rest between visits: every delivery is followed by ``_drive``, which
+    returns only once its session is quiescent or finished, so no session is left running
+    and only the bus and the unopened queries can hold work."""
 
     def __init__(self, agents: list[Agent], interpretation: dict[str, bool] | None = None):
         self.agents: dict[str, Agent] = {}
@@ -261,21 +282,17 @@ class Simulation:
             self.agents[agent.id] = agent
             self.bus.register(agent.id)
         self.interpretation = dict(interpretation or {})
-        self.queues: dict[str, list[QueueItem]] = {a: [] for a in self.agents}
-        self.sessions: dict[str, Session] = {}
-        self.session_exec: dict[str, str] = {}
-        self.session_client: dict[str, str] = {}
-        self.planned: dict[str, Formula] = {}
-        self.body_prefix: dict[str, str] = {}
-        self.consumed: dict[str, list[int]] = {}
-        self.results: dict[str, QueryResult] = {}
-        self.opened_order: list[str] = []
-        self.pending_local: dict[str, list[tuple[str, Labmove]]] = {}
-        self.flow_pairs: dict[str, dict[str, list[FlowPair]]] = {a: {} for a in self.agents}
-        self.slot_lookup: dict[str, dict[tuple[str, str], tuple[str, int, str]]] = {a: {} for a in self.agents}
+        self.manuals = {aid: agent.manuals() for aid, agent in self.agents.items()}
+        self.winnable = {aid: agent.winnable() for aid, agent in self.agents.items()}
+        self.queries: dict[str, Query] = {}
+        self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
+        self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
+        self.opened: list[Query] = []
+        self.slot_lookup: dict[str, dict[tuple[str, str], tuple[FlowPair, str]]] = {a: {} for a in self.agents}
         self.claim_views: dict[tuple[str, str, str], list[Labmove]] = {}
         self.unroutable: list[QueryResult] = []
         self.trace: list[str] = []
+        self.agent_traces: dict[str, list[str]] = {a: [] for a in self.agents}
         self.steps = 0
         self._rotation = 0
         self._submit_startup()
@@ -302,94 +319,82 @@ class Simulation:
         if server not in self.agents:
             raise BusError(f"unknown recipient {server!r}")
         qid = f"{server}:{len(self.queues[server]) + 1}"
-        item = QueueItem(qid, q, client, contract_ref)
-        self.queues[server].append(item)
-        self.planned[qid] = self._session_formula(self.agents[server], item)
-        self.session_exec[qid] = server
-        self.session_client[qid] = GOD if contract_ref is not None else client
-        self.results[qid] = QueryResult(qid, client, server, q)
+        planned, consumed = self._session_formula(self.agents[server], q, client, contract_ref)
+        atoms = {occ.spec: occ for occ in surface_occurrences(planned, "atom")}
+        result = QueryResult(qid, client, server, q)
+        query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms, result)
+        self.queries[qid] = query
+        self.queues[server].append(query)
+        self.unopened[server].append(query)
         return qid
 
-    def _session_formula(self, agent: Agent, item: QueueItem) -> Formula:
-        if item.contract_ref is not None:
-            self.body_prefix[item.qid] = ""
-            self.consumed[item.qid] = []
-            return item.formula
-        body, server = split_annotation(item.formula)
-        target = EnvAnn(body, item.client) if server is not None else body
+    @staticmethod
+    def _session_formula(agent: Agent, q: Formula, client: str, contract_ref: int | None) -> tuple[Formula, list[int]]:
+        if contract_ref is not None:
+            return q, []
+        body, server = split_annotation(q)
+        target = EnvAnn(body, client) if server is not None else body
         consumables = [i for i, e in enumerate(agent.rb) if not is_contract(e.formula)]
         if consumables:
-            antecedent = and_chain([agent.rb[i].formula for i in consumables])
-            self.body_prefix[item.qid] = "2."
-            self.consumed[item.qid] = consumables
-            return Implies(antecedent, target)
-        self.body_prefix[item.qid] = ""
-        self.consumed[item.qid] = []
-        return target
+            return Implies(and_chain([agent.rb[i].formula for i in consumables]), target), consumables
+        return target, []
 
     def _build_flows(self) -> None:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
         may forward the challenge and collect the answer from a counterparty."""
-        atom_slots: dict[str, list] = {qid: surface_occurrences(f, "atom") for qid, f in self.planned.items()}
-        for aid, agent in self.agents.items():
-            manuals = agent.manuals()
+
+        def seat(table: dict[str, list[Slot]], query: Query, occ: Occurrence, role: str) -> None:
+            table.setdefault(atom_name(occ.node), []).append(Slot(query.qid, occ.spec, occ.polarity, role))
+
+        for aid in self.agents:
             produce: dict[str, list[Slot]] = {}
             consume: dict[str, list[Slot]] = {}
-            my_items = list(self.queues[aid])
-            contracts = [i for i in my_items if i.contract_ref is not None]
-            served = [i for i in my_items if i.contract_ref is None]
+            mine = self.queues[aid]
             # God-contract liabilities: negative occurrences of own contract sessions.
-            for item in contracts:
-                for occ in atom_slots[item.qid]:
-                    if occ.polarity == NEGATIVE:
-                        name = atom_name(occ.node)
-                        produce.setdefault(name, []).append(Slot(item.qid, occ.spec, NEGATIVE, "x", name))
+            for query in mine:
+                if query.contract_ref is not None:
+                    for occ in query.atoms.values():
+                        if occ.polarity == NEGATIVE:
+                            seat(produce, query, occ, "x")
             # Client-side answer seats on queries this agent sent elsewhere.
-            for server, items in self.queues.items():
+            for server, queries in self.queues.items():
                 if server == aid:
                     continue
-                for item in items:
-                    if item.client != aid:
-                        continue
-                    for occ in atom_slots[item.qid]:
-                        name = atom_name(occ.node)
-                        if occ.polarity == NEGATIVE:
-                            produce.setdefault(name, []).append(Slot(item.qid, occ.spec, NEGATIVE, "c", name))
-                        else:
-                            consume.setdefault(name, []).append(Slot(item.qid, occ.spec, POSITIVE, "c", name))
+                for query in queries:
+                    if query.client == aid:
+                        for occ in query.atoms.values():
+                            seat(produce if occ.polarity == NEGATIVE else consume, query, occ, "c")
             # Executor seats on sessions served for others.
-            for item in served:
-                if item.client == aid:
+            for query in mine:
+                if query.contract_ref is not None or query.client == aid:
                     continue
-                for occ in atom_slots[item.qid]:
-                    name = atom_name(occ.node)
-                    if occ.polarity == POSITIVE and name not in manuals:
-                        produce.setdefault(name, []).append(Slot(item.qid, occ.spec, POSITIVE, "x", name))
-                    elif occ.polarity == NEGATIVE:
-                        consume.setdefault(name, []).append(Slot(item.qid, occ.spec, NEGATIVE, "x", name))
-            for name in produce:
-                pairs = [FlowPair(p, c) for p, c in zip(produce[name], consume.get(name, []))]
-                if not pairs:
-                    continue
-                self.flow_pairs[aid][name] = pairs
-                for k, pair in enumerate(pairs):
-                    self.slot_lookup[aid][(pair.produce.session_id, pair.produce.spec)] = (name, k, "produce")
-                    self.slot_lookup[aid][(pair.consume.session_id, pair.consume.spec)] = (name, k, "consume")
+                for occ in query.atoms.values():
+                    if occ.polarity == NEGATIVE:
+                        seat(consume, query, occ, "x")
+                    elif atom_name(occ.node) not in self.manuals[aid]:
+                        seat(produce, query, occ, "x")
+            lookup = self.slot_lookup[aid]
+            for name, producers in produce.items():
+                for pair in map(FlowPair, producers, consume.get(name, [])):
+                    lookup[(pair.produce.session_id, pair.produce.spec)] = (pair, "produce")
+                    lookup[(pair.consume.session_id, pair.consume.spec)] = (pair, "consume")
 
     # -- relays ----------------------------------------------------------------
 
-    def _trace_line(self, sid: str, lm: Labmove) -> None:
+    def _trace_line(self, query: Query, lm: Labmove) -> None:
         if lm.player is Player.MACHINE:
-            mover = self.session_exec[sid]
+            mover = query.server
         else:
-            session = self.sessions.get(sid)
-            binding = session.bindings.get(lm.spec) if session else None
-            mover = (binding.env if binding and binding.env else None) or self.session_client[sid]
-        self.trace.append(f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}")
+            binding = query.session.bindings.get(lm.spec)
+            mover = (binding.env if binding and binding.env else None) or query.opponent
+        line = f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}"
+        self.trace.append(line)
+        if mover in self.agent_traces:
+            self.agent_traces[mover].append(line)
 
-    def _on_append(self, sid: str, lm: Labmove) -> None:
-        self._trace_line(sid, lm)
-        self._relay(self.session_exec[sid], sid, lm, mover_is_self=(lm.player is Player.MACHINE))
+    def _on_append(self, query: Query, lm: Labmove) -> None:
+        self._trace_line(query, lm)
+        self._relay(query.server, query.qid, lm, mover_is_self=(lm.player is Player.MACHINE))
 
     def _relay(self, aid: str, sid: str, lm: Labmove, mover_is_self: bool) -> None:
         entry = self.slot_lookup[aid].get((sid, lm.spec))
@@ -397,8 +402,7 @@ class Simulation:
             if not mover_is_self:
                 self._claim_answer(aid, sid, lm)
             return
-        name, k, kind = entry
-        pair = self.flow_pairs[aid][name][k]
+        pair, kind = entry
         slot = pair.produce if kind == "produce" else pair.consume
         local = lm.player if slot.polarity == POSITIVE else lm.player.flip()
         is_challenge = local is Player.ENVIRONMENT
@@ -410,15 +414,11 @@ class Simulation:
     def _claim_answer(self, aid: str, sid: str, lm: Labmove) -> None:
         """A provider informed of play at an occurrence matched to it answers from its manual,
         honouring claims other agents hold on its resources."""
-        agent = self.agents[aid]
-        manuals = agent.manuals()
-        planned = self.planned.get(sid)
-        if planned is None:
-            return
-        occ = next((o for o in surface_occurrences(planned, "atom") if o.spec == lm.spec), None)
+        query = self.queries.get(sid)
+        occ = query.atoms.get(lm.spec) if query else None
         if occ is None or occ.env != aid or occ.polarity != NEGATIVE:
             return
-        manual = manuals.get(atom_name(occ.node))
+        manual = self.manuals[aid].get(atom_name(occ.node))
         if manual is None:
             return
         view = self.claim_views.setdefault((aid, sid, lm.spec), [])
@@ -426,42 +426,40 @@ class Simulation:
         payload = manual(tuple(view))
         if payload is not None:
             view.append(Labmove(Player.MACHINE, "", payload))
-            self.bus.post(aid, self.session_exec[sid], MoveMsg(sid, Labmove(Player.ENVIRONMENT, lm.spec, payload)))
+            self.bus.post(aid, query.server, MoveMsg(sid, Labmove(Player.ENVIRONMENT, lm.spec, payload)))
 
     def _emit(self, aid: str, slot: Slot, payload: str, challenge: bool) -> None:
         local = Player.ENVIRONMENT if challenge else Player.MACHINE
         label = local if slot.polarity == POSITIVE else local.flip()
         lm = Labmove(label, slot.spec, payload)
+        query = self.queries[slot.session_id]
         if slot.role == "x":
-            session = self.sessions.get(slot.session_id)
-            if session is None:
-                self.pending_local.setdefault(slot.session_id, []).append(("emit", lm))
-                return
-            self._apply_local(slot.session_id, session, lm)
+            self._apply_local(query, lm)
         else:
-            executor = self.session_exec[slot.session_id]
-            self.bus.post(aid, executor, MoveMsg(slot.session_id, lm))
+            self.bus.post(aid, query.server, MoveMsg(query.qid, lm))
 
-    def _apply_local(self, sid: str, session: Session, lm: Labmove) -> None:
-        if lm.player is Player.MACHINE:
+    def _apply_local(self, query: Query, lm: Labmove) -> None:
+        session = query.session
+        if session is None:
+            query.early.append(lm)
+        elif lm.player is Player.MACHINE:
             session.append(lm)
-            self._inform(sid, None, lm)
+            self._inform(query, None, lm)
         else:
             session.deliver(lm)
-            self._drive(sid, session)
+            self._drive(query)
 
-    def _inform(self, sid: str, target: str | None, lm: Labmove) -> None:
-        executor = self.session_exec[sid]
-        to = target if target is not None else self.session_client[sid]
-        if to in (GOD, executor):
+    def _inform(self, query: Query, target: str | None, lm: Labmove) -> None:
+        to = target if target is not None else query.opponent
+        if to in (GOD, query.server):
             return
-        self.bus.post(executor, to, InformMsg(sid, lm))
+        self.bus.post(query.server, to, InformMsg(query.qid, lm))
 
-    def _drive(self, sid: str, session: Session) -> None:
+    def _drive(self, query: Query) -> None:
         while True:
-            progress, out = engine.step(session)
+            progress, out = engine.step(query.session)
             for target, lm in out:
-                self._inform(sid, target, lm)
+                self._inform(query, target, lm)
             if not progress:
                 return
 
@@ -471,62 +469,51 @@ class Simulation:
         msg = self.bus.deliver(aid)
         if msg is None:
             return False
-        if isinstance(msg, MoveMsg):
-            session = self.sessions.get(msg.session_id)
-            if session is None:
-                self.pending_local.setdefault(msg.session_id, []).append(("emit", msg.move))
-            else:
-                session.deliver(msg.move)
-                self._drive(msg.session_id, session)
-        elif isinstance(msg, InformMsg):
+        if isinstance(msg, InformMsg):
             self._relay(aid, msg.session_id, msg.move, mover_is_self=False)
+        elif isinstance(msg, MoveMsg) and msg.session_id in self.queries:
+            query = self.queries[msg.session_id]
+            if query.session is None:
+                query.early.append(msg.move)
+            else:
+                query.session.deliver(msg.move)
+                self._drive(query)
         return True
 
     def _open_next(self, aid: str) -> bool:
-        agent = self.agents[aid]
-        for item in self.queues[aid]:
-            if item.opened:
-                continue
-            item.opened = True
-            formula = self.planned[item.qid]
-            tree = prove(formula, winnable=agent.winnable())
-            if tree is None:
-                self.results[item.qid].status = "rejected"
-                return True
-            converted = hybridize(tree)
-            manuals = agent.manuals()
-            bindings: dict[str, Binding] = {}
-            for occ in surface_occurrences(formula, "atom"):
-                name = atom_name(occ.node)
-                if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
-                    bindings[occ.spec] = Binding(
-                        occ.spec, agent.games[name], occ.polarity, occ.env, heuristic=manuals[name]
-                    )
-            session = engine.new_session(
-                converted,
-                owner=aid,
-                games=agent.games,
-                heuristics=agent.heuristics,
-                scripts=agent.scripts,
-                bindings=bindings,
-                interpretation=self.interpretation,
-                winnable=agent.winnable(),
-            )
-            session.listener = lambda s, lm, sid=item.qid: self._on_append(sid, lm)
-            self.sessions[item.qid] = session
-            self.opened_order.append(item.qid)
-            for kind, lm in self.pending_local.pop(item.qid, []):
-                self._apply_local(item.qid, session, lm)
-            self._drive(item.qid, session)
+        if not self.unopened[aid]:
+            return False
+        query = self.unopened[aid].popleft()
+        agent, manuals = self.agents[aid], self.manuals[aid]
+        tree = prove(query.planned, winnable=self.winnable[aid])
+        if tree is None:
+            query.result.status = "rejected"
             return True
-        return False
+        bindings: dict[str, Binding] = {}
+        for occ in query.atoms.values():
+            name = atom_name(occ.node)
+            if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
+                game = agent.games[name]
+                bindings[occ.spec] = Binding(occ.spec, game, occ.polarity, occ.env, heuristic=manuals[name])
+        query.session = engine.new_session(
+            hybridize(tree),
+            owner=aid,
+            games=agent.games,
+            heuristics=agent.heuristics,
+            scripts=agent.scripts,
+            bindings=bindings,
+            interpretation=self.interpretation,
+            winnable=self.winnable[aid],
+        )
+        query.session.listener = lambda s, lm: self._on_append(query, lm)
+        self.opened.append(query)
+        for lm in query.early:
+            self._apply_local(query, lm)
+        self._drive(query)
+        return True
 
     def _has_work(self) -> bool:
-        if not self.bus.idle():
-            return True
-        if any(not item.opened for items in self.queues.values() for item in items):
-            return True
-        return any(s.status is Status.RUNNING for s in self.sessions.values())
+        return not self.bus.idle() or any(self.unopened.values())
 
     def exec_step(self, aid: str) -> str:
         """One visit: deliver one bus message, else open one queued query, else wait."""
@@ -539,10 +526,7 @@ class Simulation:
     def run(self, max_steps: int = 10_000) -> SimulationReport:
         order = list(self.agents)
         while self.steps < max_steps and self._has_work():
-            aid = order[self._rotation % len(order)] if order else None
-            if aid is None:
-                break
-            self.exec_step(aid)
+            self.exec_step(order[self._rotation % len(order)])
             self._rotation += 1
             self.steps += 1
         quiescent = not self._has_work()
@@ -552,95 +536,70 @@ class Simulation:
 
     def _finish(self, quiescent: bool) -> SimulationReport:
         wins: list[HeuristicWin] = []
-        for qid in self.opened_order:
-            session = self.sessions[qid]
-            result = self.results[qid]
+        for query in self.opened:
+            session, result = query.session, query.result
+            session.listener = None  # play is over; without the hook no cycle keeps the simulation alive
             if session.status is Status.QUIESCENT:
-                winner = engine.evaluate_winner(session)
-                result.winner = winner
-                result.status = "won" if winner is Player.MACHINE else "lost"
+                result.winner = engine.evaluate_winner(session)
+                result.status = "won" if result.winner is Player.MACHINE else "lost"
             else:
                 result.status = "unfinished"
-        for qid in self.opened_order:
-            session = self.sessions[qid]
-            for binding in session.bindings.values():
-                if not binding.heuristic_fired:
-                    continue
+            fired = [b for b in session.bindings.values() if b.heuristic_fired]
+            if not fired:
+                continue
+            names = {occ.spec: atom_name(occ.node) for occ in surface_occurrences(session.formula, "atom")}
+            for binding in fired:
                 run = session.local_run(binding.spec, binding.polarity)
                 if binding.game.complete(run) and binding.game.winner(run) is Player.MACHINE:
-                    wins.append(
-                        HeuristicWin(
-                            self.session_exec[qid],
-                            binding_atom(session, binding),
-                            qid,
-                            binding.spec,
-                            tuple(lm.payload for lm in run),
-                        )
-                    )
+                    atom = names.get(binding.spec, binding.game.name)
+                    payloads = tuple(lm.payload for lm in run)
+                    wins.append(HeuristicWin(query.server, atom, query.qid, binding.spec, payloads))
         ledgers = self._ledgers()
         self._evolve_all()
-        final_rb = {aid: [str(e) for e in agent.rb] for aid, agent in self.agents.items()}
-        agent_traces: dict[str, list[str]] = {aid: [] for aid in self.agents}
-        for line in self.trace:
-            mover = line.split(" ", 2)[1]
-            if mover in agent_traces:
-                agent_traces[mover].append(line)
         return SimulationReport(
             quiescent=quiescent,
             steps=self.steps,
             agent_order=list(self.agents),
-            results=[self.results[item.qid] for items in self.queues.values() for item in items]
-            + list(self.unroutable),
+            results=[query.result for queries in self.queues.values() for query in queries] + list(self.unroutable),
             heuristic_wins=wins,
             ledgers=ledgers,
-            final_rb=final_rb,
+            final_rb={aid: [str(e) for e in agent.rb] for aid, agent in self.agents.items()},
             trace=list(self.trace),
-            agent_traces=agent_traces,
+            agent_traces={aid: list(lines) for aid, lines in self.agent_traces.items()},
         )
 
     def _ledgers(self) -> dict[str, dict[str, Counter]]:
         ledgers: dict[str, dict[str, Counter]] = {
             aid: {"received": Counter(), "paid": Counter()} for aid in self.agents
         }
-        for qid in self.opened_order:
-            result = self.results[qid]
-            if self.session_client[qid] == GOD or result.client == result.server:
+        for query in self.opened:
+            if query.opponent == GOD or query.client == query.server:
                 continue
-            session = self.sessions[qid]
-            prefix = self.body_prefix[qid]
-            body = self.planned[qid]
-            for occ in surface_occurrences(body, "atom"):
+            session = query.session
+            prefix = "2." if query.consumed else ""
+            for occ in query.atoms.values():
                 if not occ.spec.startswith(prefix):
                     continue
                 binding = session.bindings.get(occ.spec)
                 if binding is None or not binding.game.complete(session.local_run(occ.spec, occ.polarity)):
                     continue
                 side = "paid" if occ.polarity == NEGATIVE else "received"
-                ledgers[result.client][side][atom_name(occ.node)] += 1
+                ledgers[query.client][side][atom_name(occ.node)] += 1
         return ledgers
 
     def _evolve_all(self) -> None:
-        for qid in self.opened_order:
-            session = self.sessions[qid]
+        for query in self.opened:
+            session = query.session
             if session.status is not Status.FINISHED:
                 continue
-            server = self.session_exec[qid]
-            agent = self.agents[server]
-            item = next(i for i in self.queues[server] if i.qid == qid)
-            if item.contract_ref is not None:
-                if session.winner is Player.MACHINE and item.contract_ref < len(agent.rb):
-                    entry = agent.rb[item.contract_ref]
-                    if entry.formula == item.formula:
+            agent = self.agents[query.server]
+            if query.contract_ref is not None:
+                if session.winner is Player.MACHINE and query.contract_ref < len(agent.rb):
+                    entry = agent.rb[query.contract_ref]
+                    if entry.formula == query.formula:
                         agent.rb.remove(entry)
-            elif self.consumed[qid]:
-                agent.rb = evolve_rb(agent, session, self.consumed[qid])
-
-
-def binding_atom(session: Session, binding: Binding) -> str:
-    for occ in surface_occurrences(session.formula, "atom"):
-        if occ.spec == binding.spec:
-            return atom_name(occ.node)
-    return binding.game.name
+            elif query.consumed:
+                agent.rb = evolve_rb(agent, session, query.consumed)
 
 
 def _revert_hybrids(f: Formula) -> Formula:

@@ -8,12 +8,19 @@ import re
 import sys
 
 from . import engine
-from .agents import Simulation
+from .agents import Agent, Simulation
 from .engine import Binding, Status
 from .formula import FormulaError, atom_name, parse_formula, print_formula, surface_occurrences
 from .games import GameDef, Labmove, Player, Script
 from .prover import format_proof, hybridize, prove
-from .scenario import ScenarioError, load_scenario, parse_resource_directive, resolve_heuristics
+from .scenario import (
+    ScenarioError,
+    builtin_scenario,
+    load_scenario,
+    parse_resource_directive,
+    parse_scenario,
+    resolve_heuristics,
+)
 
 EXIT_OK = 0
 EXIT_UNPROVABLE = 1
@@ -183,13 +190,22 @@ def _safe_name(agent_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", agent_id)
 
 
+def _scenario_agents(name: str) -> list[Agent]:
+    """Load a scenario file or, when no such file exists, the packaged scenario of that name."""
+    if not os.path.exists(name):
+        try:
+            text = builtin_scenario(name)
+        except OSError:
+            pass
+        else:
+            return parse_scenario(text)
+    return load_scenario(name)
+
+
 def cmd_simulate(args) -> int:
     try:
-        agents = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except (ScenarioError, FormulaError) as exc:
+        agents = _scenario_agents(args.scenario)
+    except (FileNotFoundError, ScenarioError, FormulaError) as exc:
         _err(str(exc))
         return EXIT_INPUT
     report = Simulation(agents).run(args.max_steps)
@@ -257,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_play)
 
     p = sub.add_parser("simulate", help="run a scenario file to quiescence")
-    p.add_argument("scenario")
+    p.add_argument("scenario", help="scenario file, or the name of a built-in scenario such as starbucks")
     p.add_argument("--trace-dir", help="directory for global and per-agent traces")
     p.add_argument("--max-steps", type=int, default=10_000)
     p.set_defaults(fn=cmd_simulate)

@@ -132,7 +132,7 @@ def test_evolve_rb_direct_contract():
     sim = Simulation([agent, Agent(id="f")])
     sim.submit_query("a", parse_formula("(p -> p) @ a"), client="a")
     report = sim.run(100)
-    session = sim.sessions["a:1"]
+    session = sim.queries["a:1"].session
     assert session.status is Status.FINISHED
     evolved = evolve_rb(sim.agents["a"], session, consumed=[])
     assert [str(e) for e in evolved] == ["C @ f"]
@@ -158,14 +158,15 @@ def test_starbucks_conservation_copies():
     original_dollars = {w.payloads for w in dollar_wins}
     sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)
-    for qid, session in sim.sessions.items():
+    for query in sim.opened:
+        session = query.session
         for binding in session.bindings.values():
             run = session.local_run(binding.spec, binding.polarity)
             payloads = tuple(m.payload for m in run if not m.is_choice())
             if not binding.game.complete(run):
                 continue
             pool = original_coffees if binding.game.name == "coffee" else original_dollars
-            assert payloads in pool, (qid, binding.spec, payloads)
+            assert payloads in pool, (query.qid, binding.spec, payloads)
 
 
 def test_no_labmove_delivered_to_god():
@@ -173,3 +174,39 @@ def test_no_labmove_delivered_to_god():
     sim.run(10_000)
     assert "God" not in sim.bus.arrivals
     assert all(to != "God" for (_frm, to) in sim.bus.channels)
+
+
+@pytest.mark.parametrize("text", [MINI, builtin_scenario("starbucks")], ids=["mini", "starbucks"])
+def test_sessions_rest_between_visits(text):
+    """The scheduler relies on this: after every visit no session is left running."""
+    sim = Simulation(parse_scenario(text))
+    visit = sim.exec_step
+    visits = []
+
+    def checked(aid):
+        visits.append(visit(aid))
+        running = [q.qid for q in sim.queries.values() if q.session and q.session.status is Status.RUNNING]
+        assert running == [], (len(visits), running)
+        return visits[-1]
+
+    sim.exec_step = checked
+    report = sim.run(10_000)
+    assert report.quiescent and report.all_won()
+    assert len(visits) == report.steps > 0
+
+
+def test_move_before_opening_is_applied_once_open():
+    """Moves posted to a queued session wait on its query and are played when it opens."""
+    text = MINI.replace("  script myreq = [x=2, y=3]\n", "").replace("C{s=myreq} @ a", "C @ a")
+    sim = Simulation(parse_scenario(text))
+    sim.bus.post("a", "a", MoveMsg("a:1", Labmove(B, "2.", "x=2")))
+    sim.bus.post("a", "a", MoveMsg("a:1", Labmove(B, "2.", "y=3")))
+    assert sim.exec_step("f") == "opened"
+    assert sim.exec_step("a") == "delivered"
+    query = sim.queries["a:1"]
+    assert query.session is None
+    assert query.early == [Labmove(B, "2.", "x=2")]
+    report = sim.run(1000)
+    assert report.quiescent and report.all_won()
+    assert report.trace == ["1 a B 2.x=2", "2 a T 1.x=2", "3 a B 2.y=3", "4 a T 1.y=3", "5 f B 1.z=7", "6 a T 2.z=7"]
+    assert query.session.run[0] == Labmove(B, "2.", "x=2")

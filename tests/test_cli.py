@@ -149,6 +149,20 @@ def test_simulate_starbucks_matches_golden(capsys, tmp_path):
         assert (traces / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_simulate_builtin_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "simulate", "starbucks")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "starbucks" / "stdout.txt").read_text(encoding="utf-8")
+
+
+def test_simulate_unknown_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", "no-such-scenario")
+    assert code == 2
+    assert "no-such-scenario" in err
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "no-such-scenario.clbk")
     assert code == 2
