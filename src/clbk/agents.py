@@ -151,9 +151,6 @@ class Bus:
         self.channels.setdefault(key, deque()).append(msg)
         self.arrivals[to].append(key)
 
-    def pending(self, to: str) -> bool:
-        return bool(self.arrivals.get(to))
-
     def deliver(self, to: str):
         queue = self.arrivals.get(to)
         if not queue:
@@ -547,11 +544,10 @@ class Simulation:
             fired = [b for b in session.bindings.values() if b.heuristic_fired]
             if not fired:
                 continue
-            names = {occ.spec: atom_name(occ.node) for occ in surface_occurrences(session.formula, "atom")}
             for binding in fired:
-                run = session.local_run(binding.spec, binding.polarity)
+                run = session.local_run(binding.spec)
                 if binding.game.complete(run) and binding.game.winner(run) is Player.MACHINE:
-                    atom = names.get(binding.spec, binding.game.name)
+                    atom = atom_name(session.atoms[binding.spec].node)
                     payloads = tuple(lm.payload for lm in run)
                     wins.append(HeuristicWin(query.server, atom, query.qid, binding.spec, payloads))
         ledgers = self._ledgers()
@@ -581,7 +577,7 @@ class Simulation:
                 if not occ.spec.startswith(prefix):
                     continue
                 binding = session.bindings.get(occ.spec)
-                if binding is None or not binding.game.complete(session.local_run(occ.spec, occ.polarity)):
+                if binding is None or not binding.game.complete(session.local_run(occ.spec)):
                     continue
                 side = "paid" if occ.polarity == NEGATIVE else "received"
                 ledgers[query.client][side][atom_name(occ.node)] += 1
@@ -625,8 +621,7 @@ def evolve_rb(agent: Agent, finished: Session, consumed: list[int] | None = None
             continue
         if isinstance(core, (General, Hybrid)):
             binding = finished.bindings.get(spec)
-            run = finished.local_run(spec, NEGATIVE)
-            if binding is not None and binding.game.complete(run):
+            if binding is not None and binding.game.complete(finished.local_run(spec)):
                 continue
         kept.append(ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec)))
     out: list[ResourceEntry] = []

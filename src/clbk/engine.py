@@ -1,31 +1,34 @@
 """Runs a converted proof as an interactive game: machine moves come from the proof, its
-strategy annotations and copy-cat; environment moves come from peers, scripts and stand-ins."""
+strategy annotations and copy-cat; environment moves come from peers, scripts and stand-ins.
+
+Sessions are built with ``new_session``, and two invariants keep their state small. Moves
+enter a session only through ``Session.append`` (or ``Session.deliver`` and then
+``env_move``), which also files each move with the binding at its spec, so a binding's
+local run is always at hand. ``_enter`` is the only place that changes ``node``,
+``formula``, ``atoms`` and ``bindings``: it walks each conclusion once, when play reaches
+its proof node."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
+from .classical import evaluate
 from .formula import (
-    And,
-    Chand,
-    Chor,
-    Elementary,
-    EnvAnn,
     Formula,
     General,
     Hybrid,
-    Implies,
     NEGATIVE,
-    Not,
-    Or,
+    Occurrence,
     POSITIVE,
     Truth,
     agent_ids,
     atom_name,
+    elementarize,
     env_chooses,
+    substitute_at,
     surface_occurrences,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, flip_run, subrun
@@ -64,7 +67,8 @@ class Status(Enum):
 @dataclass
 class Binding:
     """Per-occurrence game wiring. The heuristic sits on the local machine seat, the script
-    on the local environment seat; which session label that maps to depends on polarity."""
+    on the local environment seat; which session label that maps to depends on polarity.
+    ``moves`` are the moves played at the occurrence, spec stripped, with session labels."""
 
     spec: str
     game: GameDef
@@ -74,6 +78,7 @@ class Binding:
     script: Script | None = None
     script_pos: int = 0
     heuristic_fired: bool = False
+    moves: list[Labmove] = field(default_factory=list)
 
 
 Outgoing = list[tuple[Optional[str], Labmove]]
@@ -86,6 +91,7 @@ class Session:
     formula: Formula
     node: ProofTree
     run: list[Labmove] = field(default_factory=list)
+    atoms: dict[str, Occurrence] = field(default_factory=dict)
     bindings: dict[str, Binding] = field(default_factory=dict)
     games: dict[str, GameDef] = field(default_factory=dict)
     heuristics: dict[str, Heuristic] = field(default_factory=dict)
@@ -108,12 +114,22 @@ class Session:
 
     def append(self, lm: Labmove) -> None:
         self.run.append(lm)
+        binding = self.bindings.get(lm.spec)
+        if binding is not None:
+            binding.moves.append(_strip_spec(lm))
         if self.listener:
             self.listener(self, lm)
 
-    def local_run(self, spec: str, polarity: int) -> Run:
-        sub = subrun(tuple(self.run), spec)
-        return flip_run(sub) if polarity == NEGATIVE else sub
+    def local_run(self, spec: str) -> Run:
+        """The moves at occurrence ``spec`` in its game's local roles: labels flip when the
+        occurrence is negative."""
+        binding = self.bindings[spec]
+        moves = tuple(binding.moves)
+        return flip_run(moves) if binding.polarity == NEGATIVE else moves
+
+
+def _strip_spec(lm: Labmove) -> Labmove:
+    return Labmove(lm.player, "", lm.payload)
 
 
 def _occurrence_binding(session: Session, occ) -> Binding:
@@ -131,18 +147,20 @@ def _occurrence_binding(session: Session, occ) -> Binding:
             script = session.scripts.get(note.name)
     if game is None:
         raise EngineError(f"no game bound for atom {name!r} at occurrence {occ.spec!r}")
-    return Binding(occ.spec, game, occ.polarity, occ.env, heuristic, script)
+    moves = [_strip_spec(lm) for lm in session.run if lm.spec == occ.spec]  # a resolved choice's moves
+    return Binding(occ.spec, game, occ.polarity, occ.env, heuristic, script, moves=moves)
 
 
-def _refresh_bindings(session: Session) -> None:
-    fresh: dict[str, Binding] = {}
-    for occ in surface_occurrences(session.formula, "atom"):
-        old = session.bindings.get(occ.spec)
-        if old is not None:
-            fresh[occ.spec] = old
-        else:
-            fresh[occ.spec] = _occurrence_binding(session, occ)
-    session.bindings = fresh
+def _enter(session: Session, node: ProofTree) -> None:
+    """Move play to proof node ``node``: index its conclusion's surface atoms by spec, keep
+    the bindings already made at those specs and bind the rest."""
+    session.node = node
+    session.formula = node.conclusion
+    session.atoms = {occ.spec: occ for occ in surface_occurrences(node.conclusion, "atom")}
+    old = session.bindings
+    session.bindings = {
+        spec: old[spec] if spec in old else _occurrence_binding(session, occ) for spec, occ in session.atoms.items()
+    }
 
 
 def new_session(
@@ -169,10 +187,9 @@ def new_session(
         heuristics=dict(heuristics or {}),
         scripts=dict(scripts or {}),
         interpretation=dict(interpretation or {}),
+        bindings=dict(bindings or {}),
     )
-    if bindings:
-        session.bindings.update(bindings)
-    _refresh_bindings(session)
+    _enter(session, tree)
     return session
 
 
@@ -187,21 +204,19 @@ def machine_turn(session: Session) -> Outgoing:
             session.append(lm)
             out.append((rule.env, lm))
         elif isinstance(rule, RuleC):
-            pi, nu = rule.pos_spec, rule.neg_spec
-            run = tuple(session.run)
-            nu_payloads = [m.payload for m in subrun(run, nu) if m.player is Player.ENVIRONMENT and not m.is_choice()]
-            pi_payloads = [m.payload for m in subrun(run, pi) if m.player is Player.ENVIRONMENT and not m.is_choice()]
-            env_of = {occ.spec: occ.env for occ in surface_occurrences(session.formula, "atom")}
-            for spec, payloads in ((pi, nu_payloads), (nu, pi_payloads)):
+            pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
+            replays = [
+                (to, [m.payload for m in frm.moves if m.player is Player.ENVIRONMENT and not m.is_choice()])
+                for to, frm in ((pi, nu), (nu, pi))
+            ]
+            for to, payloads in replays:
                 for payload in payloads:
-                    lm = Labmove(Player.MACHINE, spec, payload)
+                    lm = Labmove(Player.MACHINE, to.spec, payload)
                     session.append(lm)
-                    out.append((env_of.get(spec), lm))
+                    out.append((to.env, lm))
         else:
             return out
-        session.node = session.node.premises[0]
-        session.formula = session.node.conclusion
-        _refresh_bindings(session)
+        _enter(session, session.node.premises[0])
 
 
 def env_move(session: Session, lm: Labmove) -> Outgoing:
@@ -209,20 +224,19 @@ def env_move(session: Session, lm: Labmove) -> Outgoing:
     it at a hybrid atom, follow the chosen branch at a live choice; anything else is ignored."""
     if lm.player is not Player.ENVIRONMENT:
         return []
-    atoms = {occ.spec: occ for occ in surface_occurrences(session.formula, "atom")}
-    occ = atoms.get(lm.spec)
+    occ = session.atoms.get(lm.spec)
     if occ is not None and not lm.is_choice():
         if isinstance(occ.node, General):
             session.append(lm)
             return []
-        partners = [
+        partners = (
             o
-            for o in surface_occurrences(session.formula, "hybrid")
-            if o.node.elementary == occ.node.elementary and o.spec != occ.spec
-        ]
-        if not partners:
+            for o in session.atoms.values()
+            if isinstance(o.node, Hybrid) and o.node.elementary == occ.node.elementary and o.spec != occ.spec
+        )
+        sigma = next(partners, None)
+        if sigma is None:
             return []
-        sigma = partners[0]
         session.append(lm)
         reply = Labmove(Player.MACHINE, sigma.spec, lm.payload)
         session.append(reply)
@@ -239,9 +253,7 @@ def env_move(session: Session, lm: Labmove) -> Outgoing:
             if k is None:
                 return []
             session.append(lm)
-            session.node = session.node.premises[k]
-            session.formula = session.node.conclusion
-            _refresh_bindings(session)
+            _enter(session, session.node.premises[k])
             return machine_turn(session)
     return []
 
@@ -256,12 +268,12 @@ def pump_machine(session: Session) -> Outgoing:
                 payload = binding.script.payloads[binding.script_pos]
                 lm = Labmove(Player.MACHINE, binding.spec, payload)
                 local = Labmove(Player.ENVIRONMENT, "", payload)
-                if binding.game.legal(session.local_run(binding.spec, NEGATIVE), local):
+                if binding.game.legal(session.local_run(binding.spec), local):
                     binding.script_pos += 1
                     session.append(lm)
                     return [(binding.env, lm)]
         if binding.heuristic is not None and binding.polarity == POSITIVE:
-            payload = binding.heuristic(session.local_run(binding.spec, POSITIVE))
+            payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
                 lm = Labmove(Player.MACHINE, binding.spec, payload)
                 binding.heuristic_fired = True
@@ -282,7 +294,7 @@ def pump_environment(session: Session) -> Labmove | None:
                 binding.script_pos += 1
                 return Labmove(Player.ENVIRONMENT, binding.spec, payload)
         if binding.heuristic is not None and binding.polarity == NEGATIVE:
-            payload = binding.heuristic(session.local_run(binding.spec, NEGATIVE))
+            payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
                 return Labmove(Player.ENVIRONMENT, binding.spec, payload)
     session.status = Status.QUIESCENT
@@ -320,43 +332,18 @@ def run_to_quiescence(session: Session, max_steps: int = 10_000) -> Outgoing:
 
 
 def evaluate_winner(session: Session) -> Player:
-    """Compose the winner over the final formula: games judge their subruns (labels flipped in
-    negated positions), unresolved choices default against their owner, negation swaps."""
+    """Compose the winner over the final formula by classical evaluation: each surface atom
+    becomes T exactly when its game's winner on the local run is the machine, surface choices
+    elementarize (unresolved ones default against their owner), and elementary atoms take the
+    interpretation, false where it is silent."""
     if session.status is Status.RUNNING:
         raise EngineError("evaluate_winner called before quiescence")
-
-    def ev(node: Formula, spec: str, sign: int) -> Player:
-        match node:
-            case Truth(v):
-                return Player.MACHINE if v else Player.ENVIRONMENT
-            case Elementary(name):
-                return Player.MACHINE if session.interpretation.get(name, False) else Player.ENVIRONMENT
-            case General(_, _) | Hybrid(_, _, _):
-                binding = session.bindings[spec]
-                return binding.game.winner(session.local_run(spec, sign))
-            case Chand(_):
-                return Player.MACHINE
-            case Chor(_):
-                return Player.ENVIRONMENT
-            case Not(c):
-                return ev(c, spec, -sign).flip()
-            case EnvAnn(c, _):
-                return ev(c, spec, sign)
-            case And(l, r):
-                lw = ev(l, spec + "1.", sign)
-                rw = ev(r, spec + "2.", sign)
-                return Player.MACHINE if lw is rw is Player.MACHINE else Player.ENVIRONMENT
-            case Or(l, r):
-                lw = ev(l, spec + "1.", sign)
-                rw = ev(r, spec + "2.", sign)
-                return Player.MACHINE if Player.MACHINE in (lw, rw) else Player.ENVIRONMENT
-            case Implies(l, r):
-                lw = ev(l, spec + "1.", -sign).flip()
-                rw = ev(r, spec + "2.", sign)
-                return Player.MACHINE if Player.MACHINE in (lw, rw) else Player.ENVIRONMENT
-        raise EngineError(f"cannot evaluate {node!r}")
-
-    winner = ev(session.formula, "", POSITIVE)
+    f = session.formula
+    for spec, occ in session.atoms.items():
+        won = session.bindings[spec].game.winner(session.local_run(spec)) is Player.MACHINE
+        f = substitute_at(f, occ.path, Truth(won))
+    valuation = defaultdict(bool, session.interpretation)
+    winner = Player.MACHINE if evaluate(elementarize(f), valuation) else Player.ENVIRONMENT
     session.status = Status.FINISHED
     session.winner = winner
     return winner

@@ -263,26 +263,23 @@ class Occurrence:
     env: str | None
 
 
-def _surface_walk(f: Formula):
-    def walk(node, path, spec, sign, env):
-        match node:
-            case EnvAnn(c, agent):
-                yield from walk(c, path + (1,), spec, sign, agent)
-            case Not(c):
-                yield Occurrence(node, path, spec, sign, env)
-                yield from walk(c, path + (1,), spec, -sign, env)
-            case Implies(l, r):
-                yield Occurrence(node, path, spec, sign, env)
-                yield from walk(l, path + (1,), spec + "1.", -sign, env)
-                yield from walk(r, path + (2,), spec + "2.", sign, env)
-            case And(l, r) | Or(l, r):
-                yield Occurrence(node, path, spec, sign, env)
-                yield from walk(l, path + (1,), spec + "1.", sign, env)
-                yield from walk(r, path + (2,), spec + "2.", sign, env)
-            case _:
-                yield Occurrence(node, path, spec, sign, env)
-
-    yield from walk(f, (), "", POSITIVE, None)
+def _surface_walk(node: Formula, path: Path = (), spec: str = "", sign: int = POSITIVE, env: str | None = None):
+    match node:
+        case EnvAnn(c, agent):
+            yield from _surface_walk(c, path + (1,), spec, sign, agent)
+        case Not(c):
+            yield Occurrence(node, path, spec, sign, env)
+            yield from _surface_walk(c, path + (1,), spec, -sign, env)
+        case Implies(l, r):
+            yield Occurrence(node, path, spec, sign, env)
+            yield from _surface_walk(l, path + (1,), spec + "1.", -sign, env)
+            yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
+        case And(l, r) | Or(l, r):
+            yield Occurrence(node, path, spec, sign, env)
+            yield from _surface_walk(l, path + (1,), spec + "1.", sign, env)
+            yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
+        case _:
+            yield Occurrence(node, path, spec, sign, env)
 
 
 _KIND_FILTERS = {
@@ -318,31 +315,31 @@ def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False
     """Collapse surface choices and general atoms to truth constants; hybrids become their
     elementary component. A negative general atom becomes T; a positive one becomes T exactly
     when ``backed(atom)`` holds (by default never), i.e. the machine already holds a way to win it."""
+    return _elementarize(f, POSITIVE, backed)
 
-    def go(node, sign):
-        match node:
-            case Chand(_):
-                return Truth(True)
-            case Chor(_):
-                return Truth(False)
-            case General(_, _):
-                return Truth(sign == NEGATIVE or backed(node))
-            case Hybrid(_, elem, _):
-                return Elementary(elem)
-            case Not(c):
-                return Not(go(c, -sign))
-            case EnvAnn(c, agent):
-                return EnvAnn(go(c, sign), agent)
-            case And(l, r):
-                return And(go(l, sign), go(r, sign))
-            case Or(l, r):
-                return Or(go(l, sign), go(r, sign))
-            case Implies(l, r):
-                return Implies(go(l, -sign), go(r, sign))
-            case _:
-                return node
 
-    return go(f, POSITIVE)
+def _elementarize(node: Formula, sign: int, backed: Callable[[General], bool]) -> Formula:
+    match node:
+        case Chand(_):
+            return Truth(True)
+        case Chor(_):
+            return Truth(False)
+        case General(_, _):
+            return Truth(sign == NEGATIVE or backed(node))
+        case Hybrid(_, elem, _):
+            return Elementary(elem)
+        case Not(c):
+            return Not(_elementarize(c, -sign, backed))
+        case EnvAnn(c, agent):
+            return EnvAnn(_elementarize(c, sign, backed), agent)
+        case And(l, r):
+            return And(_elementarize(l, sign, backed), _elementarize(r, sign, backed))
+        case Or(l, r):
+            return Or(_elementarize(l, sign, backed), _elementarize(r, sign, backed))
+        case Implies(l, r):
+            return Implies(_elementarize(l, -sign, backed), _elementarize(r, sign, backed))
+        case _:
+            return node
 
 
 def elementary_names(f: Formula) -> set[str]:
@@ -359,30 +356,15 @@ def elementary_names(f: Formula) -> set[str]:
     return out
 
 
-def general_names(f: Formula) -> set[str]:
-    match f:
-        case General(name, _):
-            return {name}
-        case Hybrid(name, _, _):
-            return {name}
-        case _:
-            out: set[str] = set()
-            for c in children(f):
-                out |= general_names(c)
-            return out
-
-
 def agent_ids(f: Formula) -> list[str]:
     """Agents named by annotations, in occurrence order, without duplicates."""
     seen: list[str] = []
-
-    def walk(node):
+    stack = [f]
+    while stack:
+        node = stack.pop()
         if isinstance(node, EnvAnn) and node.agent not in seen:
             seen.append(node.agent)
-        for c in children(node):
-            walk(c)
-
-    walk(f)
+        stack.extend(reversed(children(node)))
     return seen
 
 
@@ -599,36 +581,37 @@ def _atom_str(f: Formula) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical text; parse_formula(print_formula(f)) is structurally equal to f."""
+    return _pr(f)
 
-    def bare(node):
-        return isinstance(node, ATOM_KINDS) or isinstance(node, Not)
 
-    def pr(node):
-        match node:
-            case EnvAnn(c, agent):
-                inner = pr(c)
-                if isinstance(c, (And, Or, Chand, Chor)):
-                    inner = f"({inner})"
-                return f"{inner} @ {_agent_str(agent)}"
-            case Implies(l, r):
-                ls = pr(l) if bare(l) else f"({pr(l)})"
-                rs = pr(r) if bare(r) or isinstance(r, Implies) else f"({pr(r)})"
-                return f"{ls} -> {rs}"
-            case And(l, r):
-                ls = pr(l) if bare(l) or isinstance(l, And) else f"({pr(l)})"
-                rs = pr(r) if bare(r) else f"({pr(r)})"
-                return f"{ls} /\\ {rs}"
-            case Or(l, r):
-                ls = pr(l) if bare(l) or isinstance(l, (Or, And)) else f"({pr(l)})"
-                rs = pr(r) if bare(r) or isinstance(r, And) else f"({pr(r)})"
-                return f"{ls} \\/ {rs}"
-            case Chand(parts):
-                return " & ".join(pr(p) if bare(p) else f"({pr(p)})" for p in parts)
-            case Chor(parts):
-                return " | ".join(pr(p) if bare(p) else f"({pr(p)})" for p in parts)
-            case Not(c):
-                return "~" + (pr(c) if bare(c) else f"({pr(c)})")
-            case _:
-                return _atom_str(node)
+def _bare(node: Formula) -> bool:
+    return isinstance(node, ATOM_KINDS) or isinstance(node, Not)
 
-    return pr(f)
+
+def _pr(node: Formula) -> str:
+    match node:
+        case EnvAnn(c, agent):
+            inner = _pr(c)
+            if isinstance(c, (And, Or, Chand, Chor)):
+                inner = f"({inner})"
+            return f"{inner} @ {_agent_str(agent)}"
+        case Implies(l, r):
+            ls = _pr(l) if _bare(l) else f"({_pr(l)})"
+            rs = _pr(r) if _bare(r) or isinstance(r, Implies) else f"({_pr(r)})"
+            return f"{ls} -> {rs}"
+        case And(l, r):
+            ls = _pr(l) if _bare(l) or isinstance(l, And) else f"({_pr(l)})"
+            rs = _pr(r) if _bare(r) else f"({_pr(r)})"
+            return f"{ls} /\\ {rs}"
+        case Or(l, r):
+            ls = _pr(l) if _bare(l) or isinstance(l, (Or, And)) else f"({_pr(l)})"
+            rs = _pr(r) if _bare(r) or isinstance(r, And) else f"({_pr(r)})"
+            return f"{ls} \\/ {rs}"
+        case Chand(parts):
+            return " & ".join(_pr(p) if _bare(p) else f"({_pr(p)})" for p in parts)
+        case Chor(parts):
+            return " | ".join(_pr(p) if _bare(p) else f"({_pr(p)})" for p in parts)
+        case Not(c):
+            return "~" + (_pr(c) if _bare(c) else f"({_pr(c)})")
+        case _:
+            return _atom_str(node)

@@ -170,50 +170,49 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset()) -> ProofTree | Non
     Pairings are exhausted before closing so that fully general conclusions reproduce the
     canonical pairing-chain proofs; verdicts are memoized on the annotation-erased formula.
     """
-    root_avoid = frozenset(elementary_names(f))
-    trees: dict[Formula, ProofTree | None] = {}
-    verdicts: dict[Formula, bool] = {}
+    return _search(f, {}, {}, frozenset(elementary_names(f)), winnable)
 
-    def search(g: Formula) -> ProofTree | None:
-        if g in trees:
-            return trees[g]
-        sk = skeleton(g)
-        if verdicts.get(sk) is False:
-            trees[g] = None
-            return None
-        m = measure(g)
-        result = None
-        for pair in premises_C(g, root_avoid):
-            assert measure(pair.formula) < m, "termination measure must decrease"
-            sub = search(pair.formula)
-            if sub is not None:
-                result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
+
+def _search(
+    g: Formula,
+    trees: dict[Formula, ProofTree | None],
+    verdicts: dict[Formula, bool],
+    root_avoid: frozenset[str],
+    winnable: frozenset[str],
+) -> ProofTree | None:
+    if g in trees:
+        return trees[g]
+    sk = skeleton(g)
+    if verdicts.get(sk) is False:
+        trees[g] = None
+        return None
+    result = None
+    for pair in premises_C(g, root_avoid):
+        sub = _search(pair.formula, trees, verdicts, root_avoid, winnable)
+        if sub is not None:
+            result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
+            break
+    if result is None and is_stable(g, winnable):
+        entries = premises_A(g)
+        subs = []
+        index: dict[tuple[str, int], int] = {}
+        for k, entry in enumerate(entries):
+            sub = _search(entry.formula, trees, verdicts, root_avoid, winnable)
+            if sub is None:
                 break
-        if result is None and is_stable(g, winnable):
-            entries = premises_A(g)
-            subs = []
-            index: dict[tuple[str, int], int] = {}
-            for k, entry in enumerate(entries):
-                assert measure(entry.formula) < m, "termination measure must decrease"
-                sub = search(entry.formula)
-                if sub is None:
-                    break
-                subs.append(sub)
-                index[(entry.spec, entry.branch)] = k
-            else:
-                result = ProofTree(g, RuleA(), tuple(subs), index)
-        if result is None:
-            for entry in premises_B(g):
-                assert measure(entry.formula) < m, "termination measure must decrease"
-                sub = search(entry.formula)
-                if sub is not None:
-                    result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
-                    break
-        trees[g] = result
-        verdicts[sk] = result is not None
-        return result
-
-    return search(f)
+            subs.append(sub)
+            index[(entry.spec, entry.branch)] = k
+        else:
+            result = ProofTree(g, RuleA(), tuple(subs), index)
+    if result is None:
+        for entry in premises_B(g):
+            sub = _search(entry.formula, trees, verdicts, root_avoid, winnable)
+            if sub is not None:
+                result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
+                break
+    trees[g] = result
+    verdicts[sk] = result is not None
+    return result
 
 
 def provable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
@@ -224,21 +223,21 @@ def hybridize(t: ProofTree) -> ProofTree:
     """Replace each pairing rule's fresh atom by the matching hybrid atom throughout its premise
     subtree. One pass carries the renaming made by the pairings above each node down the tree,
     so every conclusion is rewritten once; an outer pairing's renaming wins over an inner one."""
+    return _convert(t, {})
 
-    def convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
-        rule = node.rule
-        conclusion = node.conclusion
-        inner = renaming
-        if isinstance(rule, RuleC):
-            pos = child_at(conclusion, resolve_spec(conclusion, rule.pos_spec))
-            if not isinstance(pos, General):
-                raise FormulaError("pairing rule must address a general atom")
-            inner = {rule.name: Hybrid(pos.name, rule.name)} | renaming
-        if renaming:
-            conclusion = transform(conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
-        return ProofTree(conclusion, rule, tuple(convert(p, inner) for p in node.premises), node.premise_index)
 
-    return convert(t, {})
+def _convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
+    rule = node.rule
+    conclusion = node.conclusion
+    inner = renaming
+    if isinstance(rule, RuleC):
+        pos = child_at(conclusion, resolve_spec(conclusion, rule.pos_spec))
+        if not isinstance(pos, General):
+            raise FormulaError("pairing rule must address a general atom")
+        inner = {rule.name: Hybrid(pos.name, rule.name)} | renaming
+    if renaming:
+        conclusion = transform(conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
+    return ProofTree(conclusion, rule, tuple(_convert(p, inner) for p in node.premises), node.premise_index)
 
 
 def _find_choice(f: Formula, spec: str):
@@ -302,12 +301,13 @@ _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}
 def format_proof(t: ProofTree) -> str:
     """Numbered listing, premises before conclusions: ``<id>. <formula>, rule <A|B|C>, <premise ids>``."""
     lines: list[str] = []
-
-    def walk(node: ProofTree) -> int:
-        ids = [walk(p) for p in node.premises]
-        refs = ", ".join(str(i) for i in ids) if ids else "0"
-        lines.append(f"{len(lines) + 1}. {print_formula(node.conclusion)}, rule {_RULE_LETTER[type(node.rule)]}, {refs}")
-        return len(lines)
-
-    walk(t)
+    _list_node(t, lines)
     return "\n".join(lines)
+
+
+def _list_node(node: ProofTree, lines: list[str]) -> int:
+    """Append ``node``'s premises, then ``node``, to ``lines``; return ``node``'s id."""
+    ids = [_list_node(p, lines) for p in node.premises]
+    refs = ", ".join(str(i) for i in ids) if ids else "0"
+    lines.append(f"{len(lines) + 1}. {print_formula(node.conclusion)}, rule {_RULE_LETTER[type(node.rule)]}, {refs}")
+    return len(lines)

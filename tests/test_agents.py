@@ -161,7 +161,7 @@ def test_starbucks_conservation_copies():
     for query in sim.opened:
         session = query.session
         for binding in session.bindings.values():
-            run = session.local_run(binding.spec, binding.polarity)
+            run = session.local_run(binding.spec)
             payloads = tuple(m.payload for m in run if not m.is_choice())
             if not binding.game.complete(run):
                 continue

@@ -1,13 +1,33 @@
 import random
+from collections import Counter
 
 import pytest
 
 from clbk import engine
-from clbk.engine import Binding, EngineError, Session, Status
-from clbk.formula import POSITIVE, parse_formula, surface_occurrences
-from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
+from clbk.engine import EngineError, Status
+from clbk.formula import (
+    And,
+    Chand,
+    Chor,
+    Elementary,
+    EnvAnn,
+    General,
+    Hybrid,
+    Implies,
+    NEGATIVE,
+    Not,
+    Or,
+    POSITIVE,
+    Truth,
+    atom_name,
+    env_chooses,
+    parse_formula,
+    print_formula,
+    surface_occurrences,
+)
+from clbk.games import Labmove, Player, Script, coffee_game, dollar_game, flip_run
 from clbk.prover import ProofTree, RuleA, hybridize, prove
-from genlib import random_provable
+from genlib import random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 COFFEE = coffee_game(10)
@@ -46,7 +66,7 @@ def test_machine_turn_on_fresh_pairing_proof_emits_nothing():
 
 def test_machine_turn_replays_pending_subrun_on_pairing():
     s = coffee_session()
-    s.run.append(Labmove(B, "1.1.", "x=3"))
+    s.append(Labmove(B, "1.1.", "x=3"))
     out = engine.machine_turn(s)
     assert [str(lm) for _, lm in out] == ["T2.1.x=3"]
     assert [str(lm) for lm in s.run] == ["B1.1.x=3", "T2.1.x=3"]
@@ -146,14 +166,11 @@ def test_pump_environment_prefers_delivered_moves():
 
 
 def _quiescent_session(src, games=None, run=()):
+    """A session resting at an unchecked closure node over ``src`` after ``run`` was played."""
     f = parse_formula(src)
-    tree = ProofTree(f, RuleA(), (), {})
-    s = Session(owner="m", tree=tree, formula=f, node=tree)
-    s.games = games or {}
-    for occ in surface_occurrences(f, "atom"):
-        name = occ.node.name if hasattr(occ.node, "name") else occ.node.general
-        s.bindings[occ.spec] = Binding(occ.spec, s.games[name], occ.polarity, occ.env)
-    s.run = list(run)
+    s = engine.new_session(ProofTree(f, RuleA(), (), {}), owner="m", games=games, check=False)
+    for lm in run:
+        s.append(lm)
     s.status = Status.QUIESCENT
     return s
 
@@ -167,6 +184,11 @@ def test_evaluate_requires_quiescence():
 def test_evaluate_completed_coffee_run():
     s = _quiescent_session("C", games={"C": COFFEE}, run=[Labmove(B, "", "x=3"), Labmove(B, "", "y=1"), Labmove(T, "", "z=4")])
     assert engine.evaluate_winner(s) is T
+
+
+def test_evaluate_losing_coffee_run():
+    s = _quiescent_session("C", games={"C": COFFEE}, run=[Labmove(B, "", "x=3"), Labmove(B, "", "y=1"), Labmove(T, "", "z=5")])
+    assert engine.evaluate_winner(s) is B
 
 
 def test_evaluate_elementary_default_interpretation():
@@ -281,6 +303,96 @@ def test_emitted_machine_moves_are_legal():
     engine.run_to_quiescence(s)
     for spec in sorted({lm.spec for lm in s.run}):
         binding = s.bindings[spec]
-        local = s.local_run(spec, binding.polarity)
+        local = s.local_run(spec)
         for i, mv in enumerate(local):
             assert binding.game.legal(local[:i], Labmove(mv.player, "", mv.payload))
+
+
+def _reference_winner(session, node, spec, sign):
+    """The engine's former recursive composition of the winner, kept as an oracle: each
+    atom's local run is rebuilt from the whole session run, not read from its binding."""
+    match node:
+        case Truth(v):
+            return T if v else B
+        case Elementary(name):
+            return T if session.interpretation.get(name, False) else B
+        case General(_, _) | Hybrid(_, _, _):
+            sub = engine.subrun(tuple(session.run), spec)
+            return session.games[atom_name(node)].winner(flip_run(sub) if sign == NEGATIVE else sub)
+        case Chand(_):
+            return T
+        case Chor(_):
+            return B
+        case Not(c):
+            return _reference_winner(session, c, spec, -sign).flip()
+        case EnvAnn(c, _):
+            return _reference_winner(session, c, spec, sign)
+        case And(l, r):
+            lw = _reference_winner(session, l, spec + "1.", sign)
+            rw = _reference_winner(session, r, spec + "2.", sign)
+            return T if lw is rw is T else B
+        case Or(l, r):
+            lw = _reference_winner(session, l, spec + "1.", sign)
+            rw = _reference_winner(session, r, spec + "2.", sign)
+            return T if T in (lw, rw) else B
+        case Implies(l, r):
+            lw = _reference_winner(session, l, spec + "1.", -sign).flip()
+            rw = _reference_winner(session, r, spec + "2.", sign)
+            return T if T in (lw, rw) else B
+    raise AssertionError(f"cannot evaluate {node!r}")
+
+
+# Environment payloads per game, legal and illegal, and a machine answer that always loses.
+PAYLOADS = {"coffee": ("x=1", "x=3", "y=1", "y=2", "z=4", "v=1"), "dollar": ("v=1", "v=2", "r=2", "x=1")}
+WRONG = {"coffee": "z=9", "dollar": "r=9"}
+
+
+def test_evaluate_winner_agrees_with_reference_recursion():
+    """Random environment moves (choices with in- and out-of-range branches, legal and
+    illegal atom payloads, stand-in answers) and, so that both winners occur, stray
+    machine moves."""
+    rng = random.Random(47)
+    outcomes = Counter()
+    for _, tree in random_provable(rng, 40) + random_provable(rng, 40, need_pairing=True):
+        for _ in range(3):
+            valuation = {name: rng.random() < 0.5 for name in "pqrs"}
+            s = engine.new_session(hybridize(tree), games={"C": COFFEE, "D": dollar_game(5)}, interpretation=valuation)
+            for binding in s.bindings.values():
+                if binding.polarity == NEGATIVE and rng.random() < 0.5:
+                    binding.heuristic = binding.game.default_heuristic
+            for _ in range(rng.randint(0, 16)):
+                engine.run_to_quiescence(s)
+                choices = [o for o in surface_occurrences(s.formula, "choice") if env_chooses(o)]
+                roll = rng.random()
+                if choices and roll < 0.3:
+                    occ = rng.choice(choices)
+                    s.deliver(Labmove(B, occ.spec, str(rng.randint(0, len(occ.node.parts) + 1))))
+                elif s.atoms:
+                    occ = rng.choice(list(s.atoms.values()))
+                    game = s.bindings[occ.spec].game.name
+                    if roll < 0.7 or occ.polarity == NEGATIVE:
+                        s.deliver(Labmove(B, occ.spec, rng.choice(PAYLOADS[game])))
+                    else:
+                        s.append(Labmove(T, occ.spec, WRONG[game]))
+            engine.run_to_quiescence(s)
+            expected = _reference_winner(s, s.formula, "", POSITIVE)
+            assert engine.evaluate_winner(s) is expected
+            outcomes[expected] += 1
+    assert outcomes[T] > 0 and outcomes[B] > 0, outcomes
+
+
+def test_evaluate_winner_agrees_with_reference_on_arbitrary_runs():
+    """Any formula at a closure node, after any moves at its atoms by either player."""
+    rng = random.Random(48)
+    games = {"C": COFFEE, "D": dollar_game(5), "P": coffee_game(3), "Q": dollar_game(2)}
+    outcomes = Counter()
+    for _ in range(300):
+        s = _quiescent_session(print_formula(random_ast(rng, 4)), games=games)
+        s.interpretation = {name: rng.random() < 0.5 for name in rng.sample("pqrs", 2)}  # the rest are false
+        for _ in range(rng.randint(0, 8) if s.atoms else 0):
+            spec = rng.choice(list(s.atoms))
+            s.append(Labmove(rng.choice((T, B)), spec, rng.choice(PAYLOADS[s.bindings[spec].game.name] + ("z=9", "r=9"))))
+        expected = _reference_winner(s, s.formula, "", POSITIVE)
+        assert engine.evaluate_winner(s) is expected
+        outcomes[expected] += 1
+    assert min(outcomes[T], outcomes[B]) > 50, outcomes

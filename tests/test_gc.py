@@ -1,0 +1,35 @@
+import gc
+
+from clbk import engine
+from clbk.agents import Simulation
+from clbk.formula import POSITIVE, parse_formula
+from clbk.games import Player, Script, coffee_game
+from clbk.prover import format_proof, hybridize, prove, verify_proof
+from clbk.scenario import builtin_scenario, parse_scenario
+
+
+def test_layers_leave_no_cyclic_garbage():
+    """Every layer frees its temporaries by reference counting alone: with the cyclic
+    collector off, a full pass over the layers leaves nothing for it to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        for src in ("((C /\\ C) -> (C \\/ C)) @ w", "((p & q) -> (p & q)) @ w"):
+            tree = prove(parse_formula(src))
+            hybrid = hybridize(tree)
+            assert verify_proof(hybrid)
+            assert format_proof(hybrid)
+        session = engine.new_session(hybridize(prove(parse_formula("(C -> C) @ w"))), games={"C": coffee_game(10)})
+        for binding in session.bindings.values():
+            if binding.polarity == POSITIVE:
+                binding.script = Script(("x=3", "y=1"))
+            else:
+                binding.heuristic = binding.game.default_heuristic
+        engine.run_to_quiescence(session)
+        assert engine.evaluate_winner(session) is Player.MACHINE
+        report = Simulation(parse_scenario(builtin_scenario("starbucks"))).run(10_000)
+        assert report.all_won()
+        del tree, hybrid, session, report  # a cycle among the results would now be garbage too
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
