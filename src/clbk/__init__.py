@@ -35,6 +35,7 @@ from .prover import (
     RuleA,
     RuleB,
     RuleC,
+    SearchBudgetExceeded,
     format_proof,
     hybridize,
     is_stable,

@@ -12,7 +12,7 @@ from .agents import Agent, Simulation
 from .engine import Binding, Status
 from .formula import FormulaError, atom_name, parse_formula, print_formula, surface_occurrences
 from .games import GameDef, Labmove, Player, Script
-from .prover import format_proof, hybridize, prove
+from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
     ScenarioError,
     builtin_scenario,
@@ -38,7 +38,14 @@ def cmd_prove(args) -> int:
     except FormulaError as exc:
         _err(str(exc))
         return EXIT_INPUT
-    tree = prove(f)
+    if args.max_nodes is not None and args.max_nodes < 0:
+        _err("--max-nodes must not be negative")
+        return EXIT_INPUT
+    try:
+        tree = prove(f, max_nodes=args.max_nodes)
+    except SearchBudgetExceeded as exc:
+        _err(str(exc))
+        return EXIT_INCOMPLETE
     if tree is None:
         print("unprovable")
         return EXIT_UNPROVABLE
@@ -262,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--tree", action="store_true", help="print the proof listing (default on success)")
     p.add_argument("--hybrid", action="store_true", help="print the hybridized tree instead")
+    p.add_argument("--max-nodes", type=int, help="give up, with exit code 3, after expanding this many search nodes")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("play", help="prove a formula and play it against scripts or stdin")

@@ -28,7 +28,7 @@ from .formula import (
     atom_name,
     elementarize,
     env_chooses,
-    substitute_at,
+    substitute_paths,
     surface_occurrences,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, flip_run, subrun
@@ -338,10 +338,13 @@ def evaluate_winner(session: Session) -> Player:
     interpretation, false where it is silent."""
     if session.status is Status.RUNNING:
         raise EngineError("evaluate_winner called before quiescence")
-    f = session.formula
-    for spec, occ in session.atoms.items():
-        won = session.bindings[spec].game.winner(session.local_run(spec)) is Player.MACHINE
-        f = substitute_at(f, occ.path, Truth(won))
+    f = substitute_paths(
+        session.formula,
+        {
+            occ.path: Truth(session.bindings[spec].game.winner(session.local_run(spec)) is Player.MACHINE)
+            for spec, occ in session.atoms.items()
+        },
+    )
     valuation = defaultdict(bool, session.interpretation)
     winner = Player.MACHINE if evaluate(elementarize(f), valuation) else Player.ENVIRONMENT
     session.status = Status.FINISHED

@@ -187,6 +187,16 @@ def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
     return rebuild(f, kids)
 
 
+def substitute_paths(f: Formula, replacements: dict[Path, Formula], path: Path = ()) -> Formula:
+    """Replace, in one pass, the subformula at each path of ``replacements`` (paths relative to
+    ``f``, none a prefix of another) with its value; ``path`` is where ``f`` sits in the walk."""
+    if path in replacements:
+        return replacements[path]
+    kids = children(f)
+    new = [substitute_paths(k, replacements, path + (i,)) for i, k in enumerate(kids, start=1)]
+    return rebuild(f, new) if any(map(is_not, new, kids)) else f
+
+
 def skeleton(f: Formula) -> Formula:
     """Strip every environment annotation; nothing else changes."""
     return transform(f, lambda n: n.child if isinstance(n, EnvAnn) else n)

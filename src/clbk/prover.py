@@ -9,6 +9,7 @@ from .formula import (
     Chand,
     Chor,
     Elementary,
+    EnvAnn,
     Formula,
     FormulaError,
     General,
@@ -22,7 +23,6 @@ from .formula import (
     env_chooses,
     print_formula,
     resolve_spec,
-    skeleton,
     substitute_at,
     surface_occurrences,
     transform,
@@ -164,40 +164,79 @@ def premises_C(f: Formula, avoid: frozenset[str] = frozenset()) -> list[PairPrem
     return out
 
 
-def prove(f: Formula, winnable: frozenset[str] = frozenset()) -> ProofTree | None:
+class SearchBudgetExceeded(RuntimeError):
+    """The proof search expanded more nodes than its ``max_nodes`` budget allows."""
+
+
+class _Fresh(Elementary):
+    """A fresh atom renamed in a memo key; never equal to an ``Elementary`` of any name."""
+
+
+def memo_key(f: Formula, root_avoid: frozenset[str]) -> Formula:
+    """The refutation-memo key of a search node: its skeleton with every fresh elementary atom
+    (a name outside ``root_avoid``) renamed by order of first occurrence. Nodes that differ only
+    in how the pairings named their fresh atoms share a key, and so share a verdict: a bijective
+    renaming of fresh atoms maps one node's search space onto the other's and keeps stability."""
+    renamed: dict[str, _Fresh] = {}
+    return transform(f, lambda n: _canonical_node(n, root_avoid, renamed))
+
+
+def _canonical_node(node: Formula, root_avoid: frozenset[str], renamed: dict[str, _Fresh]) -> Formula:
+    if isinstance(node, EnvAnn):
+        return node.child
+    if isinstance(node, Elementary) and node.name not in root_avoid:
+        if node.name not in renamed:
+            renamed[node.name] = _Fresh(f"#{len(renamed)}")
+        return renamed[node.name]
+    return node
+
+
+class _Search:
+    """One proof search: its fixed inputs, its two memos and the number of nodes expanded."""
+
+    def __init__(self, root_avoid: frozenset[str], winnable: frozenset[str], max_nodes: int | None):
+        self.root_avoid = root_avoid
+        self.winnable = winnable
+        self.max_nodes = max_nodes
+        self.trees: dict[Formula, ProofTree | None] = {}
+        self.refuted: set[Formula] = set()
+        self.expanded = 0
+
+
+def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | None = None) -> ProofTree | None:
     """Proof search with a fixed rule order: atom pairings first, then closure, then machine choices.
 
     Pairings are exhausted before closing so that fully general conclusions reproduce the
-    canonical pairing-chain proofs; verdicts are memoized on the annotation-erased formula.
+    canonical pairing-chain proofs. Proofs are memoized on the exact formula; refutations on
+    its ``memo_key``, so a node refuted once prunes every renaming of its fresh atoms. With
+    ``max_nodes`` set, expanding more nodes than that raises ``SearchBudgetExceeded``.
     """
-    return _search(f, {}, {}, frozenset(elementary_names(f)), winnable)
+    return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
-def _search(
-    g: Formula,
-    trees: dict[Formula, ProofTree | None],
-    verdicts: dict[Formula, bool],
-    root_avoid: frozenset[str],
-    winnable: frozenset[str],
-) -> ProofTree | None:
-    if g in trees:
-        return trees[g]
-    sk = skeleton(g)
-    if verdicts.get(sk) is False:
-        trees[g] = None
+def _search(g: Formula, s: _Search) -> ProofTree | None:
+    if g in s.trees:
+        return s.trees[g]
+    # a provable search often refutes nothing, and then needs no key at all
+    key = memo_key(g, s.root_avoid) if s.refuted else None
+    if key in s.refuted:
+        s.trees[g] = None
         return None
+    if s.max_nodes is not None and s.expanded >= s.max_nodes:
+        raise SearchBudgetExceeded(f"proof search exceeded {s.max_nodes} nodes")
+    s.expanded += 1
     result = None
-    for pair in premises_C(g, root_avoid):
-        sub = _search(pair.formula, trees, verdicts, root_avoid, winnable)
+    for pair in premises_C(g, s.root_avoid):
+        sub = _search(pair.formula, s)
         if sub is not None:
             result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
             break
-    if result is None and is_stable(g, winnable):
+    if result is None and is_stable(g, s.winnable):
         entries = premises_A(g)
         subs = []
         index: dict[tuple[str, int], int] = {}
         for k, entry in enumerate(entries):
-            sub = _search(entry.formula, trees, verdicts, root_avoid, winnable)
+            sub = _search(entry.formula, s)
             if sub is None:
                 break
             subs.append(sub)
@@ -206,12 +245,13 @@ def _search(
             result = ProofTree(g, RuleA(), tuple(subs), index)
     if result is None:
         for entry in premises_B(g):
-            sub = _search(entry.formula, trees, verdicts, root_avoid, winnable)
+            sub = _search(entry.formula, s)
             if sub is not None:
                 result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
                 break
-    trees[g] = result
-    verdicts[sk] = result is not None
+    s.trees[g] = result
+    if result is None:
+        s.refuted.add(memo_key(g, s.root_avoid) if key is None else key)
     return result
 
 

@@ -1,7 +1,9 @@
 import io
 import sys
+import time
 from pathlib import Path
 
+from clbk import prover
 from clbk.cli import main
 from clbk.scenario import builtin_scenario
 
@@ -64,6 +66,29 @@ def test_prove_unprovable(capsys):
     code, out, _ = run_cli(capsys, "prove", "P -> (P /\\ P)")
     assert code == 1
     assert "unprovable" in out
+
+
+def test_prove_search_budget_exhausted(capsys, monkeypatch):
+    """Unbounded, this search runs for minutes; the budget stops it after exactly 1,000
+    expansions (one premises_C call each), about 1 s on a 2-vCPU Xeon."""
+    calls = []
+    original = prover.premises_C
+    monkeypatch.setattr(prover, "premises_C", lambda *args: calls.append(1) or original(*args))
+    n = 6
+    formula = " /\\ ".join(["C"] * n) + " -> (" + " /\\ ".join(["C"] * (n + 1)) + ")"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prove", formula, "--max-nodes", "1000")
+    assert time.perf_counter() - start < 2.0
+    assert len(calls) == 1000
+    assert code == 3
+    assert out == ""
+    assert err == "error: proof search exceeded 1000 nodes\n"
+
+
+def test_prove_negative_search_budget(capsys):
+    code, _, err = run_cli(capsys, "prove", "p -> p", "--max-nodes", "-1")
+    assert code == 2
+    assert "--max-nodes" in err
 
 
 def test_prove_parse_error(capsys):

@@ -32,6 +32,7 @@ from clbk.formula import (
     skeleton,
     specification,
     substitute_at,
+    substitute_paths,
     surface_occurrences,
     transform,
 )
@@ -274,6 +275,19 @@ def test_substitute_own_subformula_is_identity():
         f = random_ast(rng, depth=5)
         for path in _paths(f):
             assert substitute_at(f, path, child_at(f, path)) == f
+
+
+def test_substitute_paths_matches_one_at_a_time():
+    rng = random.Random(31)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        leaves = [path for path in _paths(f) if not children(child_at(f, path))]
+        chosen = {path: Truth(rng.random() < 0.5) for path in leaves if rng.random() < 0.5}
+        expected = f
+        for path, g in chosen.items():
+            expected = substitute_at(expected, path, g)
+        assert substitute_paths(f, chosen) == expected
+        assert substitute_paths(f, {}) is f
 
 
 def test_elementarize_always_elementary():

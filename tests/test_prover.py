@@ -1,22 +1,27 @@
 import random
 
-from clbk.formula import parse_formula, print_formula
+import pytest
+
+from clbk import prover
+from clbk.formula import elementary_names, parse_formula, print_formula, skeleton
 from clbk.prover import (
     ProofTree,
     RuleA,
     RuleB,
     RuleC,
+    SearchBudgetExceeded,
     format_proof,
     hybridize,
     is_stable,
     measure,
+    memo_key,
     premises_A,
     premises_B,
     premises_C,
     prove,
     verify_proof,
 )
-from genlib import random_provable
+from genlib import random_ast, random_provable
 
 
 def test_stability_examples():
@@ -196,3 +201,115 @@ def test_random_provable_all_verify():
     for f, tree in random_provable(rng, 25):
         assert verify_proof(tree), print_formula(f)
         assert verify_proof(hybridize(tree))
+
+
+def _reference_prove(f, winnable=frozenset()):
+    """The search with its refutation memo keyed on the exact annotation-erased formula:
+    the oracle for the canonically keyed memo of ``prove``."""
+    return _reference_search(f, {}, {}, frozenset(elementary_names(f)), winnable)
+
+
+def _reference_search(g, trees, verdicts, root_avoid, winnable):
+    if g in trees:
+        return trees[g]
+    sk = skeleton(g)
+    if verdicts.get(sk) is False:
+        trees[g] = None
+        return None
+    result = None
+    for pair in premises_C(g, root_avoid):
+        sub = _reference_search(pair.formula, trees, verdicts, root_avoid, winnable)
+        if sub is not None:
+            result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
+            break
+    if result is None and is_stable(g, winnable):
+        entries = premises_A(g)
+        subs = []
+        index = {}
+        for k, entry in enumerate(entries):
+            sub = _reference_search(entry.formula, trees, verdicts, root_avoid, winnable)
+            if sub is None:
+                break
+            subs.append(sub)
+            index[(entry.spec, entry.branch)] = k
+        else:
+            result = ProofTree(g, RuleA(), tuple(subs), index)
+    if result is None:
+        for entry in premises_B(g):
+            sub = _reference_search(entry.formula, trees, verdicts, root_avoid, winnable)
+            if sub is not None:
+                result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
+                break
+    trees[g] = result
+    verdicts[sk] = result is not None
+    return result
+
+
+def _listings(tree):
+    return None if tree is None else (format_proof(tree), format_proof(hybridize(tree)))
+
+
+def test_prove_agrees_with_reference_search():
+    rng = random.Random(53)
+    formulas = [random_ast(rng, depth=4) for _ in range(1000)]
+    formulas += [f for f, _ in random_provable(rng, 60) + random_provable(rng, 40, need_pairing=True)]
+    verdicts = set()
+    for f in formulas:
+        got, expected = prove(f), _reference_prove(f)
+        assert _listings(got) == _listings(expected), print_formula(f)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def _unprovable_family(n):
+    return parse_formula(" /\\ ".join(["C"] * n) + " -> (" + " /\\ ".join(["C"] * (n + 1)) + ")")
+
+
+def test_refutation_memo_expansions_pinned(monkeypatch):
+    """The search expands each node with one premises_C call; the exact-formula memo
+    expanded 4,581 nodes here."""
+    calls = []
+    original = prover.premises_C
+    monkeypatch.setattr(prover, "premises_C", lambda *args: calls.append(1) or original(*args))
+    assert prove(_unprovable_family(4)) is None
+    assert len(calls) == 501
+
+
+def test_memo_key_ignores_pairing_order():
+    """The same two pairings (1.1. with 2.1.1., 1.2. with 2.1.2.), made in either order,
+    share a key; the crossed pairings (1.1. with 2.1.2., 1.2. with 2.1.1.) do not."""
+    f = parse_formula("(C /\\ C) -> (C /\\ C /\\ C)")
+    root = frozenset(elementary_names(f))
+    first = premises_C(f, root)
+    a = premises_C(first[0].formula, root)[0].formula
+    b = premises_C(first[4].formula, root)[0].formula
+    assert print_formula(a) == "(p /\\ q) -> (p /\\ q /\\ C)"
+    assert print_formula(b) == "(q /\\ p) -> (q /\\ p /\\ C)"
+    assert memo_key(a, root) == memo_key(b, root)
+    crossed = premises_C(first[1].formula, root)[0].formula
+    assert print_formula(crossed) == "(p /\\ q) -> (q /\\ p /\\ C)"
+    assert memo_key(crossed, root) != memo_key(a, root)
+
+
+def test_memo_key_keeps_root_atoms():
+    a = parse_formula("(p /\\ q) -> (p /\\ q /\\ C)")
+    b = parse_formula("(q /\\ p) -> (q /\\ p /\\ C)")
+    root = frozenset({"p", "q"})
+    assert memo_key(a, root) != memo_key(b, root)
+    # q is fresh under the root atom p, and must not be keyed like the root atom
+    assert memo_key(parse_formula("(q /\\ p) -> q"), frozenset({"p"})) != memo_key(
+        parse_formula("(p /\\ p) -> p"), frozenset({"p"})
+    )
+    rng = random.Random(59)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        assert memo_key(f, frozenset(elementary_names(f))) == skeleton(f)
+
+
+def test_prove_search_budget():
+    f = _unprovable_family(4)
+    assert prove(f, max_nodes=501) is None
+    with pytest.raises(SearchBudgetExceeded):
+        prove(f, max_nodes=500)
+    g = parse_formula("(C /\\ C) -> (C \\/ C) @ w")
+    assert format_proof(prove(g, max_nodes=3)) == format_proof(prove(g))
