@@ -184,12 +184,6 @@ class Slot:
 
 
 @dataclass
-class FlowPair:
-    produce: Slot
-    consume: Slot
-
-
-@dataclass
 class QueryResult:
     qid: str
     client: str
@@ -285,7 +279,7 @@ class Simulation:
         self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
         self.opened: list[Query] = []
-        self.slot_lookup: dict[str, dict[tuple[str, str], tuple[FlowPair, str]]] = {a: {} for a in self.agents}
+        self.slot_lookup: dict[str, dict[tuple[str, str], tuple[Slot, Slot, str]]] = {a: {} for a in self.agents}
         self.claim_views: dict[tuple[str, str, str], list[Labmove]] = {}
         self.unroutable: list[QueryResult] = []
         self.trace: list[str] = []
@@ -372,9 +366,9 @@ class Simulation:
                         seat(produce, query, occ, "x")
             lookup = self.slot_lookup[aid]
             for name, producers in produce.items():
-                for pair in map(FlowPair, producers, consume.get(name, [])):
-                    lookup[(pair.produce.session_id, pair.produce.spec)] = (pair, "produce")
-                    lookup[(pair.consume.session_id, pair.consume.spec)] = (pair, "consume")
+                for produce_slot, consume_slot in zip(producers, consume.get(name, [])):
+                    lookup[(produce_slot.session_id, produce_slot.spec)] = (produce_slot, consume_slot, "produce")
+                    lookup[(consume_slot.session_id, consume_slot.spec)] = (consume_slot, produce_slot, "consume")
 
     # -- relays ----------------------------------------------------------------
 
@@ -399,14 +393,13 @@ class Simulation:
             if not mover_is_self:
                 self._claim_answer(aid, sid, lm)
             return
-        pair, kind = entry
-        slot = pair.produce if kind == "produce" else pair.consume
+        slot, partner, kind = entry
         local = lm.player if slot.polarity == POSITIVE else lm.player.flip()
         is_challenge = local is Player.ENVIRONMENT
         if kind == "produce" and is_challenge:
-            self._emit(aid, pair.consume, lm.payload, challenge=True)
+            self._emit(aid, partner, lm.payload, challenge=True)
         elif kind == "consume" and not is_challenge and not mover_is_self:
-            self._emit(aid, pair.produce, lm.payload, challenge=False)
+            self._emit(aid, partner, lm.payload, challenge=False)
 
     def _claim_answer(self, aid: str, sid: str, lm: Labmove) -> None:
         """A provider informed of play at an occurrence matched to it answers from its manual,

@@ -56,7 +56,5 @@ def is_valid(f: Formula) -> bool:
 
 
 def satisfiable(f: Formula) -> bool:
-    if not is_elementary(f):
-        raise FormulaError("satisfiability is defined for elementary formulas only")
-    names = sorted(elementary_names(f))
-    return any(evaluate(f, dict(zip(names, bits))) for bits in product((False, True), repeat=len(names)))
+    """True iff f holds under some valuation of its atoms; rejects non-elementary input."""
+    return not is_valid(Not(f))

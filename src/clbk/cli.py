@@ -95,11 +95,11 @@ def cmd_play(args) -> int:
         games, scripts, heuristics, binds, interpretation = (
             _load_bind_file(args.scripts) if args.scripts else ({}, {}, {}, [], {})
         )
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError, FormulaError, ScenarioError) as exc:
         _err(str(exc))
         return EXIT_INPUT
-    except (FormulaError, ScenarioError) as exc:
-        _err(str(exc))
+    if args.max_steps < 0:
+        _err("--max-steps must not be negative")
         return EXIT_INPUT
     tree = prove(f)
     if tree is None:
@@ -142,7 +142,11 @@ def cmd_play(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
-    sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    try:
+        sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    except OSError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
 
     def show(from_index: int) -> int:
         for i in range(from_index, len(session.run)):
@@ -212,9 +216,18 @@ def _scenario_agents(name: str) -> list[Agent]:
 def cmd_simulate(args) -> int:
     try:
         agents = _scenario_agents(args.scenario)
-    except (FileNotFoundError, ScenarioError, FormulaError) as exc:
+    except (OSError, UnicodeDecodeError, ScenarioError, FormulaError) as exc:
         _err(str(exc))
         return EXIT_INPUT
+    if args.max_steps < 0:
+        _err("--max-steps must not be negative")
+        return EXIT_INPUT
+    if args.trace_dir:
+        try:
+            os.makedirs(args.trace_dir, exist_ok=True)
+        except OSError as exc:
+            _err(str(exc))
+            return EXIT_INPUT
     report = Simulation(agents).run(args.max_steps)
     print(report.summary())
     for result in report.results:
@@ -226,7 +239,6 @@ def cmd_simulate(args) -> int:
         print(f"ledger {aid}: received {received}; paid {paid}")
     print(f"heuristic wins: {len(report.heuristic_wins)}")
     if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
         with open(os.path.join(args.trace_dir, "trace.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(report.trace) + ("\n" if report.trace else ""))
         for aid, lines in report.agent_traces.items():
@@ -243,7 +255,7 @@ def cmd_fmt(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _err(str(exc))
         return EXIT_INPUT
     out = []

@@ -6,7 +6,8 @@ enter a session only through ``Session.append`` (or ``Session.deliver`` and then
 ``env_move``), which also files each move with the binding at its spec, so a binding's
 local run is always at hand. ``_enter`` is the only place that changes ``node``,
 ``formula``, ``atoms`` and ``bindings``: it walks each conclusion once, when play reaches
-its proof node."""
+its proof node. An environment choice at a closure node enters the closure premise at its
+branch's position in ``premises_A``, the order in which the checker holds closure premises."""
 
 from __future__ import annotations
 
@@ -27,12 +28,11 @@ from .formula import (
     agent_ids,
     atom_name,
     elementarize,
-    env_chooses,
     substitute_paths,
     surface_occurrences,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, flip_run, subrun
-from .prover import ProofTree, RuleB, RuleC, verify_proof
+from .prover import ProofTree, RuleB, RuleC, premises_A, verify_proof
 
 __all__ = [
     "Binding",
@@ -220,8 +220,8 @@ def machine_turn(session: Session) -> Outgoing:
 
 
 def env_move(session: Session, lm: Labmove) -> Outgoing:
-    """Process one environment move at a closure node: record it at a general atom, copy-cat
-    it at a hybrid atom, follow the chosen branch at a live choice; anything else is ignored."""
+    """Process one environment move at a closure node: record it at a general atom, copy-cat it
+    at a hybrid atom, enter the premise of a branch ``premises_A`` lists; ignore anything else."""
     if lm.player is not Player.ENVIRONMENT:
         return []
     occ = session.atoms.get(lm.spec)
@@ -242,19 +242,11 @@ def env_move(session: Session, lm: Labmove) -> Outgoing:
         session.append(reply)
         return [(sigma.env, reply)]
     if lm.is_choice():
-        branch = int(lm.payload)
-        for choice in surface_occurrences(session.formula, "choice"):
-            if choice.spec != lm.spec:
-                continue
-            if not env_chooses(choice) or not 1 <= branch <= len(choice.node.parts):
-                return []
-            index = session.node.premise_index or {}
-            k = index.get((lm.spec, branch))
-            if k is None:
-                return []
-            session.append(lm)
-            _enter(session, session.node.premises[k])
-            return machine_turn(session)
+        for entry, premise in zip(premises_A(session.formula), session.node.premises):
+            if (entry.spec, entry.branch) == (lm.spec, int(lm.payload)):
+                session.append(lm)
+                _enter(session, premise)
+                return machine_turn(session)
     return []
 
 

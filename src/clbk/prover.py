@@ -15,6 +15,7 @@ from .formula import (
     General,
     Hybrid,
     NEGATIVE,
+    Occurrence,
     POSITIVE,
     child_at,
     children,
@@ -61,7 +62,6 @@ class ProofTree:
     conclusion: Formula
     rule: RuleTag
     premises: tuple["ProofTree", ...] = ()
-    premise_index: dict[tuple[str, int], int] | None = None
 
     def node_count(self) -> int:
         return 1 + sum(p.node_count() for p in self.premises)
@@ -146,22 +146,28 @@ def fresh_elementary(f: Formula, avoid: frozenset[str] = frozenset()) -> str:
     raise AssertionError("unreachable")
 
 
-def premises_C(f: Formula, avoid: frozenset[str] = frozenset()) -> list[PairPremise]:
-    """One premise per (negative, positive) surface pair of the same general atom, both
-    replaced by a fresh elementary atom not occurring in the conclusion."""
+def _pairs(f: Formula):
+    """Each (positive, negative) pair of surface occurrences of one general atom, by name in
+    order of first occurrence, then by negative occurrence, then by positive occurrence."""
     occs = surface_occurrences(f, "general")
-    names = list(dict.fromkeys(occ.node.name for occ in occs))
-    fresh = fresh_elementary(f, avoid)
-    out = []
-    for name in names:
+    for name in dict.fromkeys(occ.node.name for occ in occs):
         negs = [o for o in occs if o.node.name == name and o.polarity == NEGATIVE]
         poss = [o for o in occs if o.node.name == name and o.polarity == POSITIVE]
         for nu in negs:
             for pi in poss:
-                g = substitute_at(f, pi.path, Elementary(fresh))
-                g = substitute_at(g, nu.path, Elementary(fresh))
-                out.append(PairPremise(pi.spec, nu.spec, fresh, g))
-    return out
+                yield pi, nu
+
+
+def _paired(f: Formula, pi: Occurrence, nu: Occurrence, atom: Formula) -> Formula:
+    """``f`` with both occurrences of the pair replaced by ``atom``."""
+    return substitute_at(substitute_at(f, pi.path, atom), nu.path, atom)
+
+
+def premises_C(f: Formula, avoid: frozenset[str] = frozenset()) -> list[PairPremise]:
+    """One premise per (negative, positive) surface pair of the same general atom, both
+    replaced by a fresh elementary atom not occurring in the conclusion."""
+    fresh = fresh_elementary(f, avoid)
+    return [PairPremise(pi.spec, nu.spec, fresh, _paired(f, pi, nu, Elementary(fresh))) for pi, nu in _pairs(f)]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -232,17 +238,14 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
             result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
             break
     if result is None and is_stable(g, s.winnable):
-        entries = premises_A(g)
         subs = []
-        index: dict[tuple[str, int], int] = {}
-        for k, entry in enumerate(entries):
+        for entry in premises_A(g):
             sub = _search(entry.formula, s)
             if sub is None:
                 break
             subs.append(sub)
-            index[(entry.spec, entry.branch)] = k
         else:
-            result = ProofTree(g, RuleA(), tuple(subs), index)
+            result = ProofTree(g, RuleA(), tuple(subs))
     if result is None:
         for entry in premises_B(g):
             sub = _search(entry.formula, s)
@@ -277,62 +280,30 @@ def _convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
         inner = {rule.name: Hybrid(pos.name, rule.name)} | renaming
     if renaming:
         conclusion = transform(conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
-    return ProofTree(conclusion, rule, tuple(_convert(p, inner) for p in node.premises), node.premise_index)
-
-
-def _find_choice(f: Formula, spec: str):
-    return next((occ for occ in surface_occurrences(f, "choice") if occ.spec == spec), None)
+    return ProofTree(conclusion, rule, tuple(_convert(p, inner) for p in node.premises))
 
 
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
-    """Check every node against its rule's side conditions, including stability and the
-    completeness of closure premises. Accepts both the fresh-atom and hybrid forms."""
+    """Check that every node's premises are the ones its rule generates from its conclusion:
+    all of ``premises_A``, in order, under a stable conclusion; the named ``premises_B`` entry;
+    or the named pair given one atom absent from the conclusion, elementary or hybrid."""
     g = t.conclusion
+    got = [p.conclusion for p in t.premises]
     match t.rule:
         case RuleA():
-            if not is_stable(g, winnable):
-                return False
-            entries = premises_A(g)
-            if len(entries) != len(t.premises):
-                return False
-            for k, entry in enumerate(entries):
-                if t.premises[k].conclusion != entry.formula:
-                    return False
-            index = t.premise_index or {}
-            if index != {(e.spec, e.branch): k for k, e in enumerate(entries)}:
-                return False
+            ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
         case RuleB(spec, branch, env):
-            occ = _find_choice(g, spec)
-            if occ is None or occ.env != env:
-                return False
-            if env_chooses(occ) or not 1 <= branch <= len(occ.node.parts):
-                return False
-            if len(t.premises) != 1:
-                return False
-            if t.premises[0].conclusion != substitute_at(g, occ.path, occ.node.parts[branch - 1]):
-                return False
+            ok = any(got == [e.formula] for e in premises_B(g) if (e.spec, e.branch, e.env) == (spec, branch, env))
         case RuleC(pos_spec, neg_spec, name):
-            poss = [o for o in surface_occurrences(g, "general") if o.spec == pos_spec and o.polarity == POSITIVE]
-            negs = [o for o in surface_occurrences(g, "general") if o.spec == neg_spec and o.polarity == NEGATIVE]
-            if len(poss) != 1 or len(negs) != 1:
-                return False
-            pi, nu = poss[0], negs[0]
-            if pi.node.name != nu.node.name:
-                return False
-            if name in elementary_names(g):
-                return False
-            if len(t.premises) != 1:
-                return False
-            candidates = []
-            for replacement in (Elementary(name), Hybrid(pi.node.name, name)):
-                h = substitute_at(g, pi.path, replacement)
-                h = substitute_at(h, nu.path, replacement)
-                candidates.append(h)
-            if t.premises[0].conclusion not in candidates:
-                return False
+            ok = name not in elementary_names(g) and any(
+                got == [_paired(g, pi, nu, atom)]
+                for pi, nu in _pairs(g)
+                if (pi.spec, nu.spec) == (pos_spec, neg_spec)
+                for atom in (Elementary(name), Hybrid(pi.node.name, name))
+            )
         case _:
-            return False
-    return all(verify_proof(p, winnable) for p in t.premises)
+            ok = False
+    return ok and all(verify_proof(p, winnable) for p in t.premises)
 
 
 _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}

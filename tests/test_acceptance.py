@@ -90,17 +90,16 @@ def _tree_nodes(t, path=()):
         yield from _tree_nodes(premise, path + (i,))
 
 
-def _replace_node(t, path, rule=None, index=None):
+def _replace_node(t, path, rule=None, premises=None):
     if not path:
         return ProofTree(
             t.conclusion,
             rule if rule is not None else t.rule,
-            t.premises,
-            index if index is not None else t.premise_index,
+            premises if premises is not None else t.premises,
         )
-    premises = list(t.premises)
-    premises[path[0]] = _replace_node(premises[path[0]], path[1:], rule, index)
-    return ProofTree(t.conclusion, t.rule, tuple(premises), t.premise_index)
+    children = list(t.premises)
+    children[path[0]] = _replace_node(children[path[0]], path[1:], rule, premises)
+    return ProofTree(t.conclusion, t.rule, tuple(children))
 
 
 def _mutations(tree, rng, count=5):
@@ -121,14 +120,12 @@ def _mutations(tree, rng, count=5):
             else:
                 mutated = RuleC(rule.pos_spec, rule.neg_spec + "9.", rule.name)
             out.append(_replace_node(tree, path, rule=mutated))
+        elif len(node.premises) >= 2 and node.premises[0].conclusion != node.premises[1].conclusion:
+            # a swap of two closure premises with equal conclusions would leave a valid proof
+            first, second, *rest = node.premises
+            out.append(_replace_node(tree, path, premises=(second, first, *rest)))
         else:
-            if node.premise_index and len(node.premises) >= 2:
-                items = list(node.premise_index.items())
-                scrambled = dict(items)
-                scrambled[items[0][0]], scrambled[items[1][0]] = items[1][1], items[0][1]
-                out.append(_replace_node(tree, path, index=scrambled))
-            else:
-                out.append(_replace_node(tree, path, rule=RuleB("", 1, None)))
+            out.append(_replace_node(tree, path, rule=RuleB("", 1, None)))
     return out
 
 

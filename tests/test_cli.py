@@ -148,6 +148,34 @@ def test_play_interactive_choice(monkeypatch, capsys):
     assert "winner: T" in out
 
 
+def test_play_interactive_two_choices_golden(monkeypatch, capsys):
+    """Two environment choices: 2.2.2 is the fourth closure premise, and 1.2.1 a choice in it."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2.2.2\n1.2.1\n"))
+    code, out, _ = run_cli(capsys, "play", "(p -> (p & p)) /\\ (q -> (q & q)) @ w", "--interactive")
+    assert code == 0
+    assert out == "1 env B 2.2.2\n2 env B 1.2.1\nwinner: T\n"
+
+
+def test_play_trace_in_missing_directory(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "play", "p -> p", "--trace", str(tmp_path / "missing" / "trace.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_play_scripts_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "play", "p -> p", "--scripts", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_play_negative_step_budget(capsys):
+    code, out, err = run_cli(capsys, "play", "p -> p", "--max-steps", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-steps must not be negative\n"
+
+
 def test_simulate_starbucks(capsys, tmp_path):
     scenario = tmp_path / "starbucks.clbk"
     scenario.write_text(builtin_scenario("starbucks"), encoding="utf-8")
@@ -193,6 +221,28 @@ def test_simulate_missing_file(capsys):
     assert code == 2
 
 
+def test_simulate_trace_dir_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "simulate", "starbucks", "--trace-dir", str(taken))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "taken" in err
+
+
+def test_simulate_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_simulate_negative_step_budget(capsys):
+    code, out, err = run_cli(capsys, "simulate", "starbucks", "--max-steps", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-steps must not be negative\n"
+
+
 def test_simulate_truncated_scenario(tmp_path, capsys):
     head = builtin_scenario("starbucks").split('agent "*1"')[0]
     path = tmp_path / "truncated.clbk"
@@ -220,3 +270,18 @@ def test_fmt_round_trips(tmp_path, capsys):
 def test_fmt_missing_file(capsys):
     code, _, _ = run_cli(capsys, "fmt", "missing.txt")
     assert code == 2
+
+
+def test_fmt_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fmt", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_fmt_and_play_reject_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff p -> p\n")
+    for argv in (["fmt", str(path)], ["play", "p -> p", "--scripts", str(path)], ["simulate", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ")

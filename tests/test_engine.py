@@ -26,7 +26,7 @@ from clbk.formula import (
     surface_occurrences,
 )
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game, flip_run
-from clbk.prover import ProofTree, RuleA, hybridize, prove
+from clbk.prover import ProofTree, RuleA, hybridize, premises_A, premises_B, prove
 from genlib import random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -139,6 +139,47 @@ def test_env_move_ignores_unmatched_moves():
     assert s.run == []
 
 
+def test_env_choice_enters_the_premise_listed_by_premises_A(monkeypatch):
+    """At the first closure node of a proof, each branch ``premises_A`` lists, chosen by the
+    environment, enters the premise at that entry's position, whose conclusion is the entry's
+    formula. An out-of-range branch, a machine-owned choice and a choice payload at an atom
+    record no move."""
+    entered = []
+    enter = engine._enter
+    monkeypatch.setattr(engine, "_enter", lambda session, node: entered.append(node) or enter(session, node))
+    games = {"C": COFFEE, "D": dollar_game(5)}
+    seen = Counter()
+    rng = random.Random(37)
+    for f, tree in random_provable(rng, 80):
+        tree = hybridize(tree)
+
+        def at_closure():
+            s = engine.new_session(tree, games=games, check=False)
+            engine.machine_turn(s)
+            return s
+
+        s = at_closure()
+        node = s.node
+        for k, entry in enumerate(premises_A(s.formula)):
+            s = at_closure()
+            entered.clear()
+            engine.env_move(s, Labmove(B, entry.spec, str(entry.branch)))
+            assert entered[0] is node.premises[k], print_formula(f)
+            assert entered[0].conclusion == entry.formula
+            seen["routed"] += 1
+        s = at_closure()
+        branches = Counter(e.spec for e in premises_A(s.formula))
+        refused = [("out of range", spec, str(n + 1)) for spec, n in branches.items()]
+        refused += [("machine-owned", e.spec, str(e.branch)) for e in premises_B(s.formula)]
+        refused += [("atom", spec, "1") for spec in s.atoms]
+        played = list(s.run)
+        for kind, spec, payload in refused:
+            assert engine.env_move(s, Labmove(B, spec, payload)) == []
+            assert s.run == played and s.node is node, (kind, print_formula(f))
+            seen[kind] += 1
+    assert set(seen) == {"routed", "out of range", "machine-owned", "atom"}, seen
+
+
 def test_pump_environment_script_then_exhaustion():
     s = coffee_session("(C -> C) @ w", scripts={"req": Script(("x=3", "y=1"))})
     for occ in surface_occurrences(s.formula, "atom"):
@@ -168,7 +209,7 @@ def test_pump_environment_prefers_delivered_moves():
 def _quiescent_session(src, games=None, run=()):
     """A session resting at an unchecked closure node over ``src`` after ``run`` was played."""
     f = parse_formula(src)
-    s = engine.new_session(ProofTree(f, RuleA(), (), {}), owner="m", games=games, check=False)
+    s = engine.new_session(ProofTree(f, RuleA(), ()), owner="m", games=games, check=False)
     for lm in run:
         s.append(lm)
     s.status = Status.QUIESCENT

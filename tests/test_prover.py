@@ -1,9 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
 from clbk import prover
-from clbk.formula import elementary_names, parse_formula, print_formula, skeleton
+from clbk.formula import (
+    NEGATIVE,
+    POSITIVE,
+    Elementary,
+    Hybrid,
+    elementary_names,
+    env_chooses,
+    parse_formula,
+    print_formula,
+    skeleton,
+    substitute_at,
+    surface_occurrences,
+)
 from clbk.prover import (
     ProofTree,
     RuleA,
@@ -22,6 +35,7 @@ from clbk.prover import (
     verify_proof,
 )
 from genlib import random_ast, random_provable
+from test_acceptance import _mutations
 
 
 def test_stability_examples():
@@ -102,9 +116,13 @@ def test_prove_choice_tree_shape():
     assert t.node_count() == 5
 
 
-def test_prove_records_choice_index():
+def test_prove_closure_premises_follow_premises_A():
     t = prove(parse_formula("((p & q) -> (p & q)) @ w"))
-    assert t.premise_index == {("2.", 1): 0, ("2.", 2): 1}
+    entries = premises_A(t.conclusion)
+    assert [(e.spec, e.branch) for e in entries] == [("2.", 1), ("2.", 2)]
+    assert [p.conclusion for p in t.premises] == [e.formula for e in entries]
+    assert [p.conclusion for p in t.premises] == [parse_formula(f"((p & q) -> {x}) @ w") for x in "pq"]
+
 
 
 def test_hybridize_paper_lines():
@@ -149,14 +167,14 @@ def test_verify_accepts_prover_output():
 
 
 def test_verify_rejects_unstable_axiom():
-    bogus = ProofTree(parse_formula("P -> P"), RuleA(), (), {})
+    bogus = ProofTree(parse_formula("P -> P"), RuleA(), ())
     assert not verify_proof(bogus)
 
 
 def test_verify_rejects_wrong_branch():
     t = prove(parse_formula("((p & q) -> p) @ w"))
     assert isinstance(t.rule, RuleB)
-    wrong = ProofTree(t.conclusion, RuleB(t.rule.spec, 2, t.rule.env), t.premises, None)
+    wrong = ProofTree(t.conclusion, RuleB(t.rule.spec, 2, t.rule.env), t.premises)
     assert not verify_proof(wrong)
 
 
@@ -223,17 +241,14 @@ def _reference_search(g, trees, verdicts, root_avoid, winnable):
             result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
             break
     if result is None and is_stable(g, winnable):
-        entries = premises_A(g)
         subs = []
-        index = {}
-        for k, entry in enumerate(entries):
+        for entry in premises_A(g):
             sub = _reference_search(entry.formula, trees, verdicts, root_avoid, winnable)
             if sub is None:
                 break
             subs.append(sub)
-            index[(entry.spec, entry.branch)] = k
         else:
-            result = ProofTree(g, RuleA(), tuple(subs), index)
+            result = ProofTree(g, RuleA(), tuple(subs))
     if result is None:
         for entry in premises_B(g):
             sub = _reference_search(entry.formula, trees, verdicts, root_avoid, winnable)
@@ -259,6 +274,70 @@ def test_prove_agrees_with_reference_search():
         assert _listings(got) == _listings(expected), print_formula(f)
         verdicts.add(got is None)
     assert verdicts == {True, False}
+
+
+def _reference_verify(t, winnable=frozenset()):
+    """The checker with rules B and C written out on their own, apart from the search's
+    premise generators: the oracle for ``verify_proof``."""
+    g = t.conclusion
+    match t.rule:
+        case RuleA():
+            if not is_stable(g, winnable):
+                return False
+            entries = premises_A(g)
+            if len(entries) != len(t.premises):
+                return False
+            for k, entry in enumerate(entries):
+                if t.premises[k].conclusion != entry.formula:
+                    return False
+        case RuleB(spec, branch, env):
+            occ = next((o for o in surface_occurrences(g, "choice") if o.spec == spec), None)
+            if occ is None or occ.env != env:
+                return False
+            if env_chooses(occ) or not 1 <= branch <= len(occ.node.parts):
+                return False
+            if len(t.premises) != 1:
+                return False
+            if t.premises[0].conclusion != substitute_at(g, occ.path, occ.node.parts[branch - 1]):
+                return False
+        case RuleC(pos_spec, neg_spec, name):
+            poss = [o for o in surface_occurrences(g, "general") if o.spec == pos_spec and o.polarity == POSITIVE]
+            negs = [o for o in surface_occurrences(g, "general") if o.spec == neg_spec and o.polarity == NEGATIVE]
+            if len(poss) != 1 or len(negs) != 1:
+                return False
+            pi, nu = poss[0], negs[0]
+            if pi.node.name != nu.node.name:
+                return False
+            if name in elementary_names(g):
+                return False
+            if len(t.premises) != 1:
+                return False
+            candidates = []
+            for replacement in (Elementary(name), Hybrid(pi.node.name, name)):
+                h = substitute_at(g, pi.path, replacement)
+                h = substitute_at(h, nu.path, replacement)
+                candidates.append(h)
+            if t.premises[0].conclusion not in candidates:
+                return False
+        case _:
+            return False
+    return all(_reference_verify(p, winnable) for p in t.premises)
+
+
+def test_verify_agrees_with_reference_checker():
+    """Every proof, its hybrid form and five mutants of each get the same verdict from
+    ``verify_proof`` and from the oracle."""
+    rng = random.Random(67)
+    trees = [prove(random_ast(rng, depth=4)) for _ in range(1000)]
+    trees += [t for _, t in random_provable(rng, 60) + random_provable(rng, 40, need_pairing=True)]
+    verdicts = Counter()
+    for tree in filter(None, trees):
+        for form in (tree, hybridize(tree)):
+            for candidate in (form, *_mutations(form, rng, 5)):
+                verdict = verify_proof(candidate)
+                assert verdict == _reference_verify(candidate), format_proof(candidate)
+                verdicts[verdict] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 1000, verdicts
 
 
 def _unprovable_family(n):
