@@ -7,7 +7,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from . import engine
-from .engine import Binding, Session, Status
+from .engine import Session, Status
 from .formula import (
     And,
     EnvAnn,
@@ -137,12 +137,9 @@ class Bus:
     def __init__(self):
         self.channels: dict[tuple[str, str], deque] = {}
         self.arrivals: dict[str, deque[tuple[str, str]]] = {}
-        self.registered: list[str] = []
 
     def register(self, agent_id: str) -> None:
-        if agent_id not in self.registered:
-            self.registered.append(agent_id)
-            self.arrivals[agent_id] = deque()
+        self.arrivals.setdefault(agent_id, deque())
 
     def post(self, frm: str, to: str, msg) -> None:
         if to not in self.arrivals:
@@ -479,22 +476,18 @@ class Simulation:
         if tree is None:
             query.result.status = "rejected"
             return True
-        bindings: dict[str, Binding] = {}
-        for occ in query.atoms.values():
-            name = atom_name(occ.node)
-            if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
-                game = agent.games[name]
-                bindings[occ.spec] = Binding(occ.spec, game, occ.polarity, occ.env, heuristic=manuals[name])
         query.session = engine.new_session(
             hybridize(tree),
-            owner=aid,
             games=agent.games,
             heuristics=agent.heuristics,
             scripts=agent.scripts,
-            bindings=bindings,
             interpretation=self.interpretation,
             winnable=self.winnable[aid],
         )
+        for occ in query.atoms.values():
+            name = atom_name(occ.node)
+            if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
+                query.session.bindings[occ.spec].heuristic = manuals[name]
         query.session.listener = lambda s, lm: self._on_append(query, lm)
         self.opened.append(query)
         for lm in query.early:
@@ -623,7 +616,3 @@ def evolve_rb(agent: Agent, finished: Session, consumed: list[int] | None = None
         if i not in consumed_set:
             out.append(entry)
     return out + kept
-
-
-def run_simulation(agents: list[Agent], max_steps: int = 10_000, interpretation=None) -> SimulationReport:
-    return Simulation(agents, interpretation).run(max_steps)

@@ -9,8 +9,8 @@ import sys
 
 from . import engine
 from .agents import Agent, Simulation
-from .engine import Binding, Status
-from .formula import FormulaError, atom_name, parse_formula, print_formula, surface_occurrences
+from .engine import Status
+from .formula import FormulaError, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -84,11 +84,6 @@ def _load_bind_file(path: str):
 _MOVE_RE = re.compile(r"^(?P<spec>(\d+\.)*)(?P<payload>[a-z][a-z0-9=]*|\d+)$")
 
 
-def _print_move(seq: int, owner: str, lm: Labmove, sink) -> None:
-    mover = owner if lm.player is Player.MACHINE else "env"
-    print(f"{seq} {mover} {lm.player.value} {lm.spec}{lm.payload}", file=sink)
-
-
 def cmd_play(args) -> int:
     try:
         f = parse_formula(args.formula)
@@ -105,42 +100,23 @@ def cmd_play(args) -> int:
     if tree is None:
         print("unprovable")
         return EXIT_UNPROVABLE
-    occs = {occ.spec: occ for occ in surface_occurrences(f, "atom")}
-    bindings: dict[str, Binding] = {}
-    for spec, kind, name in binds:
-        occ = occs.get(spec)
-        if occ is None:
-            _err(f"bind target {spec!r} is not a surface atom occurrence")
-            return EXIT_INPUT
-        atom = atom_name(occ.node)
-        game = games.get(atom)
-        if game is None:
-            _err(f"unbound general atom {atom!r}")
-            return EXIT_INPUT
-        binding = bindings.setdefault(spec, Binding(spec, game, occ.polarity, occ.env))
-        if kind == "script":
-            if name not in scripts:
-                _err(f"unknown script {name!r}")
-                return EXIT_INPUT
-            binding.script = scripts[name]
-        else:
-            if name not in heuristics:
-                _err(f"unknown heuristic {name!r}")
-                return EXIT_INPUT
-            binding.heuristic = heuristics[name]
     try:
         session = engine.new_session(
-            hybridize(tree),
-            owner="m",
-            games=games,
-            scripts=scripts,
-            heuristics=heuristics,
-            bindings=bindings,
-            interpretation=interpretation,
+            hybridize(tree), games=games, scripts=scripts, heuristics=heuristics, interpretation=interpretation
         )
     except engine.EngineError as exc:
         _err(str(exc))
         return EXIT_INPUT
+    for spec, kind, name in binds:
+        binding = session.bindings.get(spec)
+        if binding is None:
+            _err(f"bind target {spec!r} is not a surface atom occurrence")
+            return EXIT_INPUT
+        strategies = scripts if kind == "script" else heuristics
+        if name not in strategies:
+            _err(f"unknown {kind} {name!r}")
+            return EXIT_INPUT
+        setattr(binding, kind, strategies[name])
 
     try:
         sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
@@ -148,20 +124,19 @@ def cmd_play(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
-    def show(from_index: int) -> int:
-        for i in range(from_index, len(session.run)):
-            _print_move(i + 1, "m", session.run[i], sys.stdout)
-            if sink:
-                _print_move(i + 1, "m", session.run[i], sink)
-        return len(session.run)
+    def show(session: engine.Session, lm: Labmove) -> None:
+        mover = "m" if lm.player is Player.MACHINE else "env"
+        line = f"{len(session.run)} {mover} {lm.player.value} {lm.spec}{lm.payload}"
+        print(line)
+        if sink:
+            print(line, file=sink)
 
-    shown = 0
+    session.listener = show
     try:
         if args.max_steps == 0:
             session.status = Status.QUIESCENT
         elif args.interactive:
             engine.machine_turn(session)
-            shown = show(shown)
             for raw in sys.stdin:
                 text = raw.strip()
                 if not text:
@@ -171,34 +146,32 @@ def cmd_play(args) -> int:
                     print(f"ignored malformed move {text!r}")
                     continue
                 session.deliver(Labmove(Player.ENVIRONMENT, m.group("spec"), m.group("payload")))
-                while True:
-                    progress, _ = engine.step(session)
-                    if not progress:
-                        break
-                shown = show(shown)
+                engine.run_to_quiescence(session, args.max_steps)
             session.status = Status.QUIESCENT
         else:
-            steps = 0
-            while steps < args.max_steps:
-                progress, _ = engine.step(session)
-                steps += 1
-                if not progress:
-                    break
-            shown = show(shown)
-            if session.status is Status.RUNNING:
-                print("step budget exhausted")
-                return EXIT_INCOMPLETE
-        winner = engine.evaluate_winner(session)
-        shown = show(shown)
-        print(f"winner: {winner.value}")
+            engine.run_to_quiescence(session, args.max_steps)
+        print(f"winner: {engine.evaluate_winner(session).value}")
         return EXIT_OK
+    except engine.StepBudgetExceeded:
+        print("step budget exhausted")
+        return EXIT_INCOMPLETE
+    except engine.EngineError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
     finally:
         if sink:
             sink.close()
 
 
-def _safe_name(agent_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]", "_", agent_id)
+def _write_traces(directory: str, report) -> None:
+    """Write the global trace and one file per agent, one move line each."""
+    os.makedirs(directory, exist_ok=True)
+    files = {"trace.txt": report.trace}
+    for aid, lines in report.agent_traces.items():
+        files[f"agent-{re.sub(r'[^A-Za-z0-9]', '_', aid)}.txt"] = lines
+    for name, lines in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
 
 
 def _scenario_agents(name: str) -> list[Agent]:
@@ -222,13 +195,13 @@ def cmd_simulate(args) -> int:
     if args.max_steps < 0:
         _err("--max-steps must not be negative")
         return EXIT_INPUT
-    if args.trace_dir:
-        try:
-            os.makedirs(args.trace_dir, exist_ok=True)
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_INPUT
-    report = Simulation(agents).run(args.max_steps)
+    try:
+        report = Simulation(agents).run(args.max_steps)
+        if args.trace_dir:
+            _write_traces(args.trace_dir, report)
+    except (OSError, engine.EngineError) as exc:
+        _err(str(exc))
+        return EXIT_INPUT
     print(report.summary())
     for result in report.results:
         print(f"{result.qid} client={result.client} {print_formula(result.formula)}: {result.status}")
@@ -238,12 +211,6 @@ def cmd_simulate(args) -> int:
         paid = ", ".join(f"{k}={v}" for k, v in sorted(ledger["paid"].items())) or "-"
         print(f"ledger {aid}: received {received}; paid {paid}")
     print(f"heuristic wins: {len(report.heuristic_wins)}")
-    if args.trace_dir:
-        with open(os.path.join(args.trace_dir, "trace.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.trace) + ("\n" if report.trace else ""))
-        for aid, lines in report.agent_traces.items():
-            with open(os.path.join(args.trace_dir, f"agent-{_safe_name(aid)}.txt"), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
     if not report.quiescent:
         print("step budget exhausted")
         return EXIT_INCOMPLETE

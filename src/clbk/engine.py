@@ -1,13 +1,16 @@
 """Runs a converted proof as an interactive game: machine moves come from the proof, its
 strategy annotations and copy-cat; environment moves come from peers, scripts and stand-ins.
 
-Sessions are built with ``new_session``, and two invariants keep their state small. Moves
-enter a session only through ``Session.append`` (or ``Session.deliver`` and then
-``env_move``), which also files each move with the binding at its spec, so a binding's
-local run is always at hand. ``_enter`` is the only place that changes ``node``,
-``formula``, ``atoms`` and ``bindings``: it walks each conclusion once, when play reaches
-its proof node. An environment choice at a closure node enters the closure premise at its
-branch's position in ``premises_A``, the order in which the checker holds closure premises."""
+Sessions are built with ``new_session``, which binds every surface atom occurrence from the
+formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
+``session.bindings`` afterwards. Two invariants keep the state small. Moves enter a session
+only through ``Session.append`` (or ``Session.deliver`` and then ``env_move``), which also
+files each move with the binding at its spec: each move is one ``Labmove`` object, held both
+in ``run`` and in its binding, so a binding's local run is always at hand. ``_enter`` is the
+only place that changes ``node``, ``formula``, ``atoms`` and ``bindings``: it walks each
+conclusion once, when play reaches its proof node. An environment choice at a closure node
+enters the closure premise at its branch's position in ``premises_A``, the order in which the
+checker holds closure premises."""
 
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .formula import (
     Occurrence,
     POSITIVE,
     Truth,
-    agent_ids,
     atom_name,
     elementarize,
     substitute_paths,
@@ -39,6 +41,7 @@ __all__ = [
     "EngineError",
     "Session",
     "Status",
+    "StepBudgetExceeded",
     "coffee_heuristic",
     "dollar_heuristic",
     "env_move",
@@ -58,6 +61,10 @@ class EngineError(RuntimeError):
     pass
 
 
+class StepBudgetExceeded(EngineError):
+    """``run_to_quiescence`` took its ``max_steps`` steps and the session still moves."""
+
+
 class Status(Enum):
     RUNNING = "running"
     QUIESCENT = "quiescent"
@@ -66,9 +73,11 @@ class Status(Enum):
 
 @dataclass
 class Binding:
-    """Per-occurrence game wiring. The heuristic sits on the local machine seat, the script
+    """Per-occurrence game wiring, made by ``new_session`` (or when play reaches the
+    occurrence) from its atom's note. The heuristic sits on the local machine seat, the script
     on the local environment seat; which session label that maps to depends on polarity.
-    ``moves`` are the moves played at the occurrence, spec stripped, with session labels."""
+    ``moves`` are the session's own ``Labmove`` objects played at the occurrence, with
+    session labels."""
 
     spec: str
     game: GameDef
@@ -86,8 +95,6 @@ Outgoing = list[tuple[Optional[str], Labmove]]
 
 @dataclass
 class Session:
-    owner: str
-    tree: ProofTree
     formula: Formula
     node: ProofTree
     run: list[Labmove] = field(default_factory=list)
@@ -102,11 +109,6 @@ class Session:
     winner: Player | None = None
     listener: Callable[["Session", Labmove], None] | None = None
 
-    @property
-    def counterparties(self) -> list[str]:
-        """Agents named in the session formula; all of them take part in the play."""
-        return agent_ids(self.formula)
-
     def deliver(self, lm: Labmove) -> None:
         self.inbox.append(lm)
         if self.status is Status.QUIESCENT:
@@ -116,20 +118,16 @@ class Session:
         self.run.append(lm)
         binding = self.bindings.get(lm.spec)
         if binding is not None:
-            binding.moves.append(_strip_spec(lm))
+            binding.moves.append(lm)
         if self.listener:
             self.listener(self, lm)
 
     def local_run(self, spec: str) -> Run:
-        """The moves at occurrence ``spec`` in its game's local roles: labels flip when the
-        occurrence is negative."""
+        """The moves at occurrence ``spec`` in its game's local roles: the session's own moves,
+        flipped when the occurrence is negative."""
         binding = self.bindings[spec]
         moves = tuple(binding.moves)
         return flip_run(moves) if binding.polarity == NEGATIVE else moves
-
-
-def _strip_spec(lm: Labmove) -> Labmove:
-    return Labmove(lm.player, "", lm.payload)
 
 
 def _occurrence_binding(session: Session, occ) -> Binding:
@@ -147,7 +145,7 @@ def _occurrence_binding(session: Session, occ) -> Binding:
             script = session.scripts.get(note.name)
     if game is None:
         raise EngineError(f"no game bound for atom {name!r} at occurrence {occ.spec!r}")
-    moves = [_strip_spec(lm) for lm in session.run if lm.spec == occ.spec]  # a resolved choice's moves
+    moves = [lm for lm in session.run if lm.spec == occ.spec]  # a resolved choice's moves
     return Binding(occ.spec, game, occ.polarity, occ.env, heuristic, script, moves=moves)
 
 
@@ -166,28 +164,24 @@ def _enter(session: Session, node: ProofTree) -> None:
 def new_session(
     tree: ProofTree,
     *,
-    owner: str = "machine",
     games: dict[str, GameDef] | None = None,
     heuristics: dict[str, Heuristic] | None = None,
     scripts: dict[str, Script] | None = None,
-    bindings: dict[str, Binding] | None = None,
     interpretation: dict[str, bool] | None = None,
     winnable: frozenset[str] = frozenset(),
     check: bool = True,
 ) -> Session:
-    """Open a session on a converted proof; every general/hybrid occurrence must resolve a game."""
+    """Open a session on a converted proof and bind every surface atom occurrence: its game by
+    atom name, and the heuristic or script its note names. Every occurrence must resolve a game."""
     if check and not verify_proof(tree, winnable=winnable):
         raise EngineError("proof tree does not verify")
     session = Session(
-        owner=owner,
-        tree=tree,
         formula=tree.conclusion,
         node=tree,
         games=dict(games or {}),
         heuristics=dict(heuristics or {}),
         scripts=dict(scripts or {}),
         interpretation=dict(interpretation or {}),
-        bindings=dict(bindings or {}),
     )
     _enter(session, tree)
     return session
@@ -320,7 +314,7 @@ def run_to_quiescence(session: Session, max_steps: int = 10_000) -> Outgoing:
         out.extend(emitted)
         if not progress:
             return out
-    raise EngineError("step budget exhausted before quiescence")
+    raise StepBudgetExceeded("step budget exhausted before quiescence")
 
 
 def evaluate_winner(session: Session) -> Player:

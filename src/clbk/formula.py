@@ -366,18 +366,6 @@ def elementary_names(f: Formula) -> set[str]:
     return out
 
 
-def agent_ids(f: Formula) -> list[str]:
-    """Agents named by annotations, in occurrence order, without duplicates."""
-    seen: list[str] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, EnvAnn) and node.agent not in seen:
-            seen.append(node.agent)
-        stack.extend(reversed(children(node)))
-    return seen
-
-
 # --- concrete syntax -------------------------------------------------------
 
 _TOKEN_RE = re.compile(

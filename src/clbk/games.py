@@ -68,7 +68,8 @@ class GameDef:
     """A constant game over local roles: the environment challenges, the machine answers.
 
     ``legal``/``winner``/``complete`` take runs normalised to those local roles; the engine
-    flips labels for occurrences played in negated positions.
+    flips labels for occurrences played in negated positions. They, like heuristics, read
+    only each move's ``player`` and ``payload``: a local run keeps its moves' session specs.
     """
 
     name: str

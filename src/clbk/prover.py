@@ -258,10 +258,6 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
     return result
 
 
-def provable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
-    return prove(f, winnable) is not None
-
-
 def hybridize(t: ProofTree) -> ProofTree:
     """Replace each pairing rule's fresh atom by the matching hybrid atom throughout its premise
     subtree. One pass carries the renaming made by the pairings above each node down the tree,

@@ -169,6 +169,17 @@ def test_starbucks_conservation_copies():
             assert payloads in pool, (query.qid, binding.spec, payloads)
 
 
+def test_starbucks_bindings_hold_the_runs_own_moves():
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
+    sim.run(10_000)
+    assert sim.opened
+    for query in sim.opened:
+        played = {id(lm) for lm in query.session.run}
+        for binding in query.session.bindings.values():
+            assert all(id(lm) in played for lm in binding.moves), (query.qid, binding.spec)
+    assert any(b.moves for q in sim.opened for b in q.session.bindings.values())
+
+
 def test_no_labmove_delivered_to_god():
     sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)

@@ -97,6 +97,32 @@ def test_prove_parse_error(capsys):
     assert "error" in err
 
 
+# The bind file of the README.
+README_BIND = """\
+game C = coffee(zmax=10)
+script req = [x=3, y=1]
+heuristic prov = coffee
+bind 2. script req        # consumer requirements on the consequent
+bind 1. heuristic prov    # provider stand-in on the antecedent
+let p = true              # interpretation of elementary atoms (default false)
+"""
+
+COFFEE_IDENTITY_MOVES = """\
+1 env B 2.x=3
+2 m T 1.x=3
+3 env B 2.y=1
+4 m T 1.y=1
+5 env B 1.z=4
+6 m T 2.z=4
+"""
+
+
+def write_bind(tmp_path, text=README_BIND):
+    path = tmp_path / "coffee.bind"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def test_play_coffee_identity(tmp_path, capsys):
     bind = tmp_path / "coffee.bind"
     bind.write_text(
@@ -111,6 +137,65 @@ def test_play_coffee_identity(tmp_path, capsys):
     assert "winner: T" in out
     assert "B 2.x=3" in out and "T 1.x=3" in out
     assert "T 2.z=4" in out
+
+
+def test_play_step_budget_golden(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", write_bind(tmp_path), "--max-steps", "1")
+    assert code == 3
+    assert out == "1 env B 2.x=3\n2 m T 1.x=3\nstep budget exhausted\n"
+
+
+def test_play_trace_file_holds_the_move_lines(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    code, out, _ = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", write_bind(tmp_path), "--trace", str(trace))
+    assert code == 0
+    assert out == COFFEE_IDENTITY_MOVES + "winner: T\n"
+    assert trace.read_text(encoding="utf-8") == COFFEE_IDENTITY_MOVES
+
+
+def test_play_interactive_malformed_line_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2.x=5\n!!\n2.y=1\n"))
+    code, out, _ = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", write_bind(tmp_path), "--interactive")
+    assert code == 0
+    assert out == (
+        "1 env B 2.x=5\n2 m T 1.x=5\n3 env B 2.x=3\n4 m T 1.x=3\n5 env B 2.y=1\n6 m T 1.y=1\n"
+        "7 env B 1.z=6\n8 m T 2.z=6\nignored malformed move '!!'\n9 env B 2.y=1\n10 m T 1.y=1\nwinner: T\n"
+    )
+
+
+def test_play_interactive_applies_the_step_budget_after_each_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2.1\n"))
+    code, out, _ = run_cli(capsys, "play", "((p & q) -> (p & q)) @ w", "--interactive", "--max-steps", "1")
+    assert code == 3
+    assert out == "1 env B 2.1\n2 m T 1.1\nstep budget exhausted\n"
+
+
+def test_play_bind_line_sets_only_its_seat(tmp_path, capsys):
+    """The note's heuristic keeps the machine seat of 1.; the bind line fills its other seat."""
+    bind = write_bind(tmp_path, "game C = coffee(zmax=10)\nscript req = [x=3, y=1]\nbind 1. script req\n")
+    code, out, _ = run_cli(capsys, "play", "(C{h=prov} -> C) @ w", "--scripts", bind)
+    assert code == 0
+    assert out == "1 m T 1.x=3\n2 m T 1.y=1\n3 env B 1.z=4\n4 m T 2.z=4\nwinner: T\n"
+
+
+def test_play_bind_line_errors(tmp_path, capsys):
+    cases = {
+        "bind 3. script req": "error: bind target '3.' is not a surface atom occurrence\n",
+        "bind 1. script nope": "error: unknown script 'nope'\n",
+        "bind 1. heuristic nope": "error: unknown heuristic 'nope'\n",
+    }
+    for line, message in cases.items():
+        bind = write_bind(tmp_path, f"game C = coffee(zmax=10)\nscript req = [x=3, y=1]\n{line}\n")
+        code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
+        assert (code, out, err) == (2, "", message), line
+
+
+def test_play_unbound_atom_in_an_entered_branch(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2.2\n"))
+    code, out, err = run_cli(capsys, "play", "((p & C) -> (p & C)) @ w", "--interactive")
+    assert code == 2
+    assert "step budget exhausted" not in out
+    assert err == "error: no game bound for atom 'C' at occurrence '2.'\n"
 
 
 def test_play_zero_budget_reports_immediately(capsys):
@@ -228,6 +313,23 @@ def test_simulate_trace_dir_is_a_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "taken" in err
+
+
+def test_simulate_trace_file_is_a_directory(tmp_path, capsys):
+    (tmp_path / "trace.txt").mkdir()
+    code, out, err = run_cli(capsys, "simulate", "starbucks", "--trace-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "trace.txt" in err
+
+
+def test_simulate_query_without_a_game(tmp_path, capsys):
+    path = tmp_path / "nogame.clbk"
+    path.write_text("agent a\nquery (C -> C) @ a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: no game bound for atom 'C' at occurrence '1.'\n"
 
 
 def test_simulate_directory(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,6 @@ def coffee_session(src="(C /\\ C) -> (C \\/ C) @ w", **kwargs):
 def test_new_session_binds_every_occurrence():
     s = coffee_session()
     assert sorted(s.bindings) == ["1.1.", "1.2.", "2.1.", "2.2."]
-    assert s.counterparties == ["w"]
 
 
 def test_new_session_without_atoms_needs_no_bindings():
@@ -209,7 +209,7 @@ def test_pump_environment_prefers_delivered_moves():
 def _quiescent_session(src, games=None, run=()):
     """A session resting at an unchecked closure node over ``src`` after ``run`` was played."""
     f = parse_formula(src)
-    s = engine.new_session(ProofTree(f, RuleA(), ()), owner="m", games=games, check=False)
+    s = engine.new_session(ProofTree(f, RuleA(), ()), games=games, check=False)
     for lm in run:
         s.append(lm)
     s.status = Status.QUIESCENT
@@ -312,6 +312,34 @@ def test_copycat_identity_game():
     _assert_copycat(s)
     assert engine.evaluate_winner(s) is T
     assert [str(lm) for lm in s.run] == ["B2.x=3", "T1.x=3", "B2.y=1", "T1.y=1", "B1.z=4", "T2.z=4"]
+
+
+def assert_one_object_per_move(session):
+    """Every move a binding holds is an entry of the session run itself, not a copy."""
+    played = {id(lm) for lm in session.run}
+    held = [lm for binding in session.bindings.values() for lm in binding.moves]
+    assert held and all(id(lm) in played for lm in held)
+
+
+def test_each_move_is_one_object():
+    s = coffee_session("(C -> C) @ w")
+    for binding in s.bindings.values():
+        if binding.polarity == POSITIVE:
+            binding.script = Script(("x=3", "y=1"))
+        else:
+            binding.heuristic = COFFEE.default_heuristic
+    engine.run_to_quiescence(s)
+    assert_one_object_per_move(s)
+
+
+def test_spent_step_budget_is_its_own_error():
+    s = coffee_session("(C -> C) @ w")
+    for binding in s.bindings.values():
+        if binding.polarity == POSITIVE:
+            binding.script = Script(("x=3", "y=1"))
+    with pytest.raises(engine.StepBudgetExceeded, match="step budget exhausted"):
+        engine.run_to_quiescence(s, 1)
+    assert issubclass(engine.StepBudgetExceeded, EngineError)
 
 
 def test_copycat_survives_unhelpful_heuristic_range():
@@ -437,3 +465,10 @@ def test_evaluate_winner_agrees_with_reference_on_arbitrary_runs():
         assert engine.evaluate_winner(s) is expected
         outcomes[expected] += 1
     assert min(outcomes[T], outcomes[B]) > 50, outcomes
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "['B2.x=3', 'T1.x=3', 'B2.y=1', 'T1.y=1', 'B1.z=4', 'T2.z=4']\nT\n"
