@@ -1,7 +1,7 @@
 """Toolkit for a propositional logic of interactive resources: a three-rule prover, a
 proof-executing game engine with copy-cat, and a deterministic multi-agent simulator."""
 
-from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport, evolve_rb, route
+from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport, evolve_rb
 from .classical import evaluate, is_valid, satisfiable
 from .engine import (
     Binding,

@@ -125,12 +125,6 @@ class MoveMsg:
     move: Labmove
 
 
-@dataclass(frozen=True)
-class InformMsg:
-    session_id: str
-    move: Labmove
-
-
 class Bus:
     """Per-(sender, receiver) FIFO channels with deterministic, arrival-ordered delivery."""
 
@@ -157,16 +151,6 @@ class Bus:
 
     def idle(self) -> bool:
         return all(not q for q in self.arrivals.values())
-
-
-def route(bus: Bus, frm: str, to: str, lm: Labmove, session_id: str | None = None) -> str:
-    """Send a labmove between agents; a sender's T-move lands as the receiver's B-move.
-    Moves addressed to God never leave the sender (its own scripts speak for God)."""
-    if to == GOD:
-        return "redirected"
-    flipped = Labmove(Player.ENVIRONMENT, lm.spec, lm.payload) if lm.player is Player.MACHINE else lm
-    bus.post(frm, to, MoveMsg(session_id or "", flipped))
-    return "delivered"
 
 
 # --- queue and flow plumbing -------------------------------------------------
@@ -257,7 +241,13 @@ class Simulation:
     evolves them, so each agent's manuals and winnable atoms are computed once, up front.
     Sessions are at rest between visits: every delivery is followed by ``_drive``, which
     returns only once its session is quiescent or finished, so no session is left running
-    and only the bus and the unopened queries can hold work."""
+    and only the bus and the unopened queries can hold work.
+
+    The bus carries one message type, ``MoveMsg``. Each session's listener traces every move
+    and relays it to the server's paired seats; it also posts each machine move to the agent
+    the engine addresses it to. An agent that receives a ``MoveMsg`` for a session it serves
+    plays it there (holding it until the session opens); any other ``MoveMsg`` informs it of
+    play elsewhere, which it relays from its own seats or answers from its manuals."""
 
     def __init__(self, agents: list[Agent], interpretation: dict[str, bool] | None = None):
         self.agents: dict[str, Agent] = {}
@@ -344,14 +334,16 @@ class Simulation:
                     for occ in query.atoms.values():
                         if occ.polarity == NEGATIVE:
                             seat(produce, query, occ, "x")
-            # Client-side answer seats on queries this agent sent elsewhere.
+            # Client-side answer seats on queries this agent sent elsewhere, where it plays: not
+            # on the server's antecedent, whose resources other agents supply.
             for server, queries in self.queues.items():
                 if server == aid:
                     continue
                 for query in queries:
                     if query.client == aid:
                         for occ in query.atoms.values():
-                            seat(produce if occ.polarity == NEGATIVE else consume, query, occ, "c")
+                            if occ.env == aid:
+                                seat(produce if occ.polarity == NEGATIVE else consume, query, occ, "c")
             # Executor seats on sessions served for others.
             for query in mine:
                 if query.contract_ref is not None or query.client == aid:
@@ -364,6 +356,8 @@ class Simulation:
             lookup = self.slot_lookup[aid]
             for name, producers in produce.items():
                 for produce_slot, consume_slot in zip(producers, consume.get(name, [])):
+                    if produce_slot.role == consume_slot.role == "x" and produce_slot.session_id == consume_slot.session_id:
+                        continue  # the session's own copy-cat joins two seats it serves
                     lookup[(produce_slot.session_id, produce_slot.spec)] = (produce_slot, consume_slot, "produce")
                     lookup[(consume_slot.session_id, consume_slot.spec)] = (consume_slot, produce_slot, "consume")
 
@@ -380,9 +374,12 @@ class Simulation:
         if mover in self.agent_traces:
             self.agent_traces[mover].append(line)
 
-    def _on_append(self, query: Query, lm: Labmove) -> None:
+    def _on_append(self, query: Query, lm: Labmove, to: str | None) -> None:
         self._trace_line(query, lm)
-        self._relay(query.server, query.qid, lm, mover_is_self=(lm.player is Player.MACHINE))
+        is_machine = lm.player is Player.MACHINE
+        self._relay(query.server, query.qid, lm, mover_is_self=is_machine)
+        if is_machine:
+            self._inform(query, to, lm)
 
     def _relay(self, aid: str, sid: str, lm: Labmove, mover_is_self: bool) -> None:
         entry = self.slot_lookup[aid].get((sid, lm.spec))
@@ -431,7 +428,6 @@ class Simulation:
             query.early.append(lm)
         elif lm.player is Player.MACHINE:
             session.append(lm)
-            self._inform(query, None, lm)
         else:
             session.deliver(lm)
             self._drive(query)
@@ -440,15 +436,11 @@ class Simulation:
         to = target if target is not None else query.opponent
         if to in (GOD, query.server):
             return
-        self.bus.post(query.server, to, InformMsg(query.qid, lm))
+        self.bus.post(query.server, to, MoveMsg(query.qid, lm))
 
     def _drive(self, query: Query) -> None:
-        while True:
-            progress, out = engine.step(query.session)
-            for target, lm in out:
-                self._inform(query, target, lm)
-            if not progress:
-                return
+        while engine.step(query.session):
+            pass
 
     # -- scheduling -------------------------------------------------------------
 
@@ -456,15 +448,11 @@ class Simulation:
         msg = self.bus.deliver(aid)
         if msg is None:
             return False
-        if isinstance(msg, InformMsg):
+        query = self.queries.get(msg.session_id)
+        if query is not None and query.server == aid:
+            self._apply_local(query, msg.move)
+        else:
             self._relay(aid, msg.session_id, msg.move, mover_is_self=False)
-        elif isinstance(msg, MoveMsg) and msg.session_id in self.queries:
-            query = self.queries[msg.session_id]
-            if query.session is None:
-                query.early.append(msg.move)
-            else:
-                query.session.deliver(msg.move)
-                self._drive(query)
         return True
 
     def _open_next(self, aid: str) -> bool:
@@ -488,7 +476,7 @@ class Simulation:
             name = atom_name(occ.node)
             if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
                 query.session.bindings[occ.spec].heuristic = manuals[name]
-        query.session.listener = lambda s, lm: self._on_append(query, lm)
+        query.session.listener = lambda s, lm, to: self._on_append(query, lm, to)
         self.opened.append(query)
         for lm in query.early:
             self._apply_local(query, lm)

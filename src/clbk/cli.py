@@ -8,7 +8,7 @@ import re
 import sys
 
 from . import engine
-from .agents import Agent, Simulation
+from .agents import Agent, AgentError, Simulation
 from .engine import Status
 from .formula import FormulaError, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
@@ -124,7 +124,7 @@ def cmd_play(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
-    def show(session: engine.Session, lm: Labmove) -> None:
+    def show(session: engine.Session, lm: Labmove, to: str | None) -> None:
         mover = "m" if lm.player is Player.MACHINE else "env"
         line = f"{len(session.run)} {mover} {lm.player.value} {lm.spec}{lm.payload}"
         print(line)
@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
         report = Simulation(agents).run(args.max_steps)
         if args.trace_dir:
             _write_traces(args.trace_dir, report)
-    except (OSError, engine.EngineError) as exc:
+    except (OSError, AgentError, engine.EngineError) as exc:
         _err(str(exc))
         return EXIT_INPUT
     print(report.summary())

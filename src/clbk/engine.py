@@ -6,7 +6,10 @@ formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
 ``session.bindings`` afterwards. Two invariants keep the state small. Moves enter a session
 only through ``Session.append`` (or ``Session.deliver`` and then ``env_move``), which also
 files each move with the binding at its spec: each move is one ``Labmove`` object, held both
-in ``run`` and in its binding, so a binding's local run is always at hand. ``_enter`` is the
+in ``run`` and in its binding, so a binding's local run is always at hand. Moves leave a
+session only through ``Session.listener``, called once per appended move with the agent a
+machine move is addressed to (``to``: the choice's ``RuleB.env`` or the binding's ``env``),
+or None; the driving functions report only whether they moved. ``_enter`` is the
 only place that changes ``node``, ``formula``, ``atoms`` and ``bindings``: it walks each
 conclusion once, when play reaches its proof node. An environment choice at a closure node
 enters the closure premise at its branch's position in ``premises_A``, the order in which the
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .classical import evaluate
 from .formula import (
@@ -90,9 +93,6 @@ class Binding:
     moves: list[Labmove] = field(default_factory=list)
 
 
-Outgoing = list[tuple[Optional[str], Labmove]]
-
-
 @dataclass
 class Session:
     formula: Formula
@@ -107,20 +107,20 @@ class Session:
     inbox: deque[Labmove] = field(default_factory=deque)
     status: Status = Status.RUNNING
     winner: Player | None = None
-    listener: Callable[["Session", Labmove], None] | None = None
+    listener: Callable[["Session", Labmove, str | None], None] | None = None
 
     def deliver(self, lm: Labmove) -> None:
         self.inbox.append(lm)
         if self.status is Status.QUIESCENT:
             self.status = Status.RUNNING
 
-    def append(self, lm: Labmove) -> None:
+    def append(self, lm: Labmove, to: str | None = None) -> None:
         self.run.append(lm)
         binding = self.bindings.get(lm.spec)
         if binding is not None:
             binding.moves.append(lm)
         if self.listener:
-            self.listener(self, lm)
+            self.listener(self, lm, to)
 
     def local_run(self, spec: str) -> Run:
         """The moves at occurrence ``spec`` in its game's local roles: the session's own moves,
@@ -187,16 +187,15 @@ def new_session(
     return session
 
 
-def machine_turn(session: Session) -> Outgoing:
-    """Walk choice and pairing nodes until the session rests at a closure node, emitting the
-    committed choice moves and the copy-cat replay of already-played subruns."""
-    out: Outgoing = []
+def machine_turn(session: Session) -> bool:
+    """Walk choice and pairing nodes until the session rests at a closure node, playing the
+    committed choice moves and the copy-cat replay of already-played subruns; True if it moved."""
+    moved = False
     while True:
         rule = session.node.rule
         if isinstance(rule, RuleB):
-            lm = Labmove(Player.MACHINE, rule.spec, str(rule.branch))
-            session.append(lm)
-            out.append((rule.env, lm))
+            session.append(Labmove(Player.MACHINE, rule.spec, str(rule.branch)), rule.env)
+            moved = True
         elif isinstance(rule, RuleC):
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
             replays = [
@@ -205,67 +204,62 @@ def machine_turn(session: Session) -> Outgoing:
             ]
             for to, payloads in replays:
                 for payload in payloads:
-                    lm = Labmove(Player.MACHINE, to.spec, payload)
-                    session.append(lm)
-                    out.append((to.env, lm))
+                    session.append(Labmove(Player.MACHINE, to.spec, payload), to.env)
+                    moved = True
         else:
-            return out
+            return moved
         _enter(session, session.node.premises[0])
 
 
-def env_move(session: Session, lm: Labmove) -> Outgoing:
+def env_move(session: Session, lm: Labmove) -> None:
     """Process one environment move at a closure node: record it at a general atom, copy-cat it
     at a hybrid atom, enter the premise of a branch ``premises_A`` lists; ignore anything else."""
     if lm.player is not Player.ENVIRONMENT:
-        return []
+        return
     occ = session.atoms.get(lm.spec)
     if occ is not None and not lm.is_choice():
         if isinstance(occ.node, General):
             session.append(lm)
-            return []
+            return
         partners = (
             o
             for o in session.atoms.values()
             if isinstance(o.node, Hybrid) and o.node.elementary == occ.node.elementary and o.spec != occ.spec
         )
         sigma = next(partners, None)
-        if sigma is None:
-            return []
-        session.append(lm)
-        reply = Labmove(Player.MACHINE, sigma.spec, lm.payload)
-        session.append(reply)
-        return [(sigma.env, reply)]
+        if sigma is not None:
+            session.append(lm)
+            session.append(Labmove(Player.MACHINE, sigma.spec, lm.payload), sigma.env)
+        return
     if lm.is_choice():
         for entry, premise in zip(premises_A(session.formula), session.node.premises):
             if (entry.spec, entry.branch) == (lm.spec, int(lm.payload)):
                 session.append(lm)
                 _enter(session, premise)
-                return machine_turn(session)
-    return []
+                machine_turn(session)
+                return
 
 
-def pump_machine(session: Session) -> Outgoing:
-    """Emit at most one machine move from the session's own strategy seats: a script payload
+def pump_machine(session: Session) -> bool:
+    """Play at most one machine move from the session's own strategy seats: a script payload
     on a negated occurrence (the owner speaking for the counterpart it answers to) or a
-    heuristic answer on a positive one."""
+    heuristic answer on a positive one. True if it moved."""
     for binding in session.bindings.values():
         if binding.script is not None and binding.polarity == NEGATIVE:
             if binding.script_pos < len(binding.script.payloads):
                 payload = binding.script.payloads[binding.script_pos]
-                lm = Labmove(Player.MACHINE, binding.spec, payload)
                 local = Labmove(Player.ENVIRONMENT, "", payload)
                 if binding.game.legal(session.local_run(binding.spec), local):
                     binding.script_pos += 1
-                    session.append(lm)
-                    return [(binding.env, lm)]
+                    session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
+                    return True
         if binding.heuristic is not None and binding.polarity == POSITIVE:
             payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
-                lm = Labmove(Player.MACHINE, binding.spec, payload)
                 binding.heuristic_fired = True
-                session.append(lm)
-                return [(binding.env, lm)]
-    return []
+                session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
+                return True
+    return False
 
 
 def pump_environment(session: Session) -> Labmove | None:
@@ -287,33 +281,27 @@ def pump_environment(session: Session) -> Labmove | None:
     return None
 
 
-def step(session: Session) -> tuple[bool, Outgoing]:
-    """One deterministic scheduling step; progress is False exactly at quiescence."""
+def step(session: Session) -> bool:
+    """One deterministic scheduling step; False exactly at quiescence."""
     if session.status is Status.FINISHED:
-        return False, []
+        return False
     session.status = Status.RUNNING
-    out = machine_turn(session)
-    progress = bool(out)
-    moved = pump_machine(session)
-    if moved:
-        out.extend(moved)
-        return True, out
+    progress = machine_turn(session)
+    if pump_machine(session):
+        return True
     lm = pump_environment(session)
     if lm is not None:
-        out.extend(env_move(session, lm))
-        return True, out
+        env_move(session, lm)
+        return True
     if progress:
         session.status = Status.RUNNING
-    return progress, out
+    return progress
 
 
-def run_to_quiescence(session: Session, max_steps: int = 10_000) -> Outgoing:
-    out: Outgoing = []
+def run_to_quiescence(session: Session, max_steps: int = 10_000) -> None:
     for _ in range(max_steps):
-        progress, emitted = step(session)
-        out.extend(emitted)
-        if not progress:
-            return out
+        if not step(session):
+            return
     raise StepBudgetExceeded("step budget exhausted before quiescence")
 
 

@@ -9,7 +9,6 @@ from clbk.agents import (
     ResourceEntry,
     Simulation,
     evolve_rb,
-    route,
 )
 from clbk.engine import Status
 from clbk.formula import parse_formula
@@ -33,28 +32,27 @@ agent a kind=regular
 """
 
 
-def test_bus_routes_flip_labels():
-    bus = Bus()
-    bus.register("a")
-    bus.register("b")
-    assert route(bus, "a", "b", Labmove(T, "1.", "x=3"), "sid") == "delivered"
-    msg = bus.deliver("b")
-    assert isinstance(msg, MoveMsg)
-    assert msg.move.player is B
+MIDDLEMAN = """
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+
+agent m kind=regular
+  game C = coffee(zmax=10)
+  script req = [x=2, y=3]
+  rb C @ f
+
+agent u kind=regular
+  query C{s=req} @ m
+"""
 
 
 def test_bus_rejects_unknown_recipient():
     bus = Bus()
     bus.register("a")
     with pytest.raises(BusError, match="unknown recipient"):
-        route(bus, "a", "ghost", Labmove(T, "1.", "x=3"))
-
-
-def test_route_to_god_is_redirected():
-    bus = Bus()
-    bus.register("a")
-    assert route(bus, "a", "God", Labmove(T, "1.", "x=3")) == "redirected"
-    assert bus.idle()
+        bus.post("a", "ghost", MoveMsg("sid", Labmove(T, "1.", "x=3")))
 
 
 def test_god_agent_id_is_reserved():
@@ -110,6 +108,18 @@ def test_consumable_resource_served_by_copycat():
     assert report.final_rb["a"] == []
     payloads = [line.split()[-1] for line in report.trace]
     assert payloads == ["2.x=2", "1.x=2", "2.y=3", "1.y=3", "1.z=7", "2.z=7"]
+
+
+def test_middleman_relays_each_move_once():
+    """A middleman's session copies its resource to its client by copy-cat alone: neither the
+    middleman nor the client relays between the session's two seats, so every move is
+    played once and the run comes to rest."""
+    report = Simulation(parse_scenario(MIDDLEMAN)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert [line.split(" ", 1)[1] for line in report.trace] == [
+        "u B 2.x=2", "m T 1.x=2", "u B 2.y=3", "m T 1.y=3", "f B 1.z=7", "m T 2.z=7"
+    ]
+    assert report.steps == 9
 
 
 def test_evolve_rb_drops_only_consumed_conjuncts():

@@ -332,6 +332,24 @@ def test_simulate_query_without_a_game(tmp_path, capsys):
     assert err == "error: no game bound for atom 'C' at occurrence '1.'\n"
 
 
+def test_simulate_duplicate_agent(tmp_path, capsys):
+    path = tmp_path / "dup.clbk"
+    path.write_text("agent a\nagent a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate agent id 'a'\n"
+
+
+def test_simulate_agent_named_god(tmp_path, capsys):
+    path = tmp_path / "god.clbk"
+    path.write_text("agent God\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'God' is reserved and never registered\n"
+
+
 def test_simulate_directory(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(tmp_path))
     assert code == 2

@@ -27,7 +27,7 @@ from clbk.formula import (
     surface_occurrences,
 )
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game, flip_run
-from clbk.prover import ProofTree, RuleA, hybridize, premises_A, premises_B, prove
+from clbk.prover import ProofTree, RuleA, RuleB, hybridize, premises_A, premises_B, prove
 from genlib import random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -37,6 +37,13 @@ COFFEE = coffee_game(10)
 def coffee_session(src="(C /\\ C) -> (C \\/ C) @ w", **kwargs):
     tree = hybridize(prove(parse_formula(src)))
     return engine.new_session(tree, games={"C": COFFEE, "D": dollar_game(5)}, **kwargs)
+
+
+def listen(s):
+    """Collect ``(to, move)`` for every move the session plays from now on."""
+    heard = []
+    s.listener = lambda _session, lm, to: heard.append((to, str(lm)))
+    return heard
 
 
 def test_new_session_binds_every_occurrence():
@@ -58,8 +65,9 @@ def test_new_session_missing_game_errors():
 
 def test_machine_turn_on_fresh_pairing_proof_emits_nothing():
     s = coffee_session()
-    out = engine.machine_turn(s)
-    assert out == []
+    heard = listen(s)
+    assert engine.machine_turn(s) is False
+    assert heard == []
     assert isinstance(s.node.rule, RuleA)
     assert s.run == []
 
@@ -67,28 +75,33 @@ def test_machine_turn_on_fresh_pairing_proof_emits_nothing():
 def test_machine_turn_replays_pending_subrun_on_pairing():
     s = coffee_session()
     s.append(Labmove(B, "1.1.", "x=3"))
-    out = engine.machine_turn(s)
-    assert [str(lm) for _, lm in out] == ["T2.1.x=3"]
+    heard = listen(s)
+    assert engine.machine_turn(s) is True
+    assert heard == [("w", "T2.1.x=3")]
     assert [str(lm) for lm in s.run] == ["B1.1.x=3", "T2.1.x=3"]
 
 
 def test_machine_turn_choice_commitment_addressed_to_env():
     s = engine.new_session(prove(parse_formula("((p & q) -> p) @ w")))
-    out = engine.machine_turn(s)
-    assert [(target, str(lm)) for target, lm in out] == [("w", "T1.1")]
+    heard = listen(s)
+    assert engine.machine_turn(s) is True
+    assert heard == [("w", "T1.1")]
     assert s.formula == parse_formula("(p -> p) @ w")
 
 
 def test_machine_turn_second_branch_commitment():
     s = engine.new_session(prove(parse_formula("((p & q) -> q) @ w")))
-    out = engine.machine_turn(s)
-    assert [(target, str(lm)) for target, lm in out] == [("w", "T1.2")]
+    heard = listen(s)
+    assert engine.machine_turn(s) is True
+    assert heard == [("w", "T1.2")]
 
 
 def test_env_move_requires_environment_label():
     s = coffee_session()
     engine.machine_turn(s)
-    assert engine.env_move(s, Labmove(T, "2.1.", "x=3")) == []
+    heard = listen(s)
+    engine.env_move(s, Labmove(T, "2.1.", "x=3"))
+    assert heard == []
     assert s.run == []
 
 
@@ -109,24 +122,27 @@ def test_env_move_at_general_atom_is_recorded():
     engine.machine_turn(s)
     unpaired = [o.spec for o in surface_occurrences(s.formula, "general")]
     assert unpaired == ["2."]
-    out = engine.env_move(s, Labmove(B, "2.", "v=1"))
-    assert out == []
+    heard = listen(s)
+    engine.env_move(s, Labmove(B, "2.", "v=1"))
+    assert heard == [(None, "B2.v=1")]
     assert [str(lm) for lm in s.run] == ["B2.v=1"]
 
 
 def test_env_move_copycat_at_hybrid():
     s = coffee_session()
     engine.machine_turn(s)
-    out = engine.env_move(s, Labmove(B, "2.1.", "x=3"))
-    assert [(t, str(lm)) for t, lm in out] == [("w", "T1.1.x=3")]
+    heard = listen(s)
+    engine.env_move(s, Labmove(B, "2.1.", "x=3"))
+    assert heard == [(None, "B2.1.x=3"), ("w", "T1.1.x=3")]
     assert [str(lm) for lm in s.run] == ["B2.1.x=3", "T1.1.x=3"]
 
 
 def test_env_move_choice_triggers_machine_reply():
     s = engine.new_session(prove(parse_formula("((p & q) -> (p & q)) @ w")))
     engine.machine_turn(s)
-    out = engine.env_move(s, Labmove(B, "2.", "1"))
-    assert [str(lm) for _, lm in out] == ["T1.1"]
+    heard = listen(s)
+    engine.env_move(s, Labmove(B, "2.", "1"))
+    assert heard == [(None, "B2.1"), ("w", "T1.1")]
     assert s.formula == parse_formula("(p -> p) @ w")
     assert [str(lm) for lm in s.run] == ["B2.1", "T1.1"]
 
@@ -134,8 +150,10 @@ def test_env_move_choice_triggers_machine_reply():
 def test_env_move_ignores_unmatched_moves():
     s = coffee_session()
     engine.machine_turn(s)
-    assert engine.env_move(s, Labmove(B, "9.9.", "x=1")) == []
-    assert engine.env_move(s, Labmove(B, "1.", "7")) == []
+    heard = listen(s)
+    engine.env_move(s, Labmove(B, "9.9.", "x=1"))
+    engine.env_move(s, Labmove(B, "1.", "7"))
+    assert heard == []
     assert s.run == []
 
 
@@ -173,9 +191,10 @@ def test_env_choice_enters_the_premise_listed_by_premises_A(monkeypatch):
         refused += [("machine-owned", e.spec, str(e.branch)) for e in premises_B(s.formula)]
         refused += [("atom", spec, "1") for spec in s.atoms]
         played = list(s.run)
+        heard = listen(s)
         for kind, spec, payload in refused:
-            assert engine.env_move(s, Labmove(B, spec, payload)) == []
-            assert s.run == played and s.node is node, (kind, print_formula(f))
+            engine.env_move(s, Labmove(B, spec, payload))
+            assert heard == [] and s.run == played and s.node is node, (kind, print_formula(f))
             seen[kind] += 1
     assert set(seen) == {"routed", "out of range", "machine-owned", "atom"}, seen
 
@@ -465,6 +484,54 @@ def test_evaluate_winner_agrees_with_reference_on_arbitrary_runs():
         assert engine.evaluate_winner(s) is expected
         outcomes[expected] += 1
     assert min(outcomes[T], outcomes[B]) > 50, outcomes
+
+
+def test_listener_is_the_only_output():
+    """Driven by ``step`` and random environment moves, with strategies on random seats, a
+    session hands every move of its run to the listener once and in order. A machine move
+    is addressed to its binding's env, a committed choice to its ``RuleB``'s env."""
+    rng = random.Random(53)
+    games = {"C": COFFEE, "D": dollar_game(5)}
+    seen = Counter()
+    for f, tree in random_provable(rng, 30) + random_provable(rng, 30, need_pairing=True):
+        s = engine.new_session(hybridize(tree), games=games)
+        for binding in s.bindings.values():
+            roll = rng.random()
+            if roll < 0.3:
+                binding.heuristic = binding.game.default_heuristic
+            elif roll < 0.6:
+                binding.script = Script(tuple(rng.sample(PAYLOADS[binding.game.name], 2)))
+        heard = []
+
+        def listener(session, lm, to):
+            heard.append(lm)
+            if lm.player is T and lm.is_choice():
+                rule = session.node.rule
+                assert isinstance(rule, RuleB) and rule.spec == lm.spec, print_formula(f)
+                assert to == rule.env
+                seen["choice"] += 1
+            elif lm.player is T:
+                assert to == session.bindings[lm.spec].env, print_formula(f)
+                seen["atom"] += 1
+            else:
+                seen["environment"] += 1
+
+        s.listener = listener
+        for _ in range(rng.randint(0, 12)):
+            while engine.step(s):
+                pass
+            choices = [o for o in surface_occurrences(s.formula, "choice") if env_chooses(o)]
+            if choices and rng.random() < 0.4:
+                occ = rng.choice(choices)
+                s.deliver(Labmove(B, occ.spec, str(rng.randint(1, len(occ.node.parts)))))
+            elif s.atoms:
+                spec = rng.choice(list(s.atoms))
+                s.deliver(Labmove(B, spec, rng.choice(PAYLOADS[s.bindings[spec].game.name])))
+        while engine.step(s):
+            pass
+        assert engine.step(s) is False
+        assert [id(lm) for lm in heard] == [id(lm) for lm in s.run], print_formula(f)
+    assert min(seen.values()) > 10 and len(seen) == 3, seen
 
 
 def test_readme_library_example_runs(capsys):
