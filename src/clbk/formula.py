@@ -297,11 +297,13 @@ _KIND_FILTERS = {
     "general": lambda n: isinstance(n, General),
     "hybrid": lambda n: isinstance(n, Hybrid),
     "atom": lambda n: isinstance(n, (General, Hybrid)),
+    "leaf": lambda n: isinstance(n, ATOM_KINDS + CHOICE_KINDS),
 }
 
 
 def surface_occurrences(f: Formula, kind: str) -> list[Occurrence]:
-    """Occurrences of the given kind ('choice', 'general', 'hybrid', 'atom') not under any choice operator."""
+    """Occurrences of the given kind ('choice', 'general', 'hybrid', 'atom', or 'leaf' for atoms
+    and choices alike) not under any choice operator."""
     pick = _KIND_FILTERS[kind]
     return [occ for occ in _surface_walk(f) if pick(occ.node)]
 

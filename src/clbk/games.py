@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+# not typing.Callable, whose cache would keep Run's Labmove, and so this module, alive after a re-import
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 
 class Player(Enum):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import count
 
 from .classical import is_valid
 from .formula import (
+    And,
     Chand,
     Chor,
     Elementary,
@@ -14,9 +17,12 @@ from .formula import (
     FormulaError,
     General,
     Hybrid,
-    NEGATIVE,
+    Implies,
+    Not,
     Occurrence,
+    Or,
     POSITIVE,
+    Truth,
     child_at,
     children,
     elementarize,
@@ -100,17 +106,65 @@ def measure(f: Formula) -> int:
             return sum(measure(c) for c in children(f))
 
 
+def _backed(g: General, winnable: frozenset[str]) -> bool:
+    """Whether the machine holds a strategy for the general atom ``g``: an inline 'h' note or
+    membership in ``winnable``."""
+    return g.name in winnable or (g.note is not None and g.note.kind == "h")
+
+
 def is_stable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
     """Whether the elementarization of ``f`` is classically valid, counting a positive general
-    atom as won when the machine holds a strategy for it: an inline 'h' note or membership
-    in ``winnable``."""
-    return is_valid(elementarize(f, lambda g: g.name in winnable or (g.note is not None and g.note.kind == "h")))
+    atom as won when it is backed (see ``_backed``)."""
+    return is_valid(elementarize(f, lambda g: _backed(g, winnable)))
 
 
-def _branch_premises(f: Formula, env_side: bool) -> list[BranchPremise]:
+class _Walk:
+    """One surface walk of a formula, from which every rule's premises are generated: its
+    surface choice occurrences; its surface general-atom occurrences, as (positive, negative)
+    lists per name in order of first occurrence; and every elementary name in it, under
+    choices too, a hybrid counting by its elementary component."""
+
+    __slots__ = ("choices", "atoms", "names")
+
+    def __init__(self, f: Formula):
+        self.choices: list[Occurrence] = []
+        self.atoms: dict[str, tuple[list[Occurrence], list[Occurrence]]] = {}
+        self.names: set[str] = set()
+        for occ in surface_occurrences(f, "leaf"):
+            node = occ.node
+            if isinstance(node, General):
+                poss, negs = self.atoms.setdefault(node.name, ([], []))
+                (poss if occ.polarity == POSITIVE else negs).append(occ)
+            elif isinstance(node, Elementary):
+                self.names.add(node.name)
+            elif isinstance(node, Hybrid):
+                self.names.add(node.elementary)
+            elif not isinstance(node, Truth):
+                self.choices.append(occ)
+                self.names |= elementary_names(node)
+
+    def pairs(self, canonical: bool = False) -> list[tuple[Occurrence, Occurrence]]:
+        """Each (positive, negative) pair of occurrences of one general atom, by name, then by
+        negative occurrence, then by positive occurrence. With ``canonical``, if the first
+        pairable name has at least as many positive occurrences as negative ones, only the
+        pairs at its first negative occurrence, which are the first entries of the full list."""
+        pairable = [(poss, negs) for poss, negs in self.atoms.values() if poss and negs]
+        if canonical and pairable and len(pairable[0][0]) >= len(pairable[0][1]):
+            poss, negs = pairable[0]
+            return [(pi, negs[0]) for pi in poss]
+        return [(pi, nu) for poss, negs in pairable for nu in negs for pi in poss]
+
+    def monotone(self, winnable: frozenset[str]) -> bool:
+        """No surface choice, and no backed positive occurrence of a pairable name."""
+        return not self.choices and not any(
+            negs and any(_backed(pi.node, winnable) for pi in poss) for poss, negs in self.atoms.values()
+        )
+
+
+def _branch_premises(f: Formula, choices: list[Occurrence], env_side: bool) -> list[BranchPremise]:
     return [
         BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part))
-        for occ in surface_occurrences(f, "choice")
+        for occ in choices
         if env_chooses(occ) == env_side
         for i, part in enumerate(occ.node.parts, start=1)
     ]
@@ -118,44 +172,24 @@ def _branch_premises(f: Formula, env_side: bool) -> list[BranchPremise]:
 
 def premises_A(f: Formula) -> list[BranchPremise]:
     """One premise per branch of each positive choice-conjunction / negative choice-disjunction."""
-    return _branch_premises(f, True)
+    return _branch_premises(f, surface_occurrences(f, "choice"), True)
 
 
 def premises_B(f: Formula) -> list[BranchPremise]:
     """One premise per branch of each negative choice-conjunction / positive choice-disjunction."""
-    return _branch_premises(f, False)
+    return _branch_premises(f, surface_occurrences(f, "choice"), False)
 
 
 _FRESH_BASE = "pqrstuvwxyz"
 
 
-def fresh_elementary(f: Formula, avoid: frozenset[str] = frozenset()) -> str:
-    taken = elementary_names(f) | avoid
-
-    def candidates():
-        yield from _FRESH_BASE
-        n = 1
-        while True:
-            for ch in _FRESH_BASE:
-                yield f"{ch}{n}"
-            n += 1
-
-    for name in candidates():
-        if name not in taken:
-            return name
-    raise AssertionError("unreachable")
-
-
-def _pairs(f: Formula):
-    """Each (positive, negative) pair of surface occurrences of one general atom, by name in
-    order of first occurrence, then by negative occurrence, then by positive occurrence."""
-    occs = surface_occurrences(f, "general")
-    for name in dict.fromkeys(occ.node.name for occ in occs):
-        negs = [o for o in occs if o.node.name == name and o.polarity == NEGATIVE]
-        poss = [o for o in occs if o.node.name == name and o.polarity == POSITIVE]
-        for nu in negs:
-            for pi in poss:
-                yield pi, nu
+def _fresh_name(taken: set[str]) -> str:
+    """The first of ``p``..``z``, ``p1``..``z1``, ``p2``.. not in ``taken``."""
+    for n in count():
+        for ch in _FRESH_BASE:
+            name = f"{ch}{n}" if n else ch
+            if name not in taken:
+                return name
 
 
 def _paired(f: Formula, pi: Occurrence, nu: Occurrence, atom: Formula) -> Formula:
@@ -163,38 +197,83 @@ def _paired(f: Formula, pi: Occurrence, nu: Occurrence, atom: Formula) -> Formul
     return substitute_at(substitute_at(f, pi.path, atom), nu.path, atom)
 
 
-def premises_C(f: Formula, avoid: frozenset[str] = frozenset()) -> list[PairPremise]:
-    """One premise per (negative, positive) surface pair of the same general atom, both
-    replaced by a fresh elementary atom not occurring in the conclusion."""
-    fresh = fresh_elementary(f, avoid)
-    return [PairPremise(pi.spec, nu.spec, fresh, _paired(f, pi, nu, Elementary(fresh))) for pi, nu in _pairs(f)]
+def premises_C(
+    f: Formula, avoid: frozenset[str] = frozenset(), walk: _Walk | None = None, canonical: bool = False
+) -> list[PairPremise]:
+    """One premise per (positive, negative) surface pair of the same general atom, both
+    replaced by a fresh elementary atom that occurs neither in the conclusion nor in
+    ``avoid``. ``walk`` is the conclusion's walk if the caller has made it; ``canonical``
+    keeps only the pairs that ``_Walk.pairs(canonical=True)`` keeps."""
+    walk = _Walk(f) if walk is None else walk
+    fresh = _fresh_name(walk.names | avoid)
+    atom = Elementary(fresh)
+    return [PairPremise(pi.spec, nu.spec, fresh, _paired(f, pi, nu, atom)) for pi, nu in walk.pairs(canonical)]
 
 
 class SearchBudgetExceeded(RuntimeError):
     """The proof search expanded more nodes than its ``max_nodes`` budget allows."""
 
 
-class _Fresh(Elementary):
-    """A fresh atom renamed in a memo key; never equal to an ``Elementary`` of any name."""
+def memo_key(f: Formula, root_avoid: frozenset[str]) -> str:
+    """The refutation-memo key of a search node: its skeleton written as text, with the
+    operands of every chain of ``/\\`` or of ``\\/`` flattened and sorted, and then every
+    fresh elementary atom (a name outside ``root_avoid``) renamed by order of first occurrence.
+    The sort compares operands with every fresh atom written alike, so the names the pairings
+    gave their fresh atoms decide only the order of operands that tie.
+
+    Equal keys give equal verdicts. The key writes out one formula that the node equals up to
+    annotations, associativity and commutativity of ``/\\`` and ``\\/``, and a bijective
+    renaming of fresh atoms; atom names are identifiers, so the text is unambiguous. None of
+    these changes a verdict: they keep every surface occurrence with its polarity and kind,
+    map each rule's premises onto the other node's premises, and keep classical validity. The
+    key need not be complete: nodes equal in this sense may still get different keys."""
+    renamed: dict[str, str] = {}
+    text = _key(f, root_avoid)[1]
+    return _FRESH_REF.sub(lambda m: renamed.setdefault(m.group(1), f"#{len(renamed)}"), text)
 
 
-def memo_key(f: Formula, root_avoid: frozenset[str]) -> Formula:
-    """The refutation-memo key of a search node: its skeleton with every fresh elementary atom
-    (a name outside ``root_avoid``) renamed by order of first occurrence. Nodes that differ only
-    in how the pairings named their fresh atoms share a key, and so share a verdict: a bijective
-    renaming of fresh atoms maps one node's search space onto the other's and keeps stability."""
-    renamed: dict[str, _Fresh] = {}
-    return transform(f, lambda n: _canonical_node(n, root_avoid, renamed))
+_FRESH_REF = re.compile(r"#(\w+)")
+_KEY_TAG = {Not: "~", Implies: "->", And: "/\\", Or: "\\/", Chand: "&", Chor: "|"}
 
 
-def _canonical_node(node: Formula, root_avoid: frozenset[str], renamed: dict[str, _Fresh]) -> Formula:
-    if isinstance(node, EnvAnn):
-        return node.child
-    if isinstance(node, Elementary) and node.name not in root_avoid:
-        if node.name not in renamed:
-            renamed[node.name] = _Fresh(f"#{len(renamed)}")
-        return renamed[node.name]
-    return node
+def _key(node: Formula, root_avoid: frozenset[str]) -> tuple[str, str]:
+    """``node``'s (shape, text) for ``memo_key``: the shape writes every fresh atom as ``#``,
+    the text writes it as ``#`` followed by its name. Other atoms are written as they print;
+    the parser's names tell elementary (lower case), general (upper case) and hybrid (with
+    ``_``) atoms and the constants ``T`` and ``F`` apart."""
+    kind = type(node)
+    if kind is EnvAnn:
+        return _key(node.child, root_avoid)
+    if kind is Elementary:
+        if node.name in root_avoid:
+            return node.name, node.name
+        return "#", "#" + node.name
+    if kind is Truth:
+        return ("T", "T") if node.value else ("F", "F")
+    if kind is General or kind is Hybrid:
+        atom = node.name if kind is General else f"{node.general}_{node.elementary}"
+        if node.note is not None:
+            atom += f"{{{node.note.kind}={node.note.name}}}"
+        return atom, atom
+    if kind is And or kind is Or:
+        parts = sorted(_key(k, root_avoid) for k in _operands(node, kind, []))
+    else:
+        parts = [_key(k, root_avoid) for k in children(node)]
+    tag = _KEY_TAG[kind]
+    return f"{tag}({','.join(p[0] for p in parts)})", f"{tag}({','.join(p[1] for p in parts)})"
+
+
+def _operands(node: Formula, kind: type, out: list[Formula]) -> list[Formula]:
+    """Append the operands of the chain of ``kind`` connectives at ``node`` to ``out``;
+    annotations are transparent."""
+    if type(node) is EnvAnn:
+        node = node.child
+    if type(node) is kind:
+        _operands(node.left, kind, out)
+        _operands(node.right, kind, out)
+    else:
+        out.append(node)
+    return out
 
 
 class _Search:
@@ -205,7 +284,7 @@ class _Search:
         self.winnable = winnable
         self.max_nodes = max_nodes
         self.trees: dict[Formula, ProofTree | None] = {}
-        self.refuted: set[Formula] = set()
+        self.refuted: set[str] = set()
         self.expanded = 0
 
 
@@ -214,9 +293,24 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
 
     Pairings are exhausted before closing so that fully general conclusions reproduce the
     canonical pairing-chain proofs. Proofs are memoized on the exact formula; refutations on
-    its ``memo_key``, so a node refuted once prunes every renaming of its fresh atoms. With
-    ``max_nodes`` set, expanding more nodes than that raises ``SearchBudgetExceeded``.
-    """
+    its ``memo_key``, so a node refuted once prunes every node equal to it up to the order of
+    ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms. With ``max_nodes`` set,
+    expanding more nodes than that raises ``SearchBudgetExceeded``.
+
+    Pairings on disjoint occurrences commute, so the search enumerates matchings rather than
+    pairing orders where that is sound: at a *monotone* node, one with no surface choice and
+    no backed positive occurrence of a name that also occurs negatively. ``elementarize``
+    makes an unbacked positive general atom false and a negative one true, so replacing both
+    by one fresh atom can only raise the classical value: every pairing of a stable monotone
+    node is stable and monotone again. Such a node is therefore provable exactly when some
+    maximal matching leaves a stable node, and there the search
+
+    * tries no closure while pairs remain, since a stable node's first pairing succeeds;
+    * if the first pairable name has at least as many positive occurrences as negative ones,
+      branches only on the partner of its first negative occurrence, which every maximal
+      matching pairs. These are the first branches of the full rule, in its order.
+
+    Both keep the first successful branch of the full search, so proofs are unchanged."""
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
@@ -231,15 +325,20 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
     if s.max_nodes is not None and s.expanded >= s.max_nodes:
         raise SearchBudgetExceeded(f"proof search exceeded {s.max_nodes} nodes")
     s.expanded += 1
+    walk = _Walk(g)
+    monotone = walk.monotone(s.winnable)
+    pairs = premises_C(g, s.root_avoid, walk, monotone)
     result = None
-    for pair in premises_C(g, s.root_avoid):
+    for pair in pairs:
         sub = _search(pair.formula, s)
         if sub is not None:
             result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
             break
-    if result is None and is_stable(g, s.winnable):
+    # no closure at a monotone node with pairs left: had it been stable, its first pairing
+    # would have succeeded
+    if result is None and not (monotone and pairs) and is_stable(g, s.winnable):
         subs = []
-        for entry in premises_A(g):
+        for entry in _branch_premises(g, walk.choices, True):
             sub = _search(entry.formula, s)
             if sub is None:
                 break
@@ -247,7 +346,7 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
         else:
             result = ProofTree(g, RuleA(), tuple(subs))
     if result is None:
-        for entry in premises_B(g):
+        for entry in _branch_premises(g, walk.choices, False):
             sub = _search(entry.formula, s)
             if sub is not None:
                 result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
@@ -291,9 +390,10 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
         case RuleB(spec, branch, env):
             ok = any(got == [e.formula] for e in premises_B(g) if (e.spec, e.branch, e.env) == (spec, branch, env))
         case RuleC(pos_spec, neg_spec, name):
-            ok = name not in elementary_names(g) and any(
+            walk = _Walk(g)
+            ok = name not in walk.names and any(
                 got == [_paired(g, pi, nu, atom)]
-                for pi, nu in _pairs(g)
+                for pi, nu in walk.pairs()
                 if (pi.spec, nu.spec) == (pos_spec, neg_spec)
                 for atom in (Elementary(name), Hybrid(pi.node.name, name))
             )

@@ -1,4 +1,7 @@
 import gc
+import importlib
+import sys
+import weakref
 
 from clbk import engine
 from clbk.agents import Simulation
@@ -33,3 +36,28 @@ def test_layers_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reimport_leaves_no_old_module_alive():
+    """Importing the package afresh, as the benchmark's set-up does, leaves the old modules
+    to the cyclic collector: no cache holds one of their classes, and so their module, alive."""
+    original = {name: module for name, module in sys.modules.items() if name.split(".")[0] == "clbk"}
+    try:
+        for name in original:
+            del sys.modules[name]
+        importlib.import_module("clbk")
+        fresh = [module for name, module in sys.modules.items() if name.split(".")[0] == "clbk"]
+        classes = [
+            weakref.ref(value)
+            for module in fresh
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        assert len(classes) > 20
+        del fresh
+        for name in [name for name in sys.modules if name.split(".")[0] == "clbk"]:
+            del sys.modules[name]
+        gc.collect()
+        assert [ref() for ref in classes if ref() is not None] == []
+    finally:
+        sys.modules.update(original)

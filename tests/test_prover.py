@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -7,15 +8,23 @@ from clbk import prover
 from clbk.formula import (
     NEGATIVE,
     POSITIVE,
+    And,
     Elementary,
+    General,
     Hybrid,
+    Implies,
+    Not,
+    Or,
+    children,
     elementary_names,
     env_chooses,
     parse_formula,
     print_formula,
+    rebuild,
     skeleton,
     substitute_at,
     surface_occurrences,
+    transform,
 )
 from clbk.prover import (
     ProofTree,
@@ -344,19 +353,44 @@ def _unprovable_family(n):
     return parse_formula(" /\\ ".join(["C"] * n) + " -> (" + " /\\ ".join(["C"] * (n + 1)) + ")")
 
 
-def test_refutation_memo_expansions_pinned(monkeypatch):
-    """The search expands each node with one premises_C call; the exact-formula memo
-    expanded 4,581 nodes here."""
+def _count_calls(monkeypatch, name):
+    """Count the calls the prover makes to its module attribute ``name``."""
     calls = []
-    original = prover.premises_C
-    monkeypatch.setattr(prover, "premises_C", lambda *args: calls.append(1) or original(*args))
+    original = getattr(prover, name)
+    monkeypatch.setattr(prover, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_refutation_memo_expansions_pinned(monkeypatch):
+    """The search expands each node with one premises_C call. It pairs the first antecedent
+    C with each consequent C in turn; the first path refutes its leaf and every other
+    branch meets that refutation in the memo, up to the order of /\\ operands."""
+    calls = _count_calls(monkeypatch, "premises_C")
     assert prove(_unprovable_family(4)) is None
-    assert len(calls) == 501
+    assert len(calls) == 5
+
+
+def test_refutation_family_is_linear(monkeypatch):
+    """(C^n) -> (C^n /\\ C) takes n + 1 expansions, one per pairing and one for the leaf."""
+    calls = _count_calls(monkeypatch, "premises_C")
+    start = time.perf_counter()
+    assert prove(_unprovable_family(12)) is None
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 13
+
+
+def test_refutation_family_checks_one_leaf(monkeypatch):
+    """Closure is tried only where no pair remains, so the n = 4 search checks the
+    stability of one node: the leaf of its first path."""
+    calls = _count_calls(monkeypatch, "is_valid")
+    assert prove(_unprovable_family(4)) is None
+    assert len(calls) == 1
 
 
 def test_memo_key_ignores_pairing_order():
     """The same two pairings (1.1. with 2.1.1., 1.2. with 2.1.2.), made in either order,
-    share a key; the crossed pairings (1.1. with 2.1.2., 1.2. with 2.1.1.) do not."""
+    share a key. So does the crossed pairing (1.1. with 2.1.2., 1.2. with 2.1.1.), which is
+    the same node up to the order of /\\ operands; all three have one verdict."""
     f = parse_formula("(C /\\ C) -> (C /\\ C /\\ C)")
     root = frozenset(elementary_names(f))
     first = premises_C(f, root)
@@ -364,31 +398,178 @@ def test_memo_key_ignores_pairing_order():
     b = premises_C(first[4].formula, root)[0].formula
     assert print_formula(a) == "(p /\\ q) -> (p /\\ q /\\ C)"
     assert print_formula(b) == "(q /\\ p) -> (q /\\ p /\\ C)"
-    assert memo_key(a, root) == memo_key(b, root)
     crossed = premises_C(first[1].formula, root)[0].formula
     assert print_formula(crossed) == "(p /\\ q) -> (q /\\ p /\\ C)"
-    assert memo_key(crossed, root) != memo_key(a, root)
+    assert memo_key(a, root) == memo_key(b, root) == memo_key(crossed, root)
+    assert {_reference_prove(g) is None for g in (a, b, crossed)} == {True}
 
 
 def test_memo_key_keeps_root_atoms():
+    """Root atoms keep their names and fresh atoms are never keyed like them. A node with no
+    fresh atom gets the key of every regrouping and reordering of its /\\ and \\/ operands,
+    and all of these have its verdict."""
     a = parse_formula("(p /\\ q) -> (p /\\ q /\\ C)")
     b = parse_formula("(q /\\ p) -> (q /\\ p /\\ C)")
     root = frozenset({"p", "q"})
-    assert memo_key(a, root) != memo_key(b, root)
+    assert memo_key(a, root) == memo_key(b, root)
+    assert memo_key(parse_formula("p -> p"), root) != memo_key(parse_formula("q -> q"), root)
+    assert memo_key(parse_formula("(p /\\ q) -> p"), root) != memo_key(parse_formula("(p /\\ q) -> q"), root)
     # q is fresh under the root atom p, and must not be keyed like the root atom
     assert memo_key(parse_formula("(q /\\ p) -> q"), frozenset({"p"})) != memo_key(
         parse_formula("(p /\\ p) -> p"), frozenset({"p"})
     )
     rng = random.Random(59)
     for _ in range(300):
-        f = random_ast(rng, depth=5)
-        assert memo_key(f, frozenset(elementary_names(f))) == skeleton(f)
+        f = random_ast(rng, depth=4)
+        variant = _ac_variant(f, rng)
+        root = frozenset(elementary_names(f))
+        assert memo_key(variant, root) == memo_key(f, root), print_formula(f)
+        assert (_reference_prove(variant) is None) == (_reference_prove(f) is None), print_formula(f)
+
+
+def _ac_variant(f, rng):
+    """``f`` with the operands of every chain of /\\ or of \\/ shuffled and regrouped at random."""
+    kids = children(f)
+    if not isinstance(f, (And, Or)):
+        return rebuild(f, [_ac_variant(k, rng) for k in kids]) if kids else f
+    operands, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is type(f):
+            stack += [node.right, node.left]
+        else:
+            operands.append(_ac_variant(node, rng))
+    rng.shuffle(operands)
+    while len(operands) > 1:
+        i = rng.randrange(len(operands) - 1)
+        operands[i : i + 2] = [type(f)(operands[i], operands[i + 1])]
+    return operands[0]
+
+
+def _converse_variant(f, rng):
+    """``f`` with the two sides of some of its implications swapped: a node the key must
+    tell apart from ``f`` wherever the verdicts differ."""
+    kids = [_converse_variant(k, rng) for k in children(f)]
+    if isinstance(f, Implies) and rng.random() < 0.5:
+        kids.reverse()
+    return rebuild(f, kids) if kids else f
+
+
+def _fresh_variant(f, root, rng):
+    """``f`` with its atoms outside ``root`` renamed at random onto names outside ``root``,
+    sometimes two onto one."""
+    names = [n for n in "tuvwxyz" if n not in root]
+    renaming = {n: rng.choice(names) for n in sorted(elementary_names(f) - root)}
+    return transform(f, lambda n: Elementary(renaming[n.name]) if type(n) is Elementary and n.name in renaming else n)
+
+
+def _pairing_body(rng, size):
+    """A random /\\ and \\/ tree of ``size`` operands, most of them general atoms."""
+    if size == 1:
+        return rng.choice([General("C"), General("C"), General("D"), Not(General("C")), Elementary("p")])
+    left = rng.randint(1, size - 1)
+    return rng.choice([And, Or])(_pairing_body(rng, left), _pairing_body(rng, size - left))
+
+
+def test_equal_memo_keys_have_equal_verdicts():
+    """Soundness of the refutation memo: nodes with one key have one verdict. The nodes are
+    random formulas and the search's descendants of each, found by random descents; each of
+    these regrouped, reordered and with its fresh atoms renamed, sometimes two onto one; and
+    each with the sides of some implications swapped. Their keys are taken under one root set."""
+    rng = random.Random(71)
+    root = frozenset({"p", "q", "r", "s"})
+    roots = [Implies(_pairing_body(rng, rng.randint(1, 4)), _pairing_body(rng, rng.randint(1, 4))) for _ in range(100)]
+    roots += [random_ast(rng, depth=3) for _ in range(100)]
+    nodes = list(roots)
+    for f in roots:
+        for _ in range(3):
+            g = f
+            for _ in range(4):
+                premises = [e.formula for e in premises_C(g, root) + premises_A(g) + premises_B(g)]
+                if not premises:
+                    break
+                g = rng.choice(premises)
+                nodes.append(g)
+    originals = list(nodes)
+    nodes += [_fresh_variant(_ac_variant(g, rng), root, rng) for g in originals]
+    nodes += [_converse_variant(g, rng) for g in originals]
+    groups = {}
+    for g in nodes:
+        groups.setdefault(memo_key(g, root), set()).add(skeleton(g))
+    shared = 0
+    for members in groups.values():
+        verdicts = {_reference_prove(g) is None for g in members}
+        assert len(verdicts) == 1, [print_formula(g) for g in members]
+        shared += len(members) > 1
+    assert shared >= 300, shared
+
+
+def _agrees_with_reference(sources, winnable=frozenset()):
+    verdicts = set()
+    for src in sources:
+        f = parse_formula(src)
+        got = prove(f, winnable)
+        assert _listings(got) == _listings(_reference_prove(f, winnable)), src
+        verdicts.add(got is None)
+    return verdicts
+
+
+def test_backed_atom_falls_back_to_every_pairing_order():
+    """A backed positive atom elementarizes to true, and pairing it can make a stable node
+    unstable: these nodes are searched over every pairing and closed wherever stable."""
+    sources = [
+        "(D \\/ D) -> D{h=m}",
+        "(q \\/ C{h=m}) -> C{h=m}",
+        "(~D \\/ C) -> C{h=m}",
+        "C -> (C{h=m} /\\ C)",
+        "C -> (C{h=m} /\\ D)",
+    ]
+    assert _agrees_with_reference(sources) == {True, False}
+
+
+def test_winnable_name_falls_back_to_every_pairing_order():
+    sources = ["(C \\/ C) -> C", "(C \\/ C) -> (C /\\ C)", "(C \\/ ~C /\\ C) -> C", "(D /\\ q \\/ C) -> C"]
+    sources.append("C -> (C /\\ D)")
+    assert _agrees_with_reference(sources, frozenset({"C"})) == {True, False}
+
+
+def test_surface_choice_falls_back_to_every_pairing_order():
+    sources = [
+        "(C | D) -> (~D /\\ (C & p) \\/ (C \\/ D))",
+        "((C | D) /\\ (C \\/ ~D)) -> C",
+        "((C | D) /\\ (p | C)) -> (((p | C) \\/ ~C) /\\ p \\/ C)",
+        "(C /\\ D) -> ((C /\\ D) & C)",
+        "(C /\\ D) -> ((C /\\ D /\\ C) & C)",
+    ]
+    assert _agrees_with_reference(sources) == {True, False}
+
+
+def test_scarce_positive_side_falls_back_to_every_pairing():
+    """With fewer positive than negative occurrences of the first pairable name, a maximal
+    matching may leave its first negative occurrence unpaired, so every pair is a branch."""
+    sources = [
+        "((D \\/ C) /\\ C) -> C",
+        "(C \\/ p) -> (~C \\/ C)",
+        "((C \\/ C) /\\ ~C) -> (~C \\/ D)",
+        "(C /\\ C /\\ C) -> (C /\\ C)",
+        "(C /\\ C /\\ D) -> (C /\\ D /\\ D)",
+    ]
+    assert _agrees_with_reference(sources) == {True, False}
+
+
+# Unprovable, and 713 expansions even with matchings searched once: the antecedent's
+# disjuncts and the consequent's conjuncts pair up in many ways that differ beyond the
+# order of operands.
+_HARD_REFUTATION = (
+    "((C /\\ D) \\/ (C /\\ D) \\/ (D /\\ C) \\/ (C /\\ D))"
+    " -> ((C \\/ D) /\\ (D \\/ C) /\\ (C \\/ D) /\\ (C \\/ D \\/ C))"
+)
 
 
 def test_prove_search_budget():
-    f = _unprovable_family(4)
-    assert prove(f, max_nodes=501) is None
+    f = parse_formula(_HARD_REFUTATION)
+    assert prove(f, max_nodes=713) is None
     with pytest.raises(SearchBudgetExceeded):
-        prove(f, max_nodes=500)
+        prove(f, max_nodes=712)
     g = parse_formula("(C /\\ C) -> (C \\/ C) @ w")
     assert format_proof(prove(g, max_nodes=3)) == format_proof(prove(g))
