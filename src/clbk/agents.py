@@ -20,6 +20,7 @@ from .formula import (
     POSITIVE,
     Truth,
     atom_name,
+    note_names,
     print_formula,
     surface_occurrences,
     transform,
@@ -126,31 +127,27 @@ class MoveMsg:
 
 
 class Bus:
-    """Per-(sender, receiver) FIFO channels with deterministic, arrival-ordered delivery."""
+    """One FIFO inbox per registered receiver: each receiver gets its messages in arrival
+    order, so the messages of any one sender also arrive in the order they were sent."""
 
     def __init__(self):
-        self.channels: dict[tuple[str, str], deque] = {}
-        self.arrivals: dict[str, deque[tuple[str, str]]] = {}
+        self.inboxes: dict[str, deque[MoveMsg]] = {}
 
     def register(self, agent_id: str) -> None:
-        self.arrivals.setdefault(agent_id, deque())
+        self.inboxes.setdefault(agent_id, deque())
 
-    def post(self, frm: str, to: str, msg) -> None:
-        if to not in self.arrivals:
+    def post(self, frm: str, to: str, msg: MoveMsg) -> None:
+        inbox = self.inboxes.get(to)
+        if inbox is None:
             raise BusError(f"unknown recipient {to!r}")
-        key = (frm, to)
-        self.channels.setdefault(key, deque()).append(msg)
-        self.arrivals[to].append(key)
+        inbox.append(msg)
 
-    def deliver(self, to: str):
-        queue = self.arrivals.get(to)
-        if not queue:
-            return None
-        key = queue.popleft()
-        return self.channels[key].popleft()
+    def deliver(self, to: str) -> MoveMsg | None:
+        inbox = self.inboxes.get(to)
+        return inbox.popleft() if inbox else None
 
     def idle(self) -> bool:
-        return all(not q for q in self.arrivals.values())
+        return not any(self.inboxes.values())
 
 
 # --- queue and flow plumbing -------------------------------------------------
@@ -237,8 +234,10 @@ class Simulation:
     """Deterministic cooperative scheduler: one bus delivery or one queue opening per visit,
     round-robin over agents in registration order.
 
-    Two invariants keep the bookkeeping small. Resource bases are fixed until ``_finish``
-    evolves them, so each agent's manuals and winnable atoms are computed once, up front.
+    Three invariants keep the bookkeeping small. Every strategy move of a simulation is played
+    by a session's engine: a provider's manual answers as the environment stand-in of the
+    session that owes its good. Resource bases are fixed until ``_finish`` evolves them, so
+    each agent's manuals and winnable atoms are computed once, up front.
     Sessions are at rest between visits: every delivery is followed by ``_drive``, which
     returns only once its session is quiescent or finished, so no session is left running
     and only the bus and the unopened queries can hold work.
@@ -247,9 +246,9 @@ class Simulation:
     and relays it to the server's paired seats; it also posts each machine move to the agent
     the engine addresses it to. An agent that receives a ``MoveMsg`` for a session it serves
     plays it there (holding it until the session opens); any other ``MoveMsg`` informs it of
-    play elsewhere, which it relays from its own seats or answers from its manuals."""
+    play elsewhere, which it relays from its own seats."""
 
-    def __init__(self, agents: list[Agent], interpretation: dict[str, bool] | None = None):
+    def __init__(self, agents: list[Agent]):
         self.agents: dict[str, Agent] = {}
         self.bus = Bus()
         for agent in agents:
@@ -259,7 +258,6 @@ class Simulation:
                 raise AgentError("'God' is reserved and never registered")
             self.agents[agent.id] = agent
             self.bus.register(agent.id)
-        self.interpretation = dict(interpretation or {})
         self.manuals = {aid: agent.manuals() for aid, agent in self.agents.items()}
         self.winnable = {aid: agent.winnable() for aid, agent in self.agents.items()}
         self.queries: dict[str, Query] = {}
@@ -267,12 +265,10 @@ class Simulation:
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
         self.opened: list[Query] = []
         self.slot_lookup: dict[str, dict[tuple[str, str], tuple[Slot, Slot, str]]] = {a: {} for a in self.agents}
-        self.claim_views: dict[tuple[str, str, str], list[Labmove]] = {}
         self.unroutable: list[QueryResult] = []
         self.trace: list[str] = []
         self.agent_traces: dict[str, list[str]] = {a: [] for a in self.agents}
         self.steps = 0
-        self._rotation = 0
         self._submit_startup()
         self._build_flows()
 
@@ -293,11 +289,14 @@ class Simulation:
                 self.submit_query(target, q, client=agent.id)
 
     def submit_query(self, server: str, q: Formula, client: str, contract_ref: int | None = None) -> str:
-        """Queue ``q`` at ``server`` on behalf of ``client``; returns the session id."""
+        """Queue ``q`` at ``server`` on behalf of ``client``; returns the session id. Every
+        script a note of the session formula names must be one of the server's."""
         if server not in self.agents:
             raise BusError(f"unknown recipient {server!r}")
         qid = f"{server}:{len(self.queues[server]) + 1}"
         planned, consumed = self._session_formula(self.agents[server], q, client, contract_ref)
+        if unknown := sorted(note_names(planned, "s") - self.agents[server].scripts.keys()):
+            raise AgentError(f"query {print_formula(q)} names script {unknown[0]!r}, which {server!r} does not define")
         atoms = {occ.spec: occ for occ in surface_occurrences(planned, "atom")}
         result = QueryResult(qid, client, server, q)
         query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms, result)
@@ -363,12 +362,14 @@ class Simulation:
 
     # -- relays ----------------------------------------------------------------
 
+    @staticmethod
+    def _env_mover(query: Query, spec: str) -> str:
+        """Who plays the session's environment at ``spec``: the binding's agent, else the opponent."""
+        binding = query.session.bindings.get(spec)
+        return (binding.env if binding else None) or query.opponent
+
     def _trace_line(self, query: Query, lm: Labmove) -> None:
-        if lm.player is Player.MACHINE:
-            mover = query.server
-        else:
-            binding = query.session.bindings.get(lm.spec)
-            mover = (binding.env if binding and binding.env else None) or query.opponent
+        mover = query.server if lm.player is Player.MACHINE else self._env_mover(query, lm.spec)
         line = f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}"
         self.trace.append(line)
         if mover in self.agent_traces:
@@ -384,8 +385,6 @@ class Simulation:
     def _relay(self, aid: str, sid: str, lm: Labmove, mover_is_self: bool) -> None:
         entry = self.slot_lookup[aid].get((sid, lm.spec))
         if entry is None:
-            if not mover_is_self:
-                self._claim_answer(aid, sid, lm)
             return
         slot, partner, kind = entry
         local = lm.player if slot.polarity == POSITIVE else lm.player.flip()
@@ -394,23 +393,6 @@ class Simulation:
             self._emit(aid, partner, lm.payload, challenge=True)
         elif kind == "consume" and not is_challenge and not mover_is_self:
             self._emit(aid, partner, lm.payload, challenge=False)
-
-    def _claim_answer(self, aid: str, sid: str, lm: Labmove) -> None:
-        """A provider informed of play at an occurrence matched to it answers from its manual,
-        honouring claims other agents hold on its resources."""
-        query = self.queries.get(sid)
-        occ = query.atoms.get(lm.spec) if query else None
-        if occ is None or occ.env != aid or occ.polarity != NEGATIVE:
-            return
-        manual = self.manuals[aid].get(atom_name(occ.node))
-        if manual is None:
-            return
-        view = self.claim_views.setdefault((aid, sid, lm.spec), [])
-        view.append(Labmove(lm.player.flip(), "", lm.payload))
-        payload = manual(tuple(view))
-        if payload is not None:
-            view.append(Labmove(Player.MACHINE, "", payload))
-            self.bus.post(aid, query.server, MoveMsg(sid, Labmove(Player.ENVIRONMENT, lm.spec, payload)))
 
     def _emit(self, aid: str, slot: Slot, payload: str, challenge: bool) -> None:
         local = Player.ENVIRONMENT if challenge else Player.MACHINE
@@ -459,7 +441,7 @@ class Simulation:
         if not self.unopened[aid]:
             return False
         query = self.unopened[aid].popleft()
-        agent, manuals = self.agents[aid], self.manuals[aid]
+        agent = self.agents[aid]
         tree = prove(query.planned, winnable=self.winnable[aid])
         if tree is None:
             query.result.status = "rejected"
@@ -469,13 +451,15 @@ class Simulation:
             games=agent.games,
             heuristics=agent.heuristics,
             scripts=agent.scripts,
-            interpretation=self.interpretation,
             winnable=self.winnable[aid],
         )
         for occ in query.atoms.values():
-            name = atom_name(occ.node)
-            if occ.polarity == POSITIVE and occ.node.note is None and name in manuals:
-                query.session.bindings[occ.spec].heuristic = manuals[name]
+            # At a note-less occurrence, the manual of the agent that owes the good (the server at a
+            # positive one, the provider at a negative one) answers if that agent holds no seat there.
+            owner = aid if occ.polarity == POSITIVE else occ.env
+            manual = self.manuals.get(owner, {}).get(atom_name(occ.node))
+            if manual and occ.node.note is None and (query.qid, occ.spec) not in self.slot_lookup.get(owner, {}):
+                query.session.bindings[occ.spec].heuristic = manual
         query.session.listener = lambda s, lm, to: self._on_append(query, lm, to)
         self.opened.append(query)
         for lm in query.early:
@@ -497,8 +481,7 @@ class Simulation:
     def run(self, max_steps: int = 10_000) -> SimulationReport:
         order = list(self.agents)
         while self.steps < max_steps and self._has_work():
-            self.exec_step(order[self._rotation % len(order)])
-            self._rotation += 1
+            self.exec_step(order[self.steps % len(order)])
             self.steps += 1
         quiescent = not self._has_work()
         return self._finish(quiescent)
@@ -515,15 +498,13 @@ class Simulation:
                 result.status = "won" if result.winner is Player.MACHINE else "lost"
             else:
                 result.status = "unfinished"
-            fired = [b for b in session.bindings.values() if b.heuristic_fired]
-            if not fired:
-                continue
-            for binding in fired:
+            for binding in (b for b in session.bindings.values() if b.heuristic_fired):
                 run = session.local_run(binding.spec)
                 if binding.game.complete(run) and binding.game.winner(run) is Player.MACHINE:
+                    mover = query.server if binding.polarity == POSITIVE else self._env_mover(query, binding.spec)
                     atom = atom_name(session.atoms[binding.spec].node)
                     payloads = tuple(lm.payload for lm in run)
-                    wins.append(HeuristicWin(query.server, atom, query.qid, binding.spec, payloads))
+                    wins.append(HeuristicWin(mover, atom, query.qid, binding.spec, payloads))
         ledgers = self._ledgers()
         self._evolve_all()
         return SimulationReport(
@@ -576,13 +557,11 @@ def _revert_hybrids(f: Formula) -> Formula:
     return transform(f, lambda n: General(n.general, n.note) if isinstance(n, Hybrid) else n)
 
 
-def evolve_rb(agent: Agent, finished: Session, consumed: list[int] | None = None) -> list[ResourceEntry]:
+def evolve_rb(agent: Agent, finished: Session, consumed: list[int]) -> list[ResourceEntry]:
     """Successor resource base after a served query: the antecedent residue of the final
     formula, hybrids reverted, runs attached, fully consumed conjuncts dropped."""
     if finished.status is not Status.FINISHED:
         raise AgentError("evolve_rb needs a finished session")
-    if consumed is None:
-        consumed = [i for i, e in enumerate(agent.rb) if not is_contract(e.formula)]
     if not consumed:
         return list(agent.rb)
     if not isinstance(finished.formula, Implies):

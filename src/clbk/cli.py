@@ -10,7 +10,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import Status
-from .formula import FormulaError, parse_formula, print_formula
+from .formula import FormulaError, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -70,7 +70,7 @@ def _load_bind_file(path: str):
             line = raw.split("#")[0].strip()
             if not line:
                 continue
-            if parse_resource_directive(line, games, scripts, heuristics):
+            if parse_resource_directive(line, lineno, games, scripts, heuristics):
                 continue
             if m := _BIND_RE.match(line):
                 binds.append((m.group("spec"), m.group("kind"), m.group("name")))
@@ -95,6 +95,9 @@ def cmd_play(args) -> int:
         return EXIT_INPUT
     if args.max_steps < 0:
         _err("--max-steps must not be negative")
+        return EXIT_INPUT
+    if unknown := sorted(note_names(f, "s") - scripts.keys()):
+        _err(f"unknown script {unknown[0]!r}")
         return EXIT_INPUT
     tree = prove(f)
     if tree is None:

@@ -79,8 +79,9 @@ class Binding:
     """Per-occurrence game wiring, made by ``new_session`` (or when play reaches the
     occurrence) from its atom's note. The heuristic sits on the local machine seat, the script
     on the local environment seat; which session label that maps to depends on polarity.
-    ``moves`` are the session's own ``Labmove`` objects played at the occurrence, with
-    session labels."""
+    ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
+    at a positive occurrence or, as the environment's stand-in, at a negative one. ``moves``
+    are the session's own ``Labmove`` objects played at the occurrence, with session labels."""
 
     spec: str
     game: GameDef
@@ -276,6 +277,7 @@ def pump_environment(session: Session) -> Labmove | None:
         if binding.heuristic is not None and binding.polarity == NEGATIVE:
             payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
+                binding.heuristic_fired = True
                 return Labmove(Player.ENVIRONMENT, binding.spec, payload)
     session.status = Status.QUIESCENT
     return None

@@ -368,6 +368,12 @@ def elementary_names(f: Formula) -> set[str]:
     return out
 
 
+def note_names(f: Formula, kind: str) -> set[str]:
+    """Names the notes of ``kind`` ('h' or 's') carry anywhere in ``f``, under choices too."""
+    own = {f.note.name} if isinstance(f, (General, Hybrid)) and f.note is not None and f.note.kind == kind else set()
+    return own.union(*(note_names(c, kind) for c in children(f)))
+
+
 # --- concrete syntax -------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -11,7 +11,8 @@ from .formula import FormulaError, parse_formula
 from .games import GAME_FACTORIES, GameDef, Heuristic, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
-_GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(?P<param>zmax|vmax)\s*=\s*(?P<value>\d+)\s*\)$")
+_GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(?P<param>[a-z]+)\s*=\s*(?P<value>\d+)\s*\)$")
+_GAME_PARAMS = {"coffee": "zmax", "dollar": "vmax"}  # each factory's one bound
 _SCRIPT_RE = re.compile(r"^script\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*\[(?P<items>[^\]]*)\]$")
 _HEURISTIC_RE = re.compile(r"^heuristic\s+(?P<name>[a-z][a-zA-Z0-9]*)\s*=\s*(?P<kind>coffee|dollar)$")
 _RB_RE = re.compile(r"^rb\s+(?P<formula>.+)$")
@@ -29,13 +30,18 @@ def _strip(line: str) -> str:
 
 
 def parse_resource_directive(
-    line: str, games: dict[str, GameDef], scripts: dict[str, Script], heuristics: list[tuple[str, str]]
+    line: str, lineno: int, games: dict[str, GameDef], scripts: dict[str, Script], heuristics: list[tuple[str, str]]
 ) -> bool:
     """Apply a ``game``, ``script`` or ``heuristic`` line, the directives scenario and bind
     files share. Heuristics are queued as (name, kind) for ``resolve_heuristics``. Returns
-    False when the line is none of the three."""
+    False when the line is none of the three; a game whose factory gets a parameter other than
+    its own bound, or a bound below 1, is an error."""
     if m := _GAME_RE.match(line):
-        games[m.group("atom")] = GAME_FACTORIES[m.group("factory")](int(m.group("value")))
+        factory, param, value = m.group("factory", "param", "value")
+        bound = _GAME_PARAMS[factory]
+        if param != bound or int(value) < 1:
+            raise ScenarioError(f"line {lineno}: {factory} takes {bound}=N with N >= 1, not {param}={value}")
+        games[m.group("atom")] = GAME_FACTORIES[factory](int(value))
     elif m := _SCRIPT_RE.match(line):
         scripts[m.group("name")] = Script(tuple(p.strip() for p in m.group("items").split(",") if p.strip()))
     elif m := _HEURISTIC_RE.match(line):
@@ -71,7 +77,7 @@ def parse_scenario(text: str) -> list[Agent]:
             continue
         if current is None:
             raise ScenarioError(f"line {lineno}: directive before any agent block")
-        if parse_resource_directive(line, current.games, current.scripts, pending_heuristics[current.id]):
+        if parse_resource_directive(line, lineno, current.games, current.scripts, pending_heuristics[current.id]):
             continue
         if m := _RB_RE.match(line):
             try:

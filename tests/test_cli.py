@@ -3,6 +3,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from clbk import prover
 from clbk.cli import main
 from clbk.scenario import builtin_scenario
@@ -192,6 +194,29 @@ def test_play_bind_line_errors(tmp_path, capsys):
         assert (code, out, err) == (2, "", message), line
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("coffee(zmax=0)", "coffee takes zmax=N with N >= 1, not zmax=0"),
+        ("coffee(vmax=3)", "coffee takes zmax=N with N >= 1, not vmax=3"),
+        ("dollar(zmax=2)", "dollar takes vmax=N with N >= 1, not zmax=2"),
+    ],
+    ids=["zero-bound", "coffee-with-vmax", "dollar-with-zmax"],
+)
+def test_play_game_directive_takes_only_its_own_bound(tmp_path, capsys, call, message):
+    """A bound of 0 would leave the coffee stand-in no z to brew, and each factory names its
+    own parameter; both are input errors at their line, before any play."""
+    bind = write_bind(tmp_path, README_BIND.replace("coffee(zmax=10)", call))
+    code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
+    assert (code, out, err) == (2, "", f"error: line 1: {message}\n")
+
+
+def test_play_note_naming_no_script_in_the_bind_file(tmp_path, capsys):
+    for formula in ("(C -> C{s=nope}) @ w", "(C -> (C{s=nope} & p)) @ w"):
+        code, out, err = run_cli(capsys, "play", formula, "--scripts", write_bind(tmp_path))
+        assert (code, out, err) == (2, "", "error: unknown script 'nope'\n"), formula
+
+
 def test_play_unbound_atom_in_an_entered_branch(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2.2\n"))
     code, out, err = run_cli(capsys, "play", "((p & C) -> (p & C)) @ w", "--interactive")
@@ -332,6 +357,47 @@ def test_simulate_query_without_a_game(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: no game bound for atom 'C' at occurrence '1.'\n"
+
+
+MIDDLEMAN_SCENARIO = """\
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+agent m
+  game C = coffee(zmax=10)
+  script req = [x=2, y=3]
+  rb C @ f
+agent u
+  query C{s=req} @ m
+"""
+
+
+def test_simulate_middleman_counts_the_providers_answer_as_a_heuristic_win(tmp_path, capsys):
+    path = tmp_path / "middleman.clbk"
+    path.write_text(MIDDLEMAN_SCENARIO)
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--trace-dir", str(tmp_path / "traces"))
+    assert code == 0
+    assert out.endswith("heuristic wins: 1\nquiescent in 7 steps\n")
+    assert (tmp_path / "traces" / "agent-f.txt").read_text() == "5 f B 1.z=7\n"
+
+
+def test_simulate_note_naming_an_unknown_script(tmp_path, capsys):
+    """A script name the serving agent does not define is an input error, also under a choice."""
+    for query, name in (("C{s=nope} @ m", "nope"), ("(C{s=req} & C{s=typo}) @ m", "typo")):
+        path = tmp_path / "typo.clbk"
+        path.write_text(MIDDLEMAN_SCENARIO.replace("C{s=req} @ m", query))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2, query
+        assert out == ""
+        assert err == f"error: query {query} names script {name!r}, which 'm' does not define\n"
+
+
+def test_simulate_game_directive_with_a_zero_bound(tmp_path, capsys):
+    path = tmp_path / "zero.clbk"
+    path.write_text(MIDDLEMAN_SCENARIO.replace("m\n  game C = coffee(zmax=10)", "m\n  game C = coffee(zmax=0)"))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out, err) == (2, "", "error: line 6: coffee takes zmax=N with N >= 1, not zmax=0\n")
 
 
 def test_simulate_duplicate_agent(tmp_path, capsys):
