@@ -194,6 +194,11 @@ class Query:
         """Who plays the environment unless a binding names someone: God for a contract."""
         return GOD if self.contract_ref is not None else self.client
 
+    def env_mover(self, spec: str) -> str:
+        """Who plays the open session's environment at ``spec``: the binding's agent, else the opponent."""
+        binding = self.session.bindings.get(spec)
+        return (binding.env if binding else None) or self.opponent
+
 
 @dataclass
 class HeuristicWin:
@@ -362,14 +367,8 @@ class Simulation:
 
     # -- relays ----------------------------------------------------------------
 
-    @staticmethod
-    def _env_mover(query: Query, spec: str) -> str:
-        """Who plays the session's environment at ``spec``: the binding's agent, else the opponent."""
-        binding = query.session.bindings.get(spec)
-        return (binding.env if binding else None) or query.opponent
-
     def _trace_line(self, query: Query, lm: Labmove) -> None:
-        mover = query.server if lm.player is Player.MACHINE else self._env_mover(query, lm.spec)
+        mover = query.server if lm.player is Player.MACHINE else query.env_mover(lm.spec)
         line = f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}"
         self.trace.append(line)
         if mover in self.agent_traces:
@@ -501,7 +500,7 @@ class Simulation:
             for binding in (b for b in session.bindings.values() if b.heuristic_fired):
                 run = session.local_run(binding.spec)
                 if binding.game.complete(run) and binding.game.winner(run) is Player.MACHINE:
-                    mover = query.server if binding.polarity == POSITIVE else self._env_mover(query, binding.spec)
+                    mover = query.server if binding.polarity == POSITIVE else query.env_mover(binding.spec)
                     atom = atom_name(session.atoms[binding.spec].node)
                     payloads = tuple(lm.payload for lm in run)
                     wins.append(HeuristicWin(mover, atom, query.qid, binding.spec, payloads))
