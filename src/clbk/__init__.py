@@ -2,7 +2,7 @@
 proof-executing game engine with copy-cat, and a deterministic multi-agent simulator."""
 
 from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport, evolve_rb
-from .classical import evaluate, is_valid, satisfiable
+from .classical import countermodel, evaluate, is_valid, satisfiable
 from .engine import (
     Binding,
     Session,

@@ -1,8 +1,7 @@
-"""Classical propositional validity of elementary formulas, by exhaustive truth tables."""
+"""Classical propositional validity of elementary formulas, by Quine's truth-value analysis:
+split on an atom, fold the constants, and stop at the first branch that folds to F."""
 
 from __future__ import annotations
-
-from itertools import product
 
 from .formula import (
     And,
@@ -19,7 +18,6 @@ from .formula import (
     Or,
     Truth,
     elementary_names,
-    is_elementary,
 )
 
 Valuation = dict[str, bool]
@@ -47,14 +45,105 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
     raise FormulaError(f"cannot evaluate {f!r}")
 
 
+def countermodel(f: Formula) -> Valuation | None:
+    """A valuation of every atom of f under which f is false, or None when f is valid;
+    rejects non-elementary input."""
+    found = _falsify(_fold(f))
+    if found is None:
+        return None
+    return {name: found.get(name, False) for name in sorted(elementary_names(f))}
+
+
 def is_valid(f: Formula) -> bool:
     """True iff f holds under every valuation of its atoms; rejects non-elementary input."""
-    if not is_elementary(f):
-        raise FormulaError("validity is defined for elementary formulas only")
-    names = sorted(elementary_names(f))
-    return all(evaluate(f, dict(zip(names, bits))) for bits in product((False, True), repeat=len(names)))
+    return countermodel(f) is None
 
 
 def satisfiable(f: Formula) -> bool:
     """True iff f holds under some valuation of its atoms; rejects non-elementary input."""
-    return not is_valid(Not(f))
+    return countermodel(Not(f)) is not None
+
+
+# A folded formula is a bool, an atom name, or a tuple ("~", a), ("&", a, b) or ("|", a, b)
+# over folded formulas that are not bools: a constant never survives below the root.
+Folded = bool | str | tuple
+
+
+def _fold(f: Formula) -> Folded:
+    match f:
+        case Truth(v):
+            return v
+        case Elementary(name):
+            return name
+        case EnvAnn(c, _):
+            return _fold(c)
+        case Not(c):
+            return _not(_fold(c))
+        case And(l, r):
+            return _and(_fold(l), _fold(r))
+        case Or(l, r):
+            return _or(_fold(l), _fold(r))
+        case Implies(l, r):
+            return _or(_not(_fold(l)), _fold(r))
+    raise FormulaError("validity is defined for elementary formulas only")
+
+
+def _not(a: Folded) -> Folded:
+    if type(a) is bool:
+        return not a
+    if type(a) is tuple and a[0] == "~":
+        return a[1]
+    return ("~", a)
+
+
+def _and(a: Folded, b: Folded) -> Folded:
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    return a if b is True else ("&", a, b)
+
+
+def _or(a: Folded, b: Folded) -> Folded:
+    if a is True or b is True:
+        return True
+    if a is False:
+        return b
+    return a if b is False else ("|", a, b)
+
+
+def _assign(g: Folded, name: str, value: bool) -> Folded:
+    """g with ``name`` set to ``value``, folded again."""
+    if type(g) is str:
+        return value if g == name else g
+    if g[0] == "~":
+        return _not(_assign(g[1], name, value))
+    left = _assign(g[1], name, value)
+    if g[0] == "&":
+        return False if left is False else _and(left, _assign(g[2], name, value))
+    return True if left is True else _or(left, _assign(g[2], name, value))
+
+
+def _count(g: Folded, count: dict[str, int]) -> None:
+    """Add the atom occurrences of g to ``count``."""
+    if type(g) is str:
+        count[g] = count.get(g, 0) + 1
+    else:
+        for part in g[1:]:
+            _count(part, count)
+
+
+def _falsify(g: Folded) -> Valuation | None:
+    """A partial valuation under which g folds to F, or None when there is none. Splits on
+    the atom that occurs most often, trying True and then False for it."""
+    if type(g) is bool:
+        return None if g else {}
+    count: dict[str, int] = {}
+    _count(g, count)
+    name = max(count, key=count.__getitem__)
+    for value in (True, False):
+        found = _falsify(_assign(g, name, value))
+        if found is not None:
+            found[name] = value
+            return found
+    return None

@@ -94,14 +94,13 @@ def _field(run: Run, key: str, player: Player) -> int | None:
 
 def coffee_heuristic(run: Run, zmax: int) -> str | None:
     """Machine reply for the coffee game: once x and y are on the table and z is not,
-    pick z in 1..zmax minimising |z - x*y - 1| (smallest on ties)."""
+    pick z in 1..zmax minimising |z - x*y - 1|, which is x*y+1 clamped to that range."""
     x = _field(run, "x", Player.ENVIRONMENT)
     y = _field(run, "y", Player.ENVIRONMENT)
     z = _field(run, "z", Player.MACHINE)
     if x is None or y is None or z is not None:
         return None
-    best = min(range(1, zmax + 1), key=lambda k: (abs(k - (x * y + 1)), k))
-    return f"z={best}"
+    return f"z={min(max(x * y + 1, 1), zmax)}"
 
 
 def dollar_heuristic(run: Run) -> str | None:

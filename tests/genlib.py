@@ -85,11 +85,15 @@ def random_body(rng: random.Random, depth: int = 3, generals=("C", "D")):
     return Chor((sub(), sub()))
 
 
-def random_elementary(rng: random.Random, depth: int = 4, atoms=("p", "q", "r")):
+def random_elementary(rng: random.Random, depth: int = 4, atoms=("p", "q", "r"), agents=()):
+    """Elementary formula over ``atoms`` with truth constants; when ``agents`` is given,
+    some subformulas are wrapped in an annotation against one of them."""
     if depth <= 0:
         return Elementary(rng.choice(atoms))
+    sub = lambda: random_elementary(rng, depth - 1, atoms, agents)
+    if agents and rng.random() < 0.1:
+        return EnvAnn(sub(), rng.choice(agents))
     roll = rng.random()
-    sub = lambda: random_elementary(rng, depth - 1, atoms)
     if roll < 0.3:
         return Elementary(rng.choice(atoms))
     if roll < 0.35:

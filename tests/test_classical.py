@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clbk.classical import evaluate, is_valid, satisfiable
+from clbk.classical import countermodel, evaluate, is_valid, satisfiable
 from clbk.formula import (
     And,
     Elementary,
@@ -15,7 +17,7 @@ from clbk.formula import (
     elementary_names,
     parse_formula,
 )
-from genlib import random_elementary
+from genlib import AGENTS, random_elementary
 
 
 def test_valid_examples():
@@ -91,3 +93,35 @@ def test_evaluate_requires_total_valuation():
     assert evaluate(f, {"p": True, "q": True})
     with pytest.raises(KeyError):
         evaluate(f, {"p": True})
+
+
+def _annotated_elementary(seed, atom_count):
+    atoms = tuple(f"p{i}" for i in range(atom_count))
+    return random_elementary(random.Random(seed), depth=6, atoms=atoms, agents=AGENTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=8))
+def test_countermodel_exactly_when_the_oracle_finds_a_false_row(seed, atom_count):
+    f = _annotated_elementary(seed, atom_count)
+    assert (countermodel(f) is None) == _reference_valid(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=8))
+def test_countermodel_is_total_and_falsifies(seed, atom_count):
+    f = _annotated_elementary(seed, atom_count)
+    model = countermodel(f)
+    if model is not None:
+        assert set(model) == elementary_names(f)
+        assert evaluate(f, model) is False
+
+
+def test_countermodel_examples():
+    assert countermodel(parse_formula("(p /\\ q) -> (p \\/ q)")) is None
+    assert countermodel(parse_formula("(p /\\ q) -> (p /\\ r)")) == {"p": True, "q": True, "r": False}
+    # q folds away with F, yet the model still gives it a value
+    assert countermodel(parse_formula("(q /\\ F) \\/ p")) == {"p": False, "q": False}
+    assert countermodel(Truth(False)) == {}
+    with pytest.raises(FormulaError):
+        countermodel(parse_formula("P -> P"))

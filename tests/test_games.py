@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from clbk.games import (
@@ -68,6 +70,24 @@ def test_coffee_heuristic_examples():
     assert coffee_heuristic(x3y4, 10) == "z=10"
     assert coffee_heuristic((lm(B, "", "x=3"),), 10) is None
     assert coffee_heuristic(x3y1 + (lm(T, "", "z=4"),), 10) is None
+
+
+def test_coffee_heuristic_matches_the_scan():
+    """The answer is the z in 1..zmax nearest x*y+1 (smallest on ties), as a scan over
+    every z finds it. Payloads are unsigned, so x and y range over naturals."""
+    for zmax in range(1, 31):
+        for x in range(9):
+            for y in range(9):
+                run = (lm(B, "", f"x={x}"), lm(B, "", f"y={y}"))
+                best = min(range(1, zmax + 1), key=lambda k: (abs(k - (x * y + 1)), k))
+                assert coffee_heuristic(run, zmax) == f"z={best}"
+
+
+def test_coffee_heuristic_answers_at_once_under_a_huge_bound():
+    run = (lm(B, "", "x=3"), lm(B, "", "y=4"))
+    start = time.perf_counter()
+    assert coffee_heuristic(run, 10**12) == "z=13"
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dollar_game_and_heuristic():

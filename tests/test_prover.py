@@ -387,6 +387,25 @@ def test_refutation_family_checks_one_leaf(monkeypatch):
     assert len(calls) == 1
 
 
+def _wide_identity(n):
+    conjunction = " /\\ ".join(f"p{i}" for i in range(n))
+    return parse_formula(f"({conjunction}) -> ({conjunction})")
+
+
+def test_wide_identity_is_valid():
+    """24 atoms: a truth table would have 2^24 rows, truth-value analysis splits 24 times."""
+    assert prover.is_valid(_wide_identity(24))
+
+
+def test_wide_identity_closes_in_one_node():
+    """The n = 18 identity is elementary, so rule A closes it at the root at once."""
+    start = time.perf_counter()
+    tree = prove(_wide_identity(18))
+    assert time.perf_counter() - start < 1.0
+    assert tree.node_count() == 1
+    assert [type(r) for r in tree.rules_preorder()] == [RuleA]
+
+
 def test_memo_key_ignores_pairing_order():
     """The same two pairings (1.1. with 2.1.1., 1.2. with 2.1.2.), made in either order,
     share a key. So does the crossed pairing (1.1. with 2.1.2., 1.2. with 2.1.1.), which is
