@@ -81,7 +81,7 @@ def _load_bind_file(path: str):
     return games, scripts, resolve_heuristics(games, heuristics), binds, interpretation
 
 
-_MOVE_RE = re.compile(r"^(?P<spec>(\d+\.)*)(?P<payload>[a-z][a-z0-9=]*|\d+)$")
+_SPEC_RE = re.compile(r"([0-9]+\.)*")  # a move line's spec; Labmove judges the payload after it
 
 
 def cmd_play(args) -> int:
@@ -144,11 +144,13 @@ def cmd_play(args) -> int:
                 text = raw.strip()
                 if not text:
                     continue
-                m = _MOVE_RE.match(text)
-                if not m:
+                spec = _SPEC_RE.match(text).group()
+                try:
+                    lm = Labmove(Player.ENVIRONMENT, spec, text[len(spec):])
+                except ValueError:
                     print(f"ignored malformed move {text!r}")
                     continue
-                session.deliver(Labmove(Player.ENVIRONMENT, m.group("spec"), m.group("payload")))
+                session.deliver(lm)
                 engine.run_to_quiescence(session, args.max_steps)
             session.status = Status.QUIESCENT
         else:

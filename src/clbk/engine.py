@@ -45,8 +45,6 @@ __all__ = [
     "Session",
     "Status",
     "StepBudgetExceeded",
-    "coffee_heuristic",
-    "dollar_heuristic",
     "env_move",
     "evaluate_winner",
     "machine_turn",
@@ -56,8 +54,6 @@ __all__ = [
     "step",
     "subrun",
 ]
-
-from .games import coffee_heuristic, dollar_heuristic  # re-exported with the engine API
 
 
 class EngineError(RuntimeError):
@@ -81,7 +77,9 @@ class Binding:
     on the local environment seat; which session label that maps to depends on polarity.
     ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
     at a positive occurrence or, as the environment's stand-in, at a negative one. ``moves``
-    are the session's own ``Labmove`` objects played at the occurrence, with session labels."""
+    are the session's own ``Labmove`` objects played at the occurrence, with session labels;
+    the game and the heuristic read only each move's ``player``, ``key`` and ``value``, in
+    the game's local roles (``Session.local_run``)."""
 
     spec: str
     game: GameDef

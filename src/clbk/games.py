@@ -1,12 +1,14 @@
-"""Players, labelled moves, runs, game definitions, and the built-in coffee/dollar games."""
+"""Players, labelled moves, runs, and the one challenge-and-answer game definition that the
+built-in coffee and dollar games share."""
 
 from __future__ import annotations
 
 import re
 # not typing.Callable, whose cache would keep Run's Labmove, and so this module, alive after a re-import
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 from typing import Optional
 
 
@@ -21,18 +23,30 @@ class Player(Enum):
         return self.value
 
 
-_PAYLOAD_RE = re.compile(r"^([a-z][a-z0-9=]*|\d+)$")
+# The whole payload grammar: a word ``[a-z][a-z0-9=]*`` or a choice ``[0-9]+``; a word of
+# the form ``k=N`` (one letter, digits) also reads as a key and a value.
+_PAYLOAD_RE = re.compile(r"([a-z])=([0-9]+)|[a-z][a-z0-9=]*|[0-9]+")
 
 
 @dataclass(frozen=True)
 class Labmove:
+    """One move. Its payload is checked against the grammar and parsed once, here: ``key``
+    and ``value`` hold a ``k=N`` payload's key and value, or None; they take no part in
+    equality or hashing."""
+
     player: Player
     spec: str
     payload: str
+    key: str | None = field(init=False, compare=False, repr=False)
+    value: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _PAYLOAD_RE.match(self.payload):
+        m = _PAYLOAD_RE.fullmatch(self.payload)
+        if m is None:
             raise ValueError(f"bad move payload {self.payload!r}")
+        key, digits = m.groups()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "value", None if digits is None else int(digits))
 
     def is_choice(self) -> bool:
         return self.payload.isdigit()
@@ -67,120 +81,79 @@ class Script:
 
 @dataclass(frozen=True)
 class GameDef:
-    """A constant game over local roles: the environment challenges, the machine answers.
+    """A constant game over local roles: the environment asks, the machine answers.
 
-    ``legal``/``winner``/``complete`` take runs normalised to those local roles; the engine
-    flips labels for occurrences played in negated positions. They, like heuristics, read
-    only each move's ``player`` and ``payload``: a local run keeps its moves' session specs.
+    The environment makes the ``asks`` in order, each a ``(key, bound)`` with a value in
+    1..bound; then the machine gives one ``answer`` with a value in ``answer_range``. The
+    machine wins unless every ask was made and the answer is missing or differs from
+    ``correct`` of the asked values. Only the first move of each key by the player who owns
+    it counts: the environment owns the asks, the machine the answer.
+
+    ``legal``/``winner``/``complete``/``default_heuristic`` take runs normalised to those
+    local roles; the engine flips labels for occurrences played in negated positions. They
+    read only each move's ``player``, ``key`` and ``value``: a local run keeps its moves'
+    session specs.
     """
 
     name: str
-    legal: Callable[[Run, Labmove], bool]
-    winner: Callable[[Run], Player]
-    complete: Callable[[Run], bool]
-    default_heuristic: Optional[Heuristic] = None
+    asks: tuple[tuple[str, float], ...]
+    answer: str
+    answer_range: tuple[int, float]
+    correct: Callable[..., int]
 
+    def _read(self, run: Run) -> dict[str, int]:
+        """The value of the first move of each key by the player who owns that key."""
+        seen: dict[str, int] = {}
+        for lm in run:
+            key = lm.key
+            if key is not None and key not in seen and (key == self.answer) == (lm.player is Player.MACHINE):
+                seen[key] = lm.value
+        return seen
 
-_KV_RE = re.compile(r"^([a-z])=(\d+)$")
+    def _asked(self, seen: dict[str, int]) -> list[int] | None:
+        """The asked values in order, or None while an ask is missing."""
+        values = [seen.get(key) for key, _ in self.asks]
+        return None if None in values else values
 
+    def legal(self, run: Run, lm: Labmove) -> bool:
+        seen = self._read(run)
+        for key, bound in self.asks:
+            if lm.key == key:
+                return lm.player is Player.ENVIRONMENT and key not in seen and 1 <= lm.value <= bound
+            if key not in seen:
+                return False
+        lo, hi = self.answer_range
+        return lm.key == self.answer and lm.player is Player.MACHINE and lm.key not in seen and lo <= lm.value <= hi
 
-def _field(run: Run, key: str, player: Player) -> int | None:
-    for lm in run:
-        m = _KV_RE.match(lm.payload)
-        if m and m.group(1) == key and lm.player is player:
-            return int(m.group(2))
-    return None
+    def winner(self, run: Run) -> Player:
+        seen = self._read(run)
+        asked = self._asked(seen)
+        if asked is None or seen.get(self.answer) == self.correct(*asked):
+            return Player.MACHINE
+        return Player.ENVIRONMENT
 
+    def complete(self, run: Run) -> bool:
+        seen = self._read(run)
+        return self.answer in seen and self._asked(seen) is not None
 
-def coffee_heuristic(run: Run, zmax: int) -> str | None:
-    """Machine reply for the coffee game: once x and y are on the table and z is not,
-    pick z in 1..zmax minimising |z - x*y - 1|, which is x*y+1 clamped to that range."""
-    x = _field(run, "x", Player.ENVIRONMENT)
-    y = _field(run, "y", Player.ENVIRONMENT)
-    z = _field(run, "z", Player.MACHINE)
-    if x is None or y is None or z is not None:
-        return None
-    return f"z={min(max(x * y + 1, 1), zmax)}"
-
-
-def dollar_heuristic(run: Run) -> str | None:
-    """Machine reply for the dollar game: answer a pending v challenge with r = 2v."""
-    v = _field(run, "v", Player.ENVIRONMENT)
-    r = _field(run, "r", Player.MACHINE)
-    if v is None or r is not None:
-        return None
-    return f"r={2 * v}"
+    def default_heuristic(self, run: Run) -> str | None:
+        """Answer a completed ask with ``correct`` of its values, clamped to ``answer_range``."""
+        seen = self._read(run)
+        asked = None if self.answer in seen else self._asked(seen)
+        if asked is None:
+            return None
+        lo, hi = self.answer_range
+        return f"{self.answer}={min(max(self.correct(*asked), lo), hi)}"
 
 
 def coffee_game(zmax: int = 10) -> GameDef:
-    """Environment orders x sugar then y milk; the machine brews z spoons; the machine is in
-    default only when a completed order got no z or a z with |z - x*y - 1| != 0."""
-
-    def legal(run, lm):
-        m = _KV_RE.match(lm.payload)
-        if not m:
-            return False
-        key, value = m.group(1), int(m.group(2))
-        x = _field(run, "x", Player.ENVIRONMENT)
-        y = _field(run, "y", Player.ENVIRONMENT)
-        z = _field(run, "z", Player.MACHINE)
-        if key == "x":
-            return lm.player is Player.ENVIRONMENT and x is None and value >= 1
-        if key == "y":
-            return lm.player is Player.ENVIRONMENT and x is not None and y is None and value >= 1
-        if key == "z":
-            return lm.player is Player.MACHINE and x is not None and y is not None and z is None and 1 <= value <= zmax
-        return False
-
-    def winner(run):
-        x = _field(run, "x", Player.ENVIRONMENT)
-        y = _field(run, "y", Player.ENVIRONMENT)
-        z = _field(run, "z", Player.MACHINE)
-        if x is None or y is None:
-            return Player.MACHINE
-        if z is not None and z == x * y + 1:
-            return Player.MACHINE
-        return Player.ENVIRONMENT
-
-    def complete(run):
-        return (
-            _field(run, "x", Player.ENVIRONMENT) is not None
-            and _field(run, "y", Player.ENVIRONMENT) is not None
-            and _field(run, "z", Player.MACHINE) is not None
-        )
-
-    return GameDef("coffee", legal, winner, complete, lambda run: coffee_heuristic(run, zmax))
+    """Environment orders x sugar then y milk; the machine brews z in 1..zmax, and z = x*y+1 wins."""
+    return GameDef("coffee", (("x", inf), ("y", inf)), "z", (1, zmax), lambda x, y: x * y + 1)
 
 
 def dollar_game(vmax: int = 5) -> GameDef:
-    """Environment requests note v in 1..vmax; the machine must pay r = 2v."""
-
-    def legal(run, lm):
-        m = _KV_RE.match(lm.payload)
-        if not m:
-            return False
-        key, value = m.group(1), int(m.group(2))
-        v = _field(run, "v", Player.ENVIRONMENT)
-        r = _field(run, "r", Player.MACHINE)
-        if key == "v":
-            return lm.player is Player.ENVIRONMENT and v is None and 1 <= value <= vmax
-        if key == "r":
-            return lm.player is Player.MACHINE and v is not None and r is None
-        return False
-
-    def winner(run):
-        v = _field(run, "v", Player.ENVIRONMENT)
-        r = _field(run, "r", Player.MACHINE)
-        if v is None:
-            return Player.MACHINE
-        if r is not None and r == 2 * v:
-            return Player.MACHINE
-        return Player.ENVIRONMENT
-
-    def complete(run):
-        return _field(run, "v", Player.ENVIRONMENT) is not None and _field(run, "r", Player.MACHINE) is not None
-
-    return GameDef("dollar", legal, winner, complete, dollar_heuristic)
+    """Environment requests note v in 1..vmax; the machine must pay r = 2v, any r >= 0 being legal."""
+    return GameDef("dollar", (("v", vmax),), "r", (0, inf), lambda v: 2 * v)
 
 
 GAME_FACTORIES = {"coffee": coffee_game, "dollar": dollar_game}

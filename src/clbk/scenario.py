@@ -8,7 +8,7 @@ from importlib import resources
 
 from .agents import Agent, ResourceEntry, is_contract
 from .formula import FormulaError, parse_formula
-from .games import GAME_FACTORIES, GameDef, Heuristic, Script
+from .games import GAME_FACTORIES, GameDef, Heuristic, Labmove, Player, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
 _GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(?P<param>[a-z]+)\s*=\s*(?P<value>\d+)\s*\)$")
@@ -35,7 +35,8 @@ def parse_resource_directive(
     """Apply a ``game``, ``script`` or ``heuristic`` line, the directives scenario and bind
     files share. Heuristics are queued as (name, kind) for ``resolve_heuristics``. Returns
     False when the line is none of the three; a game whose factory gets a parameter other than
-    its own bound, or a bound below 1, is an error."""
+    its own bound, or a bound below 1, and a script item outside the move payload grammar are
+    errors."""
     if m := _GAME_RE.match(line):
         factory, param, value = m.group("factory", "param", "value")
         bound = _GAME_PARAMS[factory]
@@ -43,7 +44,13 @@ def parse_resource_directive(
             raise ScenarioError(f"line {lineno}: {factory} takes {bound}=N with N >= 1, not {param}={value}")
         games[m.group("atom")] = GAME_FACTORIES[factory](int(value))
     elif m := _SCRIPT_RE.match(line):
-        scripts[m.group("name")] = Script(tuple(p.strip() for p in m.group("items").split(",") if p.strip()))
+        payloads = tuple(p.strip() for p in m.group("items").split(",") if p.strip())
+        for payload in payloads:
+            try:
+                Labmove(Player.ENVIRONMENT, "", payload)  # the move payload grammar
+            except ValueError as exc:
+                raise ScenarioError(f"line {lineno}: {exc}") from exc
+        scripts[m.group("name")] = Script(payloads)
     elif m := _HEURISTIC_RE.match(line):
         heuristics.append((m.group("name"), m.group("kind")))
     else:

@@ -167,6 +167,18 @@ def test_play_interactive_malformed_line_golden(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "formula, line",
+    [("(C & D) -> (C & D)", "1.\u0661"), ("((p & q) -> (p & q)) @ w", "2.\u0661")],
+    ids=["antecedent", "consequent"],
+)
+def test_play_interactive_ignores_a_non_ascii_choice_digit(monkeypatch, capsys, formula, line):
+    """An Arabic-Indic one is no choice digit: the line is malformed, and no branch is entered."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    code, out, _ = run_cli(capsys, "play", formula, "--interactive")
+    assert (code, out) == (0, f"ignored malformed move {line!r}\nwinner: T\n")
+
+
 def test_play_interactive_applies_the_step_budget_after_each_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2.1\n"))
     code, out, _ = run_cli(capsys, "play", "((p & q) -> (p & q)) @ w", "--interactive", "--max-steps", "1")
@@ -209,6 +221,12 @@ def test_play_game_directive_takes_only_its_own_bound(tmp_path, capsys, call, me
     bind = write_bind(tmp_path, README_BIND.replace("coffee(zmax=10)", call))
     code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
     assert (code, out, err) == (2, "", f"error: line 1: {message}\n")
+
+
+def test_play_script_item_outside_the_payload_grammar(tmp_path, capsys):
+    bind = write_bind(tmp_path, "game C = coffee(zmax=10)\nscript s1 = [X=3]\nbind 2. script s1\n")
+    code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
+    assert (code, out, err) == (2, "", "error: line 2: bad move payload 'X=3'\n")
 
 
 def test_play_note_naming_no_script_in_the_bind_file(tmp_path, capsys):
@@ -398,6 +416,13 @@ def test_simulate_game_directive_with_a_zero_bound(tmp_path, capsys):
     path.write_text(MIDDLEMAN_SCENARIO.replace("m\n  game C = coffee(zmax=10)", "m\n  game C = coffee(zmax=0)"))
     code, out, err = run_cli(capsys, "simulate", str(path))
     assert (code, out, err) == (2, "", "error: line 6: coffee takes zmax=N with N >= 1, not zmax=0\n")
+
+
+def test_simulate_script_item_outside_the_payload_grammar(tmp_path, capsys):
+    path = tmp_path / "upper.clbk"
+    path.write_text(MIDDLEMAN_SCENARIO.replace("script req = [x=2, y=3]", "script d0 = [V=1]"))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out, err) == (2, "", "error: line 7: bad move payload 'V=1'\n")
 
 
 def test_simulate_duplicate_agent(tmp_path, capsys):

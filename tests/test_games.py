@@ -1,14 +1,15 @@
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clbk.games import (
     Labmove,
     Player,
     coffee_game,
-    coffee_heuristic,
     dollar_game,
-    dollar_heuristic,
     subrun,
 )
 
@@ -25,8 +26,19 @@ def test_labmove_rendering():
 
 
 def test_labmove_payload_validation():
-    with pytest.raises(ValueError):
-        Labmove(T, "1.", "BAD MOVE")
+    # a trailing newline would print the move across two lines; a non-ASCII digit is no choice
+    for payload in ("BAD MOVE", "x=3\n", "١"):
+        with pytest.raises(ValueError):
+            Labmove(T, "1.", payload)
+
+
+def test_labmove_reads_key_and_value_once():
+    move = lm(B, "1.", "x=03")
+    assert (move.key, move.value) == ("x", 3)
+    for payload in ("xx=1", "x=1=2", "q", "12"):
+        assert (lm(B, "", payload).key, lm(B, "", payload).value) == (None, None), payload
+    assert move == lm(B, "1.", "x=03") and hash(move) == hash(lm(B, "1.", "x=03"))
+    assert repr(move) == "Labmove(player=<Player.ENVIRONMENT: 'B'>, spec='1.', payload='x=03')"
 
 
 def test_subrun_prefix_filter():
@@ -62,31 +74,34 @@ def test_coffee_complete_and_legal():
 
 
 def test_coffee_heuristic_examples():
+    heuristic = coffee_game(10).default_heuristic
     x3y1 = (lm(B, "", "x=3"), lm(B, "", "y=1"))
-    assert coffee_heuristic(x3y1, 10) == "z=4"
+    assert heuristic(x3y1) == "z=4"
     x4y2 = (lm(B, "", "x=4"), lm(B, "", "y=2"))
-    assert coffee_heuristic(x4y2, 10) == "z=9"
+    assert heuristic(x4y2) == "z=9"
     x3y4 = (lm(B, "", "x=3"), lm(B, "", "y=4"))
-    assert coffee_heuristic(x3y4, 10) == "z=10"
-    assert coffee_heuristic((lm(B, "", "x=3"),), 10) is None
-    assert coffee_heuristic(x3y1 + (lm(T, "", "z=4"),), 10) is None
+    assert heuristic(x3y4) == "z=10"
+    assert heuristic((lm(B, "", "x=3"),)) is None
+    assert heuristic(x3y1 + (lm(T, "", "z=4"),)) is None
 
 
 def test_coffee_heuristic_matches_the_scan():
     """The answer is the z in 1..zmax nearest x*y+1 (smallest on ties), as a scan over
     every z finds it. Payloads are unsigned, so x and y range over naturals."""
     for zmax in range(1, 31):
+        heuristic = coffee_game(zmax).default_heuristic
         for x in range(9):
             for y in range(9):
                 run = (lm(B, "", f"x={x}"), lm(B, "", f"y={y}"))
                 best = min(range(1, zmax + 1), key=lambda k: (abs(k - (x * y + 1)), k))
-                assert coffee_heuristic(run, zmax) == f"z={best}"
+                assert heuristic(run) == f"z={best}"
 
 
 def test_coffee_heuristic_answers_at_once_under_a_huge_bound():
     run = (lm(B, "", "x=3"), lm(B, "", "y=4"))
+    heuristic = coffee_game(10**12).default_heuristic
     start = time.perf_counter()
-    assert coffee_heuristic(run, 10**12) == "z=13"
+    assert heuristic(run) == "z=13"
     assert time.perf_counter() - start < 0.1
 
 
@@ -96,6 +111,129 @@ def test_dollar_game_and_heuristic():
     assert game.winner((lm(B, "", "v=2"), lm(T, "", "r=4"))) is T
     assert game.winner((lm(B, "", "v=2"), lm(T, "", "r=5"))) is B
     assert game.winner((lm(B, "", "v=2"),)) is B
-    assert dollar_heuristic((lm(B, "", "v=3"),)) == "r=6"
-    assert dollar_heuristic(()) is None
+    assert game.default_heuristic((lm(B, "", "v=3"),)) == "r=6"
+    assert game.default_heuristic(()) is None
     assert not game.legal((), lm(B, "", "v=6"))
+
+
+# Reference games: the coffee and dollar games as closures over a regex scan of the run,
+# one scan per field read. The property below holds the shared GameDef to their verdicts.
+
+_KV_RE = re.compile(r"^([a-z])=(\d+)$")
+
+
+def _field(run, key, player):
+    for move in run:
+        m = _KV_RE.match(move.payload)
+        if m and m.group(1) == key and move.player is player:
+            return int(m.group(2))
+    return None
+
+
+def _reference_coffee(zmax):
+    def heuristic(run):
+        x = _field(run, "x", B)
+        y = _field(run, "y", B)
+        z = _field(run, "z", T)
+        if x is None or y is None or z is not None:
+            return None
+        return f"z={min(max(x * y + 1, 1), zmax)}"
+
+    def legal(run, move):
+        m = _KV_RE.match(move.payload)
+        if not m:
+            return False
+        key, value = m.group(1), int(m.group(2))
+        x = _field(run, "x", B)
+        y = _field(run, "y", B)
+        z = _field(run, "z", T)
+        if key == "x":
+            return move.player is B and x is None and value >= 1
+        if key == "y":
+            return move.player is B and x is not None and y is None and value >= 1
+        if key == "z":
+            return move.player is T and x is not None and y is not None and z is None and 1 <= value <= zmax
+        return False
+
+    def winner(run):
+        x = _field(run, "x", B)
+        y = _field(run, "y", B)
+        z = _field(run, "z", T)
+        if x is None or y is None:
+            return T
+        if z is not None and z == x * y + 1:
+            return T
+        return B
+
+    def complete(run):
+        return _field(run, "x", B) is not None and _field(run, "y", B) is not None and _field(run, "z", T) is not None
+
+    return legal, winner, complete, heuristic
+
+
+def _reference_dollar(vmax):
+    def heuristic(run):
+        v = _field(run, "v", B)
+        r = _field(run, "r", T)
+        if v is None or r is not None:
+            return None
+        return f"r={2 * v}"
+
+    def legal(run, move):
+        m = _KV_RE.match(move.payload)
+        if not m:
+            return False
+        key, value = m.group(1), int(m.group(2))
+        v = _field(run, "v", B)
+        r = _field(run, "r", T)
+        if key == "v":
+            return move.player is B and v is None and 1 <= value <= vmax
+        if key == "r":
+            return move.player is T and v is not None and r is None
+        return False
+
+    def winner(run):
+        v = _field(run, "v", B)
+        r = _field(run, "r", T)
+        if v is None:
+            return T
+        if r is not None and r == 2 * v:
+            return T
+        return B
+
+    def complete(run):
+        return _field(run, "v", B) is not None and _field(run, "r", T) is not None
+
+    return legal, winner, complete, heuristic
+
+
+GAMES = [(coffee_game, _reference_coffee, zmax, {"x": B, "y": B, "z": T}) for zmax in (1, 3, 10)]
+GAMES += [(dollar_game, _reference_dollar, vmax, {"v": B, "r": T}) for vmax in (1, 5)]
+
+
+@st.composite
+def _game_and_moves(draw):
+    """A game, a run and a next move. Half the moves are the game's own keys played by their
+    owners, so runs get played through; the rest mix both players, every key of both games
+    (so repeated keys and keys of the wrong player or game), words that are not ``k=N`` and
+    choice digits. Values sit around the bound, and include each game's correct answers."""
+    factory, reference, bound, owners = draw(st.sampled_from(GAMES))
+    values = st.sampled_from((0, 1, 2, bound, bound + 1, 2 * bound))
+    payloads = [f"{key}={value}" for key in "xyzvr" for value in (0, 1, bound, bound + 1)]
+    payloads += ["xx=1", "x=1=2", "q", "z=", "1", "2", "10"]
+    move = st.one_of(
+        st.builds(lambda key, value: Labmove(owners[key], "", f"{key}={value}"), st.sampled_from(sorted(owners)), values),
+        st.builds(Labmove, st.sampled_from([T, B]), st.sampled_from(["", "1."]), st.sampled_from(payloads)),
+    )
+    run = tuple(draw(st.lists(move, max_size=6)))
+    return factory(bound), reference(bound), run, draw(move)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_game_and_moves())
+def test_games_agree_with_the_field_scanning_reference(case):
+    game, (legal, winner, complete, heuristic), run, move = case
+    assert game.legal(run, move) == legal(run, move)
+    assert game.winner(run) is winner(run)
+    assert game.complete(run) == complete(run)
+    assert game.default_heuristic(run) == heuristic(run)
