@@ -70,9 +70,7 @@ class Agent:
             for occ in surface_occurrences(entry.formula, "general"):
                 note = occ.node.note
                 if occ.polarity == POSITIVE and note is not None and note.kind == "h":
-                    fn = self.heuristics.get(note.name)
-                    if fn is None and occ.node.name in self.games:
-                        fn = self.games[occ.node.name].default_heuristic
+                    fn = engine.noted_heuristic(self.heuristics, note.name, self.games.get(occ.node.name))
                     if fn is not None:
                         out[occ.node.name] = fn
         return out
@@ -151,14 +149,6 @@ class Bus:
 
 
 # --- queue and flow plumbing -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Slot:
-    session_id: str
-    spec: str
-    polarity: int
-    role: str  # "x" executor-held seat, "c" client-held seat
 
 
 @dataclass
@@ -247,11 +237,17 @@ class Simulation:
     returns only once its session is quiescent or finished, so no session is left running
     and only the bus and the unopened queries can hold work.
 
+    A seat is an occurrence ``(qid, spec)`` where an agent relays play between sessions:
+    ``seats[aid]`` maps each of ``aid``'s seats to its partner seat and whether it produces
+    (relays challenges) or consumes (relays answers). Its polarity is the occurrence's in
+    ``queries[qid].atoms``, and ``aid`` holds it locally when it serves ``qid``.
+
     The bus carries one message type, ``MoveMsg``. Each session's listener traces every move
-    and relays it to the server's paired seats; it also posts each machine move to the agent
-    the engine addresses it to. An agent that receives a ``MoveMsg`` for a session it serves
-    plays it there (holding it until the session opens); any other ``MoveMsg`` informs it of
-    play elsewhere, which it relays from its own seats."""
+    and relays it from the server's own seats; it also posts each machine move to the agent
+    the engine addresses it to, if that agent holds a seat at the move's occurrence. An agent
+    that receives a ``MoveMsg`` for a session it serves plays it there (holding it until the
+    session opens); any other ``MoveMsg`` informs it of play elsewhere, which it relays from
+    its seat."""
 
     def __init__(self, agents: list[Agent]):
         self.agents: dict[str, Agent] = {}
@@ -269,7 +265,7 @@ class Simulation:
         self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
         self.opened: list[Query] = []
-        self.slot_lookup: dict[str, dict[tuple[str, str], tuple[Slot, Slot, str]]] = {a: {} for a in self.agents}
+        self.seats: dict[str, dict[tuple[str, str], tuple[tuple[str, str], bool]]] = {a: {} for a in self.agents}
         self.unroutable: list[QueryResult] = []
         self.trace: list[str] = []
         self.agent_traces: dict[str, list[str]] = {a: [] for a in self.agents}
@@ -324,20 +320,19 @@ class Simulation:
     def _build_flows(self) -> None:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
         may forward the challenge and collect the answer from a counterparty."""
+        for aid, seats in self.seats.items():
+            tables: dict[bool, dict[str, list[tuple[str, str]]]] = {True: {}, False: {}}  # by ``produces``
 
-        def seat(table: dict[str, list[Slot]], query: Query, occ: Occurrence, role: str) -> None:
-            table.setdefault(atom_name(occ.node), []).append(Slot(query.qid, occ.spec, occ.polarity, role))
+            def seat(query: Query, occ: Occurrence, produces: bool) -> None:
+                tables[produces].setdefault(atom_name(occ.node), []).append((query.qid, occ.spec))
 
-        for aid in self.agents:
-            produce: dict[str, list[Slot]] = {}
-            consume: dict[str, list[Slot]] = {}
             mine = self.queues[aid]
             # God-contract liabilities: negative occurrences of own contract sessions.
             for query in mine:
                 if query.contract_ref is not None:
                     for occ in query.atoms.values():
                         if occ.polarity == NEGATIVE:
-                            seat(produce, query, occ, "x")
+                            seat(query, occ, True)
             # Client-side answer seats on queries this agent sent elsewhere, where it plays: not
             # on the server's antecedent, whose resources other agents supply.
             for server, queries in self.queues.items():
@@ -347,23 +342,22 @@ class Simulation:
                     if query.client == aid:
                         for occ in query.atoms.values():
                             if occ.env == aid:
-                                seat(produce if occ.polarity == NEGATIVE else consume, query, occ, "c")
+                                seat(query, occ, occ.polarity == NEGATIVE)
             # Executor seats on sessions served for others.
             for query in mine:
                 if query.contract_ref is not None or query.client == aid:
                     continue
                 for occ in query.atoms.values():
                     if occ.polarity == NEGATIVE:
-                        seat(consume, query, occ, "x")
+                        seat(query, occ, False)
                     elif atom_name(occ.node) not in self.manuals[aid]:
-                        seat(produce, query, occ, "x")
-            lookup = self.slot_lookup[aid]
-            for name, producers in produce.items():
-                for produce_slot, consume_slot in zip(producers, consume.get(name, [])):
-                    if produce_slot.role == consume_slot.role == "x" and produce_slot.session_id == consume_slot.session_id:
+                        seat(query, occ, True)
+            for name, producers in tables[True].items():
+                for produce, consume in zip(producers, tables[False].get(name, [])):
+                    if produce[0] == consume[0] and self.queries[produce[0]].server == aid:
                         continue  # the session's own copy-cat joins two seats it serves
-                    lookup[(produce_slot.session_id, produce_slot.spec)] = (produce_slot, consume_slot, "produce")
-                    lookup[(consume_slot.session_id, consume_slot.spec)] = (consume_slot, produce_slot, "consume")
+                    seats[produce] = (consume, True)
+                    seats[consume] = (produce, False)
 
     # -- relays ----------------------------------------------------------------
 
@@ -376,32 +370,28 @@ class Simulation:
 
     def _on_append(self, query: Query, lm: Labmove, to: str | None) -> None:
         self._trace_line(query, lm)
-        is_machine = lm.player is Player.MACHINE
-        self._relay(query.server, query.qid, lm, mover_is_self=is_machine)
-        if is_machine:
+        self._relay(query.server, query.qid, lm)
+        if lm.player is Player.MACHINE:
             self._inform(query, to, lm)
 
-    def _relay(self, aid: str, sid: str, lm: Labmove, mover_is_self: bool) -> None:
-        entry = self.slot_lookup[aid].get((sid, lm.spec))
-        if entry is None:
+    def _relay(self, aid: str, sid: str, lm: Labmove) -> None:
+        """Copy a challenge at one of ``aid``'s produce seats, or an answer at a consume seat,
+        to the partner seat in the same local role: played there if ``aid`` serves the
+        partner's session, else posted to its server."""
+        seat = self.seats[aid].get((sid, lm.spec))
+        if seat is None:
             return
-        slot, partner, kind = entry
-        local = lm.player if slot.polarity == POSITIVE else lm.player.flip()
-        is_challenge = local is Player.ENVIRONMENT
-        if kind == "produce" and is_challenge:
-            self._emit(aid, partner, lm.payload, challenge=True)
-        elif kind == "consume" and not is_challenge and not mover_is_self:
-            self._emit(aid, partner, lm.payload, challenge=False)
-
-    def _emit(self, aid: str, slot: Slot, payload: str, challenge: bool) -> None:
-        local = Player.ENVIRONMENT if challenge else Player.MACHINE
-        label = local if slot.polarity == POSITIVE else local.flip()
-        lm = Labmove(label, slot.spec, payload)
-        query = self.queries[slot.session_id]
-        if slot.role == "x":
-            self._apply_local(query, lm)
+        (pid, pspec), produces = seat
+        polarity = self.queries[sid].atoms[lm.spec].polarity
+        if produces != ((lm.player is Player.ENVIRONMENT) == (polarity == POSITIVE)):
+            return
+        partner = self.queries[pid]
+        label = lm.player if partner.atoms[pspec].polarity == polarity else lm.player.flip()
+        copy = Labmove(label, pspec, lm.payload)
+        if partner.server == aid:
+            self._apply_local(partner, copy)
         else:
-            self.bus.post(aid, query.server, MoveMsg(query.qid, lm))
+            self.bus.post(aid, partner.server, MoveMsg(pid, copy))
 
     def _apply_local(self, query: Query, lm: Labmove) -> None:
         session = query.session
@@ -414,10 +404,11 @@ class Simulation:
             self._drive(query)
 
     def _inform(self, query: Query, target: str | None, lm: Labmove) -> None:
+        """Post a machine move to the agent it is addressed to if that agent holds a seat at its
+        occurrence: only that agent's ``_relay`` acts on it."""
         to = target if target is not None else query.opponent
-        if to in (GOD, query.server):
-            return
-        self.bus.post(query.server, to, MoveMsg(query.qid, lm))
+        if to != query.server and (query.qid, lm.spec) in self.seats.get(to, {}):
+            self.bus.post(query.server, to, MoveMsg(query.qid, lm))
 
     def _drive(self, query: Query) -> None:
         while engine.step(query.session):
@@ -433,7 +424,7 @@ class Simulation:
         if query is not None and query.server == aid:
             self._apply_local(query, msg.move)
         else:
-            self._relay(aid, msg.session_id, msg.move, mover_is_self=False)
+            self._relay(aid, msg.session_id, msg.move)
         return True
 
     def _open_next(self, aid: str) -> bool:
@@ -457,7 +448,7 @@ class Simulation:
             # positive one, the provider at a negative one) answers if that agent holds no seat there.
             owner = aid if occ.polarity == POSITIVE else occ.env
             manual = self.manuals.get(owner, {}).get(atom_name(occ.node))
-            if manual and occ.node.note is None and (query.qid, occ.spec) not in self.slot_lookup.get(owner, {}):
+            if manual and occ.node.note is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
                 query.session.bindings[occ.spec].heuristic = manual
         query.session.listener = lambda s, lm, to: self._on_append(query, lm, to)
         self.opened.append(query)

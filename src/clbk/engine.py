@@ -49,6 +49,7 @@ __all__ = [
     "evaluate_winner",
     "machine_turn",
     "new_session",
+    "noted_heuristic",
     "pump_environment",
     "pump_machine",
     "step",
@@ -129,6 +130,14 @@ class Session:
         return flip_run(moves) if binding.polarity == NEGATIVE else moves
 
 
+def noted_heuristic(heuristics: dict[str, Heuristic], name: str, game: GameDef | None) -> Heuristic | None:
+    """The heuristic an ``h=name`` note binds: the one so named, else ``game``'s default."""
+    heuristic = heuristics.get(name)
+    if heuristic is None and game is not None:
+        heuristic = game.default_heuristic
+    return heuristic
+
+
 def _occurrence_binding(session: Session, occ) -> Binding:
     name = atom_name(occ.node)
     game = session.games.get(name)
@@ -137,9 +146,7 @@ def _occurrence_binding(session: Session, occ) -> Binding:
     note = occ.node.note
     if note is not None:
         if note.kind == "h":
-            heuristic = session.heuristics.get(note.name)
-            if heuristic is None and game is not None:
-                heuristic = game.default_heuristic
+            heuristic = noted_heuristic(session.heuristics, note.name, game)
         else:
             script = session.scripts.get(note.name)
     if game is None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial, reduce
 from operator import is_not
 
 POSITIVE = 1
@@ -274,18 +275,16 @@ class Occurrence:
 
 
 def _surface_walk(node: Formula, path: Path = (), spec: str = "", sign: int = POSITIVE, env: str | None = None):
+    """The leaf occurrences (atoms, truth constants and choices) not under a choice operator."""
     match node:
         case EnvAnn(c, agent):
             yield from _surface_walk(c, path + (1,), spec, sign, agent)
         case Not(c):
-            yield Occurrence(node, path, spec, sign, env)
             yield from _surface_walk(c, path + (1,), spec, -sign, env)
         case Implies(l, r):
-            yield Occurrence(node, path, spec, sign, env)
             yield from _surface_walk(l, path + (1,), spec + "1.", -sign, env)
             yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
         case And(l, r) | Or(l, r):
-            yield Occurrence(node, path, spec, sign, env)
             yield from _surface_walk(l, path + (1,), spec + "1.", sign, env)
             yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
         case _:
@@ -297,7 +296,7 @@ _KIND_FILTERS = {
     "general": lambda n: isinstance(n, General),
     "hybrid": lambda n: isinstance(n, Hybrid),
     "atom": lambda n: isinstance(n, (General, Hybrid)),
-    "leaf": lambda n: isinstance(n, ATOM_KINDS + CHOICE_KINDS),
+    "leaf": lambda n: True,  # the walk yields leaves only
 }
 
 
@@ -379,41 +378,39 @@ def note_names(f: Formula, kind: str) -> set[str]:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<andc>/\\)
-  | (?P<orc>\\/)
   | (?P<lower>[a-z][a-zA-Z0-9]*)
   | (?P<upper>[A-Z][A-Za-z0-9]*(_[a-z][a-z0-9]*)?)
   | (?P<quoted>"[^"\s]+")
-  | (?P<punct>[()~&|@{}=])
+  | (?P<punct>->|/\\|\\/|[()~&|@{}=])
     """,
     re.VERBOSE,
 )
 
 
 class _Lexer:
+    """Tokens as ``(kind, text, offset)``; a connective or punctuation token's kind is its text."""
+
     def __init__(self, text):
         self.text = text
         self.tokens = []
         self.pos = 0
-        line, col = 1, 1
         i = 0
         while i < len(text):
             m = _TOKEN_RE.match(text, i)
             if not m:
-                raise ParseError(f"unexpected character {text[i]!r}", line, col)
+                raise self.error(f"unexpected character {text[i]!r}", i)
             kind = m.lastgroup if m.lastgroup != "punct" else m.group()
             if kind == "upper" and "_" in m.group():
                 kind = "hybrid"
             if kind != "ws":
-                self.tokens.append((kind, m.group(), line, col))
-            for ch in m.group():
-                if ch == "\n":
-                    line, col = line + 1, 1
-                else:
-                    col += 1
+                self.tokens.append((kind, m.group(), i))
             i = m.end()
-        self.tokens.append(("eof", "", line, col))
+        self.tokens.append(("eof", "", len(text)))
+
+    def error(self, message, offset) -> ParseError:
+        """The error to raise at character ``offset``, with its 1-based line and column."""
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -426,7 +423,7 @@ class _Lexer:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
 
@@ -438,7 +435,7 @@ class _Parser:
         f = self.annotated()
         tok = self.lex.peek()
         if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
+            raise self.lex.error(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
     def annotated(self) -> Formula:
@@ -455,54 +452,28 @@ class _Parser:
             return tok[1][1:-1]
         if tok[0] in ("lower", "upper"):
             return tok[1]
-        raise ParseError(f"expected an agent id, found {tok[1]!r}", tok[2], tok[3])
+        raise self.lex.error(f"expected an agent id, found {tok[1]!r}", tok[2])
 
     def impl(self) -> Formula:
-        left = self.orx()
-        if self.lex.peek()[0] == "arrow":
+        left = self.chain(partial(self.chain, self.unary, "/\\", "&", And, Chand), "\\/", "|", Or, Chor)
+        if self.lex.peek()[0] == "->":
             self.lex.next()
             return Implies(left, self.impl())
         return left
 
-    def orx(self) -> Formula:
-        first = self.andx()
+    def chain(self, operand, parallel, choice, binary, nary) -> Formula:
+        """One precedence level: ``operand``s joined by ``parallel`` into a left-associated
+        ``binary`` chain, or by ``choice`` into one ``nary`` node; mixing the two needs parentheses."""
+        parts = [operand()]
         op = None
-        parts = [first]
-        while self.lex.peek()[0] in ("orc", "|"):
-            tok = self.lex.next()
+        while (tok := self.lex.peek())[0] in (parallel, choice):
             if op is None:
                 op = tok[0]
-            elif op != tok[0]:
-                raise ParseError("cannot mix \\/ and | at one level; parenthesize", tok[2], tok[3])
-            parts.append(self.andx())
-        if op is None:
-            return first
-        if op == "orc":
-            out = parts[0]
-            for p in parts[1:]:
-                out = Or(out, p)
-            return out
-        return Chor(tuple(parts))
-
-    def andx(self) -> Formula:
-        first = self.unary()
-        op = None
-        parts = [first]
-        while self.lex.peek()[0] in ("andc", "&"):
-            tok = self.lex.next()
-            if op is None:
-                op = tok[0]
-            elif op != tok[0]:
-                raise ParseError("cannot mix /\\ and & at one level; parenthesize", tok[2], tok[3])
-            parts.append(self.unary())
-        if op is None:
-            return first
-        if op == "andc":
-            out = parts[0]
-            for p in parts[1:]:
-                out = And(out, p)
-            return out
-        return Chand(tuple(parts))
+            elif tok[0] != op:
+                raise self.lex.error(f"cannot mix {parallel} and {choice} at one level; parenthesize", tok[2])
+            self.lex.next()
+            parts.append(operand())
+        return nary(tuple(parts)) if op == choice else reduce(binary, parts)
 
     def unary(self) -> Formula:
         tok = self.lex.peek()
@@ -517,11 +488,10 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.lex.next()
-        kind, text, line, col = tok
+        kind, text, offset = self.lex.next()
         if kind == "lower":
             if self.lex.peek()[0] == "{":
-                raise ParseError("strategy annotations are only allowed on general atoms", line, col)
+                raise self.lex.error("strategy annotations are only allowed on general atoms", offset)
             return Elementary(text)
         if kind == "hybrid":
             gen, elem = text.split("_")
@@ -529,10 +499,10 @@ class _Parser:
         if kind == "upper":
             if text in ("T", "F"):
                 if self.lex.peek()[0] == "{":
-                    raise ParseError("truth constants take no annotation", line, col)
+                    raise self.lex.error("truth constants take no annotation", offset)
                 return Truth(text == "T")
             return General(text, self.note())
-        raise ParseError(f"expected an atom, found {text!r}", line, col)
+        raise self.lex.error(f"expected an atom, found {text!r}", offset)
 
     def note(self) -> Note | None:
         if self.lex.peek()[0] != "{":
@@ -540,12 +510,12 @@ class _Parser:
         self.lex.next()
         tok = self.lex.next()
         if tok[0] != "lower" or tok[1] not in ("h", "s"):
-            raise ParseError("annotation kind must be 'h' or 's'", tok[2], tok[3])
+            raise self.lex.error("annotation kind must be 'h' or 's'", tok[2])
         kind = tok[1]
         self.lex.expect("=")
         name_tok = self.lex.next()
         if name_tok[0] not in ("lower", "upper"):
-            raise ParseError("annotation needs a name", name_tok[2], name_tok[3])
+            raise self.lex.error("annotation needs a name", name_tok[2])
         self.lex.expect("}")
         return Note(kind, name_tok[1])
 

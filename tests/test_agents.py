@@ -115,13 +115,14 @@ def test_middleman_relays_each_move_once():
     """A middleman's session copies its resource to its client by copy-cat alone: neither the
     middleman nor the client relays between the session's two seats, so every move is
     played once and the run comes to rest. The provider's manual answers inside the session
-    as its environment stand-in, so no bus round trip to the provider is needed."""
+    as its environment stand-in, so no bus round trip to the provider is needed; and neither
+    the provider nor the client holds a seat in that session, so no move is posted to them."""
     report = Simulation(parse_scenario(MIDDLEMAN)).run(1000)
     assert report.quiescent and report.all_won()
     assert [line.split(" ", 1)[1] for line in report.trace] == [
         "u B 2.x=2", "m T 1.x=2", "u B 2.y=3", "m T 1.y=3", "f B 1.z=7", "m T 2.z=7"
     ]
-    assert report.steps == 7
+    assert report.steps == 2
     assert report.heuristic_wins == [HeuristicWin("f", "C", "m:1", "1.", ("x=2", "y=3", "z=7"))]
 
 
@@ -130,6 +131,32 @@ def test_evolve_rb_drops_only_consumed_conjuncts():
     report = Simulation(parse_scenario(text)).run(1000)
     assert report.all_won()
     assert report.final_rb["a"] == ["C @ f"]
+
+
+def test_evolve_rb_keeps_a_partly_played_conjunct_with_its_position():
+    text = MINI.replace("[x=2, y=3]", "[x=2]")
+    report = Simulation(parse_scenario(text)).run(1000)
+    assert report.quiescent
+    assert report.final_rb["a"] == ["C @ f ; Tx=2"]
+
+
+def test_evolve_rb_drops_a_truth_conjunct():
+    text = MINI.replace("rb C @ f", "rb T\n  rb C @ f")
+    report = Simulation(parse_scenario(text)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert report.final_rb["a"] == []
+
+
+def test_evolve_rb_keeps_a_served_agents_contract():
+    text = MINI.replace("rb C @ f", "rb C @ f\n  rb q @ God")
+    report = Simulation(parse_scenario(text)).run(1000)
+    assert [(r.qid, r.status) for r in report.results] == [("f:1", "won"), ("a:1", "rejected"), ("a:2", "won")]
+    assert report.final_rb["a"] == ["q @ God"]
+
+
+def test_manuals_fall_back_to_the_games_default_heuristic():
+    agent = Agent(id="f", games={"C": coffee_game(10)}, rb=[ResourceEntry(parse_formula("C{h=nosuch} @ God"))])
+    assert agent.manuals() == {"C": agent.games["C"].default_heuristic}
 
 
 def test_evolve_rb_noop_without_antecedent():

@@ -396,7 +396,7 @@ def test_simulate_middleman_counts_the_providers_answer_as_a_heuristic_win(tmp_p
     path.write_text(MIDDLEMAN_SCENARIO)
     code, out, _ = run_cli(capsys, "simulate", str(path), "--trace-dir", str(tmp_path / "traces"))
     assert code == 0
-    assert out.endswith("heuristic wins: 1\nquiescent in 7 steps\n")
+    assert out.endswith("heuristic wins: 1\nquiescent in 2 steps\n")
     assert (tmp_path / "traces" / "agent-f.txt").read_text() == "5 f B 1.z=7\n"
 
 

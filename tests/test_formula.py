@@ -78,6 +78,29 @@ def test_parse_reports_position():
         parse_formula("p -> ->")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("p /\\\n  ?q", "unexpected character '?'", 2, 3),
+        ("(p", "expected ')', found ''", 1, 3),
+        ("(p -> \n\n q) )", "unexpected trailing input ')'", 3, 5),
+        ("p @ ~", "expected an agent id, found '~'", 1, 5),
+        ("p{h=x}", "strategy annotations are only allowed on general atoms", 1, 1),
+        ("T{h=x}", "truth constants take no annotation", 1, 1),
+        ("C{q=x}", "annotation kind must be 'h' or 's'", 1, 3),
+        ("C{h=}", "annotation needs a name", 1, 5),
+        ("p /\\ q & r", "cannot mix /\\ and & at one level; parenthesize", 1, 8),
+        ("p \\/ q | r", "cannot mix \\/ and | at one level; parenthesize", 1, 8),
+        ("p -> ->", "expected an atom, found '->'", 1, 6),
+    ],
+)
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == f"{message} (line {line}, column {col})"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 def test_print_simple_implication():
     assert print_formula(Implies(p, p)) == "p -> p"
 
