@@ -4,6 +4,7 @@ round-robin simulation that lets resources flow between sessions by relayed copi
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import engine
@@ -201,6 +202,11 @@ class HeuristicWin:
 
 @dataclass
 class SimulationReport:
+    """What a run leaves. In a quiescent run each session is won or lost, and each resource-base
+    entry a session touched settles in place: a won contract and a spent conjunct are dropped,
+    a partly played conjunct keeps its index with its position. A run cut short by its step
+    budget leaves every opened session ``unfinished`` and every resource base unchanged."""
+
     quiescent: bool
     steps: int
     agent_order: list[str]
@@ -231,7 +237,7 @@ class Simulation:
 
     Three invariants keep the bookkeeping small. Every strategy move of a simulation is played
     by a session's engine: a provider's manual answers as the environment stand-in of the
-    session that owes its good. Resource bases are fixed until ``_finish`` evolves them, so
+    session that owes its good. Resource bases are fixed until ``_settle`` settles them, so
     each agent's manuals and winnable atoms are computed once, up front.
     Sessions are at rest between visits: every delivery is followed by ``_drive``, which
     returns only once its session is quiescent or finished, so no session is left running
@@ -473,30 +479,49 @@ class Simulation:
         while self.steps < max_steps and self._has_work():
             self.exec_step(order[self.steps % len(order)])
             self.steps += 1
-        quiescent = not self._has_work()
-        return self._finish(quiescent)
+        return self._settle(quiescent=not self._has_work())
 
-    # -- evaluation and reporting -------------------------------------------------
+    # -- settlement and reporting -------------------------------------------------
 
-    def _finish(self, quiescent: bool) -> SimulationReport:
+    def _settle(self, quiescent: bool) -> SimulationReport:
+        """One pass over the opened sessions: results, heuristic wins and ledgers from each
+        binding's local run and, only in a quiescent run, what each resource-base entry a
+        session touched settles to (None when it is spent; a None wins over a leftover)."""
         wins: list[HeuristicWin] = []
+        ledgers = {aid: {"received": Counter(), "paid": Counter()} for aid in self.agents}
+        settled: dict[str, dict[int, ResourceEntry | None]] = {aid: {} for aid in self.agents}
         for query in self.opened:
             session, result = query.session, query.result
             session.listener = None  # play is over; without the hook no cycle keeps the simulation alive
-            if session.status is Status.QUIESCENT:
+            if quiescent:
                 result.winner = engine.evaluate_winner(session)
                 result.status = "won" if result.winner is Player.MACHINE else "lost"
             else:
                 result.status = "unfinished"
-            for binding in (b for b in session.bindings.values() if b.heuristic_fired):
-                run = session.local_run(binding.spec)
-                if binding.game.complete(run) and binding.game.winner(run) is Player.MACHINE:
-                    mover = query.server if binding.polarity == POSITIVE else query.env_mover(binding.spec)
-                    atom = atom_name(session.atoms[binding.spec].node)
-                    payloads = tuple(lm.payload for lm in run)
-                    wins.append(HeuristicWin(mover, atom, query.qid, binding.spec, payloads))
-        ledgers = self._ledgers()
-        self._evolve_all()
+            booked = query.opponent != GOD and query.client != query.server  # the client's side only
+            prefix = "2." if query.consumed else ""
+            for spec, binding in session.bindings.items():
+                run = session.local_run(spec)
+                if not binding.game.complete(run):
+                    continue
+                if binding.heuristic_fired and binding.game.winner(run) is Player.MACHINE:
+                    mover = query.server if binding.polarity == POSITIVE else query.env_mover(spec)
+                    atom = atom_name(session.atoms[spec].node)
+                    wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in run)))
+                occ = query.atoms.get(spec)
+                if booked and occ is not None and spec.startswith(prefix):
+                    side = "paid" if occ.polarity == NEGATIVE else "received"
+                    ledgers[query.client][side][atom_name(occ.node)] += 1
+            if not quiescent:
+                continue
+            mine = settled[query.server]
+            if query.contract_ref is not None and result.winner is Player.MACHINE:
+                mine[query.contract_ref] = None
+            for i, left in zip(query.consumed, _leftovers(session, len(query.consumed))):
+                if i not in mine or mine[i] is not None:
+                    mine[i] = left
+        for aid, agent in self.agents.items():
+            agent.rb = _settled_rb(agent.rb, settled[aid])
         return SimulationReport(
             quiescent=quiescent,
             steps=self.steps,
@@ -509,67 +534,34 @@ class Simulation:
             agent_traces={aid: list(lines) for aid, lines in self.agent_traces.items()},
         )
 
-    def _ledgers(self) -> dict[str, dict[str, Counter]]:
-        ledgers: dict[str, dict[str, Counter]] = {
-            aid: {"received": Counter(), "paid": Counter()} for aid in self.agents
-        }
-        for query in self.opened:
-            if query.opponent == GOD or query.client == query.server:
-                continue
-            session = query.session
-            prefix = "2." if query.consumed else ""
-            for occ in query.atoms.values():
-                if not occ.spec.startswith(prefix):
-                    continue
-                binding = session.bindings.get(occ.spec)
-                if binding is None or not binding.game.complete(session.local_run(occ.spec)):
-                    continue
-                side = "paid" if occ.polarity == NEGATIVE else "received"
-                ledgers[query.client][side][atom_name(occ.node)] += 1
-        return ledgers
-
-    def _evolve_all(self) -> None:
-        for query in self.opened:
-            session = query.session
-            if session.status is not Status.FINISHED:
-                continue
-            agent = self.agents[query.server]
-            if query.contract_ref is not None:
-                if session.winner is Player.MACHINE and query.contract_ref < len(agent.rb):
-                    entry = agent.rb[query.contract_ref]
-                    if entry.formula == query.formula:
-                        agent.rb.remove(entry)
-            elif query.consumed:
-                agent.rb = evolve_rb(agent, session, query.consumed)
-
 
 def _revert_hybrids(f: Formula) -> Formula:
     return transform(f, lambda n: General(n.general, n.note) if isinstance(n, Hybrid) else n)
 
 
-def evolve_rb(agent: Agent, finished: Session, consumed: list[int]) -> list[ResourceEntry]:
-    """Successor resource base after a served query: the antecedent residue of the final
-    formula, hybrids reverted, runs attached, fully consumed conjuncts dropped."""
-    if finished.status is not Status.FINISHED:
-        raise AgentError("evolve_rb needs a finished session")
-    if not consumed:
-        return list(agent.rb)
+def _leftovers(finished: Session, n: int) -> Iterator[ResourceEntry | None]:
+    """What a finished session leaves of each of the first ``n`` conjuncts of its antecedent:
+    None for a ``T`` or a completed atom, else the conjunct with hybrids reverted and its position."""
+    if not n:
+        return
     if not isinstance(finished.formula, Implies):
         raise AgentError("finished session has no antecedent to evolve from")
-    conjuncts = unfold_and_chain(finished.formula.left, len(consumed), "1.")
-    kept: list[ResourceEntry] = []
-    for conjunct, spec in conjuncts:
-        core, _ = split_annotation(conjunct)
-        if isinstance(core, Truth):
-            continue
-        if isinstance(core, (General, Hybrid)):
-            binding = finished.bindings.get(spec)
-            if binding is not None and binding.game.complete(finished.local_run(spec)):
-                continue
-        kept.append(ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec)))
-    out: list[ResourceEntry] = []
-    consumed_set = set(consumed)
-    for i, entry in enumerate(agent.rb):
-        if i not in consumed_set:
-            out.append(entry)
-    return out + kept
+    for conjunct, spec in unfold_and_chain(finished.formula.left, n, "1."):
+        binding = finished.bindings.get(spec)  # present exactly when the conjunct is an atom
+        spent = isinstance(split_annotation(conjunct)[0], Truth) or (
+            binding is not None and binding.game.complete(finished.local_run(spec))
+        )
+        yield None if spent else ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec))
+
+
+def _settled_rb(rb: list[ResourceEntry], settled: dict[int, ResourceEntry | None]) -> list[ResourceEntry]:
+    """``rb`` with each settled index replaced in place by what it settled to, spent ones dropped."""
+    return [e for e in (settled.get(i, e) for i, e in enumerate(rb)) if e is not None]
+
+
+def evolve_rb(agent: Agent, finished: Session, consumed: list[int]) -> list[ResourceEntry]:
+    """Successor resource base after a served query: each consumed conjunct, at its own index,
+    becomes the session's leftover of it (``_leftovers``) or is dropped when spent."""
+    if finished.status is not Status.FINISHED:
+        raise AgentError("evolve_rb needs a finished session")
+    return _settled_rb(agent.rb, dict(zip(consumed, _leftovers(finished, len(consumed)))))

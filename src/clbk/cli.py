@@ -278,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:  # the parser, the prover and the engine all recurse on nesting depth
+        _err("input nests too deeply")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

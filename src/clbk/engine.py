@@ -78,7 +78,8 @@ class Binding:
     on the local environment seat; which session label that maps to depends on polarity.
     ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
     at a positive occurrence or, as the environment's stand-in, at a negative one. ``moves``
-    are the session's own ``Labmove`` objects played at the occurrence, with session labels;
+    are the session's own ``Labmove`` objects played at the occurrence since it was bound
+    (the choice move that resolved it stays in ``run`` only), with session labels;
     the game and the heuristic read only each move's ``player``, ``key`` and ``value``, in
     the game's local roles (``Session.local_run``)."""
 
@@ -151,8 +152,7 @@ def _occurrence_binding(session: Session, occ) -> Binding:
             script = session.scripts.get(note.name)
     if game is None:
         raise EngineError(f"no game bound for atom {name!r} at occurrence {occ.spec!r}")
-    moves = [lm for lm in session.run if lm.spec == occ.spec]  # a resolved choice's moves
-    return Binding(occ.spec, game, occ.polarity, occ.env, heuristic, script, moves=moves)
+    return Binding(occ.spec, game, occ.polarity, occ.env, heuristic, script)
 
 
 def _enter(session: Session, node: ProofTree) -> None:
@@ -205,7 +205,7 @@ def machine_turn(session: Session) -> bool:
         elif isinstance(rule, RuleC):
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
             replays = [
-                (to, [m.payload for m in frm.moves if m.player is Player.ENVIRONMENT and not m.is_choice()])
+                (to, [m.payload for m in frm.moves if m.player is Player.ENVIRONMENT])
                 for to, frm in ((pi, nu), (nu, pi))
             ]
             for to, payloads in replays:

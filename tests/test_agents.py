@@ -154,6 +154,69 @@ def test_evolve_rb_keeps_a_served_agents_contract():
     assert report.final_rb["a"] == ["q @ God"]
 
 
+def test_a_won_contract_before_a_consumed_conjunct_settles_both():
+    """Each entry settles at its own index: the won contract and the consumed conjunct after
+    it are both dropped, whatever their order."""
+    text = MINI.replace("  rb C @ f", "  heuristic hx = coffee\n  rb C{h=hx} @ God\n  rb C @ f")
+    report = Simulation(parse_scenario(text)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert report.final_rb["a"] == []
+
+
+CD_MIDDLEMAN = """
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+
+agent g kind=provider
+  game D = dollar(vmax=5)
+  heuristic hd = dollar
+  rb D{h=hd} @ God
+
+agent m kind=regular
+  game C = coffee(zmax=10)
+  game D = dollar(vmax=5)
+  script req = [x=2, y=3]
+  script dreq = [v=2]
+  rb C @ f
+  rb D @ g
+
+agent u kind=regular
+  query C{s=req} @ m
+
+agent v kind=regular
+  query D{s=dreq} @ m
+"""
+
+
+def test_each_session_consumes_its_own_conjunct():
+    """``m`` serves a coffee from ``C @ f`` and a dollar from ``D @ g``: each session leaves the
+    other's conjunct unplayed, and a spent entry stays spent."""
+    report = Simulation(parse_scenario(CD_MIDDLEMAN)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert [(r.qid, r.status) for r in report.results] == [
+        ("f:1", "won"), ("g:1", "won"), ("m:1", "won"), ("m:2", "won")
+    ]
+    assert report.final_rb["m"] == []
+
+
+def test_a_partly_played_conjunct_keeps_its_index():
+    text = MINI.replace("[x=2, y=3]", "[x=2]").replace("rb C @ f", "rb C @ f\n  rb q @ God")
+    report = Simulation(parse_scenario(text)).run(1000)
+    assert report.quiescent
+    assert report.final_rb["a"] == ["C @ f ; Tx=2", "q @ God"]
+
+
+def test_a_run_cut_short_settles_nothing():
+    sim = Simulation(parse_scenario(MINI))
+    report = sim.run(1)
+    assert not report.quiescent
+    assert [(r.qid, r.status) for r in report.results] == [("f:1", "unfinished"), ("a:1", "pending")]
+    assert report.final_rb == {"f": ["C{h=hx} @ God"], "a": ["C @ f"]}
+    assert sim.queries["f:1"].session.status is Status.QUIESCENT
+
+
 def test_manuals_fall_back_to_the_games_default_heuristic():
     agent = Agent(id="f", games={"C": coffee_game(10)}, rb=[ResourceEntry(parse_formula("C{h=nosuch} @ God"))])
     assert agent.manuals() == {"C": agent.games["C"].default_heuristic}

@@ -101,6 +101,17 @@ def test_prove_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["~" * 900 + "p", "(" * 3000 + "p" + ")" * 3000, "p -> " * 500 + "p"],
+    ids=["negations", "parentheses", "implications"],
+)
+def test_prove_input_nesting_too_deeply(capsys, formula):
+    """The parser, the prover and the engine recurse on nesting depth; an input deeper than
+    the interpreter's recursion limit is an input error wherever it overflows."""
+    assert run_cli(capsys, "prove", formula) == (2, "", "error: input nests too deeply\n")
+
+
 # The bind file of the README.
 README_BIND = """\
 game C = coffee(zmax=10)
@@ -425,6 +436,33 @@ def test_simulate_script_item_outside_the_payload_grammar(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: line 7: bad move payload 'V=1'\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("  rb C @ f\nagent a\n", "line 1: directive before any agent block"),
+        ("agent a\n  frobnicate\n", "line 2: cannot parse 'frobnicate'"),
+        ("agent a\n  rb C /\\\n", "line 2: expected an atom, found '' (line 1, column 5)"),
+        ("agent f kind=provider\n  rb C @ g\n", "provider 'f' has no God-annotated manual in its resource base"),
+    ],
+    ids=["before-agent", "unknown-directive", "bad-rb-formula", "provider-without-manual"],
+)
+def test_simulate_scenario_input_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.clbk"
+    path.write_text(text)
+    assert run_cli(capsys, "simulate", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_simulate_cut_short_leaves_sessions_unfinished(capsys):
+    """A spent step budget settles nothing: opened sessions are unfinished, not judged, while
+    the heuristic wins already played are still counted."""
+    code, out, _ = run_cli(capsys, "simulate", "starbucks", "--max-steps", "20")
+    assert code == 3
+    lines = out.splitlines()
+    assert "o:1 client=u (D /\\ D) -> (C /\\ C) @ o: unfinished" in lines
+    assert "heuristic wins: 3" in lines
+    assert lines[-1] == "step budget exhausted"
+
+
 def test_simulate_duplicate_agent(tmp_path, capsys):
     path = tmp_path / "dup.clbk"
     path.write_text("agent a\nagent a\n", encoding="utf-8")
@@ -478,6 +516,18 @@ def test_fmt_round_trips(tmp_path, capsys):
         if line.startswith("#") or not line.strip():
             continue
         assert parse_formula(line) == parse_formula(line)
+
+
+def test_fmt_input_nesting_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text("p\n" + "(" * 3000 + "p" + ")" * 3000 + "\n")
+    assert run_cli(capsys, "fmt", str(path)) == (2, "", "error: input nests too deeply\n")
+
+
+def test_fmt_parse_error_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("p\nq -> q\n# comment\n(p\n")
+    assert run_cli(capsys, "fmt", str(path)) == (2, "", "error: line 4: expected ')', found '' (line 1, column 3)\n")
 
 
 def test_fmt_missing_file(capsys):

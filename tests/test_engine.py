@@ -96,6 +96,16 @@ def test_machine_turn_second_branch_commitment():
     assert heard == [("w", "T1.2")]
 
 
+def test_a_resolved_choices_atom_starts_with_an_empty_run():
+    """The choice move stays in the session's run; the atom the choice resolves to is bound
+    afresh, so its local run and the copy-cat replay from it hold only the game's own moves."""
+    s = coffee_session("((C & D) -> C) @ w")
+    s.bindings["2."].script = Script(("x=3", "y=1"))
+    engine.run_to_quiescence(s)
+    assert [str(lm) for lm in s.run] == ["T1.1", "B2.x=3", "T1.x=3", "B2.y=1", "T1.y=1"]
+    assert [str(lm) for lm in s.local_run("1.")] == ["B1.x=3", "B1.y=1"]
+
+
 def test_env_move_requires_environment_label():
     s = coffee_session()
     engine.machine_turn(s)
