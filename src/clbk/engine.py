@@ -3,10 +3,12 @@ strategy annotations and copy-cat; environment moves come from peers, scripts an
 
 Sessions are built with ``new_session``, which binds every surface atom occurrence from the
 formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
-``session.bindings`` afterwards. Two invariants keep the state small. Moves enter a session
-only through ``Session.append`` (or ``Session.deliver`` and then ``env_move``), which also
-files each move with the binding at its spec: each move is one ``Labmove`` object, held both
-in ``run`` and in its binding, so a binding's local run is always at hand. Moves leave a
+``session.bindings`` afterwards, before the first step. Two invariants keep the state small.
+Moves enter a session only through ``Session.append`` (or ``Session.deliver`` and then
+``env_move``), which also files each move with the binding at its spec: each move is one
+``Labmove`` object, held both in ``run`` and in its binding, and a negative occurrence also
+keeps a flipped copy of it, so a binding's local run is always at hand, ready-made. A
+heuristic is polled again only after a move is filed at its occurrence. Moves leave a
 session only through ``Session.listener``, called once per appended move with the agent a
 machine move is addressed to (``to``: the choice's ``RuleB.env`` or the binding's ``env``),
 or None; the driving functions report only whether they moved. ``_enter`` is the
@@ -36,7 +38,7 @@ from .formula import (
     substitute_paths,
     surface_occurrences,
 )
-from .games import GameDef, Heuristic, Labmove, Player, Run, Script, flip_run, subrun
+from .games import GameDef, Heuristic, Labmove, Player, Run, Script, subrun
 from .prover import ProofTree, RuleB, RuleC, premises_A, verify_proof
 
 __all__ = [
@@ -79,9 +81,15 @@ class Binding:
     ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
     at a positive occurrence or, as the environment's stand-in, at a negative one. ``moves``
     are the session's own ``Labmove`` objects played at the occurrence since it was bound
-    (the choice move that resolved it stays in ``run`` only), with session labels;
-    the game and the heuristic read only each move's ``player``, ``key`` and ``value``, in
-    the game's local roles (``Session.local_run``)."""
+    (the choice move that resolved it stays in ``run`` only), with session labels; ``local``
+    holds the same moves in the game's local roles, each flipped once, when it is filed, at a
+    negative occurrence (``Session.local_run``). The game and the heuristic read only each
+    move's ``player``, ``key`` and ``value``.
+
+    A heuristic is a pure function of the local run, so ``heuristic_idle_at`` records
+    ``len(moves)`` when it last returned None, and it is not polled again until a move is
+    filed here. Strategies are therefore set before the first step: by ``new_session`` from
+    the notes, or by the caller on ``session.bindings`` right after it."""
 
     spec: str
     game: GameDef
@@ -91,7 +99,9 @@ class Binding:
     script: Script | None = None
     script_pos: int = 0
     heuristic_fired: bool = False
+    heuristic_idle_at: int = -1
     moves: list[Labmove] = field(default_factory=list)
+    local: list[Labmove] = field(default_factory=list)
 
 
 @dataclass
@@ -120,15 +130,14 @@ class Session:
         binding = self.bindings.get(lm.spec)
         if binding is not None:
             binding.moves.append(lm)
+            binding.local.append(lm if binding.polarity == POSITIVE else Labmove(lm.player.flip(), lm.spec, lm.payload))
         if self.listener:
             self.listener(self, lm, to)
 
     def local_run(self, spec: str) -> Run:
         """The moves at occurrence ``spec`` in its game's local roles: the session's own moves,
         flipped when the occurrence is negative."""
-        binding = self.bindings[spec]
-        moves = tuple(binding.moves)
-        return flip_run(moves) if binding.polarity == NEGATIVE else moves
+        return tuple(self.bindings[spec].local)
 
 
 def noted_heuristic(heuristics: dict[str, Heuristic], name: str, game: GameDef | None) -> Heuristic | None:
@@ -259,12 +268,17 @@ def pump_machine(session: Session) -> bool:
                     binding.script_pos += 1
                     session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
                     return True
-        if binding.heuristic is not None and binding.polarity == POSITIVE:
+        if (
+            binding.heuristic is not None
+            and binding.polarity == POSITIVE
+            and binding.heuristic_idle_at != len(binding.moves)  # a move was filed since it passed
+        ):
             payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
                 binding.heuristic_fired = True
                 session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
                 return True
+            binding.heuristic_idle_at = len(binding.moves)
     return False
 
 
@@ -279,11 +293,16 @@ def pump_environment(session: Session) -> Labmove | None:
                 payload = binding.script.payloads[binding.script_pos]
                 binding.script_pos += 1
                 return Labmove(Player.ENVIRONMENT, binding.spec, payload)
-        if binding.heuristic is not None and binding.polarity == NEGATIVE:
+        if (
+            binding.heuristic is not None
+            and binding.polarity == NEGATIVE
+            and binding.heuristic_idle_at != len(binding.moves)  # a move was filed since it passed
+        ):
             payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
                 binding.heuristic_fired = True
                 return Labmove(Player.ENVIRONMENT, binding.spec, payload)
+            binding.heuristic_idle_at = len(binding.moves)
     session.status = Status.QUIESCENT
     return None
 

@@ -274,21 +274,25 @@ class Occurrence:
     env: str | None
 
 
-def _surface_walk(node: Formula, path: Path = (), spec: str = "", sign: int = POSITIVE, env: str | None = None):
-    """The leaf occurrences (atoms, truth constants and choices) not under a choice operator."""
-    match node:
-        case EnvAnn(c, agent):
-            yield from _surface_walk(c, path + (1,), spec, sign, agent)
-        case Not(c):
-            yield from _surface_walk(c, path + (1,), spec, -sign, env)
-        case Implies(l, r):
-            yield from _surface_walk(l, path + (1,), spec + "1.", -sign, env)
-            yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
-        case And(l, r) | Or(l, r):
-            yield from _surface_walk(l, path + (1,), spec + "1.", sign, env)
-            yield from _surface_walk(r, path + (2,), spec + "2.", sign, env)
-        case _:
-            yield Occurrence(node, path, spec, sign, env)
+def _surface_walk(out: list[Occurrence], node: Formula, path: Path, spec: str, sign: int, env: str | None) -> None:
+    """Append the leaf occurrences (atoms, truth constants and choices) not under a choice
+    operator to ``out``, left to right: loop down annotations, negations and right children,
+    and recurse only into left children."""
+    while True:
+        kind = type(node)  # no subclasses of these five exist; a type test is cheaper than a match
+        if kind is EnvAnn:
+            node, path, env = node.child, path + (1,), node.agent
+        elif kind is Not:
+            node, path, sign = node.child, path + (1,), -sign
+        elif kind is Implies:
+            _surface_walk(out, node.left, path + (1,), spec + "1.", -sign, env)
+            node, path, spec = node.right, path + (2,), spec + "2."
+        elif kind is And or kind is Or:
+            _surface_walk(out, node.left, path + (1,), spec + "1.", sign, env)
+            node, path, spec = node.right, path + (2,), spec + "2."
+        else:
+            out.append(Occurrence(node, path, spec, sign, env))
+            return
 
 
 _KIND_FILTERS = {
@@ -296,7 +300,7 @@ _KIND_FILTERS = {
     "general": lambda n: isinstance(n, General),
     "hybrid": lambda n: isinstance(n, Hybrid),
     "atom": lambda n: isinstance(n, (General, Hybrid)),
-    "leaf": lambda n: True,  # the walk yields leaves only
+    "leaf": lambda n: True,  # the walk appends leaves only
 }
 
 
@@ -304,7 +308,9 @@ def surface_occurrences(f: Formula, kind: str) -> list[Occurrence]:
     """Occurrences of the given kind ('choice', 'general', 'hybrid', 'atom', or 'leaf' for atoms
     and choices alike) not under any choice operator."""
     pick = _KIND_FILTERS[kind]
-    return [occ for occ in _surface_walk(f) if pick(occ.node)]
+    out: list[Occurrence] = []
+    _surface_walk(out, f, (), "", POSITIVE, None)
+    return [occ for occ in out if pick(occ.node)]
 
 
 def env_chooses(occ: Occurrence) -> bool:

@@ -69,6 +69,8 @@ def flip_run(run) -> Run:
     return tuple(Labmove(lm.player.flip(), lm.spec, lm.payload) for lm in run)
 
 
+# A heuristic is a pure function of its occurrence's local run: the engine polls it again
+# only after a move is filed at that occurrence, so it must not read anything else.
 Heuristic = Callable[[Run], Optional[str]]
 
 

@@ -291,6 +291,35 @@ def test_starbucks_bindings_hold_the_runs_own_moves():
     assert any(b.moves for q in sim.opened for b in q.session.bindings.values())
 
 
+def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():
+    """A heuristic is a pure function of its local run, so a binding's heuristic is polled at
+    most once per move filed there, plus once for its empty run."""
+    agents = parse_scenario(builtin_scenario("starbucks"))
+    calls = []
+
+    def counted(fn):
+        def heuristic(run):
+            calls.append(run)
+            return fn(run)
+
+        return heuristic
+
+    for agent in agents:
+        agent.heuristics = {name: counted(fn) for name, fn in agent.heuristics.items()}
+    wrapped = {fn for agent in agents for fn in agent.heuristics.values()}
+    sim = Simulation(agents)
+    assert sim.run(10_000).all_won()
+    bound = [
+        binding
+        for query in sim.opened
+        for binding in query.session.bindings.values()
+        if binding.heuristic in wrapped
+    ]
+    filed = sum(len(binding.moves) for binding in bound)
+    assert (filed, len(bound)) == (50, 22)
+    assert 0 < len(calls) <= filed + len(bound)
+
+
 def test_no_labmove_delivered_to_god():
     sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)

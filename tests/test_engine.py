@@ -544,6 +544,71 @@ def test_listener_is_the_only_output():
     assert min(seen.values()) > 10 and len(seen) == 3, seen
 
 
+def _answer_once(after: int, payload: str):
+    """A pure heuristic that plays ``payload`` once the local run has ``after`` moves, until
+    the machine has played it."""
+
+    def heuristic(run):
+        if len(run) < after or any(lm.player is T and lm.payload == payload for lm in run):
+            return None
+        return payload
+
+    return heuristic
+
+
+def assert_local_runs_ready_made(session):
+    """Each binding's local run is its own moves, flipped at a negative occurrence, with the
+    keys and values of the moves it stands for."""
+    for spec, binding in session.bindings.items():
+        moves = tuple(binding.moves)
+        expected = flip_run(moves) if binding.polarity == NEGATIVE else moves
+        got = session.local_run(spec)
+        assert got == expected
+        assert [(lm.key, lm.value) for lm in got] == [(lm.key, lm.value) for lm in expected]
+
+
+def test_quiescence_leaves_no_heuristic_or_environment_script_with_a_move():
+    """With random heuristics and scripts on random seats and random environment moves
+    between runs, a quiescent session has no heuristic that would answer its local run and
+    no unplayed script at a positive occurrence: a heuristic left unpolled since its last
+    None never hides a move."""
+    rng = random.Random(1018)
+    games = {"C": COFFEE, "D": dollar_game(5)}
+    woken = 0  # heuristics that first answered after a rest, woken by a delivered move
+    for f, tree in random_provable(rng, 30) + random_provable(rng, 30, need_pairing=True):
+        s = engine.new_session(hybridize(tree), games=games)
+        for binding in s.bindings.values():
+            roll = rng.random()
+            if roll < 0.2:
+                binding.heuristic = binding.game.default_heuristic
+            elif roll < 0.3:
+                binding.heuristic = rng.choice([COFFEE, dollar_game(5)]).default_heuristic
+            elif roll < 0.45:
+                binding.heuristic = _answer_once(rng.randint(0, 3), rng.choice(PAYLOADS[binding.game.name]))
+            elif roll < 0.7:
+                binding.script = Script(tuple(rng.sample(PAYLOADS[binding.game.name], rng.randint(0, 3))))
+        s.listener = lambda session, lm, to: assert_local_runs_ready_made(session)
+        resting: set[str] = set()  # specs whose heuristic had not fired at the last rest
+        for _ in range(rng.randint(1, 12)):
+            engine.run_to_quiescence(s, max_steps=500)
+            assert_local_runs_ready_made(s)
+            woken += sum(s.bindings[spec].heuristic_fired for spec in resting if spec in s.bindings)
+            resting = {spec for spec, b in s.bindings.items() if b.heuristic is not None and not b.heuristic_fired}
+            for spec, binding in s.bindings.items():
+                if binding.heuristic is not None:
+                    assert binding.heuristic(s.local_run(spec)) is None, (print_formula(f), spec)
+                if binding.script is not None and binding.polarity == POSITIVE:
+                    assert binding.script_pos == len(binding.script.payloads), (print_formula(f), spec)
+            choices = [o for o in surface_occurrences(s.formula, "choice") if env_chooses(o)]
+            if choices and rng.random() < 0.4:
+                occ = rng.choice(choices)
+                s.deliver(Labmove(B, occ.spec, str(rng.randint(1, len(occ.node.parts)))))
+            elif s.atoms:
+                spec = rng.choice(list(s.atoms))
+                s.deliver(Labmove(B, spec, rng.choice(PAYLOADS[s.bindings[spec].game.name])))
+    assert woken > 10, woken
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("```python\n", 1)[1].split("```", 1)[0]

@@ -16,6 +16,7 @@ from clbk.formula import (
     Implies,
     NEGATIVE,
     Not,
+    Note,
     Or,
     ParseError,
     POSITIVE,
@@ -346,3 +347,84 @@ def test_polarity_flips_under_negation_and_antecedent():
             assert polarity(wrapped, (1,) + occ.path) == -occ.polarity
             ante = Implies(f, q)
             assert polarity(ante, (1,) + occ.path) == -occ.polarity
+
+
+# --- the surface walk against the generator walk it replaced -----------------
+
+
+def _reference_surface_walk(node, path=(), spec="", sign=POSITIVE, env=None):
+    """The leaf occurrences (atoms, truth constants and choices) not under a choice operator,
+    as a chain of generators: the plain recursive statement of the walk."""
+    match node:
+        case EnvAnn(c, agent):
+            yield from _reference_surface_walk(c, path + (1,), spec, sign, agent)
+        case Not(c):
+            yield from _reference_surface_walk(c, path + (1,), spec, -sign, env)
+        case Implies(l, r):
+            yield from _reference_surface_walk(l, path + (1,), spec + "1.", -sign, env)
+            yield from _reference_surface_walk(r, path + (2,), spec + "2.", sign, env)
+        case And(l, r) | Or(l, r):
+            yield from _reference_surface_walk(l, path + (1,), spec + "1.", sign, env)
+            yield from _reference_surface_walk(r, path + (2,), spec + "2.", sign, env)
+        case _:
+            yield node, path, spec, sign, env
+
+
+_REFERENCE_KINDS = {
+    "choice": (Chand, Chor),
+    "general": General,
+    "hybrid": Hybrid,
+    "atom": (General, Hybrid),
+    "leaf": object,
+}
+
+
+def assert_walk_matches_reference(f):
+    for kind, cls in _REFERENCE_KINDS.items():
+        expected = [occ for occ in _reference_surface_walk(f) if isinstance(occ[0], cls)]
+        got = surface_occurrences(f, kind)
+        assert [(o.node, o.path, o.spec, o.polarity, o.env) for o in got] == expected, (kind, print_formula(f))
+        assert all(o.node is e[0] for o, e in zip(got, expected))
+
+
+def test_surface_walk_matches_reference_on_random_formulas():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        assert_walk_matches_reference(random_ast(rng, depth=rng.randint(0, 7)))
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([p, q, r, C, Truth(True), Truth(False), General("D"), Hybrid("C", "q")]),
+    st.builds(General, st.sampled_from(["C", "D"]), st.builds(Note, st.sampled_from("hs"), st.just("hx"))),
+)
+
+
+def _extend(sub):
+    return st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(EnvAnn, sub, st.sampled_from(["w", "God", "*1"])),
+        st.builds(lambda parts: Chand(tuple(parts)), st.lists(sub, min_size=2, max_size=3)),
+        st.builds(lambda parts: Chor(tuple(parts)), st.lists(sub, min_size=2, max_size=3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _extend, max_leaves=30))
+def test_surface_walk_matches_reference_on_hypothesis_formulas(f):
+    assert_walk_matches_reference(f)
+
+
+def test_surface_walk_matches_reference_on_deep_chains():
+    right = C
+    for i in range(199):
+        right = Implies(General("D") if i % 2 else C, right)
+    left = C
+    for _ in range(199):
+        left = And(left, General("D"))
+    for f in (right, left, EnvAnn(Not(right), "w")):
+        assert_walk_matches_reference(f)
+    assert len(surface_occurrences(right, "atom")) == 200
+    assert [o.spec for o in surface_occurrences(left, "leaf")][:2] == ["1." * 199, "1." * 198 + "2."]
