@@ -328,35 +328,44 @@ def is_elementary(f: Formula) -> bool:
             return all(is_elementary(c) for c in children(f))
 
 
-def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False) -> Formula:
+def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False, names: bool = False) -> Formula:
     """Collapse surface choices and general atoms to truth constants; hybrids become their
     elementary component. A negative general atom becomes T; a positive one becomes T exactly
-    when ``backed(atom)`` holds (by default never), i.e. the machine already holds a way to win it."""
-    return _elementarize(f, POSITIVE, backed)
+    when ``backed(atom)`` holds (by default never), i.e. the machine already holds a way to win it.
 
+    With ``names``, the name-level elementarization: a general atom that is not a backed
+    positive one becomes the elementary atom named after it, at either polarity. General
+    names are upper case and elementary ones lower case, so the two never clash."""
 
-def _elementarize(node: Formula, sign: int, backed: Callable[[General], bool]) -> Formula:
-    match node:
-        case Chand(_):
+    def general(g: General, sign: int) -> Formula:
+        if sign == POSITIVE and backed(g):
             return Truth(True)
-        case Chor(_):
-            return Truth(False)
-        case General(_, _):
-            return Truth(sign == NEGATIVE or backed(node))
-        case Hybrid(_, elem, _):
-            return Elementary(elem)
-        case Not(c):
-            return Not(_elementarize(c, -sign, backed))
-        case EnvAnn(c, agent):
-            return EnvAnn(_elementarize(c, sign, backed), agent)
-        case And(l, r):
-            return And(_elementarize(l, sign, backed), _elementarize(r, sign, backed))
-        case Or(l, r):
-            return Or(_elementarize(l, sign, backed), _elementarize(r, sign, backed))
-        case Implies(l, r):
-            return Implies(_elementarize(l, -sign, backed), _elementarize(r, sign, backed))
-        case _:
-            return node
+        return Elementary(g.name) if names else Truth(sign == NEGATIVE)
+
+    return _elementarize(f, POSITIVE, general)
+
+
+def _elementarize(node: Formula, sign: int, general: Callable[[General, int], Formula]) -> Formula:
+    kind = type(node)  # as in _surface_walk, a type test is cheaper than a match
+    if kind is And:
+        return And(_elementarize(node.left, sign, general), _elementarize(node.right, sign, general))
+    if kind is Or:
+        return Or(_elementarize(node.left, sign, general), _elementarize(node.right, sign, general))
+    if kind is Implies:
+        return Implies(_elementarize(node.left, -sign, general), _elementarize(node.right, sign, general))
+    if kind is Not:
+        return Not(_elementarize(node.child, -sign, general))
+    if kind is General:
+        return general(node, sign)
+    if kind is Hybrid:
+        return Elementary(node.elementary)
+    if kind is EnvAnn:
+        return EnvAnn(_elementarize(node.child, sign, general), node.agent)
+    if kind is Chand:
+        return Truth(True)
+    if kind is Chor:
+        return Truth(False)
+    return node
 
 
 def elementary_names(f: Formula) -> set[str]:

@@ -118,6 +118,13 @@ def is_stable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
     return is_valid(elementarize(f, lambda g: _backed(g, winnable)))
 
 
+def names_valid(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
+    """Whether the name-level elementarization of ``f`` is classically valid: each general
+    atom that is not a backed positive one (see ``_backed``) is read as the elementary atom
+    named after it. At a monotone node this is necessary for a stable matching (see ``prove``)."""
+    return is_valid(elementarize(f, lambda g: _backed(g, winnable), names=True))
+
+
 class _Walk:
     """One surface walk of a formula, from which every rule's premises are generated: its
     surface choice occurrences; its surface general-atom occurrences, as (positive, negative)
@@ -308,15 +315,30 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     * tries no closure while pairs remain, since a stable node's first pairing succeeds;
     * if the first pairable name has at least as many positive occurrences as negative ones,
       branches only on the partner of its first negative occurrence, which every maximal
-      matching pairs. These are the first branches of the full rule, in its order.
+      matching pairs. These are the first branches of the full rule, in its order;
+    * refutes the node at once, trying no pairing, when its name-level elementarization
+      ``N(g)`` is invalid (``names_valid``): ``g`` elementarized with each general atom that
+      is not a backed positive one read as the elementary atom named after it. Take a
+      valuation v that falsifies ``N(g)``, and give each fresh atom of any matching the
+      value v gives its name. A paired occurrence then keeps its value in ``N(g)``, and an
+      unpaired one takes its worst value, so, the node being monotone in each literal, every
+      matched descendant is false under v. ``elementarize(g)`` is the matching with no pairs,
+      so ``g`` itself is unstable too. This is the spanning condition of Bibel's connection
+      method; it is necessary, not sufficient, since a matching links each occurrence once.
+      Like ``memo_key``, the check runs at the root, and elsewhere only once something is
+      refuted, so a search that refutes nothing pays it at the root alone.
 
-    Both keep the first successful branch of the full search, so proofs are unchanged."""
+    Each keeps the first successful branch of the full search, so proofs are unchanged."""
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
+_UNSEEN = object()
+
+
 def _search(g: Formula, s: _Search) -> ProofTree | None:
-    if g in s.trees:
-        return s.trees[g]
+    seen = s.trees.get(g, _UNSEEN)
+    if seen is not _UNSEEN:
+        return seen
     # a provable search often refutes nothing, and then needs no key at all
     key = memo_key(g, s.root_avoid) if s.refuted else None
     if key in s.refuted:
@@ -328,8 +350,11 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
     walk = _Walk(g)
     monotone = walk.monotone(s.winnable)
     pairs = premises_C(g, s.root_avoid, walk, monotone)
+    # a monotone node has no choice, so with pairs left only a pairing can prove it, and none
+    # can when its name-level elementarization is invalid (see prove)
+    spanned = not (monotone and pairs and (s.refuted or s.expanded == 1)) or names_valid(g, s.winnable)
     result = None
-    for pair in pairs:
+    for pair in pairs if spanned else ():
         sub = _search(pair.formula, s)
         if sub is not None:
             result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))

@@ -3,6 +3,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clbk import prover
 from clbk.formula import (
@@ -37,13 +39,14 @@ from clbk.prover import (
     is_stable,
     measure,
     memo_key,
+    names_valid,
     premises_A,
     premises_B,
     premises_C,
     prove,
     verify_proof,
 )
-from genlib import random_ast, random_provable
+from genlib import random_ast, random_body, random_provable
 from test_acceptance import _mutations
 
 
@@ -381,10 +384,13 @@ def test_refutation_family_is_linear(monkeypatch):
 
 def test_refutation_family_checks_one_leaf(monkeypatch):
     """Closure is tried only where no pair remains, so the n = 4 search checks the
-    stability of one node: the leaf of its first path."""
-    calls = _count_calls(monkeypatch, "is_valid")
+    stability of one node: the leaf of its first path. Its one other validity check is the
+    name-level check at the root, which passes: (C^4) -> (C^5) is valid name by name."""
+    stable = _count_calls(monkeypatch, "is_stable")
+    names = _count_calls(monkeypatch, "names_valid")
+    valid = _count_calls(monkeypatch, "is_valid")
     assert prove(_unprovable_family(4)) is None
-    assert len(calls) == 1
+    assert (len(stable), len(names), len(valid)) == (1, 1, 2)
 
 
 def _wide_identity(n):
@@ -578,17 +584,79 @@ def test_scarce_positive_side_falls_back_to_every_pairing():
 
 # Unprovable, and 713 expansions even with matchings searched once: the antecedent's
 # disjuncts and the consequent's conjuncts pair up in many ways that differ beyond the
-# order of operands.
+# order of operands. The name-level check cuts it to 19.
 _HARD_REFUTATION = (
     "((C /\\ D) \\/ (C /\\ D) \\/ (D /\\ C) \\/ (C /\\ D))"
     " -> ((C \\/ D) /\\ (D \\/ C) /\\ (C \\/ D) /\\ (C \\/ D \\/ C))"
 )
 
+# Valid name by name at the root, so these still search: 361 and 572 expansions.
+_CLAUSE_VARIANT_4 = (
+    "((C \\/ D) /\\ (C \\/ D) /\\ (D \\/ C) /\\ (C \\/ D))"
+    " -> ((C /\\ D) \\/ (D /\\ C) \\/ (C /\\ D) \\/ (D /\\ D) \\/ (C /\\ C))"
+)
+_CLAUSE_VARIANT_5 = (
+    "((C \\/ D) /\\ (C \\/ D) /\\ (D \\/ C) /\\ (C \\/ D) /\\ (D \\/ C))"
+    " -> ((C /\\ D) \\/ (D /\\ C) \\/ (C /\\ D) \\/ (D /\\ D) \\/ (C /\\ C))"
+)
+
+# Invalid name by name at the root: C true and D false (for the (C /\\ C) swap, the converse)
+# make every antecedent clause true and every consequent conjunction false. Each is refuted
+# in one node.
+_CLAUSE_REFUTATION_5 = (
+    "((C \\/ D) /\\ (C \\/ D) /\\ (D \\/ C) /\\ (C \\/ D) /\\ (D \\/ C))"
+    " -> ((C /\\ D) \\/ (D /\\ C) \\/ (C /\\ D) \\/ (C /\\ D /\\ C) \\/ (D /\\ D))"
+)
+_CLAUSE_REFUTATION_5_CC = _CLAUSE_REFUTATION_5.replace("(D /\\ D))", "(C /\\ C))")
+
 
 def test_prove_search_budget():
-    f = parse_formula(_HARD_REFUTATION)
-    assert prove(f, max_nodes=713) is None
+    f = parse_formula(_CLAUSE_VARIANT_5)
+    assert prove(f, max_nodes=572) is None
     with pytest.raises(SearchBudgetExceeded):
-        prove(f, max_nodes=712)
+        prove(f, max_nodes=571)
     g = parse_formula("(C /\\ C) -> (C \\/ C) @ w")
     assert format_proof(prove(g, max_nodes=3)) == format_proof(prove(g))
+
+
+@pytest.mark.parametrize(
+    "source, nodes",
+    [
+        (_CLAUSE_REFUTATION_5, 1),
+        (_CLAUSE_REFUTATION_5_CC, 1),
+        (_HARD_REFUTATION, 19),
+        (_CLAUSE_VARIANT_4, 361),
+        (_CLAUSE_VARIANT_5, 572),
+    ],
+)
+def test_name_level_check_expansions_pinned(monkeypatch, source, nodes):
+    """Refutations by the name-level check: one node where the root fails it, and searches
+    cut short where only later nodes do (one premises_C call per expanded node)."""
+    calls = _count_calls(monkeypatch, "premises_C")
+    assert prove(parse_formula(source)) is None
+    assert len(calls) == nodes
+
+
+def test_names_valid_examples():
+    assert names_valid(parse_formula("(C /\\ D) -> (D /\\ C)"))
+    assert names_valid(parse_formula("(C /\\ C) -> (C /\\ C /\\ C)"))
+    assert not names_valid(parse_formula(_CLAUSE_REFUTATION_5))
+    assert not names_valid(parse_formula("D -> C"))
+    # a backed positive atom is won outright, a negative one is its name at any rate
+    assert names_valid(parse_formula("D -> C"), frozenset({"C"}))
+    assert names_valid(parse_formula("D -> C{h=mk}"))
+    assert not names_valid(parse_formula("C -> D"), frozenset({"C"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_invalid_name_level_form_refutes_monotone_node(seed):
+    """Whenever a monotone node with pairs has an invalid name-level elementarization, the
+    reference search, which tries every pairing, refutes it."""
+    rng = random.Random(seed)
+    winnable = frozenset(name for name in "CD" if rng.random() < 0.2)
+    for _ in range(40):
+        g = Implies(random_body(rng), random_body(rng)) if rng.random() < 0.7 else random_ast(rng, depth=4)
+        walk = prover._Walk(g)
+        if walk.monotone(winnable) and walk.pairs() and not names_valid(g, winnable):
+            assert _reference_prove(g, winnable) is None, print_formula(g)
