@@ -135,7 +135,7 @@ class Bus:
     def register(self, agent_id: str) -> None:
         self.inboxes.setdefault(agent_id, deque())
 
-    def post(self, frm: str, to: str, msg: MoveMsg) -> None:
+    def post(self, to: str, msg: MoveMsg) -> None:
         inbox = self.inboxes.get(to)
         if inbox is None:
             raise BusError(f"unknown recipient {to!r}")
@@ -250,10 +250,10 @@ class Simulation:
 
     The bus carries one message type, ``MoveMsg``. Each session's listener traces every move
     and relays it from the server's own seats; it also posts each machine move to the agent
-    the engine addresses it to, if that agent holds a seat at the move's occurrence. An agent
-    that receives a ``MoveMsg`` for a session it serves plays it there (holding it until the
-    session opens); any other ``MoveMsg`` informs it of play elsewhere, which it relays from
-    its seat."""
+    that plays the environment at its occurrence (``Query.env_mover``), if that agent holds a
+    seat there. An agent that receives a ``MoveMsg`` for a session it serves plays it there
+    (holding it until the session opens); any other ``MoveMsg`` informs it of play elsewhere,
+    which it relays from its seat."""
 
     def __init__(self, agents: list[Agent]):
         self.agents: dict[str, Agent] = {}
@@ -374,11 +374,11 @@ class Simulation:
         if mover in self.agent_traces:
             self.agent_traces[mover].append(line)
 
-    def _on_append(self, query: Query, lm: Labmove, to: str | None) -> None:
+    def _on_append(self, query: Query, lm: Labmove) -> None:
         self._trace_line(query, lm)
         self._relay(query.server, query.qid, lm)
         if lm.player is Player.MACHINE:
-            self._inform(query, to, lm)
+            self._inform(query, lm)
 
     def _relay(self, aid: str, sid: str, lm: Labmove) -> None:
         """Copy a challenge at one of ``aid``'s produce seats, or an answer at a consume seat,
@@ -397,7 +397,7 @@ class Simulation:
         if partner.server == aid:
             self._apply_local(partner, copy)
         else:
-            self.bus.post(aid, partner.server, MoveMsg(pid, copy))
+            self.bus.post(partner.server, MoveMsg(pid, copy))
 
     def _apply_local(self, query: Query, lm: Labmove) -> None:
         session = query.session
@@ -409,12 +409,12 @@ class Simulation:
             session.deliver(lm)
             self._drive(query)
 
-    def _inform(self, query: Query, target: str | None, lm: Labmove) -> None:
-        """Post a machine move to the agent it is addressed to if that agent holds a seat at its
-        occurrence: only that agent's ``_relay`` acts on it."""
-        to = target if target is not None else query.opponent
+    def _inform(self, query: Query, lm: Labmove) -> None:
+        """Post a machine move to the agent that plays the environment at its occurrence if that
+        agent holds a seat there: only that agent's ``_relay`` acts on it."""
+        to = query.env_mover(lm.spec)
         if to != query.server and (query.qid, lm.spec) in self.seats.get(to, {}):
-            self.bus.post(query.server, to, MoveMsg(query.qid, lm))
+            self.bus.post(to, MoveMsg(query.qid, lm))
 
     def _drive(self, query: Query) -> None:
         while engine.step(query.session):
@@ -456,7 +456,7 @@ class Simulation:
             manual = self.manuals.get(owner, {}).get(atom_name(occ.node))
             if manual and occ.node.note is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
                 query.session.bindings[occ.spec].heuristic = manual
-        query.session.listener = lambda s, lm, to: self._on_append(query, lm, to)
+        query.session.listener = lambda s, lm: self._on_append(query, lm)
         self.opened.append(query)
         for lm in query.early:
             self._apply_local(query, lm)

@@ -10,7 +10,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import Status
-from .formula import FormulaError, note_names, parse_formula, print_formula
+from .formula import FormulaError, file_message, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -127,7 +127,7 @@ def cmd_play(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
-    def show(session: engine.Session, lm: Labmove, to: str | None) -> None:
+    def show(session: engine.Session, lm: Labmove) -> None:
         mover = "m" if lm.player is Player.MACHINE else "env"
         line = f"{len(session.run)} {mover} {lm.player.value} {lm.spec}{lm.payload}"
         print(line)
@@ -239,7 +239,7 @@ def cmd_fmt(args) -> int:
         try:
             out.append(print_formula(parse_formula(text)))
         except FormulaError as exc:
-            _err(f"line {lineno}: {exc}")
+            _err(file_message(exc, lineno, len(raw) - len(raw.lstrip())))
             return EXIT_INPUT
     print("\n".join(out))
     return EXIT_OK

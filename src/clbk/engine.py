@@ -5,17 +5,18 @@ Sessions are built with ``new_session``, which binds every surface atom occurren
 formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
 ``session.bindings`` afterwards, before the first step. Two invariants keep the state small.
 Moves enter a session only through ``Session.append`` (or ``Session.deliver`` and then
-``env_move``), which also files each move with the binding at its spec: each move is one
-``Labmove`` object, held both in ``run`` and in its binding, and a negative occurrence also
-keeps a flipped copy of it, so a binding's local run is always at hand, ready-made. A
-heuristic is polled again only after a move is filed at its occurrence. Moves leave a
-session only through ``Session.listener``, called once per appended move with the agent a
-machine move is addressed to (``to``: the choice's ``RuleB.env`` or the binding's ``env``),
-or None; the driving functions report only whether they moved. ``_enter`` is the
-only place that changes ``node``, ``formula``, ``atoms`` and ``bindings``: it walks each
-conclusion once, when play reaches its proof node. An environment choice at a closure node
-enters the closure premise at its branch's position in ``premises_A``, the order in which the
-checker holds closure premises."""
+``env_move``), which also files each move with the binding at its spec, in the game's local
+roles: a positive occurrence holds the run's own ``Labmove`` objects, a negative one each move
+flipped once, so a binding's local run is always at hand, ready-made. One seat rule serves
+both players: ``_seat_move`` polls the bindings in order for the seats a player holds (the
+local environment seat is the environment's at a positive occurrence and the machine's at a
+negative one), and a heuristic is polled again only after a move is filed at its occurrence.
+Moves leave a session only through ``Session.listener``, called once per appended move; the
+driving functions report only whether they moved. ``_enter`` is the only place that changes
+``node``, ``formula``, ``atoms`` and ``bindings``: it walks each conclusion once, when play
+reaches its proof node. An environment choice at a closure node enters the closure premise at
+its branch's position in ``premises_A``, the order in which the checker holds closure
+premises."""
 
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .formula import (
     Formula,
     General,
     Hybrid,
-    NEGATIVE,
     Occurrence,
     POSITIVE,
     Truth,
@@ -79,15 +79,15 @@ class Binding:
     occurrence) from its atom's note. The heuristic sits on the local machine seat, the script
     on the local environment seat; which session label that maps to depends on polarity.
     ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
-    at a positive occurrence or, as the environment's stand-in, at a negative one. ``moves``
-    are the session's own ``Labmove`` objects played at the occurrence since it was bound
-    (the choice move that resolved it stays in ``run`` only), with session labels; ``local``
-    holds the same moves in the game's local roles, each flipped once, when it is filed, at a
-    negative occurrence (``Session.local_run``). The game and the heuristic read only each
-    move's ``player``, ``key`` and ``value``.
+    at a positive occurrence or, as the environment's stand-in, at a negative one. ``local``
+    holds the moves played at the occurrence since it was bound (the choice move that resolved
+    it stays in ``run`` only) in the game's local roles (``Session.local_run``): the session's
+    own ``Labmove`` objects at a positive occurrence, each move flipped once, when it is filed,
+    at a negative one. The game and the heuristic read only each move's ``player``, ``key`` and
+    ``value``.
 
     A heuristic is a pure function of the local run, so ``heuristic_idle_at`` records
-    ``len(moves)`` when it last returned None, and it is not polled again until a move is
+    ``len(local)`` when it last returned None, and it is not polled again until a move is
     filed here. Strategies are therefore set before the first step: by ``new_session`` from
     the notes, or by the caller on ``session.bindings`` right after it."""
 
@@ -100,7 +100,6 @@ class Binding:
     script_pos: int = 0
     heuristic_fired: bool = False
     heuristic_idle_at: int = -1
-    moves: list[Labmove] = field(default_factory=list)
     local: list[Labmove] = field(default_factory=list)
 
 
@@ -117,22 +116,20 @@ class Session:
     interpretation: dict[str, bool] = field(default_factory=dict)
     inbox: deque[Labmove] = field(default_factory=deque)
     status: Status = Status.RUNNING
-    winner: Player | None = None
-    listener: Callable[["Session", Labmove, str | None], None] | None = None
+    listener: Callable[["Session", Labmove], None] | None = None
 
     def deliver(self, lm: Labmove) -> None:
         self.inbox.append(lm)
         if self.status is Status.QUIESCENT:
             self.status = Status.RUNNING
 
-    def append(self, lm: Labmove, to: str | None = None) -> None:
+    def append(self, lm: Labmove) -> None:
         self.run.append(lm)
         binding = self.bindings.get(lm.spec)
         if binding is not None:
-            binding.moves.append(lm)
             binding.local.append(lm if binding.polarity == POSITIVE else Labmove(lm.player.flip(), lm.spec, lm.payload))
         if self.listener:
-            self.listener(self, lm, to)
+            self.listener(self, lm)
 
     def local_run(self, spec: str) -> Run:
         """The moves at occurrence ``spec`` in its game's local roles: the session's own moves,
@@ -209,17 +206,18 @@ def machine_turn(session: Session) -> bool:
     while True:
         rule = session.node.rule
         if isinstance(rule, RuleB):
-            session.append(Labmove(Player.MACHINE, rule.spec, str(rule.branch)), rule.env)
+            session.append(Labmove(Player.MACHINE, rule.spec, str(rule.branch)))
             moved = True
         elif isinstance(rule, RuleC):
+            # The environment's moves so far, in local roles: the machine's at the negative nu.
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
             replays = [
-                (to, [m.payload for m in frm.moves if m.player is Player.ENVIRONMENT])
-                for to, frm in ((pi, nu), (nu, pi))
+                (pi, [m.payload for m in nu.local if m.player is Player.MACHINE]),
+                (nu, [m.payload for m in pi.local if m.player is Player.ENVIRONMENT]),
             ]
             for to, payloads in replays:
                 for payload in payloads:
-                    session.append(Labmove(Player.MACHINE, to.spec, payload), to.env)
+                    session.append(Labmove(Player.MACHINE, to.spec, payload))
                     moved = True
         else:
             return moved
@@ -244,7 +242,7 @@ def env_move(session: Session, lm: Labmove) -> None:
         sigma = next(partners, None)
         if sigma is not None:
             session.append(lm)
-            session.append(Labmove(Player.MACHINE, sigma.spec, lm.payload), sigma.env)
+            session.append(Labmove(Player.MACHINE, sigma.spec, lm.payload))
         return
     if lm.is_choice():
         for entry, premise in zip(premises_A(session.formula), session.node.premises):
@@ -255,56 +253,48 @@ def env_move(session: Session, lm: Labmove) -> None:
                 return
 
 
-def pump_machine(session: Session) -> bool:
-    """Play at most one machine move from the session's own strategy seats: a script payload
-    on a negated occurrence (the owner speaking for the counterpart it answers to) or a
-    heuristic answer on a positive one. True if it moved."""
+def _seat_move(session: Session, player: Player) -> Labmove | None:
+    """The next move ``player`` plays from one of its strategy seats, polling the bindings in
+    order. ``player`` holds an occurrence's local environment seat where it is the environment
+    at a positive occurrence or the machine at a negative one, and plays the script there (the
+    machine only a legal payload, speaking for the counterpart it answers to); on the local
+    machine seat it plays the heuristic's answer. None if no seat of ``player`` has a move."""
+    env = player is Player.ENVIRONMENT
     for binding in session.bindings.values():
-        if binding.script is not None and binding.polarity == NEGATIVE:
-            if binding.script_pos < len(binding.script.payloads):
-                payload = binding.script.payloads[binding.script_pos]
-                local = Labmove(Player.ENVIRONMENT, "", payload)
-                if binding.game.legal(session.local_run(binding.spec), local):
+        if (binding.polarity == POSITIVE) == env:
+            script = binding.script
+            if script is not None and binding.script_pos < len(script.payloads):
+                payload = script.payloads[binding.script_pos]
+                if env or binding.game.legal(session.local_run(binding.spec), Labmove(Player.ENVIRONMENT, "", payload)):
                     binding.script_pos += 1
-                    session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
-                    return True
-        if (
-            binding.heuristic is not None
-            and binding.polarity == POSITIVE
-            and binding.heuristic_idle_at != len(binding.moves)  # a move was filed since it passed
-        ):
+                    return Labmove(player, binding.spec, payload)
+        elif binding.heuristic is not None and binding.heuristic_idle_at != len(binding.local):
+            # a move was filed since it last passed
             payload = binding.heuristic(session.local_run(binding.spec))
             if payload is not None:
                 binding.heuristic_fired = True
-                session.append(Labmove(Player.MACHINE, binding.spec, payload), binding.env)
-                return True
-            binding.heuristic_idle_at = len(binding.moves)
-    return False
+                return Labmove(player, binding.spec, payload)
+            binding.heuristic_idle_at = len(binding.local)
+    return None
+
+
+def pump_machine(session: Session) -> bool:
+    """Play at most one machine move from the session's own strategy seats; True if it moved."""
+    lm = _seat_move(session, Player.MACHINE)
+    if lm is not None:
+        session.append(lm)
+    return lm is not None
 
 
 def pump_environment(session: Session) -> Labmove | None:
-    """Next environment move, polling in fixed order: delivered peer moves, then bound
-    scripts, then heuristics standing in for the environment. None marks quiescence."""
+    """Next environment move: a delivered peer move, else one from the environment's strategy
+    seats (a script, or a heuristic standing in for the environment). None marks quiescence."""
     if session.inbox:
         return session.inbox.popleft()
-    for binding in session.bindings.values():
-        if binding.script is not None and binding.polarity == POSITIVE:
-            if binding.script_pos < len(binding.script.payloads):
-                payload = binding.script.payloads[binding.script_pos]
-                binding.script_pos += 1
-                return Labmove(Player.ENVIRONMENT, binding.spec, payload)
-        if (
-            binding.heuristic is not None
-            and binding.polarity == NEGATIVE
-            and binding.heuristic_idle_at != len(binding.moves)  # a move was filed since it passed
-        ):
-            payload = binding.heuristic(session.local_run(binding.spec))
-            if payload is not None:
-                binding.heuristic_fired = True
-                return Labmove(Player.ENVIRONMENT, binding.spec, payload)
-            binding.heuristic_idle_at = len(binding.moves)
-    session.status = Status.QUIESCENT
-    return None
+    lm = _seat_move(session, Player.ENVIRONMENT)
+    if lm is None:
+        session.status = Status.QUIESCENT
+    return lm
 
 
 def step(session: Session) -> bool:
@@ -348,5 +338,4 @@ def evaluate_winner(session: Session) -> Player:
     valuation = defaultdict(bool, session.interpretation)
     winner = Player.MACHINE if evaluate(elementarize(f), valuation) else Player.ENVIRONMENT
     session.status = Status.FINISHED
-    session.winner = winner
     return winner

@@ -18,11 +18,18 @@ class FormulaError(ValueError):
 
 class ParseError(FormulaError):
     def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
+
+
+def file_message(exc: FormulaError, lineno: int, start: int) -> str:
+    """``exc``, raised by a formula that starts at 0-based column ``start`` of file line
+    ``lineno``, placed in the file: a parse error by the line and column there, others by line."""
+    if isinstance(exc, ParseError):
+        return f"line {lineno}, column {start + exc.col}: {exc.message}"
+    return f"line {lineno}: {exc}"
 
 
 class PathError(FormulaError):

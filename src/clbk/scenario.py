@@ -7,7 +7,7 @@ import re
 from importlib import resources
 
 from .agents import Agent, ResourceEntry, is_contract
-from .formula import FormulaError, parse_formula
+from .formula import FormulaError, file_message, parse_formula
 from .games import GAME_FACTORIES, GameDef, Heuristic, Labmove, Player, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
@@ -15,8 +15,7 @@ _GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>co
 _GAME_PARAMS = {"coffee": "zmax", "dollar": "vmax"}  # each factory's one bound
 _SCRIPT_RE = re.compile(r"^script\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*\[(?P<items>[^\]]*)\]$")
 _HEURISTIC_RE = re.compile(r"^heuristic\s+(?P<name>[a-z][a-zA-Z0-9]*)\s*=\s*(?P<kind>coffee|dollar)$")
-_RB_RE = re.compile(r"^rb\s+(?P<formula>.+)$")
-_QUERY_RE = re.compile(r"^query\s+(?P<formula>.+)$")
+_FORMULA_RE = re.compile(r"^(?P<kind>rb|query)\s+(?P<formula>.+)$")
 
 
 class ScenarioError(ValueError):
@@ -86,17 +85,16 @@ def parse_scenario(text: str) -> list[Agent]:
             raise ScenarioError(f"line {lineno}: directive before any agent block")
         if parse_resource_directive(line, lineno, current.games, current.scripts, pending_heuristics[current.id]):
             continue
-        if m := _RB_RE.match(line):
+        if m := _FORMULA_RE.match(line):
             try:
-                current.rb.append(ResourceEntry(parse_formula(m.group("formula"))))
+                f = parse_formula(m.group("formula"))
             except FormulaError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from exc
-            continue
-        if m := _QUERY_RE.match(line):
-            try:
-                current.queries.append(parse_formula(m.group("formula")))
-            except FormulaError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from exc
+                indent = len(raw) - len(raw.lstrip())
+                raise ScenarioError(file_message(exc, lineno, indent + m.start("formula"))) from exc
+            if m.group("kind") == "rb":
+                current.rb.append(ResourceEntry(f))
+            else:
+                current.queries.append(f)
             continue
         raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     for agent in agents:

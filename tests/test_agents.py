@@ -12,8 +12,8 @@ from clbk.agents import (
     evolve_rb,
 )
 from clbk.engine import Status
-from clbk.formula import parse_formula
-from clbk.games import Labmove, Player, coffee_game
+from clbk.formula import NEGATIVE, POSITIVE, parse_formula
+from clbk.games import Labmove, Player, coffee_game, flip_run
 from clbk.scenario import builtin_scenario, parse_scenario
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -53,7 +53,7 @@ def test_bus_rejects_unknown_recipient():
     bus = Bus()
     bus.register("a")
     with pytest.raises(BusError, match="unknown recipient"):
-        bus.post("a", "ghost", MoveMsg("sid", Labmove(T, "1.", "x=3")))
+        bus.post("ghost", MoveMsg("sid", Labmove(T, "1.", "x=3")))
 
 
 def test_god_agent_id_is_reserved():
@@ -281,14 +281,22 @@ def test_starbucks_conservation_copies(text, coffees, dollars, minters):
 
 
 def test_starbucks_bindings_hold_the_runs_own_moves():
+    """A positive occurrence holds the session's own move objects; a negative one holds them
+    flipped, each once."""
     sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)
     assert sim.opened
     for query in sim.opened:
-        played = {id(lm) for lm in query.session.run}
+        run = query.session.run
+        played = {id(lm) for lm in run}
         for binding in query.session.bindings.values():
-            assert all(id(lm) in played for lm in binding.moves), (query.qid, binding.spec)
-    assert any(b.moves for q in sim.opened for b in q.session.bindings.values())
+            if binding.polarity == POSITIVE:
+                assert all(id(lm) in played for lm in binding.local), (query.qid, binding.spec)
+            else:
+                own = tuple(lm for lm in run if lm.spec == binding.spec and not lm.is_choice())
+                assert tuple(binding.local) == flip_run(own), (query.qid, binding.spec)
+    held = [b for q in sim.opened for b in q.session.bindings.values() if b.local]
+    assert {b.polarity for b in held} == {POSITIVE, NEGATIVE}
 
 
 def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():
@@ -315,9 +323,32 @@ def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():
         for binding in query.session.bindings.values()
         if binding.heuristic in wrapped
     ]
-    filed = sum(len(binding.moves) for binding in bound)
+    filed = sum(len(binding.local) for binding in bound)
     assert (filed, len(bound)) == (50, 22)
     assert 0 < len(calls) <= filed + len(bound)
+
+
+def test_starbucks_informs_only_the_environment_player_at_its_seat():
+    """A post to an agent that does not serve the session informs it of a machine move: it
+    goes to the agent that plays the environment at the move's occurrence, and only where
+    that agent holds a seat."""
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
+    post = sim.bus.post
+    informs, posts = [], []
+
+    def checked(to, msg):
+        posts.append(msg)
+        query = sim.queries[msg.session_id]
+        if to != query.server:
+            informs.append(msg)
+            assert msg.move.player is T, msg
+            assert to == query.env_mover(msg.move.spec), (to, msg)
+            assert (msg.session_id, msg.move.spec) in sim.seats[to], (to, msg)
+        post(to, msg)
+
+    sim.bus.post = checked
+    assert sim.run(10_000).all_won()
+    assert (len(informs), len(posts)) == (54, 110)
 
 
 def test_no_labmove_delivered_to_god():
@@ -349,8 +380,8 @@ def test_move_before_opening_is_applied_once_open():
     """Moves posted to a queued session wait on its query and are played when it opens."""
     text = MINI.replace("  script myreq = [x=2, y=3]\n", "").replace("C{s=myreq} @ a", "C @ a")
     sim = Simulation(parse_scenario(text))
-    sim.bus.post("a", "a", MoveMsg("a:1", Labmove(B, "2.", "x=2")))
-    sim.bus.post("a", "a", MoveMsg("a:1", Labmove(B, "2.", "y=3")))
+    sim.bus.post("a", MoveMsg("a:1", Labmove(B, "2.", "x=2")))
+    sim.bus.post("a", MoveMsg("a:1", Labmove(B, "2.", "y=3")))
     assert sim.exec_step("f") == "opened"
     assert sim.exec_step("a") == "delivered"
     query = sim.queries["a:1"]

@@ -441,10 +441,11 @@ def test_simulate_script_item_outside_the_payload_grammar(tmp_path, capsys):
     [
         ("  rb C @ f\nagent a\n", "line 1: directive before any agent block"),
         ("agent a\n  frobnicate\n", "line 2: cannot parse 'frobnicate'"),
-        ("agent a\n  rb C /\\\n", "line 2: expected an atom, found '' (line 1, column 5)"),
+        ("agent a\n  rb C /\\\n", "line 2, column 10: expected an atom, found ''"),
+        ("agent a\n    query q /\\ ?r  # a comment\n", "line 2, column 16: unexpected character '?'"),
         ("agent f kind=provider\n  rb C @ g\n", "provider 'f' has no God-annotated manual in its resource base"),
     ],
-    ids=["before-agent", "unknown-directive", "bad-rb-formula", "provider-without-manual"],
+    ids=["before-agent", "unknown-directive", "bad-rb-formula", "bad-query-formula", "provider-without-manual"],
 )
 def test_simulate_scenario_input_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.clbk"
@@ -527,7 +528,9 @@ def test_fmt_input_nesting_too_deeply(tmp_path, capsys):
 def test_fmt_parse_error_names_the_file_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("p\nq -> q\n# comment\n(p\n")
-    assert run_cli(capsys, "fmt", str(path)) == (2, "", "error: line 4: expected ')', found '' (line 1, column 3)\n")
+    assert run_cli(capsys, "fmt", str(path)) == (2, "", "error: line 4, column 3: expected ')', found ''\n")
+    path.write_text("p\n  q /\\ ?r\n")
+    assert run_cli(capsys, "fmt", str(path)) == (2, "", "error: line 2, column 8: unexpected character '?'\n")
 
 
 def test_fmt_missing_file(capsys):

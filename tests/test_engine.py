@@ -40,9 +40,9 @@ def coffee_session(src="(C /\\ C) -> (C \\/ C) @ w", **kwargs):
 
 
 def listen(s):
-    """Collect ``(to, move)`` for every move the session plays from now on."""
+    """Collect every move the session plays from now on."""
     heard = []
-    s.listener = lambda _session, lm, to: heard.append((to, str(lm)))
+    s.listener = lambda _session, lm: heard.append(str(lm))
     return heard
 
 
@@ -77,15 +77,15 @@ def test_machine_turn_replays_pending_subrun_on_pairing():
     s.append(Labmove(B, "1.1.", "x=3"))
     heard = listen(s)
     assert engine.machine_turn(s) is True
-    assert heard == [("w", "T2.1.x=3")]
+    assert heard == ["T2.1.x=3"]
     assert [str(lm) for lm in s.run] == ["B1.1.x=3", "T2.1.x=3"]
 
 
-def test_machine_turn_choice_commitment_addressed_to_env():
+def test_machine_turn_choice_commitment():
     s = engine.new_session(prove(parse_formula("((p & q) -> p) @ w")))
     heard = listen(s)
     assert engine.machine_turn(s) is True
-    assert heard == [("w", "T1.1")]
+    assert heard == ["T1.1"]
     assert s.formula == parse_formula("(p -> p) @ w")
 
 
@@ -93,7 +93,7 @@ def test_machine_turn_second_branch_commitment():
     s = engine.new_session(prove(parse_formula("((p & q) -> q) @ w")))
     heard = listen(s)
     assert engine.machine_turn(s) is True
-    assert heard == [("w", "T1.2")]
+    assert heard == ["T1.2"]
 
 
 def test_a_resolved_choices_atom_starts_with_an_empty_run():
@@ -134,7 +134,7 @@ def test_env_move_at_general_atom_is_recorded():
     assert unpaired == ["2."]
     heard = listen(s)
     engine.env_move(s, Labmove(B, "2.", "v=1"))
-    assert heard == [(None, "B2.v=1")]
+    assert heard == ["B2.v=1"]
     assert [str(lm) for lm in s.run] == ["B2.v=1"]
 
 
@@ -143,7 +143,7 @@ def test_env_move_copycat_at_hybrid():
     engine.machine_turn(s)
     heard = listen(s)
     engine.env_move(s, Labmove(B, "2.1.", "x=3"))
-    assert heard == [(None, "B2.1.x=3"), ("w", "T1.1.x=3")]
+    assert heard == ["B2.1.x=3", "T1.1.x=3"]
     assert [str(lm) for lm in s.run] == ["B2.1.x=3", "T1.1.x=3"]
 
 
@@ -152,7 +152,7 @@ def test_env_move_choice_triggers_machine_reply():
     engine.machine_turn(s)
     heard = listen(s)
     engine.env_move(s, Labmove(B, "2.", "1"))
-    assert heard == [(None, "B2.1"), ("w", "T1.1")]
+    assert heard == ["B2.1", "T1.1"]
     assert s.formula == parse_formula("(p -> p) @ w")
     assert [str(lm) for lm in s.run] == ["B2.1", "T1.1"]
 
@@ -251,6 +251,18 @@ def test_evaluate_requires_quiescence():
         engine.evaluate_winner(s)
 
 
+def test_a_finished_session_takes_no_step():
+    """Once its winner is evaluated, a session plays nothing more, not even a delivered move."""
+    s = coffee_session("(C -> C) @ w")
+    s.bindings["2."].script = Script(("x=3",))
+    engine.run_to_quiescence(s)
+    engine.evaluate_winner(s)
+    played = list(s.run)
+    s.deliver(Labmove(B, "2.", "y=1"))
+    assert engine.step(s) is False
+    assert s.run == played and s.status is Status.FINISHED
+
+
 def test_evaluate_completed_coffee_run():
     s = _quiescent_session("C", games={"C": COFFEE}, run=[Labmove(B, "", "x=3"), Labmove(B, "", "y=1"), Labmove(T, "", "z=4")])
     assert engine.evaluate_winner(s) is T
@@ -344,9 +356,9 @@ def test_copycat_identity_game():
 
 
 def assert_one_object_per_move(session):
-    """Every move a binding holds is an entry of the session run itself, not a copy."""
+    """Every move a positive binding holds is an entry of the session run itself, not a copy."""
     played = {id(lm) for lm in session.run}
-    held = [lm for binding in session.bindings.values() for lm in binding.moves]
+    held = [lm for binding in session.bindings.values() if binding.polarity == POSITIVE for lm in binding.local]
     assert held and all(id(lm) in played for lm in held)
 
 
@@ -499,7 +511,7 @@ def test_evaluate_winner_agrees_with_reference_on_arbitrary_runs():
 def test_listener_is_the_only_output():
     """Driven by ``step`` and random environment moves, with strategies on random seats, a
     session hands every move of its run to the listener once and in order. A machine move
-    is addressed to its binding's env, a committed choice to its ``RuleB``'s env."""
+    is played at a bound occurrence or is the choice its ``RuleB`` commits."""
     rng = random.Random(53)
     games = {"C": COFFEE, "D": dollar_game(5)}
     seen = Counter()
@@ -513,15 +525,14 @@ def test_listener_is_the_only_output():
                 binding.script = Script(tuple(rng.sample(PAYLOADS[binding.game.name], 2)))
         heard = []
 
-        def listener(session, lm, to):
+        def listener(session, lm):
             heard.append(lm)
             if lm.player is T and lm.is_choice():
                 rule = session.node.rule
                 assert isinstance(rule, RuleB) and rule.spec == lm.spec, print_formula(f)
-                assert to == rule.env
                 seen["choice"] += 1
             elif lm.player is T:
-                assert to == session.bindings[lm.spec].env, print_formula(f)
+                assert lm.spec in session.bindings, print_formula(f)
                 seen["atom"] += 1
             else:
                 seen["environment"] += 1
@@ -557,10 +568,11 @@ def _answer_once(after: int, payload: str):
 
 
 def assert_local_runs_ready_made(session):
-    """Each binding's local run is its own moves, flipped at a negative occurrence, with the
-    keys and values of the moves it stands for."""
+    """Each binding's local run is the session's moves at its spec other than the choice that
+    resolved it, flipped at a negative occurrence, with the keys and values of the moves it
+    stands for."""
     for spec, binding in session.bindings.items():
-        moves = tuple(binding.moves)
+        moves = tuple(lm for lm in session.run if lm.spec == spec and not lm.is_choice())
         expected = flip_run(moves) if binding.polarity == NEGATIVE else moves
         got = session.local_run(spec)
         assert got == expected
@@ -587,7 +599,7 @@ def test_quiescence_leaves_no_heuristic_or_environment_script_with_a_move():
                 binding.heuristic = _answer_once(rng.randint(0, 3), rng.choice(PAYLOADS[binding.game.name]))
             elif roll < 0.7:
                 binding.script = Script(tuple(rng.sample(PAYLOADS[binding.game.name], rng.randint(0, 3))))
-        s.listener = lambda session, lm, to: assert_local_runs_ready_made(session)
+        s.listener = lambda session, lm: assert_local_runs_ready_made(session)
         resting: set[str] = set()  # specs whose heuristic had not fired at the last rest
         for _ in range(rng.randint(1, 12)):
             engine.run_to_quiescence(s, max_steps=500)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -428,3 +429,27 @@ def test_surface_walk_matches_reference_on_deep_chains():
         assert_walk_matches_reference(f)
     assert len(surface_occurrences(right, "atom")) == 200
     assert [o.spec for o in surface_occurrences(left, "leaf")][:2] == ["1." * 199, "1." * 198 + "2."]
+
+
+ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: child_at(f, (3,)), "path step 3 does not resolve in (p /\\ C) -> (p & q)"),
+        (lambda f: substitute_at(f, (1, 3), Truth(True)), "path step 3 does not resolve"),
+        (lambda f: polarity(f, (2, 3)), "path step 3 does not resolve"),
+        (lambda f: specification(f, (4,)), "path step 4 does not resolve"),
+        (lambda f: specification(f, (2, 1)), "path crosses a choice operator; not a surface occurrence"),
+        (lambda f: resolve_spec(f, "1.x"), "malformed specification string '1.x'"),
+        (lambda f: resolve_spec(f, "3."), "specification '3.' does not address an occurrence"),
+        (lambda f: resolve_spec(f, "1.1.1."), "specification '1.1.1.' does not address an occurrence"),
+        (lambda f: resolve_spec(f, "2.1."), "specification '2.1.' crosses a choice operator"),
+    ],
+    ids=["child_at", "substitute_at", "polarity", "specification", "specification-choice",
+         "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice"],
+)
+def test_paths_and_specs_that_do_not_resolve_name_the_step(call, message):
+    with pytest.raises(FormulaError, match=f"^{re.escape(message)}$"):
+        call(ERROR_FORMULA)
