@@ -1,4 +1,7 @@
-"""Command-line driver: prove formulas, play single games, run scenario simulations, format files."""
+"""Command-line driver: prove formulas, play single games, run scenario simulations, format files.
+
+Commands raise on failure, and ``main`` alone maps each error to its message and exit code.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import sys
 
 from . import engine
 from .agents import Agent, AgentError, Simulation
-from .engine import Status
+from .engine import EngineError, Status, StepBudgetExceeded
 from .formula import FormulaError, file_message, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
@@ -28,24 +31,19 @@ EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 
 
+class InputError(Exception):
+    """Input that one of the CLI's own checks rejects (exit 2)."""
+
+
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
 def cmd_prove(args) -> int:
-    try:
-        f = parse_formula(args.formula)
-    except FormulaError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    f = parse_formula(args.formula)
     if args.max_nodes is not None and args.max_nodes < 0:
-        _err("--max-nodes must not be negative")
-        return EXIT_INPUT
-    try:
-        tree = prove(f, max_nodes=args.max_nodes)
-    except SearchBudgetExceeded as exc:
-        _err(str(exc))
-        return EXIT_INCOMPLETE
+        raise InputError("--max-nodes must not be negative")
+    tree = prove(f, max_nodes=args.max_nodes)
     if tree is None:
         print("unprovable")
         return EXIT_UNPROVABLE
@@ -85,47 +83,30 @@ _SPEC_RE = re.compile(r"([0-9]+\.)*")  # a move line's spec; Labmove judges the 
 
 
 def cmd_play(args) -> int:
-    try:
-        f = parse_formula(args.formula)
-        games, scripts, heuristics, binds, interpretation = (
-            _load_bind_file(args.scripts) if args.scripts else ({}, {}, {}, [], {})
-        )
-    except (OSError, UnicodeDecodeError, FormulaError, ScenarioError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    f = parse_formula(args.formula)
+    games, scripts, heuristics, binds, interpretation = (
+        _load_bind_file(args.scripts) if args.scripts else ({}, {}, {}, [], {})
+    )
     if args.max_steps < 0:
-        _err("--max-steps must not be negative")
-        return EXIT_INPUT
+        raise InputError("--max-steps must not be negative")
     if unknown := sorted(note_names(f, "s") - scripts.keys()):
-        _err(f"unknown script {unknown[0]!r}")
-        return EXIT_INPUT
+        raise InputError(f"unknown script {unknown[0]!r}")
     tree = prove(f)
     if tree is None:
         print("unprovable")
         return EXIT_UNPROVABLE
-    try:
-        session = engine.new_session(
-            hybridize(tree), games=games, scripts=scripts, heuristics=heuristics, interpretation=interpretation
-        )
-    except engine.EngineError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    session = engine.new_session(
+        hybridize(tree), games=games, scripts=scripts, heuristics=heuristics, interpretation=interpretation
+    )
     for spec, kind, name in binds:
         binding = session.bindings.get(spec)
         if binding is None:
-            _err(f"bind target {spec!r} is not a surface atom occurrence")
-            return EXIT_INPUT
+            raise InputError(f"bind target {spec!r} is not a surface atom occurrence")
         strategies = scripts if kind == "script" else heuristics
         if name not in strategies:
-            _err(f"unknown {kind} {name!r}")
-            return EXIT_INPUT
+            raise InputError(f"unknown {kind} {name!r}")
         setattr(binding, kind, strategies[name])
-
-    try:
-        sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
 
     def show(session: engine.Session, lm: Labmove) -> None:
         mover = "m" if lm.player is Player.MACHINE else "env"
@@ -157,12 +138,6 @@ def cmd_play(args) -> int:
             engine.run_to_quiescence(session, args.max_steps)
         print(f"winner: {engine.evaluate_winner(session).value}")
         return EXIT_OK
-    except engine.StepBudgetExceeded:
-        print("step budget exhausted")
-        return EXIT_INCOMPLETE
-    except engine.EngineError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
     finally:
         if sink:
             sink.close()
@@ -192,21 +167,12 @@ def _scenario_agents(name: str) -> list[Agent]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        agents = _scenario_agents(args.scenario)
-    except (OSError, UnicodeDecodeError, ScenarioError, FormulaError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    agents = _scenario_agents(args.scenario)
     if args.max_steps < 0:
-        _err("--max-steps must not be negative")
-        return EXIT_INPUT
-    try:
-        report = Simulation(agents).run(args.max_steps)
-        if args.trace_dir:
-            _write_traces(args.trace_dir, report)
-    except (OSError, AgentError, engine.EngineError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+        raise InputError("--max-steps must not be negative")
+    report = Simulation(agents).run(args.max_steps)
+    if args.trace_dir:
+        _write_traces(args.trace_dir, report)
     print(report.summary())
     for result in report.results:
         print(f"{result.qid} client={result.client} {print_formula(result.formula)}: {result.status}")
@@ -224,12 +190,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    try:
-        with open(args.path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    with open(args.path, encoding="utf-8") as fh:
+        lines = fh.readlines()
     out = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
@@ -239,14 +201,13 @@ def cmd_fmt(args) -> int:
         try:
             out.append(print_formula(parse_formula(text)))
         except FormulaError as exc:
-            _err(file_message(exc, lineno, len(raw) - len(raw.lstrip())))
-            return EXIT_INPUT
-    print("\n".join(out))
+            raise InputError(file_message(exc, lineno, len(raw) - len(raw.lstrip()))) from exc
+    sys.stdout.writelines(line + "\n" for line in out)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="clbk", description=__doc__)
+    parser = argparse.ArgumentParser(prog="clbk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="search for a proof and print its listing")
@@ -280,6 +241,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except SearchBudgetExceeded as exc:
+        _err(str(exc))
+        return EXIT_INCOMPLETE
+    except StepBudgetExceeded:  # before its base class EngineError
+        print("step budget exhausted")
+        return EXIT_INCOMPLETE
+    except (InputError, FormulaError, ScenarioError, AgentError, EngineError, OSError, UnicodeDecodeError) as exc:
+        _err(str(exc))
+        return EXIT_INPUT
     except RecursionError:  # the parser, the prover and the engine all recurse on nesting depth
         _err("input nests too deeply")
         return EXIT_INPUT

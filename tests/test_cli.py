@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from clbk import prover
+from clbk import cli, prover
 from clbk.cli import main
 from clbk.scenario import builtin_scenario
 
@@ -519,6 +519,12 @@ def test_fmt_round_trips(tmp_path, capsys):
         assert parse_formula(line) == parse_formula(line)
 
 
+def test_fmt_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert run_cli(capsys, "fmt", str(path)) == (0, "", "")
+
+
 def test_fmt_input_nesting_too_deeply(tmp_path, capsys):
     path = tmp_path / "deep.txt"
     path.write_text("p\n" + "(" * 3000 + "p" + ")" * 3000 + "\n")
@@ -551,3 +557,28 @@ def test_fmt_and_play_reject_a_file_that_is_not_utf8(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ")
+
+
+class ClosedStream(io.StringIO):
+    """An output stream whose reader has gone away, as stdout into `head -c 1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["prove", "p -> p"], ["simulate", "starbucks"], ["fmt", "formulas.txt"]])
+def test_closed_output_stream_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "formulas.txt").write_text("p -> p\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", ClosedStream())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_an_error_outside_the_mapping_escapes_main(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "prove", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["prove", "p -> p"])
