@@ -1,7 +1,7 @@
 """Toolkit for a propositional logic of interactive resources: a three-rule prover, a
 proof-executing game engine with copy-cat, and a deterministic multi-agent simulator."""
 
-from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport, evolve_rb
+from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport
 from .classical import countermodel, evaluate, is_valid, satisfiable
 from .engine import (
     Binding,

@@ -8,7 +8,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import engine
-from .engine import Session, Status
+from .engine import Session
 from .formula import (
     And,
     EnvAnn,
@@ -20,7 +20,6 @@ from .formula import (
     Occurrence,
     POSITIVE,
     Truth,
-    atom_name,
     note_names,
     print_formula,
     surface_occurrences,
@@ -330,7 +329,7 @@ class Simulation:
             tables: dict[bool, dict[str, list[tuple[str, str]]]] = {True: {}, False: {}}  # by ``produces``
 
             def seat(query: Query, occ: Occurrence, produces: bool) -> None:
-                tables[produces].setdefault(atom_name(occ.node), []).append((query.qid, occ.spec))
+                tables[produces].setdefault(occ.node.name, []).append((query.qid, occ.spec))
 
             mine = self.queues[aid]
             # God-contract liabilities: negative occurrences of own contract sessions.
@@ -356,7 +355,7 @@ class Simulation:
                 for occ in query.atoms.values():
                     if occ.polarity == NEGATIVE:
                         seat(query, occ, False)
-                    elif atom_name(occ.node) not in self.manuals[aid]:
+                    elif occ.node.name not in self.manuals[aid]:
                         seat(query, occ, True)
             for name, producers in tables[True].items():
                 for produce, consume in zip(producers, tables[False].get(name, [])):
@@ -453,7 +452,7 @@ class Simulation:
             # At a note-less occurrence, the manual of the agent that owes the good (the server at a
             # positive one, the provider at a negative one) answers if that agent holds no seat there.
             owner = aid if occ.polarity == POSITIVE else occ.env
-            manual = self.manuals.get(owner, {}).get(atom_name(occ.node))
+            manual = self.manuals.get(owner, {}).get(occ.node.name)
             if manual and occ.node.note is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
                 query.session.bindings[occ.spec].heuristic = manual
         query.session.listener = lambda s, lm: self._on_append(query, lm)
@@ -506,12 +505,12 @@ class Simulation:
                     continue
                 if binding.heuristic_fired and binding.game.winner(run) is Player.MACHINE:
                     mover = query.server if binding.polarity == POSITIVE else query.env_mover(spec)
-                    atom = atom_name(session.atoms[spec].node)
+                    atom = session.atoms[spec].node.name
                     wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in run)))
                 occ = query.atoms.get(spec)
                 if booked and occ is not None and spec.startswith(prefix):
                     side = "paid" if occ.polarity == NEGATIVE else "received"
-                    ledgers[query.client][side][atom_name(occ.node)] += 1
+                    ledgers[query.client][side][occ.node.name] += 1
             if not quiescent:
                 continue
             mine = settled[query.server]
@@ -536,7 +535,7 @@ class Simulation:
 
 
 def _revert_hybrids(f: Formula) -> Formula:
-    return transform(f, lambda n: General(n.general, n.note) if isinstance(n, Hybrid) else n)
+    return transform(f, lambda n: General(n.name, n.note) if isinstance(n, Hybrid) else n)
 
 
 def _leftovers(finished: Session, n: int) -> Iterator[ResourceEntry | None]:
@@ -558,10 +557,3 @@ def _settled_rb(rb: list[ResourceEntry], settled: dict[int, ResourceEntry | None
     """``rb`` with each settled index replaced in place by what it settled to, spent ones dropped."""
     return [e for e in (settled.get(i, e) for i, e in enumerate(rb)) if e is not None]
 
-
-def evolve_rb(agent: Agent, finished: Session, consumed: list[int]) -> list[ResourceEntry]:
-    """Successor resource base after a served query: each consumed conjunct, at its own index,
-    becomes the session's leftover of it (``_leftovers``) or is dropped when spent."""
-    if finished.status is not Status.FINISHED:
-        raise AgentError("evolve_rb needs a finished session")
-    return _settled_rb(agent.rb, dict(zip(consumed, _leftovers(finished, len(consumed)))))

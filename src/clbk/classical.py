@@ -5,14 +5,10 @@ from __future__ import annotations
 
 from .formula import (
     And,
-    Chand,
-    Chor,
     Elementary,
     EnvAnn,
     Formula,
     FormulaError,
-    General,
-    Hybrid,
     Implies,
     Not,
     Or,
@@ -24,25 +20,14 @@ Valuation = dict[str, bool]
 
 
 def evaluate(f: Formula, valuation: Valuation) -> bool:
-    """Truth value of an elementary formula under a total valuation of its atoms."""
-    match f:
-        case Truth(v):
-            return v
-        case Elementary(name):
-            return valuation[name]
-        case EnvAnn(c, _):
-            return evaluate(c, valuation)
-        case Not(c):
-            return not evaluate(c, valuation)
-        case And(l, r):
-            return evaluate(l, valuation) and evaluate(r, valuation)
-        case Or(l, r):
-            return evaluate(l, valuation) or evaluate(r, valuation)
-        case Implies(l, r):
-            return (not evaluate(l, valuation)) or evaluate(r, valuation)
-        case General(_, _) | Hybrid(_, _, _) | Chand(_) | Chor(_):
-            raise FormulaError("not an elementary formula")
-    raise FormulaError(f"cannot evaluate {f!r}")
+    """Truth value of an elementary formula under a total valuation of its atoms: every atom
+    is read from ``valuation``, also one the value does not depend on."""
+    folded = _fold(f)
+    for name in elementary_names(f):
+        value = valuation[name]
+        if type(folded) is not bool:
+            folded = _assign(folded, name, value)
+    return folded
 
 
 def countermodel(f: Formula) -> Valuation | None:
@@ -85,7 +70,7 @@ def _fold(f: Formula) -> Folded:
         return f.value
     if kind is EnvAnn:
         return _fold(f.child)
-    raise FormulaError("validity is defined for elementary formulas only")
+    raise FormulaError("not an elementary formula")
 
 
 def _not(a: Folded) -> Folded:

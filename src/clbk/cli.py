@@ -237,16 +237,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at interpreter exit
+    does not fail a second time on a closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stand-in stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except StepBudgetExceeded:  # before its base class EngineError
+            print("step budget exhausted")
+            return EXIT_INCOMPLETE
+        finally:
+            sys.stdout.flush()  # so that a closed pipe fails here, inside the mapping
     except SearchBudgetExceeded as exc:
         _err(str(exc))
         return EXIT_INCOMPLETE
-    except StepBudgetExceeded:  # before its base class EngineError
-        print("step budget exhausted")
-        return EXIT_INCOMPLETE
+    except BrokenPipeError as exc:  # before its base class OSError
+        _detach_stdout()
+        _err(str(exc))
+        return EXIT_INPUT
     except (InputError, FormulaError, ScenarioError, AgentError, EngineError, OSError, UnicodeDecodeError) as exc:
         _err(str(exc))
         return EXIT_INPUT

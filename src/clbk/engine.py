@@ -33,7 +33,6 @@ from .formula import (
     Occurrence,
     POSITIVE,
     Truth,
-    atom_name,
     elementarize,
     substitute_paths,
     surface_occurrences,
@@ -53,7 +52,6 @@ __all__ = [
     "new_session",
     "noted_heuristic",
     "pump_environment",
-    "pump_machine",
     "step",
     "subrun",
 ]
@@ -146,7 +144,7 @@ def noted_heuristic(heuristics: dict[str, Heuristic], name: str, game: GameDef |
 
 
 def _occurrence_binding(session: Session, occ) -> Binding:
-    name = atom_name(occ.node)
+    name = occ.node.name
     game = session.games.get(name)
     heuristic = None
     script = None
@@ -278,14 +276,6 @@ def _seat_move(session: Session, player: Player) -> Labmove | None:
     return None
 
 
-def pump_machine(session: Session) -> bool:
-    """Play at most one machine move from the session's own strategy seats; True if it moved."""
-    lm = _seat_move(session, Player.MACHINE)
-    if lm is not None:
-        session.append(lm)
-    return lm is not None
-
-
 def pump_environment(session: Session) -> Labmove | None:
     """Next environment move: a delivered peer move, else one from the environment's strategy
     seats (a script, or a heuristic standing in for the environment). None marks quiescence."""
@@ -303,7 +293,9 @@ def step(session: Session) -> bool:
         return False
     session.status = Status.RUNNING
     progress = machine_turn(session)
-    if pump_machine(session):
+    lm = _seat_move(session, Player.MACHINE)
+    if lm is not None:
+        session.append(lm)
         return True
     lm = pump_environment(session)
     if lm is not None:

@@ -1,4 +1,7 @@
-"""Formula AST, concrete syntax, and structural queries (occurrences, addresses, elementarization)."""
+"""Formula AST, concrete syntax, and structural queries (occurrences, addresses, elementarization).
+
+Paths are read through ``_trail``. The printer writes atoms with ``atom_text``, connectives with
+``SYMBOLS`` and every operand by the one parenthesization rule of ``_operand``."""
 
 from __future__ import annotations
 
@@ -67,9 +70,10 @@ class General(Formula):
 
 @dataclass(frozen=True)
 class Hybrid(Formula):
-    """Pair of a general atom (the played game) and the elementary atom standing in for it."""
+    """Pair of a general atom (the played game, ``name`` as on ``General``) and the elementary
+    atom standing in for it; ``atom_text`` prints it ``name_elementary``."""
 
-    general: str
+    name: str
     elementary: str
     note: Note | None = None
 
@@ -168,19 +172,19 @@ def transform(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     return fn(f)
 
 
-def atom_name(node: General | Hybrid) -> str:
-    """Name of the game a general or hybrid atom stands for."""
-    return node.name if isinstance(node, General) else node.general
+def _trail(f: Formula, path: Path) -> list[Formula]:
+    """The nodes ``path`` passes through, from ``f`` to the node it addresses."""
+    trail = [f]
+    for step in path:
+        kids = children(trail[-1])
+        if not 1 <= step <= len(kids):
+            raise PathError(f"path step {step} does not resolve in {print_formula(trail[-1])}")
+        trail.append(kids[step - 1])
+    return trail
 
 
 def child_at(f: Formula, path: Path) -> Formula:
-    node = f
-    for step in path:
-        kids = children(node)
-        if not 1 <= step <= len(kids):
-            raise PathError(f"path step {step} does not resolve in {print_formula(node)}")
-        node = kids[step - 1]
-    return node
+    return _trail(f, path)[-1]
 
 
 def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
@@ -190,7 +194,7 @@ def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
     step = path[0]
     kids = list(children(f))
     if not 1 <= step <= len(kids):
-        raise PathError(f"path step {step} does not resolve")
+        raise PathError(f"path step {step} does not resolve in {print_formula(f)}")
     kids[step - 1] = substitute_at(kids[step - 1], path[1:], g)
     return rebuild(f, kids)
 
@@ -212,33 +216,19 @@ def skeleton(f: Formula) -> Formula:
 
 def polarity(f: Formula, path: Path) -> int:
     """POSITIVE or NEGATIVE: parity of negations over the path, implication antecedents counting as one."""
-    node = f
-    sign = POSITIVE
-    for step in path:
-        kids = children(node)
-        if not 1 <= step <= len(kids):
-            raise PathError(f"path step {step} does not resolve")
-        if isinstance(node, Not):
-            sign = -sign
-        elif isinstance(node, Implies) and step == 1:
-            sign = -sign
-        node = kids[step - 1]
-    return sign
+    steps = zip(_trail(f, path), path)
+    flips = sum(isinstance(node, Not) or (isinstance(node, Implies) and step == 1) for node, step in steps)
+    return NEGATIVE if flips % 2 else POSITIVE
 
 
 def specification(f: Formula, path: Path) -> str:
     """Dot-terminated address of a surface occurrence; transparent through negation and annotation."""
-    node = f
     parts = []
-    for step in path:
-        kids = children(node)
-        if not 1 <= step <= len(kids):
-            raise PathError(f"path step {step} does not resolve")
+    for node, step in zip(_trail(f, path), path):
         if isinstance(node, CHOICE_KINDS):
             raise PathError("path crosses a choice operator; not a surface occurrence")
-        if isinstance(node, (And, Or, Implies)):
+        if isinstance(node, BINARY_KINDS):
             parts.append(f"{step}.")
-        node = kids[step - 1]
     return "".join(parts)
 
 
@@ -327,12 +317,9 @@ def env_chooses(occ: Occurrence) -> bool:
 
 
 def is_elementary(f: Formula) -> bool:
-    """No choice operators, no general atoms, no hybrid atoms anywhere."""
-    match f:
-        case Chand(_) | Chor(_) | General(_, _) | Hybrid(_, _, _):
-            return False
-        case _:
-            return all(is_elementary(c) for c in children(f))
+    """No choice operators, no general atoms, no hybrid atoms anywhere: exactly the kinds
+    elementarization replaces, so it leaves an elementary formula as it is."""
+    return elementarize(f) == f
 
 
 def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False, names: bool = False) -> Formula:
@@ -564,52 +551,42 @@ def _agent_str(agent: str) -> str:
     return agent if _BARE_AGENT_RE.match(agent) else f'"{agent}"'
 
 
-def _atom_str(f: Formula) -> str:
-    match f:
-        case Truth(v):
-            return "T" if v else "F"
-        case Elementary(name):
-            return name
-        case General(name, note):
-            return name + (f"{{{note.kind}={note.name}}}" if note else "")
-        case Hybrid(gen, elem, note):
-            return f"{gen}_{elem}" + (f"{{{note.kind}={note.name}}}" if note else "")
-    raise FormulaError("not an atom")
+def atom_text(f: Formula) -> str:
+    """An atom or truth constant as it prints, its note included."""
+    kind = type(f)
+    if kind is Truth:
+        return "T" if f.value else "F"
+    if kind is Elementary:
+        return f.name
+    if kind is not General and kind is not Hybrid:
+        raise FormulaError("not an atom")
+    text = f.name if kind is General else f"{f.name}_{f.elementary}"
+    return text if f.note is None else f"{text}{{{f.note.kind}={f.note.name}}}"
+
+
+SYMBOLS = {Not: "~", Implies: "->", And: "/\\", Or: "\\/", Chand: "&", Chor: "|"}
+
+# The kinds each binary connective prints bare as its left and as its right operand, besides
+# atoms and negations; every other operand is parenthesized.
+_OPEN_KINDS = {Implies: ((), (Implies,)), And: ((And,), ()), Or: ((Or, And), (And,))}
+
+
+def _operand(node: Formula, open_kinds: tuple[type, ...]) -> str:
+    """``node`` printed bare when it is an atom, a negation or one of ``open_kinds``, else parenthesized."""
+    text = print_formula(node)
+    return text if isinstance(node, (*ATOM_KINDS, Not, *open_kinds)) else f"({text})"
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text; parse_formula(print_formula(f)) is structurally equal to f."""
-    return _pr(f)
-
-
-def _bare(node: Formula) -> bool:
-    return isinstance(node, ATOM_KINDS) or isinstance(node, Not)
-
-
-def _pr(node: Formula) -> str:
-    match node:
-        case EnvAnn(c, agent):
-            inner = _pr(c)
-            if isinstance(c, (And, Or, Chand, Chor)):
-                inner = f"({inner})"
-            return f"{inner} @ {_agent_str(agent)}"
-        case Implies(l, r):
-            ls = _pr(l) if _bare(l) else f"({_pr(l)})"
-            rs = _pr(r) if _bare(r) or isinstance(r, Implies) else f"({_pr(r)})"
-            return f"{ls} -> {rs}"
-        case And(l, r):
-            ls = _pr(l) if _bare(l) or isinstance(l, And) else f"({_pr(l)})"
-            rs = _pr(r) if _bare(r) else f"({_pr(r)})"
-            return f"{ls} /\\ {rs}"
-        case Or(l, r):
-            ls = _pr(l) if _bare(l) or isinstance(l, (Or, And)) else f"({_pr(l)})"
-            rs = _pr(r) if _bare(r) or isinstance(r, And) else f"({_pr(r)})"
-            return f"{ls} \\/ {rs}"
-        case Chand(parts):
-            return " & ".join(_pr(p) if _bare(p) else f"({_pr(p)})" for p in parts)
-        case Chor(parts):
-            return " | ".join(_pr(p) if _bare(p) else f"({_pr(p)})" for p in parts)
-        case Not(c):
-            return "~" + (_pr(c) if _bare(c) else f"({_pr(c)})")
-        case _:
-            return _atom_str(node)
+    kind = type(f)
+    if kind in _OPEN_KINDS:
+        left, right = _OPEN_KINDS[kind]
+        return f"{_operand(f.left, left)} {SYMBOLS[kind]} {_operand(f.right, right)}"
+    if kind in CHOICE_KINDS:
+        return f" {SYMBOLS[kind]} ".join(_operand(p, ()) for p in f.parts)
+    if kind is Not:
+        return "~" + _operand(f.child, ())
+    if kind is EnvAnn:
+        return f"{_operand(f.child, (Implies,))} @ {_agent_str(f.agent)}"
+    return atom_text(f)

@@ -17,12 +17,12 @@ from .formula import (
     FormulaError,
     General,
     Hybrid,
-    Implies,
-    Not,
     Occurrence,
     Or,
     POSITIVE,
+    SYMBOLS,
     Truth,
+    atom_text,
     child_at,
     children,
     elementarize,
@@ -240,7 +240,6 @@ def memo_key(f: Formula, root_avoid: frozenset[str]) -> str:
 
 
 _FRESH_REF = re.compile(r"#(\w+)")
-_KEY_TAG = {Not: "~", Implies: "->", And: "/\\", Or: "\\/", Chand: "&", Chor: "|"}
 
 
 def _key(node: Formula, root_avoid: frozenset[str]) -> tuple[str, str]:
@@ -251,22 +250,16 @@ def _key(node: Formula, root_avoid: frozenset[str]) -> tuple[str, str]:
     kind = type(node)
     if kind is EnvAnn:
         return _key(node.child, root_avoid)
-    if kind is Elementary:
-        if node.name in root_avoid:
-            return node.name, node.name
+    if kind is Elementary and node.name not in root_avoid:
         return "#", "#" + node.name
-    if kind is Truth:
-        return ("T", "T") if node.value else ("F", "F")
-    if kind is General or kind is Hybrid:
-        atom = node.name if kind is General else f"{node.general}_{node.elementary}"
-        if node.note is not None:
-            atom += f"{{{node.note.kind}={node.note.name}}}"
+    tag = SYMBOLS.get(kind)
+    if tag is None:
+        atom = atom_text(node)
         return atom, atom
     if kind is And or kind is Or:
         parts = sorted(_key(k, root_avoid) for k in _operands(node, kind, []))
     else:
         parts = [_key(k, root_avoid) for k in children(node)]
-    tag = _KEY_TAG[kind]
     return f"{tag}({','.join(p[0] for p in parts)})", f"{tag}({','.join(p[1] for p in parts)})"
 
 

@@ -9,7 +9,6 @@ from clbk.agents import (
     MoveMsg,
     ResourceEntry,
     Simulation,
-    evolve_rb,
 )
 from clbk.engine import Status
 from clbk.formula import NEGATIVE, POSITIVE, parse_formula
@@ -237,8 +236,7 @@ def test_evolve_rb_direct_contract():
     report = sim.run(100)
     session = sim.queries["a:1"].session
     assert session.status is Status.FINISHED
-    evolved = evolve_rb(sim.agents["a"], session, consumed=[])
-    assert [str(e) for e in evolved] == ["C @ f"]
+    assert report.final_rb["a"] == ["C @ f"]
 
 
 def test_starbucks_trace_deterministic():

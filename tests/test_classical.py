@@ -43,27 +43,28 @@ def test_rejects_non_elementary():
         satisfiable(parse_formula("p & q"))
 
 
+def ev(g, val):
+    """Independent evaluator for the oracles below: one case per connective."""
+    match g:
+        case Truth(v):
+            return v
+        case Elementary(name):
+            return val[name]
+        case Not(c):
+            return not ev(c, val)
+        case And(l, rr):
+            return ev(l, val) and ev(rr, val)
+        case Or(l, rr):
+            return ev(l, val) or ev(rr, val)
+        case Implies(l, rr):
+            return ev(rr, val) if ev(l, val) else True
+        case EnvAnn(c, _):
+            return ev(c, val)
+    raise AssertionError(g)
+
+
 def _reference_valid(f):
-    """Independent oracle: recursive valuation enumeration with its own evaluator."""
-
-    def ev(g, val):
-        match g:
-            case Truth(v):
-                return v
-            case Elementary(name):
-                return val[name]
-            case Not(c):
-                return not ev(c, val)
-            case And(l, rr):
-                return ev(l, val) and ev(rr, val)
-            case Or(l, rr):
-                return ev(l, val) or ev(rr, val)
-            case Implies(l, rr):
-                return ev(rr, val) if ev(l, val) else True
-            case EnvAnn(c, _):
-                return ev(c, val)
-        raise AssertionError(g)
-
+    """Independent oracle: recursive valuation enumeration with ``ev``."""
     names = sorted(elementary_names(f))
 
     def go(i, val):
@@ -95,6 +96,17 @@ def test_evaluate_requires_total_valuation():
         evaluate(f, {"p": True})
 
 
+def test_evaluate_reads_even_an_atom_the_value_does_not_depend_on():
+    with pytest.raises(KeyError):
+        evaluate(parse_formula("T \\/ p"), {})
+
+
+def test_evaluate_rejects_non_elementary():
+    for text in ("P -> p", "C_p", "p & q", "p | q"):
+        with pytest.raises(FormulaError):
+            evaluate(parse_formula(text), {"p": True, "q": True})
+
+
 def _annotated_elementary(seed, atom_count):
     atoms = tuple(f"p{i}" for i in range(atom_count))
     return random_elementary(random.Random(seed), depth=6, atoms=atoms, agents=AGENTS)
@@ -105,6 +117,14 @@ def _annotated_elementary(seed, atom_count):
 def test_countermodel_exactly_when_the_oracle_finds_a_false_row(seed, atom_count):
     f = _annotated_elementary(seed, atom_count)
     assert (countermodel(f) is None) == _reference_valid(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=8), st.randoms())
+def test_evaluate_agrees_with_the_oracle_evaluator(seed, atom_count, rng):
+    f = _annotated_elementary(seed, atom_count)
+    valuation = {name: rng.random() < 0.5 for name in sorted(elementary_names(f))}
+    assert evaluate(f, valuation) is ev(f, valuation)
 
 
 @settings(max_examples=300, deadline=None)

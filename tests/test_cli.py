@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -582,3 +584,20 @@ def test_an_error_outside_the_mapping_escapes_main(monkeypatch):
     monkeypatch.setattr(cli, "prove", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["prove", "p -> p"])
+
+
+IDENTITY_18 = "({0}) -> ({0})".format(" /\\ ".join(f"p{i}" for i in range(18)))
+
+
+def test_buffered_output_into_a_closed_pipe_is_an_input_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clbk.cli", "prove", IDENTITY_18], stdout=write_end, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")

@@ -20,7 +20,6 @@ from clbk.formula import (
     Or,
     POSITIVE,
     Truth,
-    atom_name,
     env_chooses,
     parse_formula,
     print_formula,
@@ -428,7 +427,7 @@ def _reference_winner(session, node, spec, sign):
             return T if session.interpretation.get(name, False) else B
         case General(_, _) | Hybrid(_, _, _):
             sub = engine.subrun(tuple(session.run), spec)
-            return session.games[atom_name(node)].winner(flip_run(sub) if sign == NEGATIVE else sub)
+            return session.games[node.name].winner(flip_run(sub) if sign == NEGATIVE else sub)
         case Chand(_):
             return T
         case Chor(_):

@@ -119,6 +119,41 @@ def test_print_quotes_starred_agents():
     assert print_formula(EnvAnn(p, "*1")) == 'p @ "*1"'
 
 
+# Each operand printed as the left and the right operand of ->, /\ and \/, as a choice part,
+# negated and annotated: the exact text, so that a change of parentheses that still parses shows.
+PRINTER_STYLE = {
+    "p": ["p -> r", "r -> p", "p /\\ r", "r /\\ p", "p \\/ r", "r \\/ p", "p & r", "~p", "p @ w"],
+    "~p": ["~p -> r", "r -> ~p", "~p /\\ r", "r /\\ ~p", "~p \\/ r", "r \\/ ~p", "~p & r", "~~p", "~p @ w"],
+    "p -> q": [
+        "(p -> q) -> r", "r -> p -> q", "(p -> q) /\\ r", "r /\\ (p -> q)", "(p -> q) \\/ r", "r \\/ (p -> q)",
+        "(p -> q) & r", "~(p -> q)", "p -> q @ w",
+    ],
+    "p /\\ q": [
+        "(p /\\ q) -> r", "r -> (p /\\ q)", "p /\\ q /\\ r", "r /\\ (p /\\ q)", "p /\\ q \\/ r", "r \\/ p /\\ q",
+        "(p /\\ q) & r", "~(p /\\ q)", "(p /\\ q) @ w",
+    ],
+    "p \\/ q": [
+        "(p \\/ q) -> r", "r -> (p \\/ q)", "(p \\/ q) /\\ r", "r /\\ (p \\/ q)", "p \\/ q \\/ r", "r \\/ (p \\/ q)",
+        "(p \\/ q) & r", "~(p \\/ q)", "(p \\/ q) @ w",
+    ],
+    "p & q": [
+        "(p & q) -> r", "r -> (p & q)", "(p & q) /\\ r", "r /\\ (p & q)", "(p & q) \\/ r", "r \\/ (p & q)",
+        "(p & q) & r", "~(p & q)", "(p & q) @ w",
+    ],
+    "p | q": [
+        "(p | q) -> r", "r -> (p | q)", "(p | q) /\\ r", "r /\\ (p | q)", "(p | q) \\/ r", "r \\/ (p | q)",
+        "(p | q) & r", "~(p | q)", "(p | q) @ w",
+    ],
+}
+
+
+@pytest.mark.parametrize("text", PRINTER_STYLE)
+def test_printer_style_table(text):
+    x = parse_formula(text)
+    places = [Implies(x, r), Implies(r, x), And(x, r), And(r, x), Or(x, r), Or(r, x), Chand((x, r)), Not(x), EnvAnn(x, "w")]
+    assert [print_formula(f) for f in places] == PRINTER_STYLE[text]
+
+
 def test_skeleton_removes_annotation():
     f = parse_formula("(p & (q & r)) @ w")
     assert skeleton(f) == parse_formula("p & (q & r)")
@@ -438,9 +473,9 @@ ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
     "call, message",
     [
         (lambda f: child_at(f, (3,)), "path step 3 does not resolve in (p /\\ C) -> (p & q)"),
-        (lambda f: substitute_at(f, (1, 3), Truth(True)), "path step 3 does not resolve"),
-        (lambda f: polarity(f, (2, 3)), "path step 3 does not resolve"),
-        (lambda f: specification(f, (4,)), "path step 4 does not resolve"),
+        (lambda f: substitute_at(f, (1, 3), Truth(True)), "path step 3 does not resolve in p /\\ C"),
+        (lambda f: polarity(f, (2, 3)), "path step 3 does not resolve in p & q"),
+        (lambda f: specification(f, (4,)), "path step 4 does not resolve in (p /\\ C) -> (p & q)"),
         (lambda f: specification(f, (2, 1)), "path crosses a choice operator; not a surface occurrence"),
         (lambda f: resolve_spec(f, "1.x"), "malformed specification string '1.x'"),
         (lambda f: resolve_spec(f, "3."), "specification '3.' does not address an occurrence"),
