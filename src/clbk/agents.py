@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import engine
 from .engine import Session
@@ -99,19 +100,10 @@ def is_contract(f: Formula) -> bool:
     return agent == GOD
 
 
-def and_chain(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def unfold_and_chain(f: Formula, n: int, spec: str) -> list[tuple[Formula, str]]:
     """Split a left-associated conjunction back into ``n`` conjuncts with their specs."""
     if n == 1:
         return [(f, spec)]
-    if not isinstance(f, And):
-        raise AgentError("antecedent does not decompose into the expected conjuncts")
     return unfold_and_chain(f.left, n - 1, spec + "1.") + [(f.right, spec + "2.")]
 
 
@@ -152,30 +144,21 @@ class Bus:
 
 
 @dataclass
-class QueryResult:
-    qid: str
-    client: str
-    server: str
-    formula: Formula
-    status: str = "pending"  # won | lost | rejected | unfinished | pending
-    winner: Player | None = None
-
-
-@dataclass
 class Query:
-    """One query served by ``server`` for ``client``, from submission to its result.
+    """One query of ``client`` to ``server``, from submission to its result.
     ``planned`` is the session formula: the server's consumable resources, if it has any,
-    imply the query body. ``atoms`` are its surface atom occurrences by spec."""
+    imply the query body. ``atoms`` are its surface atom occurrences by spec. An unroutable
+    query (to God or to an unregistered agent) has no plan and never opens."""
 
     qid: str
     formula: Formula
     client: str
     server: str
-    contract_ref: int | None  # index into the server's RB when self-executing a contract
-    planned: Formula
-    consumed: list[int]  # RB indices of the conjuncts in the planned antecedent
-    atoms: dict[str, Occurrence]
-    result: QueryResult
+    contract_ref: int | None = None  # index into the server's RB when self-executing a contract
+    planned: Formula | None = None
+    consumed: list[int] = field(default_factory=list)  # RB indices of the conjuncts in the planned antecedent
+    atoms: dict[str, Occurrence] = field(default_factory=dict)
+    status: str = "pending"  # won | lost | rejected | unfinished | pending
     session: Session | None = None
     early: list[Labmove] = field(default_factory=list)  # moves that arrived before opening
 
@@ -201,15 +184,17 @@ class HeuristicWin:
 
 @dataclass
 class SimulationReport:
-    """What a run leaves. In a quiescent run each session is won or lost, and each resource-base
-    entry a session touched settles in place: a won contract and a spent conjunct are dropped,
-    a partly played conjunct keeps its index with its position. A run cut short by its step
-    budget leaves every opened session ``unfinished`` and every resource base unchanged."""
+    """What a run leaves. ``results`` are the simulation's own queries: the served ones grouped
+    by server in registration order, each group in submission order, then the unroutable ones
+    as ``<client>!rN``. Each is ``won`` or ``lost`` once its session is over, ``rejected`` when
+    unprovable or unroutable, ``unfinished`` when opened in a run cut short by its step budget,
+    and ``pending`` when never opened. A quiescent run settles in place each resource-base entry
+    a session touched: a won contract and a spent conjunct are dropped, a partly played
+    conjunct keeps its index with its position. A run cut short changes no resource base."""
 
     quiescent: bool
     steps: int
-    agent_order: list[str]
-    results: list[QueryResult]
+    results: list[Query]
     heuristic_wins: list[HeuristicWin]
     ledgers: dict[str, dict[str, Counter]]
     final_rb: dict[str, list[str]]
@@ -218,7 +203,7 @@ class SimulationReport:
 
     def summary(self) -> str:
         parts = []
-        for agent in self.agent_order:
+        for agent in self.ledgers:
             mine = [r for r in self.results if r.client == agent]
             if not mine:
                 continue
@@ -271,7 +256,7 @@ class Simulation:
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
         self.opened: list[Query] = []
         self.seats: dict[str, dict[tuple[str, str], tuple[tuple[str, str], bool]]] = {a: {} for a in self.agents}
-        self.unroutable: list[QueryResult] = []
+        self.unroutable: list[Query] = []
         self.trace: list[str] = []
         self.agent_traces: dict[str, list[str]] = {a: [] for a in self.agents}
         self.steps = 0
@@ -290,7 +275,7 @@ class Simulation:
                 target = server or agent.id
                 if target == GOD or target not in self.agents:
                     rid = f"{agent.id}!r{len(self.unroutable) + 1}"
-                    self.unroutable.append(QueryResult(rid, agent.id, target, q, status="rejected"))
+                    self.unroutable.append(Query(rid, q, agent.id, target, status="rejected"))
                     continue
                 self.submit_query(target, q, client=agent.id)
 
@@ -304,8 +289,7 @@ class Simulation:
         if unknown := sorted(note_names(planned, "s") - self.agents[server].scripts.keys()):
             raise AgentError(f"query {print_formula(q)} names script {unknown[0]!r}, which {server!r} does not define")
         atoms = {occ.spec: occ for occ in surface_occurrences(planned, "atom")}
-        result = QueryResult(qid, client, server, q)
-        query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms, result)
+        query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms)
         self.queries[qid] = query
         self.queues[server].append(query)
         self.unopened[server].append(query)
@@ -319,7 +303,7 @@ class Simulation:
         target = EnvAnn(body, client) if server is not None else body
         consumables = [i for i, e in enumerate(agent.rb) if not is_contract(e.formula)]
         if consumables:
-            return Implies(and_chain([agent.rb[i].formula for i in consumables]), target), consumables
+            return Implies(reduce(And, [agent.rb[i].formula for i in consumables]), target), consumables
         return target, []
 
     def _build_flows(self) -> None:
@@ -366,15 +350,12 @@ class Simulation:
 
     # -- relays ----------------------------------------------------------------
 
-    def _trace_line(self, query: Query, lm: Labmove) -> None:
+    def _on_append(self, query: Query, lm: Labmove) -> None:
         mover = query.server if lm.player is Player.MACHINE else query.env_mover(lm.spec)
         line = f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}"
         self.trace.append(line)
         if mover in self.agent_traces:
             self.agent_traces[mover].append(line)
-
-    def _on_append(self, query: Query, lm: Labmove) -> None:
-        self._trace_line(query, lm)
         self._relay(query.server, query.qid, lm)
         if lm.player is Player.MACHINE:
             self._inform(query, lm)
@@ -439,7 +420,7 @@ class Simulation:
         agent = self.agents[aid]
         tree = prove(query.planned, winnable=self.winnable[aid])
         if tree is None:
-            query.result.status = "rejected"
+            query.status = "rejected"
             return True
         query.session = engine.new_session(
             hybridize(tree),
@@ -490,13 +471,12 @@ class Simulation:
         ledgers = {aid: {"received": Counter(), "paid": Counter()} for aid in self.agents}
         settled: dict[str, dict[int, ResourceEntry | None]] = {aid: {} for aid in self.agents}
         for query in self.opened:
-            session, result = query.session, query.result
+            session = query.session
             session.listener = None  # play is over; without the hook no cycle keeps the simulation alive
             if quiescent:
-                result.winner = engine.evaluate_winner(session)
-                result.status = "won" if result.winner is Player.MACHINE else "lost"
+                query.status = "won" if engine.evaluate_winner(session) is Player.MACHINE else "lost"
             else:
-                result.status = "unfinished"
+                query.status = "unfinished"
             booked = query.opponent != GOD and query.client != query.server  # the client's side only
             prefix = "2." if query.consumed else ""
             for spec, binding in session.bindings.items():
@@ -514,7 +494,7 @@ class Simulation:
             if not quiescent:
                 continue
             mine = settled[query.server]
-            if query.contract_ref is not None and result.winner is Player.MACHINE:
+            if query.contract_ref is not None and query.status == "won":
                 mine[query.contract_ref] = None
             for i, left in zip(query.consumed, _leftovers(session, len(query.consumed))):
                 if i not in mine or mine[i] is not None:
@@ -524,8 +504,7 @@ class Simulation:
         return SimulationReport(
             quiescent=quiescent,
             steps=self.steps,
-            agent_order=list(self.agents),
-            results=[query.result for queries in self.queues.values() for query in queries] + list(self.unroutable),
+            results=[query for queries in self.queues.values() for query in queries] + self.unroutable,
             heuristic_wins=wins,
             ledgers=ledgers,
             final_rb={aid: [str(e) for e in agent.rb] for aid, agent in self.agents.items()},
@@ -539,12 +518,8 @@ def _revert_hybrids(f: Formula) -> Formula:
 
 
 def _leftovers(finished: Session, n: int) -> Iterator[ResourceEntry | None]:
-    """What a finished session leaves of each of the first ``n`` conjuncts of its antecedent:
+    """What a finished session leaves of each of the first ``n >= 1`` conjuncts of its antecedent:
     None for a ``T`` or a completed atom, else the conjunct with hybrids reverted and its position."""
-    if not n:
-        return
-    if not isinstance(finished.formula, Implies):
-        raise AgentError("finished session has no antecedent to evolve from")
     for conjunct, spec in unfold_and_chain(finished.formula.left, n, "1."):
         binding = finished.bindings.get(spec)  # present exactly when the conjunct is an atom
         spent = isinstance(split_annotation(conjunct)[0], Truth) or (

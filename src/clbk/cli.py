@@ -176,8 +176,7 @@ def cmd_simulate(args) -> int:
     print(report.summary())
     for result in report.results:
         print(f"{result.qid} client={result.client} {print_formula(result.formula)}: {result.status}")
-    for aid in report.agent_order:
-        ledger = report.ledgers[aid]
+    for aid, ledger in report.ledgers.items():
         received = ", ".join(f"{k}={v}" for k, v in sorted(ledger["received"].items())) or "-"
         paid = ", ".join(f"{k}={v}" for k, v in sorted(ledger["paid"].items())) or "-"
         print(f"ledger {aid}: received {received}; paid {paid}")

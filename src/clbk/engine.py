@@ -71,7 +71,7 @@ class Status(Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(slots=True)
 class Binding:
     """Per-occurrence game wiring, made by ``new_session`` (or when play reaches the
     occurrence) from its atom's note. The heuristic sits on the local machine seat, the script

@@ -262,7 +262,7 @@ def resolve_spec(f: Formula, spec: str) -> Path:
         raise FormulaError(f"specification {spec!r} does not address an occurrence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     node: Formula
     path: Path

@@ -28,7 +28,7 @@ class Player(Enum):
 _PAYLOAD_RE = re.compile(r"([a-z])=([0-9]+)|[a-z][a-z0-9=]*|[0-9]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labmove:
     """One move. Its payload is checked against the grammar and parsed once, here: ``key``
     and ``value`` hold a ``k=N`` payload's key and value, or None; they take no part in

@@ -96,9 +96,13 @@ def test_unprovable_query_is_rejected_and_queue_advances():
 
 
 def test_query_to_unknown_agent_is_rejected():
-    agent = Agent(id="a", queries=[parse_formula("(p -> p) @ ghost")])
-    report = Simulation([agent]).run(100)
-    assert [r.status for r in report.results] == ["rejected"]
+    """A query to God or to an unregistered agent never opens: it is rejected and listed after
+    the served queries. Every result is the simulation's own query."""
+    queries = [parse_formula(f"(p -> p) @ {to}") for to in ("God", "ghost", "a")]
+    sim = Simulation([Agent(id="a", queries=queries)])
+    report = sim.run(100)
+    assert [(r.qid, r.status) for r in report.results] == [("a:1", "won"), ("a!r1", "rejected"), ("a!r2", "rejected")]
+    assert report.results[0] is sim.queries["a:1"]
 
 
 def test_consumable_resource_served_by_copycat():
@@ -125,28 +129,28 @@ def test_middleman_relays_each_move_once():
     assert report.heuristic_wins == [HeuristicWin("f", "C", "m:1", "1.", ("x=2", "y=3", "z=7"))]
 
 
-def test_evolve_rb_drops_only_consumed_conjuncts():
+def test_settle_drops_only_the_conjunct_a_session_consumed():
     text = MINI.replace("rb C @ f", "rb C @ f\n  rb C @ f")
     report = Simulation(parse_scenario(text)).run(1000)
     assert report.all_won()
     assert report.final_rb["a"] == ["C @ f"]
 
 
-def test_evolve_rb_keeps_a_partly_played_conjunct_with_its_position():
+def test_settle_keeps_a_partly_played_conjunct_with_its_position():
     text = MINI.replace("[x=2, y=3]", "[x=2]")
     report = Simulation(parse_scenario(text)).run(1000)
     assert report.quiescent
     assert report.final_rb["a"] == ["C @ f ; Tx=2"]
 
 
-def test_evolve_rb_drops_a_truth_conjunct():
+def test_settle_drops_a_truth_conjunct():
     text = MINI.replace("rb C @ f", "rb T\n  rb C @ f")
     report = Simulation(parse_scenario(text)).run(1000)
     assert report.quiescent and report.all_won()
     assert report.final_rb["a"] == []
 
 
-def test_evolve_rb_keeps_a_served_agents_contract():
+def test_settle_keeps_the_contract_of_a_rejected_query():
     text = MINI.replace("rb C @ f", "rb C @ f\n  rb q @ God")
     report = Simulation(parse_scenario(text)).run(1000)
     assert [(r.qid, r.status) for r in report.results] == [("f:1", "won"), ("a:1", "rejected"), ("a:2", "won")]
@@ -221,7 +225,7 @@ def test_manuals_fall_back_to_the_games_default_heuristic():
     assert agent.manuals() == {"C": agent.games["C"].default_heuristic}
 
 
-def test_evolve_rb_noop_without_antecedent():
+def test_settle_leaves_an_empty_rb_empty_without_an_antecedent():
     agent = Agent(id="a", queries=[parse_formula("(p -> p) @ a")])
     sim = Simulation([agent])
     report = sim.run(100)
@@ -229,7 +233,7 @@ def test_evolve_rb_noop_without_antecedent():
     assert report.final_rb["a"] == []
 
 
-def test_evolve_rb_direct_contract():
+def test_settle_keeps_a_conjunct_a_won_session_left_unplayed():
     agent = Agent(id="a", games={"C": coffee_game(10)}, rb=[ResourceEntry(parse_formula("C @ f"))])
     sim = Simulation([agent, Agent(id="f")])
     sim.submit_query("a", parse_formula("(p -> p) @ a"), client="a")
