@@ -11,7 +11,7 @@ from .engine import (
     evaluate_winner,
     machine_turn,
     new_session,
-    pump_environment,
+    run_to_quiescence,
     step,
 )
 from .formula import (

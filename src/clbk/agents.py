@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import engine
 from .engine import Session
@@ -223,14 +223,15 @@ class Simulation:
     by a session's engine: a provider's manual answers as the environment stand-in of the
     session that owes its good. Resource bases are fixed until ``_settle`` settles them, so
     each agent's manuals and winnable atoms are computed once, up front.
-    Sessions are at rest between visits: every delivery is followed by ``_drive``, which
-    returns only once its session is quiescent or finished, so no session is left running
-    and only the bus and the unopened queries can hold work.
+    Sessions are at rest between visits: every delivery is followed by
+    ``engine.run_to_quiescence``, which returns only once its session is quiescent or finished,
+    so no session is left running and only the bus and the unopened queries can hold work.
 
     A seat is an occurrence ``(qid, spec)`` where an agent relays play between sessions:
     ``seats[aid]`` maps each of ``aid``'s seats to its partner seat and whether it produces
     (relays challenges) or consumes (relays answers). Its polarity is the occurrence's in
-    ``queries[qid].atoms``, and ``aid`` holds it locally when it serves ``qid``.
+    ``queries[qid].atoms``, and ``aid`` holds it locally when it serves ``qid``. The seats are
+    paired once, when the run first needs them, from the queries submitted by then.
 
     The bus carries one message type, ``MoveMsg``. Each session's listener traces every move
     and relays it from the server's own seats; it also posts each machine move to the agent
@@ -255,13 +256,11 @@ class Simulation:
         self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
         self.opened: list[Query] = []
-        self.seats: dict[str, dict[tuple[str, str], tuple[tuple[str, str], bool]]] = {a: {} for a in self.agents}
         self.unroutable: list[Query] = []
         self.trace: list[str] = []
         self.agent_traces: dict[str, list[str]] = {a: [] for a in self.agents}
         self.steps = 0
         self._submit_startup()
-        self._build_flows()
 
     # -- startup --------------------------------------------------------------
 
@@ -281,7 +280,8 @@ class Simulation:
 
     def submit_query(self, server: str, q: Formula, client: str, contract_ref: int | None = None) -> str:
         """Queue ``q`` at ``server`` on behalf of ``client``; returns the session id. Every
-        script a note of the session formula names must be one of the server's."""
+        script a note of the session formula names must be one of the server's. A query
+        submitted once play has begun gets no relay seats: they are paired before the first move."""
         if server not in self.agents:
             raise BusError(f"unknown recipient {server!r}")
         qid = f"{server}:{len(self.queues[server]) + 1}"
@@ -306,10 +306,12 @@ class Simulation:
             return Implies(reduce(And, [agent.rb[i].formula for i in consumables]), target), consumables
         return target, []
 
-    def _build_flows(self) -> None:
+    @cached_property
+    def seats(self) -> dict[str, dict[tuple[str, str], tuple[tuple[str, str], bool]]]:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
         may forward the challenge and collect the answer from a counterparty."""
-        for aid, seats in self.seats.items():
+        table = {a: {} for a in self.agents}
+        for aid, seats in table.items():
             tables: dict[bool, dict[str, list[tuple[str, str]]]] = {True: {}, False: {}}  # by ``produces``
 
             def seat(query: Query, occ: Occurrence, produces: bool) -> None:
@@ -347,6 +349,7 @@ class Simulation:
                         continue  # the session's own copy-cat joins two seats it serves
                     seats[produce] = (consume, True)
                     seats[consume] = (produce, False)
+        return table
 
     # -- relays ----------------------------------------------------------------
 
@@ -387,7 +390,7 @@ class Simulation:
             session.append(lm)
         else:
             session.deliver(lm)
-            self._drive(query)
+            engine.run_to_quiescence(session)
 
     def _inform(self, query: Query, lm: Labmove) -> None:
         """Post a machine move to the agent that plays the environment at its occurrence if that
@@ -395,10 +398,6 @@ class Simulation:
         to = query.env_mover(lm.spec)
         if to != query.server and (query.qid, lm.spec) in self.seats.get(to, {}):
             self.bus.post(to, MoveMsg(query.qid, lm))
-
-    def _drive(self, query: Query) -> None:
-        while engine.step(query.session):
-            pass
 
     # -- scheduling -------------------------------------------------------------
 
@@ -440,7 +439,7 @@ class Simulation:
         self.opened.append(query)
         for lm in query.early:
             self._apply_local(query, lm)
-        self._drive(query)
+        engine.run_to_quiescence(query.session)
         return True
 
     def _has_work(self) -> bool:

@@ -4,8 +4,8 @@ strategy annotations and copy-cat; environment moves come from peers, scripts an
 Sessions are built with ``new_session``, which binds every surface atom occurrence from the
 formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
 ``session.bindings`` afterwards, before the first step. Two invariants keep the state small.
-Moves enter a session only through ``Session.append`` (or ``Session.deliver`` and then
-``env_move``), which also files each move with the binding at its spec, in the game's local
+Moves enter a session only through ``Session.append`` (a delivered move, when ``step`` hands it
+to ``env_move``), which also files each move with the binding at its spec, in the game's local
 roles: a positive occurrence holds the run's own ``Labmove`` objects, a negative one each move
 flipped once, so a binding's local run is always at hand, ready-made. One seat rule serves
 both players: ``_seat_move`` polls the bindings in order for the seats a player holds (the
@@ -13,10 +13,10 @@ local environment seat is the environment's at a positive occurrence and the mac
 negative one), and a heuristic is polled again only after a move is filed at its occurrence.
 Moves leave a session only through ``Session.listener``, called once per appended move; the
 driving functions report only whether they moved. ``_enter`` is the only place that changes
-``node``, ``formula``, ``atoms`` and ``bindings``: it walks each conclusion once, when play
-reaches its proof node. An environment choice at a closure node enters the closure premise at
-its branch's position in ``premises_A``, the order in which the checker holds closure
-premises."""
+``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``: it walks each conclusion
+once, when play reaches its proof node. An environment choice at a closure node enters the
+closure premise at its branch's position in ``premises_A``, the order in which the checker
+holds closure premises."""
 
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ __all__ = [
     "machine_turn",
     "new_session",
     "noted_heuristic",
-    "pump_environment",
+    "run_to_quiescence",
     "step",
     "subrun",
 ]
@@ -103,7 +103,6 @@ class Binding:
 
 @dataclass
 class Session:
-    formula: Formula
     node: ProofTree
     run: list[Labmove] = field(default_factory=list)
     atoms: dict[str, Occurrence] = field(default_factory=dict)
@@ -115,6 +114,10 @@ class Session:
     inbox: deque[Labmove] = field(default_factory=deque)
     status: Status = Status.RUNNING
     listener: Callable[["Session", Labmove], None] | None = None
+
+    @property
+    def formula(self) -> Formula:  # the conclusion of the proof node play rests at
+        return self.node.conclusion
 
     def deliver(self, lm: Labmove) -> None:
         self.inbox.append(lm)
@@ -163,7 +166,6 @@ def _enter(session: Session, node: ProofTree) -> None:
     """Move play to proof node ``node``: index its conclusion's surface atoms by spec, keep
     the bindings already made at those specs and bind the rest."""
     session.node = node
-    session.formula = node.conclusion
     session.atoms = {occ.spec: occ for occ in surface_occurrences(node.conclusion, "atom")}
     old = session.bindings
     session.bindings = {
@@ -179,14 +181,13 @@ def new_session(
     scripts: dict[str, Script] | None = None,
     interpretation: dict[str, bool] | None = None,
     winnable: frozenset[str] = frozenset(),
-    check: bool = True,
 ) -> Session:
-    """Open a session on a converted proof and bind every surface atom occurrence: its game by
-    atom name, and the heuristic or script its note names. Every occurrence must resolve a game."""
-    if check and not verify_proof(tree, winnable=winnable):
+    """Open a session on a converted proof that ``verify_proof`` accepts and bind every surface
+    atom occurrence: its game by atom name, and the heuristic or script its note names. Every
+    occurrence must resolve a game."""
+    if not verify_proof(tree, winnable=winnable):
         raise EngineError("proof tree does not verify")
     session = Session(
-        formula=tree.conclusion,
         node=tree,
         games=dict(games or {}),
         heuristics=dict(heuristics or {}),
@@ -276,19 +277,9 @@ def _seat_move(session: Session, player: Player) -> Labmove | None:
     return None
 
 
-def pump_environment(session: Session) -> Labmove | None:
-    """Next environment move: a delivered peer move, else one from the environment's strategy
-    seats (a script, or a heuristic standing in for the environment). None marks quiescence."""
-    if session.inbox:
-        return session.inbox.popleft()
-    lm = _seat_move(session, Player.ENVIRONMENT)
-    if lm is None:
-        session.status = Status.QUIESCENT
-    return lm
-
-
 def step(session: Session) -> bool:
-    """One deterministic scheduling step; False exactly at quiescence."""
+    """One deterministic scheduling step: the machine's turn, then one machine seat move, else one
+    environment move, a delivered one first. False, and the session quiescent, exactly when idle."""
     if session.status is Status.FINISHED:
         return False
     session.status = Status.RUNNING
@@ -297,12 +288,12 @@ def step(session: Session) -> bool:
     if lm is not None:
         session.append(lm)
         return True
-    lm = pump_environment(session)
+    lm = session.inbox.popleft() if session.inbox else _seat_move(session, Player.ENVIRONMENT)
     if lm is not None:
         env_move(session, lm)
         return True
-    if progress:
-        session.status = Status.RUNNING
+    if not progress:
+        session.status = Status.QUIESCENT
     return progress
 
 

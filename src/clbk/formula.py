@@ -439,6 +439,7 @@ class _Lexer:
 class _Parser:
     def __init__(self, text):
         self.lex = _Lexer(text)
+        self.annotations = 0  # the ``@`` annotations read so far
 
     def parse(self) -> Formula:
         f = self.annotated()
@@ -448,11 +449,15 @@ class _Parser:
         return f
 
     def annotated(self) -> Formula:
+        """An implication, annotated with ``@ agent`` only if it holds no annotation itself."""
+        before = self.annotations
         f = self.impl()
-        if self.lex.peek()[0] == "@":
+        if (tok := self.lex.peek())[0] == "@":
+            if self.annotations != before:
+                raise self.lex.error("env-switching annotation: nested '@' is not allowed", tok[2])
             self.lex.next()
-            agent = self.agentid()
-            f = EnvAnn(f, agent)
+            f = EnvAnn(f, self.agentid())
+            self.annotations += 1
         return f
 
     def agentid(self) -> str:
@@ -529,19 +534,8 @@ class _Parser:
         return Note(kind, name_tok[1])
 
 
-def _check_no_env_switching(f: Formula, inside=False):
-    if isinstance(f, EnvAnn):
-        if inside:
-            raise FormulaError("env-switching annotation: nested '@' is not allowed")
-        inside = True
-    for c in children(f):
-        _check_no_env_switching(c, inside)
-
-
 def parse_formula(text: str) -> Formula:
-    f = _Parser(text).parse()
-    _check_no_env_switching(f)
-    return f
+    return _Parser(text).parse()
 
 
 _BARE_AGENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")

@@ -28,20 +28,27 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _undefined(kind: str, name: str, defined, lineno: int) -> str:
+    """``name``, unless an earlier line already defined a ``kind`` so named."""
+    if name in defined:
+        raise ScenarioError(f"line {lineno}: {kind} {name!r} is already defined")
+    return name
+
+
 def parse_resource_directive(
     line: str, lineno: int, games: dict[str, GameDef], scripts: dict[str, Script], heuristics: list[tuple[str, str]]
 ) -> bool:
     """Apply a ``game``, ``script`` or ``heuristic`` line, the directives scenario and bind
     files share. Heuristics are queued as (name, kind) for ``resolve_heuristics``. Returns
     False when the line is none of the three; a game whose factory gets a parameter other than
-    its own bound, or a bound below 1, and a script item outside the move payload grammar are
-    errors."""
+    its own bound, or a bound below 1, a script item outside the move payload grammar and a
+    second definition of one game, script or heuristic name are errors."""
     if m := _GAME_RE.match(line):
         factory, param, value = m.group("factory", "param", "value")
         bound = _GAME_PARAMS[factory]
         if param != bound or int(value) < 1:
             raise ScenarioError(f"line {lineno}: {factory} takes {bound}=N with N >= 1, not {param}={value}")
-        games[m.group("atom")] = GAME_FACTORIES[factory](int(value))
+        games[_undefined("game", m.group("atom"), games, lineno)] = GAME_FACTORIES[factory](int(value))
     elif m := _SCRIPT_RE.match(line):
         payloads = tuple(p.strip() for p in m.group("items").split(",") if p.strip())
         for payload in payloads:
@@ -49,9 +56,9 @@ def parse_resource_directive(
                 Labmove(Player.ENVIRONMENT, "", payload)  # the move payload grammar
             except ValueError as exc:
                 raise ScenarioError(f"line {lineno}: {exc}") from exc
-        scripts[m.group("name")] = Script(payloads)
+        scripts[_undefined("script", m.group("name"), scripts, lineno)] = Script(payloads)
     elif m := _HEURISTIC_RE.match(line):
-        heuristics.append((m.group("name"), m.group("kind")))
+        heuristics.append((_undefined("heuristic", m.group("name"), dict(heuristics), lineno), m.group("kind")))
     else:
         return False
     return True

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from clbk.agents import (
@@ -241,6 +243,23 @@ def test_settle_keeps_a_conjunct_a_won_session_left_unplayed():
     session = sim.queries["a:1"].session
     assert session.status is Status.FINISHED
     assert report.final_rb["a"] == ["C @ f"]
+
+
+def test_queries_submitted_before_the_run_get_relay_seats():
+    """The seats are paired when the run first needs them, so a query submitted between
+    construction and ``run`` is relayed like a startup one: starbucks with ``u``'s queries
+    submitted late mints the same goods and books the same ledger for ``u``."""
+    agents = parse_scenario(builtin_scenario("starbucks"))
+    user = next(a for a in agents if a.id == "u")
+    late, user.queries = user.queries, []
+    sim = Simulation(agents)
+    for q in late:
+        sim.submit_query(q.agent, q, client="u")
+    report = sim.run(10_000)
+    assert report.quiescent and report.all_won()
+    assert len(report.heuristic_wins) == 20
+    assert report.steps == 212
+    assert report.ledgers["u"] == {"received": Counter(C=2, D=2), "paid": Counter(C=2, D=2)}
 
 
 def test_starbucks_trace_deterministic():

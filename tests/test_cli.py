@@ -212,6 +212,7 @@ def test_play_bind_line_errors(tmp_path, capsys):
         "bind 3. script req": "error: bind target '3.' is not a surface atom occurrence\n",
         "bind 1. script nope": "error: unknown script 'nope'\n",
         "bind 1. heuristic nope": "error: unknown heuristic 'nope'\n",
+        "script req = [x=2]": "error: line 3: script 'req' is already defined\n",
     }
     for line, message in cases.items():
         bind = write_bind(tmp_path, f"game C = coffee(zmax=10)\nscript req = [x=3, y=1]\n{line}\n")
@@ -446,8 +447,31 @@ def test_simulate_script_item_outside_the_payload_grammar(tmp_path, capsys):
         ("agent a\n  rb C /\\\n", "line 2, column 10: expected an atom, found ''"),
         ("agent a\n    query q /\\ ?r  # a comment\n", "line 2, column 16: unexpected character '?'"),
         ("agent f kind=provider\n  rb C @ g\n", "provider 'f' has no God-annotated manual in its resource base"),
+        (
+            "agent a\n  query ((p @ b) -> p) @ a\n",
+            "line 2, column 24: env-switching annotation: nested '@' is not allowed",
+        ),
+        (
+            "agent a\n  game C = coffee(zmax=10)\nagent b\n  game C = coffee(zmax=10)\n  game C = dollar(vmax=5)\n",
+            "line 5: game 'C' is already defined",
+        ),
+        (
+            "agent a\n  script r = [x=1]\n  heuristic r = coffee\n  script r = [x=2, y=1]\n",
+            "line 4: script 'r' is already defined",
+        ),
+        ("agent a\n  heuristic h = coffee\n  heuristic h = dollar\n", "line 3: heuristic 'h' is already defined"),
     ],
-    ids=["before-agent", "unknown-directive", "bad-rb-formula", "bad-query-formula", "provider-without-manual"],
+    ids=[
+        "before-agent",
+        "unknown-directive",
+        "bad-rb-formula",
+        "bad-query-formula",
+        "provider-without-manual",
+        "nested-annotation",
+        "game-defined-twice",
+        "script-defined-twice",
+        "heuristic-defined-twice",
+    ],
 )
 def test_simulate_scenario_input_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.clbk"

@@ -54,8 +54,13 @@ def test_parse_single_atom():
 
 
 def test_parse_rejects_env_switching():
-    with pytest.raises(FormulaError, match="env-switching"):
+    """A nested ``@`` is a parse error placed at the outer ``@``; annotations side by side are fine."""
+    with pytest.raises(ParseError, match="env-switching") as exc:
         parse_formula("((p & (q & r)) @ w) @ u")
+    assert (exc.value.line, exc.value.col) == (1, 21)
+    with pytest.raises(ParseError, match=r"env-switching.*\(line 1, column 16\)"):
+        parse_formula("((p @ b) -> p) @ a")
+    parse_formula("(p @ a) /\\ (q @ b)")  # side by side, not nested
 
 
 def test_parse_rejects_annotation_on_elementary():
