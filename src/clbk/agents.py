@@ -376,7 +376,7 @@ class Simulation:
             return
         partner = self.queries[pid]
         label = lm.player if partner.atoms[pspec].polarity == polarity else lm.player.flip()
-        copy = Labmove(label, pspec, lm.payload)
+        copy = lm.relabeled(label, pspec)
         if partner.server == aid:
             self._apply_local(partner, copy)
         else:

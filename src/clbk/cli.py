@@ -57,11 +57,22 @@ _BIND_RE = re.compile(r"^bind\s+(?P<spec>(\d+\.)*)\s*(?P<kind>script|heuristic)\
 _LET_RE = re.compile(r"^let\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*(?P<value>true|false)$")
 
 
+def _unbound(key, bound: dict, what: str, lineno: int):
+    """``key``, unless an earlier line already bound it in ``bound``; ``what`` names it in the error."""
+    if key in bound:
+        raise ScenarioError(f"line {lineno}: {what} is already bound")
+    return key
+
+
 def _load_bind_file(path: str):
+    """A bind file's games, scripts, heuristics, binds and interpretation. ``binds`` maps each
+    bound seat, ``(spec, kind)``, to the strategy name bound there. A second ``bind`` of one
+    kind at one spec, or a second ``let`` of one atom, is an error at its line; a script and a
+    heuristic at one spec fill different seats."""
     games: dict[str, GameDef] = {}
     scripts: dict[str, Script] = {}
     heuristics: list[tuple[str, str]] = []
-    binds: list[tuple[str, str, str]] = []
+    binds: dict[tuple[str, str], str] = {}
     interpretation: dict[str, bool] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -71,9 +82,11 @@ def _load_bind_file(path: str):
             if parse_resource_directive(line, lineno, games, scripts, heuristics):
                 continue
             if m := _BIND_RE.match(line):
-                binds.append((m.group("spec"), m.group("kind"), m.group("name")))
+                spec, kind = m.group("spec", "kind")
+                binds[_unbound((spec, kind), binds, f"the {kind} at {spec!r}", lineno)] = m.group("name")
             elif m := _LET_RE.match(line):
-                interpretation[m.group("name")] = m.group("value") == "true"
+                name = m.group("name")
+                interpretation[_unbound(name, interpretation, f"atom {name!r}", lineno)] = m.group("value") == "true"
             else:
                 raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     return games, scripts, resolve_heuristics(games, heuristics), binds, interpretation
@@ -85,7 +98,7 @@ _SPEC_RE = re.compile(r"([0-9]+\.)*")  # a move line's spec; Labmove judges the 
 def cmd_play(args) -> int:
     f = parse_formula(args.formula)
     games, scripts, heuristics, binds, interpretation = (
-        _load_bind_file(args.scripts) if args.scripts else ({}, {}, {}, [], {})
+        _load_bind_file(args.scripts) if args.scripts else ({}, {}, {}, {}, {})
     )
     if args.max_steps < 0:
         raise InputError("--max-steps must not be negative")
@@ -98,7 +111,7 @@ def cmd_play(args) -> int:
     session = engine.new_session(
         hybridize(tree), games=games, scripts=scripts, heuristics=heuristics, interpretation=interpretation
     )
-    for spec, kind, name in binds:
+    for (spec, kind), name in binds.items():
         binding = session.bindings.get(spec)
         if binding is None:
             raise InputError(f"bind target {spec!r} is not a surface atom occurrence")

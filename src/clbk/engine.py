@@ -7,16 +7,20 @@ formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
 Moves enter a session only through ``Session.append`` (a delivered move, when ``step`` hands it
 to ``env_move``), which also files each move with the binding at its spec, in the game's local
 roles: a positive occurrence holds the run's own ``Labmove`` objects, a negative one each move
-flipped once, so a binding's local run is always at hand, ready-made. One seat rule serves
-both players: ``_seat_move`` polls the bindings in order for the seats a player holds (the
-local environment seat is the environment's at a positive occurrence and the machine's at a
-negative one), and a heuristic is polled again only after a move is filed at its occurrence.
+flipped once, so a binding's local run is always at hand, ready-made. Every flipped, copied or
+scripted move is a ``Labmove.relabeled`` copy, so the engine parses a payload only where it
+enters play: a heuristic's answer or a committed choice. One seat rule serves both players:
+``_seat_move`` polls the bindings in order for the seats a player holds (the local environment
+seat is the environment's at a positive occurrence and the machine's at a negative one), and a
+heuristic is polled again only after a move is filed at its occurrence.
 Moves leave a session only through ``Session.listener``, called once per appended move; the
 driving functions report only whether they moved. ``_enter`` is the only place that changes
-``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``: it walks each conclusion
-once, when play reaches its proof node. An environment choice at a closure node enters the
-closure premise at its branch's position in ``premises_A``, the order in which the checker
-holds closure premises."""
+``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``, when play reaches a proof
+node. It reads the conclusion's surface walk through ``surface_occurrences``, which keeps one
+walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simulator's
+``Query.atoms`` share one walk of a conclusion and its ``Occurrence`` objects. An environment
+choice at a closure node enters the closure premise at its branch's position in ``premises_A``,
+the order in which the checker holds closure premises."""
 
 from __future__ import annotations
 
@@ -81,8 +85,8 @@ class Binding:
     holds the moves played at the occurrence since it was bound (the choice move that resolved
     it stays in ``run`` only) in the game's local roles (``Session.local_run``): the session's
     own ``Labmove`` objects at a positive occurrence, each move flipped once, when it is filed,
-    at a negative one. The game and the heuristic read only each move's ``player``, ``key`` and
-    ``value``.
+    at a negative one (a ``Labmove.relabeled`` copy, its payload not parsed again). The game
+    and the heuristic read only each move's ``player``, ``key`` and ``value``.
 
     A heuristic is a pure function of the local run, so ``heuristic_idle_at`` records
     ``len(local)`` when it last returned None, and it is not polled again until a move is
@@ -128,7 +132,7 @@ class Session:
         self.run.append(lm)
         binding = self.bindings.get(lm.spec)
         if binding is not None:
-            binding.local.append(lm if binding.polarity == POSITIVE else Labmove(lm.player.flip(), lm.spec, lm.payload))
+            binding.local.append(lm if binding.polarity == POSITIVE else lm.relabeled(lm.player.flip(), lm.spec))
         if self.listener:
             self.listener(self, lm)
 
@@ -211,12 +215,12 @@ def machine_turn(session: Session) -> bool:
             # The environment's moves so far, in local roles: the machine's at the negative nu.
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
             replays = [
-                (pi, [m.payload for m in nu.local if m.player is Player.MACHINE]),
-                (nu, [m.payload for m in pi.local if m.player is Player.ENVIRONMENT]),
+                (pi, [m for m in nu.local if m.player is Player.MACHINE]),
+                (nu, [m for m in pi.local if m.player is Player.ENVIRONMENT]),
             ]
-            for to, payloads in replays:
-                for payload in payloads:
-                    session.append(Labmove(Player.MACHINE, to.spec, payload))
+            for to, moves in replays:
+                for m in moves:
+                    session.append(m.relabeled(Player.MACHINE, to.spec))
                     moved = True
         else:
             return moved
@@ -241,7 +245,7 @@ def env_move(session: Session, lm: Labmove) -> None:
         sigma = next(partners, None)
         if sigma is not None:
             session.append(lm)
-            session.append(Labmove(Player.MACHINE, sigma.spec, lm.payload))
+            session.append(lm.relabeled(Player.MACHINE, sigma.spec))
         return
     if lm.is_choice():
         for entry, premise in zip(premises_A(session.formula), session.node.premises):
@@ -262,11 +266,11 @@ def _seat_move(session: Session, player: Player) -> Labmove | None:
     for binding in session.bindings.values():
         if (binding.polarity == POSITIVE) == env:
             script = binding.script
-            if script is not None and binding.script_pos < len(script.payloads):
-                payload = script.payloads[binding.script_pos]
-                if env or binding.game.legal(session.local_run(binding.spec), Labmove(Player.ENVIRONMENT, "", payload)):
+            if script is not None and binding.script_pos < len(script.moves):
+                move = script.moves[binding.script_pos]
+                if env or binding.game.legal(session.local_run(binding.spec), move):
                     binding.script_pos += 1
-                    return Labmove(player, binding.spec, payload)
+                    return move.relabeled(player, binding.spec)
         elif binding.heuristic is not None and binding.heuristic_idle_at != len(binding.local):
             # a move was filed since it last passed
             payload = binding.heuristic(session.local_run(binding.spec))

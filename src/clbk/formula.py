@@ -1,7 +1,11 @@
 """Formula AST, concrete syntax, and structural queries (occurrences, addresses, elementarization).
 
-Paths are read through ``_trail``. The printer writes atoms with ``atom_text``, connectives with
-``SYMBOLS`` and every operand by the one parenthesization rule of ``_operand``."""
+A formula's surface walk is memoized on the formula itself: ``surface_occurrences`` keeps the
+first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
+and the engine read one walk of each session formula. ``surface_leaves`` walks afresh and keeps
+nothing, for the prover's search nodes. Paths are read through ``_trail``. The printer writes
+atoms with ``atom_text``, connectives with ``SYMBOLS`` and every operand by the one
+parenthesization rule of ``_operand``."""
 
 from __future__ import annotations
 
@@ -292,22 +296,39 @@ def _surface_walk(out: list[Occurrence], node: Formula, path: Path, spec: str, s
             return
 
 
+def surface_leaves(f: Formula) -> list[Occurrence]:
+    """Every surface leaf occurrence of ``f`` (atoms, truth constants and choices), from a walk
+    of its own that nothing keeps: for formulas visited once, such as the prover's search nodes."""
+    out: list[Occurrence] = []
+    _surface_walk(out, f, (), "", POSITIVE, None)
+    return out
+
+
 _KIND_FILTERS = {
-    "choice": lambda n: isinstance(n, CHOICE_KINDS),
-    "general": lambda n: isinstance(n, General),
-    "hybrid": lambda n: isinstance(n, Hybrid),
-    "atom": lambda n: isinstance(n, (General, Hybrid)),
-    "leaf": lambda n: True,  # the walk appends leaves only
+    "choice": CHOICE_KINDS,
+    "general": (General,),
+    "hybrid": (Hybrid,),
+    "atom": (General, Hybrid),
 }
 
 
 def surface_occurrences(f: Formula, kind: str) -> list[Occurrence]:
     """Occurrences of the given kind ('choice', 'general', 'hybrid', 'atom', or 'leaf' for atoms
-    and choices alike) not under any choice operator."""
-    pick = _KIND_FILTERS[kind]
-    out: list[Occurrence] = []
-    _surface_walk(out, f, (), "", POSITIVE, None)
-    return [occ for occ in out if pick(occ.node)]
+    and choices alike) not under any choice operator.
+
+    The first call on ``f`` keeps its walk in ``f``'s own ``__dict__`` (``_surface``, outside
+    the fields, so equality, hashing and printing ignore it), and every later call filters
+    that walk: callers share the same ``Occurrence`` objects. A leaf ``f`` is walked anew each
+    time, since its walk would hold ``f`` itself, a reference cycle."""
+    walk = f.__dict__.get("_surface")
+    if walk is None:
+        walk = tuple(surface_leaves(f))
+        if walk[0].node is not f:
+            object.__setattr__(f, "_surface", walk)
+    if kind == "leaf":
+        return list(walk)
+    kinds = _KIND_FILTERS[kind]
+    return [occ for occ in walk if isinstance(occ.node, kinds)]
 
 
 def env_chooses(occ: Occurrence) -> bool:

@@ -23,6 +23,8 @@ class Player(Enum):
         return self.value
 
 
+_set = object.__setattr__  # how a frozen dataclass sets its own fields
+
 # The whole payload grammar: a word ``[a-z][a-z0-9=]*`` or a choice ``[0-9]+``; a word of
 # the form ``k=N`` (one letter, digits) also reads as a key and a value.
 _PAYLOAD_RE = re.compile(r"([a-z])=([0-9]+)|[a-z][a-z0-9=]*|[0-9]+")
@@ -32,7 +34,10 @@ _PAYLOAD_RE = re.compile(r"([a-z])=([0-9]+)|[a-z][a-z0-9=]*|[0-9]+")
 class Labmove:
     """One move. Its payload is checked against the grammar and parsed once, here: ``key``
     and ``value`` hold a ``k=N`` payload's key and value, or None; they take no part in
-    equality or hashing."""
+    equality or hashing. A move with the same payload for another player or at another spec
+    is made by ``relabeled``, which carries the parse over: every flip, relay, copy-cat and
+    script move is such a copy, so a payload is parsed where it enters play (a script when it
+    is built, a heuristic's answer, an interactive line, a committed choice)."""
 
     player: Player
     spec: str
@@ -45,8 +50,18 @@ class Labmove:
         if m is None:
             raise ValueError(f"bad move payload {self.payload!r}")
         key, digits = m.groups()
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "value", None if digits is None else int(digits))
+        _set(self, "key", key)
+        _set(self, "value", None if digits is None else int(digits))
+
+    def relabeled(self, player: Player, spec: str) -> Labmove:
+        """This move played by ``player`` at ``spec``, its payload's parse carried over."""
+        copy = object.__new__(Labmove)
+        _set(copy, "player", player)
+        _set(copy, "spec", spec)
+        _set(copy, "payload", self.payload)
+        _set(copy, "key", self.key)
+        _set(copy, "value", self.value)
+        return copy
 
     def is_choice(self) -> bool:
         return self.payload.isdigit()
@@ -60,13 +75,11 @@ Run = tuple[Labmove, ...]
 
 def subrun(run, spec: str) -> Run:
     """Labmoves whose spec extends ``spec``, with that prefix stripped, order preserved."""
-    return tuple(
-        Labmove(lm.player, lm.spec[len(spec):], lm.payload) for lm in run if lm.spec.startswith(spec)
-    )
+    return tuple(lm.relabeled(lm.player, lm.spec[len(spec):]) for lm in run if lm.spec.startswith(spec))
 
 
 def flip_run(run) -> Run:
-    return tuple(Labmove(lm.player.flip(), lm.spec, lm.payload) for lm in run)
+    return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in run)
 
 
 # A heuristic is a pure function of its occurrence's local run: the engine polls it again
@@ -76,9 +89,17 @@ Heuristic = Callable[[Run], Optional[str]]
 
 @dataclass(frozen=True)
 class Script:
-    """Preprogrammed move payloads for one occurrence, consumed front to back."""
+    """Preprogrammed move payloads for one occurrence, consumed front to back. Each payload is
+    checked against the grammar and parsed once, when the script is built: ``moves`` holds it
+    as an environment ``Labmove`` at the empty spec (a ``ValueError`` for a bad payload), which
+    the engine probes for legality and plays relabelled to its seat. ``moves`` takes no part in
+    equality, hashing or printing."""
 
     payloads: tuple[str, ...]
+    moves: tuple[Labmove, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _set(self, "moves", tuple(Labmove(Player.ENVIRONMENT, "", payload) for payload in self.payloads))
 
 
 @dataclass(frozen=True)

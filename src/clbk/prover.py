@@ -31,6 +31,7 @@ from .formula import (
     print_formula,
     resolve_spec,
     substitute_at,
+    surface_leaves,
     surface_occurrences,
     transform,
 )
@@ -129,7 +130,9 @@ class _Walk:
     """One surface walk of a formula, from which every rule's premises are generated: its
     surface choice occurrences; its surface general-atom occurrences, as (positive, negative)
     lists per name in order of first occurrence; and every elementary name in it, under
-    choices too, a hybrid counting by its elementary component."""
+    choices too, a hybrid counting by its elementary component. The walk is
+    ``surface_leaves``, which memoizes nothing: a search node is walked once, and a memo
+    would stay on every node the search keeps until ``prove`` returns."""
 
     __slots__ = ("choices", "atoms", "names")
 
@@ -137,7 +140,7 @@ class _Walk:
         self.choices: list[Occurrence] = []
         self.atoms: dict[str, tuple[list[Occurrence], list[Occurrence]]] = {}
         self.names: set[str] = set()
-        for occ in surface_occurrences(f, "leaf"):
+        for occ in surface_leaves(f):
             node = occ.node
             if isinstance(node, General):
                 poss, negs = self.atoms.setdefault(node.name, ([], []))

@@ -8,7 +8,7 @@ from importlib import resources
 
 from .agents import Agent, ResourceEntry, is_contract
 from .formula import FormulaError, file_message, parse_formula
-from .games import GAME_FACTORIES, GameDef, Heuristic, Labmove, Player, Script
+from .games import GAME_FACTORIES, GameDef, Heuristic, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
 _GAME_RE = re.compile(r"^game\s+(?P<atom>[A-Z][A-Za-z0-9]*)\s*=\s*(?P<factory>coffee|dollar)\s*\(\s*(?P<param>[a-z]+)\s*=\s*(?P<value>\d+)\s*\)$")
@@ -50,13 +50,11 @@ def parse_resource_directive(
             raise ScenarioError(f"line {lineno}: {factory} takes {bound}=N with N >= 1, not {param}={value}")
         games[_undefined("game", m.group("atom"), games, lineno)] = GAME_FACTORIES[factory](int(value))
     elif m := _SCRIPT_RE.match(line):
-        payloads = tuple(p.strip() for p in m.group("items").split(",") if p.strip())
-        for payload in payloads:
-            try:
-                Labmove(Player.ENVIRONMENT, "", payload)  # the move payload grammar
-            except ValueError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from exc
-        scripts[_undefined("script", m.group("name"), scripts, lineno)] = Script(payloads)
+        try:
+            script = Script(tuple(p.strip() for p in m.group("items").split(",") if p.strip()))
+        except ValueError as exc:  # an item outside the move payload grammar
+            raise ScenarioError(f"line {lineno}: {exc}") from exc
+        scripts[_undefined("script", m.group("name"), scripts, lineno)] = script
     elif m := _HEURISTIC_RE.match(line):
         heuristics.append((_undefined("heuristic", m.group("name"), dict(heuristics), lineno), m.group("kind")))
     else:

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from clbk import engine, formula, games
 from clbk.agents import (
     Agent,
     AgentError,
@@ -318,6 +319,58 @@ def test_starbucks_bindings_hold_the_runs_own_moves():
                 assert tuple(binding.local) == flip_run(own), (query.qid, binding.spec)
     held = [b for q in sim.opened for b in q.session.bindings.values() if b.local]
     assert {b.polarity for b in held} == {POSITIVE, NEGATIVE}
+
+
+def test_a_session_reads_its_querys_walk(monkeypatch):
+    """A session opens on the query's planned formula itself, so its atoms are the very
+    Occurrence objects of ``Query.atoms``: the formula is walked once for both."""
+    opened = []
+    original = engine.new_session
+
+    def recording(tree, **kwargs):
+        session = original(tree, **kwargs)
+        opened.append(dict(session.atoms))
+        return session
+
+    monkeypatch.setattr(engine, "new_session", recording)
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
+    sim.run(10_000)
+    assert len(opened) == len(sim.opened) == 6
+    for query, atoms in zip(sim.opened, opened):
+        assert atoms.keys() == query.atoms.keys() and atoms
+        assert all(atoms[spec] is occ for spec, occ in query.atoms.items()), query.qid
+
+
+def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypatch):
+    """On one starbucks run, from ``Simulation`` on, a payload is parsed only where it enters
+    play: the 20 heuristic answers (scripts were parsed with the scenario, and every flip,
+    relay and copy-cat move is a relabelled copy). The 16 root walks are the manuals' 2 and
+    the winnable sets' 4, 4 for the queries' planned formulas (the contracts reuse the manuals'
+    walks), and the 6 root search nodes; the checker and the engine reuse the kept walks."""
+    agents = parse_scenario(builtin_scenario("starbucks"))
+    parses = []
+    pattern = games._PAYLOAD_RE
+
+    class Counting:
+        def fullmatch(self, payload):
+            parses.append(payload)
+            return pattern.fullmatch(payload)
+
+    roots = []
+    walk = formula._surface_walk
+
+    def counted(out, node, path, *rest):
+        if not path:
+            roots.append(node)
+        return walk(out, node, path, *rest)
+
+    monkeypatch.setattr(games, "_PAYLOAD_RE", Counting())
+    monkeypatch.setattr(formula, "_surface_walk", counted)
+    report = Simulation(agents).run(10_000)
+    assert report.all_won() and len(report.heuristic_wins) == 20
+    assert sorted(parses) == sorted(p for win in report.heuristic_wins for p in win.payloads if p[0] in "zr")
+    assert len(parses) == 20
+    assert len(roots) == 16
 
 
 def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():

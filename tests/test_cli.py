@@ -213,11 +213,23 @@ def test_play_bind_line_errors(tmp_path, capsys):
         "bind 1. script nope": "error: unknown script 'nope'\n",
         "bind 1. heuristic nope": "error: unknown heuristic 'nope'\n",
         "script req = [x=2]": "error: line 3: script 'req' is already defined\n",
+        # a second bind of one seat, or a second let of one atom, would silently replace the first
+        "bind 2. script req\nbind 2. script req": "error: line 4: the script at '2.' is already bound\n",
+        "heuristic h = coffee\nbind 2. heuristic h\nbind 2. script req\nbind 2. heuristic h": (
+            "error: line 6: the heuristic at '2.' is already bound\n"
+        ),
+        "let p = true\nlet q = true\nlet p = false": "error: line 5: atom 'p' is already bound\n",
     }
     for line, message in cases.items():
         bind = write_bind(tmp_path, f"game C = coffee(zmax=10)\nscript req = [x=3, y=1]\n{line}\n")
         code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
         assert (code, out, err) == (2, "", message), line
+    # a script and a heuristic at one spec fill its two seats
+    text = "game C = coffee(zmax=10)\nscript req = [x=3, y=1]\nheuristic h = coffee\n"
+    bind = write_bind(tmp_path, text + "bind 2. script req\nbind 2. heuristic h\n")
+    code, out, err = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["5 m T 2.z=4", "winner: T"]
 
 
 @pytest.mark.parametrize(

@@ -428,6 +428,29 @@ def assert_walk_matches_reference(f):
         assert all(o.node is e[0] for o, e in zip(got, expected))
 
 
+def test_surface_walk_is_kept_on_a_non_leaf_formula():
+    """Every call on one non-leaf formula, whatever its kind, returns Occurrence objects of its
+    first walk; the kept walk leaves the formula's equality, hash and repr alone."""
+    text = "(C{h=hx} /\\ (p & D_q)) -> ~(C \\/ T) @ w"
+    f, twin = parse_formula(text), parse_formula(text)
+    first = surface_occurrences(f, "leaf")
+    for kind in _REFERENCE_KINDS:
+        again = surface_occurrences(f, kind)
+        assert [o for o in first if any(o is a for a in again)] == again, kind
+        assert all(a is b for a, b in zip(again, surface_occurrences(f, kind))), kind
+    assert len(first) == 4 and surface_occurrences(twin, "leaf")[0] is not first[0]
+    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+
+
+def test_surface_walk_of_a_leaf_formula_is_not_kept():
+    """A leaf's walk holds the leaf itself, so keeping it would make a reference cycle."""
+    for text in ("C", "p | q", "T"):
+        f = parse_formula(text)
+        first, again = surface_occurrences(f, "leaf"), surface_occurrences(f, "leaf")
+        assert first == again and first[0].node is f and first[0] is not again[0], text
+        assert vars(f) == {name: getattr(f, name) for name in f.__dataclass_fields__}, text
+
+
 def test_surface_walk_matches_reference_on_random_formulas():
     rng = random.Random(20261018)
     for _ in range(500):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from clbk.games import (
     Labmove,
     Player,
+    Script,
     coffee_game,
     dollar_game,
     subrun,
@@ -39,6 +41,36 @@ def test_labmove_reads_key_and_value_once():
         assert (lm(B, "", payload).key, lm(B, "", payload).value) == (None, None), payload
     assert move == lm(B, "1.", "x=03") and hash(move) == hash(lm(B, "1.", "x=03"))
     assert repr(move) == "Labmove(player=<Player.ENVIRONMENT: 'B'>, spec='1.', payload='x=03')"
+
+
+_PAYLOADS = st.one_of(
+    st.from_regex(r"[a-z]=[0-9]{1,3}", fullmatch=True),
+    st.from_regex(r"[a-z][a-z0-9=]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+)
+_SPECS = st.from_regex(r"([1-9]\.){0,3}", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([T, B]), _SPECS, _PAYLOADS, st.sampled_from([T, B]), _SPECS)
+def test_relabeled_copy_equals_a_fresh_move(player, spec, payload, to_player, to_spec):
+    """A relabelled copy carries its payload's parse over, and is in every respect the move
+    that parsing the payload afresh makes: still frozen, too."""
+    copy = lm(player, spec, payload).relabeled(to_player, to_spec)
+    fresh = lm(to_player, to_spec, payload)
+    assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+    assert (copy.key, copy.value) == (fresh.key, fresh.value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.payload = "x=1"
+
+
+def test_script_parses_its_payloads_when_built():
+    script = Script(("x=3", "y=1"))
+    assert script.moves == (lm(B, "", "x=3"), lm(B, "", "y=1"))
+    assert (script.moves[0].key, script.moves[0].value) == ("x", 3)
+    assert script == Script(("x=3", "y=1")) and repr(script) == "Script(payloads=('x=3', 'y=1'))"
+    with pytest.raises(ValueError, match="bad move payload 'X=3'"):
+        Script(("x=3", "X=3"))
 
 
 def test_subrun_prefix_filter():

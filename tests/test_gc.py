@@ -5,18 +5,23 @@ import weakref
 
 from clbk import engine
 from clbk.agents import Simulation
-from clbk.formula import POSITIVE, parse_formula
+from clbk.formula import POSITIVE, parse_formula, surface_occurrences
 from clbk.games import Player, Script, coffee_game
 from clbk.prover import format_proof, hybridize, prove, verify_proof
 from clbk.scenario import builtin_scenario, parse_scenario
+from test_agents import MIDDLEMAN
 
 
 def test_layers_leave_no_cyclic_garbage():
     """Every layer frees its temporaries by reference counting alone: with the cyclic
-    collector off, a full pass over the layers leaves nothing for it to find."""
+    collector off, a full pass over the layers leaves nothing for it to find. Walks of leaf
+    formulas are made too, since a walk kept on a leaf would hold the leaf itself; the MIDDLEMAN
+    query's body is a bare atom."""
     gc.collect()
     gc.disable()
     try:
+        for src in ("C", "p | q", "(C -> C) @ w"):
+            assert surface_occurrences(parse_formula(src), "leaf")
         for src in ("((C /\\ C) -> (C \\/ C)) @ w", "((p & q) -> (p & q)) @ w"):
             tree = prove(parse_formula(src))
             hybrid = hybridize(tree)
@@ -30,8 +35,9 @@ def test_layers_leave_no_cyclic_garbage():
                 binding.heuristic = binding.game.default_heuristic
         engine.run_to_quiescence(session)
         assert engine.evaluate_winner(session) is Player.MACHINE
-        report = Simulation(parse_scenario(builtin_scenario("starbucks"))).run(10_000)
-        assert report.all_won()
+        for text in (builtin_scenario("starbucks"), MIDDLEMAN):
+            report = Simulation(parse_scenario(text)).run(10_000)
+            assert report.all_won()
         del tree, hybrid, session, report  # a cycle among the results would now be garbage too
         assert gc.collect() == 0
     finally:

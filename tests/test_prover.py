@@ -637,6 +637,22 @@ def test_name_level_check_expansions_pinned(monkeypatch, source, nodes):
     assert len(calls) == nodes
 
 
+def _keeps_a_walk(f):
+    """Whether ``f`` or a node under it holds anything in its ``__dict__`` besides its fields."""
+    return vars(f).keys() != f.__dataclass_fields__.keys() or any(map(_keeps_a_walk, children(f)))
+
+
+def test_search_keeps_no_walk_on_its_nodes(monkeypatch):
+    """The search walks each node it expands once, and its memo holds the node until ``prove``
+    returns, so a walk kept on the node would only cost memory."""
+    nodes = []
+    original = prover.premises_C
+    monkeypatch.setattr(prover, "premises_C", lambda g, *rest: nodes.append(g) or original(g, *rest))
+    assert prove(parse_formula(_CLAUSE_VARIANT_4)) is None
+    assert len(nodes) == 361
+    assert not any(map(_keeps_a_walk, nodes))
+
+
 def test_names_valid_examples():
     assert names_valid(parse_formula("(C /\\ D) -> (D /\\ C)"))
     assert names_valid(parse_formula("(C /\\ C) -> (C /\\ C /\\ C)"))
