@@ -384,23 +384,34 @@ def _elementarize(node: Formula, sign: int, general: Callable[[General, int], Fo
 
 
 def elementary_names(f: Formula) -> set[str]:
+    """Every elementary name in ``f``, under choices too; a hybrid counts by its elementary
+    component."""
     out: set[str] = set()
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Elementary):
+        kind = type(node)  # as in _surface_walk, a type test is cheaper than isinstance
+        if kind is Elementary:
             out.add(node.name)
-        elif isinstance(node, Hybrid):
+        elif kind is Hybrid:
             out.add(node.elementary)
-        else:
+        elif kind is not General and kind is not Truth:
             stack.extend(children(node))
     return out
 
 
 def note_names(f: Formula, kind: str) -> set[str]:
     """Names the notes of ``kind`` ('h' or 's') carry anywhere in ``f``, under choices too."""
-    own = {f.note.name} if isinstance(f, (General, Hybrid)) and f.note is not None and f.note.kind == kind else set()
-    return own.union(*(note_names(c, kind) for c in children(f)))
+    out: set[str] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (General, Hybrid)):
+            if node.note is not None and node.note.kind == kind:
+                out.add(node.note.name)
+        else:
+            stack.extend(children(node))
+    return out
 
 
 # --- concrete syntax -------------------------------------------------------

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 from .classical import is_valid
 from .formula import (
     And,
+    BINARY_KINDS,
     Chand,
     Chor,
     Elementary,
@@ -17,8 +19,12 @@ from .formula import (
     FormulaError,
     General,
     Hybrid,
+    Implies,
+    NEGATIVE,
+    Not,
     Occurrence,
     Or,
+    Path,
     POSITIVE,
     SYMBOLS,
     Truth,
@@ -29,6 +35,7 @@ from .formula import (
     elementary_names,
     env_chooses,
     print_formula,
+    rebuild,
     resolve_spec,
     substitute_at,
     surface_leaves,
@@ -90,10 +97,20 @@ class BranchPremise:
 
 @dataclass(frozen=True)
 class PairPremise:
+    """The premise of pairing the occurrences at ``paths`` (positive, then negative; specs
+    ``pos_spec`` and ``neg_spec``) of ``conclusion`` by the fresh elementary atom ``name``.
+    Its ``formula`` is built on first read, so a search builds only the premises it tries."""
+
     pos_spec: str
     neg_spec: str
     name: str
-    formula: Formula
+    conclusion: Formula
+    paths: tuple[Path, Path]
+
+    @cached_property
+    def formula(self) -> Formula:
+        """``conclusion`` with both occurrences replaced by ``Elementary(name)``."""
+        return _paired(self.conclusion, *self.paths, Elementary(self.name))
 
 
 def measure(f: Formula) -> int:
@@ -202,9 +219,17 @@ def _fresh_name(taken: set[str]) -> str:
                 return name
 
 
-def _paired(f: Formula, pi: Occurrence, nu: Occurrence, atom: Formula) -> Formula:
-    """``f`` with both occurrences of the pair replaced by ``atom``."""
-    return substitute_at(substitute_at(f, pi.path, atom), nu.path, atom)
+def _paired(f: Formula, p: Path, q: Path, atom: Formula) -> Formula:
+    """``f`` with the nodes at ``p`` and ``q`` (neither a prefix of the other) replaced by
+    ``atom``, in one descent: the nodes the two paths share are rebuilt once."""
+    kids = list(children(f))
+    i, j = p[0] - 1, q[0] - 1
+    if i == j:
+        kids[i] = _paired(kids[i], p[1:], q[1:], atom)
+    else:
+        kids[i] = substitute_at(kids[i], p[1:], atom)
+        kids[j] = substitute_at(kids[j], q[1:], atom)
+    return rebuild(f, kids)
 
 
 def premises_C(
@@ -213,11 +238,11 @@ def premises_C(
     """One premise per (positive, negative) surface pair of the same general atom, both
     replaced by a fresh elementary atom that occurs neither in the conclusion nor in
     ``avoid``. ``walk`` is the conclusion's walk if the caller has made it; ``canonical``
-    keeps only the pairs that ``_Walk.pairs(canonical=True)`` keeps."""
+    keeps only the pairs that ``_Walk.pairs(canonical=True)`` keeps. No premise formula is
+    built here: each is built when its ``formula`` is first read."""
     walk = _Walk(f) if walk is None else walk
     fresh = _fresh_name(walk.names | avoid)
-    atom = Elementary(fresh)
-    return [PairPremise(pi.spec, nu.spec, fresh, _paired(f, pi, nu, atom)) for pi, nu in walk.pairs(canonical)]
+    return [PairPremise(pi.spec, nu.spec, fresh, f, (pi.path, nu.path)) for pi, nu in walk.pairs(canonical)]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -324,7 +349,12 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
       Like ``memo_key``, the check runs at the root, and elsewhere only once something is
       refuted, so a search that refutes nothing pays it at the root alone.
 
-    Each keeps the first successful branch of the full search, so proofs are unchanged."""
+    Each keeps the first successful branch of the full search, so proofs are unchanged.
+
+    A pairing premise is built only when the search tries it: ``premises_C`` lists a node's
+    pairings once per expanded node, and a premise's formula is built, in one descent that
+    rebuilds only the nodes on its two paths, when the search first reads it. A node that
+    the name-level check refutes builds none."""
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
@@ -402,7 +432,12 @@ def _convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     """Check that every node's premises are the ones its rule generates from its conclusion:
     all of ``premises_A``, in order, under a stable conclusion; the named ``premises_B`` entry;
-    or the named pair given one atom absent from the conclusion, elementary or hybrid."""
+    or the named pair given one atom absent from the conclusion, elementary or hybrid.
+
+    Rule C builds no premise. It finds each named occurrence by one descent along its spec,
+    then compares the premise with the conclusion along the two paths only: every child off
+    them must be equal (``==``, which returns at once on a shared subtree), and both paired
+    leaves must be the same atom, ``Elementary(name)`` or ``Hybrid(<general name>, name)``."""
     g = t.conclusion
     got = [p.conclusion for p in t.premises]
     match t.rule:
@@ -411,16 +446,67 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
         case RuleB(spec, branch, env):
             ok = any(got == [e.formula] for e in premises_B(g) if (e.spec, e.branch, e.env) == (spec, branch, env))
         case RuleC(pos_spec, neg_spec, name):
-            walk = _Walk(g)
-            ok = name not in walk.names and any(
-                got == [_paired(g, pi, nu, atom)]
-                for pi, nu in walk.pairs()
-                if (pi.spec, nu.spec) == (pos_spec, neg_spec)
-                for atom in (Elementary(name), Hybrid(pi.node.name, name))
+            pos, neg = _general_at(g, pos_spec, POSITIVE), _general_at(g, neg_spec, NEGATIVE)
+            ok = (
+                pos is not None
+                and neg is not None
+                and pos[0].name == neg[0].name
+                and len(got) == 1
+                and (ends := _ends_off(got[0], g, [pos[1], neg[1]])) is not None
+                and ends[0] == ends[1]
+                and ends[0] in (Elementary(name), Hybrid(pos[0].name, name))
+                and name not in elementary_names(g)
             )
         case _:
             ok = False
     return ok and all(verify_proof(p, winnable) for p in t.premises)
+
+
+def _general_at(f: Formula, spec: str, sign: int) -> tuple[General, Path] | None:
+    """The general atom that occurs in ``f`` at ``spec`` with polarity ``sign``, and its path;
+    None if there is none. A spec is one dot-terminated step per binary connective on the way,
+    as ``surface_occurrences`` writes it; negations and annotations take none, and no step
+    enters a choice."""
+    steps = spec.split(".")
+    if steps.pop():  # the spec did not end with its dot
+        return None
+    steps.reverse()
+    node, path, polarity = f, [], POSITIVE
+    while True:
+        kind = type(node)
+        if kind is EnvAnn or kind is Not:
+            polarity = -polarity if kind is Not else polarity
+            node = node.child
+            path.append(1)
+        elif kind in BINARY_KINDS and steps and steps[-1] in ("1", "2"):
+            step = int(steps.pop())
+            polarity = -polarity if kind is Implies and step == 1 else polarity
+            node = node.left if step == 1 else node.right
+            path.append(step)
+        else:
+            found = kind is General and not steps and polarity == sign
+            return (node, tuple(path)) if found else None
+
+
+def _ends_off(h: Formula, g: Formula, paths: list[Path]) -> list[Formula] | None:
+    """The nodes of ``h`` at ``paths`` (none a prefix of another) if ``h`` agrees with ``g``
+    off them: each node on a path has ``g``'s connective and agent, and each child off the
+    paths equals ``g``'s. None if it does not."""
+    if paths == [()]:
+        return [h]
+    if type(h) is not type(g) or (type(g) is EnvAnn and h.agent != g.agent):
+        return None
+    ends: list[Formula] = []
+    for i, (a, b) in enumerate(zip(children(h), children(g)), start=1):
+        below = [p[1:] for p in paths if p[0] == i]
+        if below:
+            sub = _ends_off(a, b, below)
+            if sub is None:
+                return None
+            ends += sub
+        elif a is not b and a != b:
+            return None
+    return ends
 
 
 _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}

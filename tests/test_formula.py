@@ -26,6 +26,7 @@ from clbk.formula import (
     children,
     elementarize,
     is_elementary,
+    note_names,
     parse_formula,
     polarity,
     print_formula,
@@ -353,6 +354,20 @@ def test_substitute_paths_matches_one_at_a_time():
             expected = substitute_at(expected, path, g)
         assert substitute_paths(f, chosen) == expected
         assert substitute_paths(f, {}) is f
+
+
+def test_note_names_matches_recursive_definition():
+    def reference(f, kind):
+        noted = isinstance(f, (General, Hybrid)) and f.note is not None and f.note.kind == kind
+        own = {f.note.name} if noted else set()
+        return own.union(*(reference(c, kind) for c in children(f)))
+
+    rng = random.Random(41)
+    for _ in range(300):
+        f = random_ast(rng, depth=5)
+        for kind in "hs":
+            assert note_names(f, kind) == reference(f, kind)
+    assert note_names(parse_formula("C{s=a} /\\ (D_p{s=b} & E{h=c})"), "s") == {"a", "b"}
 
 
 def test_elementarize_always_elementary():

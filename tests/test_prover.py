@@ -12,19 +12,23 @@ from clbk.formula import (
     POSITIVE,
     And,
     Elementary,
+    EnvAnn,
     General,
     Hybrid,
     Implies,
     Not,
     Or,
+    child_at,
     children,
     elementary_names,
     env_chooses,
     parse_formula,
     print_formula,
     rebuild,
+    resolve_spec,
     skeleton,
     substitute_at,
+    substitute_paths,
     surface_occurrences,
     transform,
 )
@@ -47,7 +51,7 @@ from clbk.prover import (
     verify_proof,
 )
 from genlib import random_ast, random_body, random_provable
-from test_acceptance import _mutations
+from test_acceptance import _mutations, _replace_node, _tree_nodes
 
 
 def test_stability_examples():
@@ -336,20 +340,75 @@ def _reference_verify(t, winnable=frozenset()):
     return all(_reference_verify(p, winnable) for p in t.premises)
 
 
+def _rule_c_mutants(tree):
+    """(kind, mutant) for each rule-C node of ``tree``: its premise's conclusion changed off
+    the paired paths, on them and at their ends, or paired at two general names, and its rule
+    given a name already in the conclusion, swapped specs, a spec without its trailing dot or
+    a spec into a choice."""
+    for at, node in _tree_nodes(tree):
+        rule = node.rule
+        if not isinstance(rule, RuleC):
+            continue
+        g, premise = node.conclusion, node.premises[0]
+        h = premise.conclusion
+        pos, neg = resolve_spec(g, rule.pos_spec), resolve_spec(g, rule.neg_spec)
+        general = child_at(g, pos).name
+        end = child_at(h, pos)
+
+        def with_premise(conclusion, rule=rule):
+            # a proof of the new premise, where there is one, leaves the verdict to this node
+            proof = prove(conclusion) or ProofTree(conclusion, premise.rule, premise.premises)
+            return _replace_node(tree, at, rule=rule, premises=(proof,))
+
+        off = [occ.path for occ in surface_occurrences(h, "leaf") if occ.path not in (pos, neg)]
+        if off:
+            yield "off-path leaf", with_premise(substitute_at(h, off[0], Elementary("zz")))
+        for annotated in (pos[:i] for i in range(len(pos))):
+            ann = child_at(h, annotated)
+            if type(ann) is EnvAnn:
+                yield "agent on a path", with_premise(substitute_at(h, annotated, EnvAnn(ann.child, ann.agent + "x")))
+                break
+        other = "D" if general != "D" else "C"
+        foreign = dict.fromkeys((pos, neg), Hybrid(other, rule.name))
+        yield "hybrid of another name", with_premise(substitute_paths(h, foreign))
+        mixed = Hybrid(general, rule.name) if type(end) is Elementary else Elementary(rule.name)
+        yield "unlike ends", with_premise(substitute_at(h, neg, mixed))
+        for taken in sorted(elementary_names(g))[:1]:
+            atom = Hybrid(general, taken) if type(end) is Hybrid else Elementary(taken)
+            renamed = RuleC(rule.pos_spec, rule.neg_spec, taken)
+            yield "name in conclusion", with_premise(substitute_paths(h, dict.fromkeys((pos, neg), atom)), renamed)
+        for occ in surface_occurrences(g, "general"):
+            if occ.polarity == NEGATIVE and occ.node.name != general:
+                crossed = RuleC(rule.pos_spec, occ.spec, rule.name)
+                yield "two names", with_premise(substitute_paths(g, dict.fromkeys((pos, occ.path), end)), crossed)
+                break
+        yield "swapped specs", _replace_node(tree, at, rule=RuleC(rule.neg_spec, rule.pos_spec, rule.name))
+        for undotted in (rule.pos_spec[:-1], rule.pos_spec + "1"):
+            yield "undotted spec", _replace_node(tree, at, rule=RuleC(undotted, rule.neg_spec, rule.name))
+        for choice in surface_occurrences(g, "choice")[:1]:
+            crossing = RuleC(rule.pos_spec, choice.spec + "1.", rule.name)
+            yield "spec into a choice", _replace_node(tree, at, rule=crossing)
+
+
 def test_verify_agrees_with_reference_checker():
-    """Every proof, its hybrid form and five mutants of each get the same verdict from
-    ``verify_proof`` and from the oracle."""
+    """Every proof, its hybrid form, five mutants of each and the mutants of each rule-C node
+    (``_rule_c_mutants``) get the same verdict from ``verify_proof`` and from the oracle."""
     rng = random.Random(67)
     trees = [prove(random_ast(rng, depth=4)) for _ in range(1000)]
     trees += [t for _, t in random_provable(rng, 60) + random_provable(rng, 40, need_pairing=True)]
     verdicts = Counter()
+    kinds = Counter()
     for tree in filter(None, trees):
         for form in (tree, hybridize(tree)):
-            for candidate in (form, *_mutations(form, rng, 5)):
+            mutants = [("form", form)] + [("label", m) for m in _mutations(form, rng, 5)] + list(_rule_c_mutants(form))
+            for kind, candidate in mutants:
                 verdict = verify_proof(candidate)
-                assert verdict == _reference_verify(candidate), format_proof(candidate)
+                assert verdict == _reference_verify(candidate), (kind, format_proof(candidate))
                 verdicts[verdict] += 1
+                kinds[kind, verdict] += 1
     assert verdicts[True] >= 200 and verdicts[False] >= 1000, verdicts
+    for kind in {k for k, _ in kinds} - {"form", "label"}:
+        assert kinds[kind, False] >= 20 and not kinds[kind, True], kinds
 
 
 def _unprovable_family(n):
@@ -635,6 +694,26 @@ def test_name_level_check_expansions_pinned(monkeypatch, source, nodes):
     calls = _count_calls(monkeypatch, "premises_C")
     assert prove(parse_formula(source)) is None
     assert len(calls) == nodes
+
+
+def test_pairing_premises_built_only_when_tried(monkeypatch):
+    """A pairing premise is built when the search tries it. The (C^8) -> (C^8) search expands
+    9 nodes and lists 8 + 7 + ... + 1 = 36 pairing premises, but tries only the first at each
+    of 8 nodes, so it builds 8; ``verify_proof`` builds none, in either form. The 4-clause
+    variant still expands 361 nodes, and builds 466 of the premises it lists (all of them
+    took 840 builds). Both paths of every pair here part at the root, so each build is one
+    ``_paired`` call."""
+    calls = _count_calls(monkeypatch, "premises_C")
+    builds = _count_calls(monkeypatch, "_paired")
+    c8 = " /\\ ".join(["C"] * 8)
+    tree = prove(parse_formula(f"({c8}) -> ({c8})"))
+    assert (len(calls), len(builds)) == (9, 8)
+    assert verify_proof(tree) and verify_proof(hybridize(tree))
+    assert len(builds) == 8
+    calls.clear()
+    builds.clear()
+    assert prove(parse_formula(_CLAUSE_VARIANT_4)) is None
+    assert (len(calls), len(builds)) == (361, 466)
 
 
 def _keeps_a_walk(f):
