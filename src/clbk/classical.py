@@ -1,17 +1,25 @@
 """Classical propositional validity of elementary formulas, by Quine's truth-value analysis:
-split on an atom, fold the constants, and stop at the first branch that folds to F."""
+split on an atom, fold the constants, and stop at the first branch that folds to F. The
+elementarization of any formula is folded straight from the formula (see ``is_valid``)."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .formula import (
     And,
+    Chand,
+    Chor,
     Elementary,
     EnvAnn,
     Formula,
     FormulaError,
+    General,
+    Hybrid,
     Implies,
     Not,
     Or,
+    POSITIVE,
     Truth,
     elementary_names,
 )
@@ -19,10 +27,11 @@ from .formula import (
 Valuation = dict[str, bool]
 
 
-def evaluate(f: Formula, valuation: Valuation) -> bool:
+def evaluate(f: Formula, valuation: Valuation, general: GeneralFold | None = None) -> bool:
     """Truth value of an elementary formula under a total valuation of its atoms: every atom
-    is read from ``valuation``, also one the value does not depend on."""
-    folded = _fold(f)
+    is read from ``valuation``, also one the value does not depend on. With ``general``, the
+    value of ``f``'s elementarization, folded as ``is_valid`` folds it."""
+    folded = _fold(f, POSITIVE, general)
     for name in elementary_names(f):
         value = valuation[name]
         if type(folded) is not bool:
@@ -39,9 +48,14 @@ def countermodel(f: Formula) -> Valuation | None:
     return {name: found.get(name, False) for name in sorted(elementary_names(f))}
 
 
-def is_valid(f: Formula) -> bool:
-    """True iff f holds under every valuation of its atoms; rejects non-elementary input."""
-    return _falsify(_fold(f)) is None
+def is_valid(f: Formula, general: GeneralFold | None = None) -> bool:
+    """True iff f holds under every valuation of its atoms; rejects non-elementary input.
+
+    With ``general``, the validity of ``f``'s elementarization, folded straight from ``f``
+    with no elementarized copy built: each general atom folds to ``general(atom, sign)``,
+    its polarity in ``f`` being ``sign``, a hybrid atom to its elementary component, a choice
+    conjunction to T and a choice disjunction to F."""
+    return _falsify(_fold(f, POSITIVE, general)) is None
 
 
 def satisfiable(f: Formula) -> bool:
@@ -53,23 +67,36 @@ def satisfiable(f: Formula) -> bool:
 # over folded formulas that are not bools: a constant never survives below the root.
 Folded = bool | str | tuple
 
+# What a general atom folds to, given the atom and its polarity: a bool or an atom name.
+GeneralFold = Callable[[General, int], Folded]
 
-def _fold(f: Formula) -> Folded:
+
+def _fold(f: Formula, sign: int = POSITIVE, general: GeneralFold | None = None) -> Folded:
+    """``f`` folded, ``sign`` being its polarity. An elementary ``f`` needs no ``general``;
+    with one, ``f`` is read as its elementarization (see ``is_valid``), and without one
+    anything else raises ``FormulaError``."""
     kind = type(f)  # a type test is cheaper than a match, and no subclasses exist
     if kind is And:
-        return _and(_fold(f.left), _fold(f.right))
+        return _and(_fold(f.left, sign, general), _fold(f.right, sign, general))
     if kind is Or:
-        return _or(_fold(f.left), _fold(f.right))
+        return _or(_fold(f.left, sign, general), _fold(f.right, sign, general))
     if kind is Implies:
-        return _or(_not(_fold(f.left)), _fold(f.right))
+        return _or(_not(_fold(f.left, -sign, general)), _fold(f.right, sign, general))
     if kind is Not:
-        return _not(_fold(f.child))
+        return _not(_fold(f.child, -sign, general))
     if kind is Elementary:
         return f.name
     if kind is Truth:
         return f.value
     if kind is EnvAnn:
-        return _fold(f.child)
+        return _fold(f.child, sign, general)
+    if general is not None:
+        if kind is General:
+            return general(f, sign)
+        if kind is Hybrid:
+            return f.elementary
+        if kind is Chand or kind is Chor:
+            return kind is Chand
     raise FormulaError("not an elementary formula")
 
 

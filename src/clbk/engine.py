@@ -34,10 +34,10 @@ from .formula import (
     Formula,
     General,
     Hybrid,
+    NEGATIVE,
     Occurrence,
     POSITIVE,
     Truth,
-    elementarize,
     substitute_paths,
     surface_occurrences,
 )
@@ -323,6 +323,6 @@ def evaluate_winner(session: Session) -> Player:
         },
     )
     valuation = defaultdict(bool, session.interpretation)
-    winner = Player.MACHINE if evaluate(elementarize(f), valuation) else Player.ENVIRONMENT
+    winner = Player.MACHINE if evaluate(f, valuation, lambda g, sign: sign == NEGATIVE) else Player.ENVIRONMENT
     session.status = Status.FINISHED
     return winner

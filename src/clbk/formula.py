@@ -2,17 +2,18 @@
 
 A formula's surface walk is memoized on the formula itself: ``surface_occurrences`` keeps the
 first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
-and the engine read one walk of each session formula. ``surface_leaves`` walks afresh and keeps
-nothing, for the prover's search nodes. Paths are read through ``_trail``. The printer writes
-atoms with ``atom_text``, connectives with ``SYMBOLS`` and every operand by the one
-parenthesization rule of ``_operand``."""
+and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
+there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
+Paths are read through ``_trail``. The printer writes atoms with ``atom_text``, connectives
+with ``SYMBOLS`` and every operand by the one parenthesization rule of ``_operand``."""
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
+from itertools import islice
 from operator import is_not
 
 POSITIVE = 1
@@ -296,9 +297,13 @@ def _surface_walk(out: list[Occurrence], node: Formula, path: Path, spec: str, s
             return
 
 
-def surface_leaves(f: Formula) -> list[Occurrence]:
-    """Every surface leaf occurrence of ``f`` (atoms, truth constants and choices), from a walk
-    of its own that nothing keeps: for formulas visited once, such as the prover's search nodes."""
+def surface_leaves(f: Formula) -> Sequence[Occurrence]:
+    """Every surface leaf occurrence of ``f`` (atoms, truth constants and choices): ``f``'s
+    kept walk if it has one (see ``surface_occurrences``), else a walk of its own that nothing
+    keeps, for formulas visited once, such as the prover's search nodes."""
+    walk = f.__dict__.get("_surface")
+    if walk is not None:
+        return walk
     out: list[Occurrence] = []
     _surface_walk(out, f, (), "", POSITIVE, None)
     return out
@@ -418,152 +423,146 @@ def note_names(f: Formula, kind: str) -> set[str]:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<lower>[a-z][a-zA-Z0-9]*)
-  | (?P<upper>[A-Z][A-Za-z0-9]*(_[a-z][a-z0-9]*)?)
-  | (?P<quoted>"[^"\s]+")
-  | (?P<punct>->|/\\|\\/|[()~&|@{}=])
+    [a-z][a-zA-Z0-9]*                       # elementary atom, or an agent id
+  | [A-Z][A-Za-z0-9]*(?:_[a-z][a-z0-9]*)?   # general atom, truth constant, hybrid atom, or an agent id
+  | "[^"\s]+"                               # quoted agent id
+  | ->|/\\|\\/|[()~&|@{}=]                  # connectives and punctuation
     """,
     re.VERBOSE,
 )
 
+# The longest prefix that splits into whitespace and tokens: it ends at the first character
+# that starts no token. The star never backtracks, since nothing follows it.
+_LEXED_RE = re.compile(rf"(?:\s+|{_TOKEN_RE.pattern})*", re.VERBOSE)
 
-class _Lexer:
-    """Tokens as ``(kind, text, offset)``; a connective or punctuation token's kind is its text."""
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self.pos = 0
-        i = 0
-        while i < len(text):
-            m = _TOKEN_RE.match(text, i)
-            if not m:
-                raise self.error(f"unexpected character {text[i]!r}", i)
-            kind = m.lastgroup if m.lastgroup != "punct" else m.group()
-            if kind == "upper" and "_" in m.group():
-                kind = "hybrid"
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), i))
-            i = m.end()
-        self.tokens.append(("eof", "", len(text)))
-
-    def error(self, message, offset) -> ParseError:
-        """The error to raise at character ``offset``, with its 1-based line and column."""
-        line = self.text.count("\n", 0, offset) + 1
-        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+# The two binary levels, loosest first: (parallel, choice, binary kind, n-ary kind).
+_LEVELS = (("\\/", "|", Or, Chor), ("/\\", "&", And, Chand))
 
 
 class _Parser:
+    """Recursive descent over the token texts of one ``_TOKEN_RE.findall`` scan, with ``""``
+    for the end of input; a token's kind is read from its text. A character that starts no
+    token is reported before any syntax error, and an error's offset is found by a second
+    scan, made only to raise it."""
+
     def __init__(self, text):
-        self.lex = _Lexer(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        # findall skips what starts no token: whitespace, and any bad character
+        if sum(map(len, self.tokens)) != len("".join(text.split())):
+            offset = _LEXED_RE.match(text).end()
+            raise _error(text, f"unexpected character {text[offset]!r}", offset)
+        self.tokens.append("")
+        self.pos = 0
         self.annotations = 0  # the ``@`` annotations read so far
+
+    def error(self, message, index=None) -> ParseError:
+        """The error to raise at token ``index``, by default the next one."""
+        index = self.pos if index is None else index
+        found = next(islice(_TOKEN_RE.finditer(self.text), index, None), None)
+        return _error(self.text, message, len(self.text) if found is None else found.start())
 
     def parse(self) -> Formula:
         f = self.annotated()
-        tok = self.lex.peek()
-        if tok[0] != "eof":
-            raise self.lex.error(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected trailing input {self.tokens[self.pos]!r}")
         return f
 
     def annotated(self) -> Formula:
         """An implication, annotated with ``@ agent`` only if it holds no annotation itself."""
         before = self.annotations
         f = self.impl()
-        if (tok := self.lex.peek())[0] == "@":
+        if self.tokens[self.pos] == "@":
             if self.annotations != before:
-                raise self.lex.error("env-switching annotation: nested '@' is not allowed", tok[2])
-            self.lex.next()
+                raise self.error("env-switching annotation: nested '@' is not allowed")
+            self.pos += 1
             f = EnvAnn(f, self.agentid())
             self.annotations += 1
         return f
 
     def agentid(self) -> str:
-        tok = self.lex.next()
-        if tok[0] == "quoted":
-            return tok[1][1:-1]
-        if tok[0] in ("lower", "upper"):
-            return tok[1]
-        raise self.lex.error(f"expected an agent id, found {tok[1]!r}", tok[2])
+        tok = self.tokens[self.pos]
+        if tok[:1] == '"':
+            self.pos += 1
+            return tok[1:-1]
+        if tok[:1].isalpha() and "_" not in tok:
+            self.pos += 1
+            return tok
+        raise self.error(f"expected an agent id, found {tok!r}")
 
     def impl(self) -> Formula:
-        left = self.chain(partial(self.chain, self.unary, "/\\", "&", And, Chand), "\\/", "|", Or, Chor)
-        if self.lex.peek()[0] == "->":
-            self.lex.next()
+        left = self.level(0)
+        if self.tokens[self.pos] == "->":
+            self.pos += 1
             return Implies(left, self.impl())
         return left
 
-    def chain(self, operand, parallel, choice, binary, nary) -> Formula:
-        """One precedence level: ``operand``s joined by ``parallel`` into a left-associated
-        ``binary`` chain, or by ``choice`` into one ``nary`` node; mixing the two needs parentheses."""
-        parts = [operand()]
-        op = None
-        while (tok := self.lex.peek())[0] in (parallel, choice):
-            if op is None:
-                op = tok[0]
-            elif tok[0] != op:
-                raise self.lex.error(f"cannot mix {parallel} and {choice} at one level; parenthesize", tok[2])
-            self.lex.next()
-            parts.append(operand())
+    def level(self, depth: int) -> Formula:
+        """One binary level of ``_LEVELS``: operands joined by its parallel connective into a
+        left-associated chain, or by its choice connective into one n-ary node; mixing the
+        two needs parentheses. The operands are the next level's, or unary ones."""
+        parallel, choice, binary, nary = _LEVELS[depth]
+        f = self.unary() if depth else self.level(1)
+        op = self.tokens[self.pos]
+        if op != parallel and op != choice:
+            return f
+        parts = [f]
+        while self.tokens[self.pos] == op:
+            self.pos += 1
+            parts.append(self.unary() if depth else self.level(1))
+        if self.tokens[self.pos] in (parallel, choice):
+            raise self.error(f"cannot mix {parallel} and {choice} at one level; parenthesize")
         return nary(tuple(parts)) if op == choice else reduce(binary, parts)
 
     def unary(self) -> Formula:
-        tok = self.lex.peek()
-        if tok[0] == "~":
-            self.lex.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "~":
             return Not(self.unary())
-        if tok[0] == "(":
-            self.lex.next()
+        if tok == "(":
             f = self.annotated()
-            self.lex.expect(")")
+            self.expect(")")
             return f
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, offset = self.lex.next()
-        if kind == "lower":
-            if self.lex.peek()[0] == "{":
-                raise self.lex.error("strategy annotations are only allowed on general atoms", offset)
-            return Elementary(text)
-        if kind == "hybrid":
-            gen, elem = text.split("_")
+        if tok[:1].islower():
+            if self.tokens[self.pos] == "{":
+                raise self.error("strategy annotations are only allowed on general atoms", self.pos - 1)
+            return Elementary(tok)
+        if not tok[:1].isupper():
+            raise self.error(f"expected an atom, found {tok!r}", self.pos - 1)
+        if "_" in tok:
+            gen, elem = tok.split("_")
             return Hybrid(gen, elem, self.note())
-        if kind == "upper":
-            if text in ("T", "F"):
-                if self.lex.peek()[0] == "{":
-                    raise self.lex.error("truth constants take no annotation", offset)
-                return Truth(text == "T")
-            return General(text, self.note())
-        raise self.lex.error(f"expected an atom, found {text!r}", offset)
+        if tok == "T" or tok == "F":
+            if self.tokens[self.pos] == "{":
+                raise self.error("truth constants take no annotation", self.pos - 1)
+            return Truth(tok == "T")
+        return General(tok, self.note())
+
+    def expect(self, tok: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.error(f"expected {tok!r}, found {self.tokens[self.pos]!r}")
+        self.pos += 1
 
     def note(self) -> Note | None:
-        if self.lex.peek()[0] != "{":
+        if self.tokens[self.pos] != "{":
             return None
-        self.lex.next()
-        tok = self.lex.next()
-        if tok[0] != "lower" or tok[1] not in ("h", "s"):
-            raise self.lex.error("annotation kind must be 'h' or 's'", tok[2])
-        kind = tok[1]
-        self.lex.expect("=")
-        name_tok = self.lex.next()
-        if name_tok[0] not in ("lower", "upper"):
-            raise self.lex.error("annotation needs a name", name_tok[2])
-        self.lex.expect("}")
-        return Note(kind, name_tok[1])
+        kind = self.tokens[self.pos + 1]
+        if kind != "h" and kind != "s":
+            raise self.error("annotation kind must be 'h' or 's'", self.pos + 1)
+        self.pos += 2
+        self.expect("=")
+        name = self.tokens[self.pos]
+        if not name[:1].isalpha() or "_" in name:
+            raise self.error("annotation needs a name")
+        self.pos += 1
+        self.expect("}")
+        return Note(kind, name)
+
+
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """The error to raise at character ``offset`` of ``text``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_formula(text: str) -> Formula:

@@ -31,7 +31,6 @@ from .formula import (
     atom_text,
     child_at,
     children,
-    elementarize,
     elementary_names,
     env_chooses,
     print_formula,
@@ -132,15 +131,17 @@ def _backed(g: General, winnable: frozenset[str]) -> bool:
 
 def is_stable(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
     """Whether the elementarization of ``f`` is classically valid, counting a positive general
-    atom as won when it is backed (see ``_backed``)."""
-    return is_valid(elementarize(f, lambda g: _backed(g, winnable)))
+    atom as won when it is backed (see ``_backed``). ``is_valid`` folds the elementarization
+    straight from ``f``: a negative general atom is T, a positive one T exactly when backed."""
+    return is_valid(f, lambda g, sign: sign == NEGATIVE or _backed(g, winnable))
 
 
 def names_valid(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
     """Whether the name-level elementarization of ``f`` is classically valid: each general
     atom that is not a backed positive one (see ``_backed``) is read as the elementary atom
-    named after it. At a monotone node this is necessary for a stable matching (see ``prove``)."""
-    return is_valid(elementarize(f, lambda g: _backed(g, winnable), names=True))
+    named after it, folded straight from ``f`` as in ``is_stable``. At a monotone node this
+    is necessary for a stable matching (see ``prove``)."""
+    return is_valid(f, lambda g, sign: (sign == POSITIVE and _backed(g, winnable)) or g.name)
 
 
 class _Walk:
@@ -148,8 +149,9 @@ class _Walk:
     surface choice occurrences; its surface general-atom occurrences, as (positive, negative)
     lists per name in order of first occurrence; and every elementary name in it, under
     choices too, a hybrid counting by its elementary component. The walk is
-    ``surface_leaves``, which memoizes nothing: a search node is walked once, and a memo
-    would stay on every node the search keeps until ``prove`` returns."""
+    ``surface_leaves``, which reads a kept walk, such as that of a session formula the
+    simulator proves, and keeps none: a search node is walked once, and a memo would stay on
+    every node the search keeps until ``prove`` returns."""
 
     __slots__ = ("choices", "atoms", "names")
 
@@ -320,9 +322,11 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     """Proof search with a fixed rule order: atom pairings first, then closure, then machine choices.
 
     Pairings are exhausted before closing so that fully general conclusions reproduce the
-    canonical pairing-chain proofs. Proofs are memoized on the exact formula; refutations on
-    its ``memo_key``, so a node refuted once prunes every node equal to it up to the order of
-    ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms. With ``max_nodes`` set,
+    canonical pairing-chain proofs. Below the root, proofs are memoized on the exact formula
+    and refutations on its ``memo_key``, so a node refuted once prunes every node equal to it
+    up to the order of ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms. The
+    root has no entry: ``measure`` falls along every rule and is the same for nodes with equal
+    keys, so no node below the root meets it in either memo. With ``max_nodes`` set,
     expanding more nodes than that raises ``SearchBudgetExceeded``.
 
     Pairings on disjoint occurrences commute, so the search enumerates matchings rather than
@@ -362,9 +366,12 @@ _UNSEEN = object()
 
 
 def _search(g: Formula, s: _Search) -> ProofTree | None:
-    seen = s.trees.get(g, _UNSEEN)
-    if seen is not _UNSEEN:
-        return seen
+    # the root is neither looked up nor keyed nor stored: no node below it meets it (see prove)
+    root = not s.expanded
+    if not root:
+        seen = s.trees.get(g, _UNSEEN)
+        if seen is not _UNSEEN:
+            return seen
     # a provable search often refutes nothing, and then needs no key at all
     key = memo_key(g, s.root_avoid) if s.refuted else None
     if key in s.refuted:
@@ -378,7 +385,7 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
     pairs = premises_C(g, s.root_avoid, walk, monotone)
     # a monotone node has no choice, so with pairs left only a pairing can prove it, and none
     # can when its name-level elementarization is invalid (see prove)
-    spanned = not (monotone and pairs and (s.refuted or s.expanded == 1)) or names_valid(g, s.winnable)
+    spanned = not (monotone and pairs and (s.refuted or root)) or names_valid(g, s.winnable)
     result = None
     for pair in pairs if spanned else ():
         sub = _search(pair.formula, s)
@@ -402,9 +409,10 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
             if sub is not None:
                 result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
                 break
-    s.trees[g] = result
-    if result is None:
-        s.refuted.add(memo_key(g, s.root_avoid) if key is None else key)
+    if not root:
+        s.trees[g] = result
+        if result is None:
+            s.refuted.add(memo_key(g, s.root_avoid) if key is None else key)
     return result
 
 
@@ -437,9 +445,19 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     Rule C builds no premise. It finds each named occurrence by one descent along its spec,
     then compares the premise with the conclusion along the two paths only: every child off
     them must be equal (``==``, which returns at once on a shared subtree), and both paired
-    leaves must be the same atom, ``Elementary(name)`` or ``Hybrid(<general name>, name)``."""
+    leaves must be the same atom, ``Elementary(name)`` or ``Hybrid(<general name>, name)``.
+    The freshness check walks the conclusion of the first rule C on a path only: a checked
+    pairing replaces two general atoms, so its premise's names are the conclusion's and
+    ``name``, and they are carried down to the next rule C."""
+    return _verify(t, winnable, None)
+
+
+def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> bool:
+    """``verify_proof`` at ``t``; ``names`` are the elementary names of its conclusion, or
+    None where they are not known."""
     g = t.conclusion
     got = [p.conclusion for p in t.premises]
+    below = None
     match t.rule:
         case RuleA():
             ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
@@ -455,11 +473,12 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
                 and (ends := _ends_off(got[0], g, [pos[1], neg[1]])) is not None
                 and ends[0] == ends[1]
                 and ends[0] in (Elementary(name), Hybrid(pos[0].name, name))
-                and name not in elementary_names(g)
+                and name not in (names := elementary_names(g) if names is None else names)
             )
+            below = names | {name} if ok else None
         case _:
             ok = False
-    return ok and all(verify_proof(p, winnable) for p in t.premises)
+    return ok and all(_verify(p, winnable, below) for p in t.premises)
 
 
 def _general_at(f: Formula, spec: str, sign: int) -> tuple[General, Path] | None:

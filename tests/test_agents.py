@@ -344,9 +344,10 @@ def test_a_session_reads_its_querys_walk(monkeypatch):
 def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypatch):
     """On one starbucks run, from ``Simulation`` on, a payload is parsed only where it enters
     play: the 20 heuristic answers (scripts were parsed with the scenario, and every flip,
-    relay and copy-cat move is a relabelled copy). The 16 root walks are the manuals' 2 and
-    the winnable sets' 4, 4 for the queries' planned formulas (the contracts reuse the manuals'
-    walks), and the 6 root search nodes; the checker and the engine reuse the kept walks."""
+    relay and copy-cat move is a relabelled copy). The 10 root walks are the manuals' 2 and
+    the winnable sets' 4, and 4 for the queries' planned formulas (the contracts reuse the
+    manuals' walks); the prover's root search nodes, the checker and the engine reuse the
+    kept walks."""
     agents = parse_scenario(builtin_scenario("starbucks"))
     parses = []
     pattern = games._PAYLOAD_RE
@@ -370,7 +371,7 @@ def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypa
     assert report.all_won() and len(report.heuristic_wins) == 20
     assert sorted(parses) == sorted(p for win in report.heuristic_wins for p in win.payloads if p[0] in "zr")
     assert len(parses) == 20
-    assert len(roots) == 16
+    assert len(roots) == 10
 
 
 def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():

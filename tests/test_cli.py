@@ -103,9 +103,15 @@ def test_prove_parse_error(capsys):
     assert "error" in err
 
 
+def test_prove_reports_a_non_ascii_letter_before_any_syntax_error(capsys):
+    expected = (2, "", "error: unexpected character 'é' (line 1, column 6)\n")
+    assert run_cli(capsys, "prove", "p /\\ é") == expected
+    assert run_cli(capsys, "prove", "p /\\ é ->")[2] == expected[2]
+
+
 @pytest.mark.parametrize(
     "formula",
-    ["~" * 900 + "p", "(" * 3000 + "p" + ")" * 3000, "p -> " * 500 + "p"],
+    ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000, "p -> " * 500 + "p"],
     ids=["negations", "parentheses", "implications"],
 )
 def test_prove_input_nesting_too_deeply(capsys, formula):

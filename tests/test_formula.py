@@ -100,6 +100,12 @@ def test_parse_reports_position():
         ("p /\\ q & r", "cannot mix /\\ and & at one level; parenthesize", 1, 8),
         ("p \\/ q | r", "cannot mix \\/ and | at one level; parenthesize", 1, 8),
         ("p -> ->", "expected an atom, found '->'", 1, 6),
+        # letters are ASCII, and a bad character anywhere is reported before any syntax error
+        ("p /\\ é", "unexpected character 'é'", 1, 6),
+        ("É -> C", "unexpected character 'É'", 1, 1),
+        ("p @ é", "unexpected character 'é'", 1, 5),
+        ("C{h=é}", "unexpected character 'é'", 1, 5),
+        ("p -> -> é", "unexpected character 'é'", 1, 9),
     ],
 )
 def test_parse_error_message_and_position(text, message, line, col):

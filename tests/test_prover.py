@@ -1,12 +1,13 @@
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clbk import prover
+from clbk.classical import evaluate, is_valid
 from clbk.formula import (
     NEGATIVE,
     POSITIVE,
@@ -20,6 +21,7 @@ from clbk.formula import (
     Or,
     child_at,
     children,
+    elementarize,
     elementary_names,
     env_chooses,
     parse_formula,
@@ -755,3 +757,50 @@ def test_invalid_name_level_form_refutes_monotone_node(seed):
         walk = prover._Walk(g)
         if walk.monotone(winnable) and walk.pairs() and not names_valid(g, winnable):
             assert _reference_prove(g, winnable) is None, print_formula(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_folded_elementarization_agrees_with_the_built_one(seed):
+    """``is_stable``, ``names_valid`` and the engine's ``evaluate`` fold the elementarization
+    straight from the formula; each agrees with the same check of the copy ``elementarize``
+    builds, on arbitrary formulas (choices, hybrids, notes and annotations included)."""
+    rng = random.Random(seed)
+    winnable = frozenset(name for name in "PQCD" if rng.random() < 0.3)
+    backed = lambda g: prover._backed(g, winnable)
+    for _ in range(20):
+        f = random_ast(rng, depth=rng.randint(0, 5))
+        assert is_stable(f, winnable) == is_valid(elementarize(f, backed)), print_formula(f)
+        assert names_valid(f, winnable) == is_valid(elementarize(f, backed, names=True)), print_formula(f)
+        valuation = defaultdict(bool, {name: rng.random() < 0.5 for name in "pqrs"})
+        default = evaluate(f, valuation, lambda g, sign: sign == NEGATIVE)
+        assert default == evaluate(elementarize(f), valuation), print_formula(f)
+
+
+def test_the_root_is_never_keyed(monkeypatch):
+    """``measure`` falls along every rule, so no node below the root meets it in a memo. A root
+    that the name-level check refutes, or that is unstable with no pair, computes no
+    ``memo_key`` at all; a search that refutes deeper keys every node it stores but the root."""
+    keyed = []
+    original = prover.memo_key
+    monkeypatch.setattr(prover, "memo_key", lambda g, *rest: keyed.append(g) or original(g, *rest))
+    for source in ("(C /\\ C) -> (C /\\ D)", _CLAUSE_REFUTATION_5, "D -> C"):
+        assert prove(parse_formula(source)) is None
+        assert keyed == [], source
+    root = parse_formula("(C /\\ C) -> (C /\\ C /\\ C)")
+    assert prove(root) is None
+    assert keyed and root not in keyed
+
+
+def test_verify_proof_lists_the_names_of_one_conclusion_per_pairing_chain(monkeypatch):
+    """A checked pairing's premise holds the conclusion's names and the fresh one, so checking
+    the n = 12 identity, a chain of 12 pairings above one closure, lists the elementary names
+    of its root alone, in either form."""
+    c12 = " /\\ ".join(["C"] * 12)
+    tree = prove(parse_formula(f"({c12}) -> ({c12})"))
+    hybrid = hybridize(tree)
+    calls = _count_calls(monkeypatch, "elementary_names")
+    assert verify_proof(tree)
+    assert len(calls) == 1
+    assert verify_proof(hybrid)
+    assert len(calls) == 2
