@@ -26,7 +26,7 @@ from .formula import (
     surface_occurrences,
     transform,
 )
-from .games import GameDef, Heuristic, Labmove, Player, Script, subrun
+from .games import GameDef, Heuristic, Labmove, Player, Script, Verdict, subrun
 from .prover import hybridize, prove
 
 GOD = "God"
@@ -76,10 +76,11 @@ class Agent:
                         out[occ.node.name] = fn
         return out
 
-    def winnable(self) -> frozenset[str]:
-        """Atoms the agent can stand behind when serving: its manuals plus everything it has
-        contracted to obtain (positive occurrences in its own outgoing queries)."""
-        names = set(self.manuals())
+    def winnable(self, manuals: dict[str, Heuristic] | None = None) -> frozenset[str]:
+        """Atoms the agent can stand behind when serving: its manuals (``manuals`` if already
+        computed) plus everything it has contracted to obtain (positive occurrences in its own
+        outgoing queries)."""
+        names = set(self.manuals() if manuals is None else manuals)
         for q in self.queries:
             body, _ = split_annotation(q)
             for occ in surface_occurrences(body, "general"):
@@ -188,9 +189,11 @@ class SimulationReport:
     by server in registration order, each group in submission order, then the unroutable ones
     as ``<client>!rN``. Each is ``won`` or ``lost`` once its session is over, ``rejected`` when
     unprovable or unroutable, ``unfinished`` when opened in a run cut short by its step budget,
-    and ``pending`` when never opened. A quiescent run settles in place each resource-base entry
-    a session touched: a won contract and a spent conjunct are dropped, a partly played
-    conjunct keeps its index with its position. A run cut short changes no resource base."""
+    and ``pending`` when never opened. Each session's winner is one fold over verdicts read
+    once per binding (``engine.read_verdicts``), and the same verdicts give its heuristic wins,
+    ledger entries and leftovers. A quiescent run settles in place each resource-base entry a
+    session touched: a won contract and a spent conjunct are dropped, a partly played conjunct
+    keeps its index with its position. A run cut short changes no resource base."""
 
     quiescent: bool
     steps: int
@@ -251,7 +254,7 @@ class Simulation:
             self.agents[agent.id] = agent
             self.bus.register(agent.id)
         self.manuals = {aid: agent.manuals() for aid, agent in self.agents.items()}
-        self.winnable = {aid: agent.winnable() for aid, agent in self.agents.items()}
+        self.winnable = {aid: agent.winnable(self.manuals[aid]) for aid, agent in self.agents.items()}
         self.queries: dict[str, Query] = {}
         self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
@@ -463,29 +466,32 @@ class Simulation:
     # -- settlement and reporting -------------------------------------------------
 
     def _settle(self, quiescent: bool) -> SimulationReport:
-        """One pass over the opened sessions: results, heuristic wins and ledgers from each
-        binding's local run and, only in a quiescent run, what each resource-base entry a
-        session touched settles to (None when it is spent; a None wins over a leftover)."""
+        """One pass over the opened sessions. Each binding's verdict is read once from its local
+        run, and the same verdicts decide the session's winner (one fold over the final
+        formula), its heuristic wins and ledgers and, only in a quiescent run, what each
+        resource-base entry the session touched settles to (None when it is spent; a None wins
+        over a leftover)."""
         wins: list[HeuristicWin] = []
         ledgers = {aid: {"received": Counter(), "paid": Counter()} for aid in self.agents}
         settled: dict[str, dict[int, ResourceEntry | None]] = {aid: {} for aid in self.agents}
         for query in self.opened:
             session = query.session
             session.listener = None  # play is over; without the hook no cycle keeps the simulation alive
+            verdicts = engine.read_verdicts(session)
             if quiescent:
-                query.status = "won" if engine.evaluate_winner(session) is Player.MACHINE else "lost"
+                query.status = "won" if engine.evaluate_winner(session, verdicts) is Player.MACHINE else "lost"
             else:
                 query.status = "unfinished"
             booked = query.opponent != GOD and query.client != query.server  # the client's side only
             prefix = "2." if query.consumed else ""
             for spec, binding in session.bindings.items():
-                run = session.local_run(spec)
-                if not binding.game.complete(run):
+                verdict = verdicts[spec]
+                if not verdict.complete:
                     continue
-                if binding.heuristic_fired and binding.game.winner(run) is Player.MACHINE:
+                if binding.heuristic_fired and verdict.winner is Player.MACHINE:
                     mover = query.server if binding.polarity == POSITIVE else query.env_mover(spec)
                     atom = session.atoms[spec].node.name
-                    wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in run)))
+                    wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in binding.local)))
                 occ = query.atoms.get(spec)
                 if booked and occ is not None and spec.startswith(prefix):
                     side = "paid" if occ.polarity == NEGATIVE else "received"
@@ -495,7 +501,7 @@ class Simulation:
             mine = settled[query.server]
             if query.contract_ref is not None and query.status == "won":
                 mine[query.contract_ref] = None
-            for i, left in zip(query.consumed, _leftovers(session, len(query.consumed))):
+            for i, left in zip(query.consumed, _leftovers(session, verdicts, len(query.consumed))):
                 if i not in mine or mine[i] is not None:
                     mine[i] = left
         for aid, agent in self.agents.items():
@@ -516,14 +522,13 @@ def _revert_hybrids(f: Formula) -> Formula:
     return transform(f, lambda n: General(n.name, n.note) if isinstance(n, Hybrid) else n)
 
 
-def _leftovers(finished: Session, n: int) -> Iterator[ResourceEntry | None]:
-    """What a finished session leaves of each of the first ``n >= 1`` conjuncts of its antecedent:
-    None for a ``T`` or a completed atom, else the conjunct with hybrids reverted and its position."""
+def _leftovers(finished: Session, verdicts: dict[str, Verdict], n: int) -> Iterator[ResourceEntry | None]:
+    """What a finished session leaves of each of the first ``n >= 1`` conjuncts of its antecedent,
+    given its bindings' ``verdicts``: None for a ``T`` or a completed atom, else the conjunct
+    with hybrids reverted and its position."""
     for conjunct, spec in unfold_and_chain(finished.formula.left, n, "1."):
-        binding = finished.bindings.get(spec)  # present exactly when the conjunct is an atom
-        spent = isinstance(split_annotation(conjunct)[0], Truth) or (
-            binding is not None and binding.game.complete(finished.local_run(spec))
-        )
+        verdict = verdicts.get(spec)  # present exactly when the conjunct is an atom
+        spent = isinstance(split_annotation(conjunct)[0], Truth) or (verdict is not None and verdict.complete)
         yield None if spent else ResourceEntry(_revert_hybrids(conjunct), subrun(tuple(finished.run), spec))
 
 

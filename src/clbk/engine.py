@@ -20,28 +20,36 @@ node. It reads the conclusion's surface walk through ``surface_occurrences``, wh
 walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simulator's
 ``Query.atoms`` share one walk of a conclusion and its ``Occurrence`` objects. An environment
 choice at a closure node enters the closure premise at its branch's position in ``premises_A``,
-the order in which the checker holds closure premises."""
+the order in which the checker holds closure premises. Once the session rests, the winner is
+one fold over the final formula (``evaluate_winner``): each binding's game is read once for
+its verdict (``read_verdicts``), straight from its local run, and the connectives fold those
+verdicts to one Boolean, as the winner of a parallel composition is a Boolean function of its
+components' winners."""
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .classical import evaluate
 from .formula import (
+    And,
+    Chand,
+    Elementary,
+    EnvAnn,
     Formula,
     General,
     Hybrid,
-    NEGATIVE,
+    Implies,
+    Not,
     Occurrence,
+    Or,
     POSITIVE,
     Truth,
-    substitute_paths,
     surface_occurrences,
 )
-from .games import GameDef, Heuristic, Labmove, Player, Run, Script, subrun
+from .games import GameDef, Heuristic, Labmove, Player, Run, Script, Verdict, subrun
 from .prover import ProofTree, RuleB, RuleC, premises_A, verify_proof
 
 __all__ = [
@@ -55,6 +63,7 @@ __all__ = [
     "machine_turn",
     "new_session",
     "noted_heuristic",
+    "read_verdicts",
     "run_to_quiescence",
     "step",
     "subrun",
@@ -308,21 +317,51 @@ def run_to_quiescence(session: Session, max_steps: int = 10_000) -> None:
     raise StepBudgetExceeded("step budget exhausted before quiescence")
 
 
-def evaluate_winner(session: Session) -> Player:
-    """Compose the winner over the final formula by classical evaluation: each surface atom
-    becomes T exactly when its game's winner on the local run is the machine, surface choices
-    elementarize (unresolved ones default against their owner), and elementary atoms take the
-    interpretation, false where it is silent."""
+def read_verdicts(session: Session) -> dict[str, Verdict]:
+    """Each binding's verdict, by spec, from one read of its local run."""
+    return {spec: binding.game.verdict(binding.local) for spec, binding in session.bindings.items()}
+
+
+def evaluate_winner(session: Session, verdicts: dict[str, Verdict] | None = None) -> Player:
+    """Compose the winner over the final formula in one walk, as a Boolean function of its
+    games' verdicts (``verdicts``, by spec, else read here from each binding's local run): a
+    surface atom holds exactly when its game's winner is the machine, surface choices
+    elementarize (unresolved ones default against their owner: a choice conjunction holds, a
+    choice disjunction does not), and elementary atoms take the interpretation, false where it
+    is silent."""
     if session.status is Status.RUNNING:
         raise EngineError("evaluate_winner called before quiescence")
-    f = substitute_paths(
-        session.formula,
-        {
-            occ.path: Truth(session.bindings[spec].game.winner(session.local_run(spec)) is Player.MACHINE)
-            for spec, occ in session.atoms.items()
-        },
-    )
-    valuation = defaultdict(bool, session.interpretation)
-    winner = Player.MACHINE if evaluate(f, valuation, lambda g, sign: sign == NEGATIVE) else Player.ENVIRONMENT
+    if verdicts is None:
+        verdicts = read_verdicts(session)
+    winner = Player.MACHINE if _holds(session.formula, "", verdicts, session.interpretation) else Player.ENVIRONMENT
     session.status = Status.FINISHED
     return winner
+
+
+def _holds(f: Formula, spec: str, verdicts: dict[str, Verdict], interpretation: dict[str, bool]) -> bool:
+    """Whether ``f``, sitting at surface spec ``spec``, holds (see ``evaluate_winner``). A
+    module function, not a closure: a closure that calls itself is a reference cycle."""
+    kind = type(f)  # a type test is cheaper than a match, and no subclasses exist
+    if kind is And:
+        if not _holds(f.left, spec + "1.", verdicts, interpretation):
+            return False
+        return _holds(f.right, spec + "2.", verdicts, interpretation)
+    if kind is Or:
+        if _holds(f.left, spec + "1.", verdicts, interpretation):
+            return True
+        return _holds(f.right, spec + "2.", verdicts, interpretation)
+    if kind is Implies:
+        if not _holds(f.left, spec + "1.", verdicts, interpretation):
+            return True
+        return _holds(f.right, spec + "2.", verdicts, interpretation)
+    if kind is Not:
+        return not _holds(f.child, spec, verdicts, interpretation)
+    if kind is EnvAnn:
+        return _holds(f.child, spec, verdicts, interpretation)
+    if kind is General or kind is Hybrid:
+        return verdicts[spec].winner is Player.MACHINE
+    if kind is Truth:
+        return f.value
+    if kind is Elementary:
+        return interpretation.get(f.name, False)
+    return kind is Chand

@@ -9,7 +9,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Player(Enum):
@@ -102,6 +102,13 @@ class Script:
         _set(self, "moves", tuple(Labmove(Player.ENVIRONMENT, "", payload) for payload in self.payloads))
 
 
+class Verdict(NamedTuple):
+    """What one read of a run decides: whether the game is played out, and who wins it."""
+
+    complete: bool
+    winner: Player
+
+
 @dataclass(frozen=True)
 class GameDef:
     """A constant game over local roles: the environment asks, the machine answers.
@@ -112,10 +119,10 @@ class GameDef:
     ``correct`` of the asked values. Only the first move of each key by the player who owns
     it counts: the environment owns the asks, the machine the answer.
 
-    ``legal``/``winner``/``complete``/``default_heuristic`` take runs normalised to those
-    local roles; the engine flips labels for occurrences played in negated positions. They
-    read only each move's ``player``, ``key`` and ``value``: a local run keeps its moves'
-    session specs.
+    ``legal``/``verdict``/``default_heuristic`` take runs normalised to those local roles;
+    the engine flips labels for occurrences played in negated positions. They read only each
+    move's ``player``, ``key`` and ``value``: a local run keeps its moves' session specs.
+    ``winner`` and ``complete`` are the two halves of one ``verdict``.
     """
 
     name: str
@@ -148,16 +155,21 @@ class GameDef:
         lo, hi = self.answer_range
         return lm.key == self.answer and lm.player is Player.MACHINE and lm.key not in seen and lo <= lm.value <= hi
 
-    def winner(self, run: Run) -> Player:
+    def verdict(self, run: Run) -> Verdict:
+        """Both verdicts from one read of ``run``: complete once every ask and the answer are
+        made, won by the machine unless every ask was made and the answer is missing or wrong."""
         seen = self._read(run)
         asked = self._asked(seen)
-        if asked is None or seen.get(self.answer) == self.correct(*asked):
-            return Player.MACHINE
-        return Player.ENVIRONMENT
+        if asked is None:
+            return Verdict(False, Player.MACHINE)
+        answer = seen.get(self.answer)
+        return Verdict(answer is not None, Player.MACHINE if answer == self.correct(*asked) else Player.ENVIRONMENT)
+
+    def winner(self, run: Run) -> Player:
+        return self.verdict(run).winner
 
     def complete(self, run: Run) -> bool:
-        seen = self._read(run)
-        return self.answer in seen and self._asked(seen) is not None
+        return self.verdict(run).complete
 
     def default_heuristic(self, run: Run) -> str | None:
         """Answer a completed ask with ``correct`` of its values, clamped to ``answer_range``."""

@@ -13,9 +13,9 @@ from clbk.agents import (
     ResourceEntry,
     Simulation,
 )
-from clbk.engine import Status
+from clbk.engine import Session, Status
 from clbk.formula import NEGATIVE, POSITIVE, parse_formula
-from clbk.games import Labmove, Player, coffee_game, flip_run
+from clbk.games import GameDef, Labmove, Player, coffee_game, flip_run
 from clbk.scenario import builtin_scenario, parse_scenario
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -228,6 +228,25 @@ def test_manuals_fall_back_to_the_games_default_heuristic():
     assert agent.manuals() == {"C": agent.games["C"].default_heuristic}
 
 
+def test_a_simulation_computes_each_agents_manuals_once(monkeypatch):
+    """``Simulation`` reads each agent's manuals once and derives its winnable atoms from them;
+    ``Agent.winnable()`` alone still computes its own."""
+    agents = parse_scenario(builtin_scenario("starbucks"))
+    expected = {agent.id: agent.winnable() for agent in parse_scenario(builtin_scenario("starbucks"))}
+    calls = Counter()
+    manuals = Agent.manuals
+
+    def counted(agent):
+        calls[agent.id] += 1
+        return manuals(agent)
+
+    monkeypatch.setattr(Agent, "manuals", counted)
+    sim = Simulation(agents)
+    assert sim.run(10_000).all_won()
+    assert calls == Counter({agent.id: 1 for agent in agents})
+    assert sim.winnable == expected and expected["*C"] == frozenset({"C"})
+
+
 def test_settle_leaves_an_empty_rb_empty_without_an_antecedent():
     agent = Agent(id="a", queries=[parse_formula("(p -> p) @ a")])
     sim = Simulation([agent])
@@ -401,6 +420,39 @@ def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():
     filed = sum(len(binding.local) for binding in bound)
     assert (filed, len(bound)) == (50, 22)
     assert 0 < len(calls) <= filed + len(bound)
+
+
+def test_settle_reads_each_binding_run_once(monkeypatch):
+    """Settling a starbucks run reads each opened session's binding runs once, straight from
+    the bindings: one game read per binding decides the winner, the heuristic wins, the
+    ledgers and the leftovers, and no local run is copied."""
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
+    settling, reads, copies = [], [], []
+    read, local_run, settle = GameDef._read, Session.local_run, Simulation._settle
+
+    def counted_read(game, run):
+        if settling:
+            reads.append(run)
+        return read(game, run)
+
+    def counted_local_run(session, spec):
+        if settling:
+            copies.append(spec)
+        return local_run(session, spec)
+
+    def counted_settle(simulation, quiescent):
+        settling.append(quiescent)
+        return settle(simulation, quiescent)
+
+    monkeypatch.setattr(GameDef, "_read", counted_read)
+    monkeypatch.setattr(Session, "local_run", counted_local_run)
+    monkeypatch.setattr(Simulation, "_settle", counted_settle)
+    report = sim.run(10_000)
+    assert settling == [True] and report.all_won() and len(report.heuristic_wins) == 20
+    bindings = [binding for query in sim.opened for binding in query.session.bindings.values()]
+    assert len(sim.opened) == 6 and len(bindings) == 66
+    assert sorted(map(id, reads)) == sorted(id(binding.local) for binding in bindings)
+    assert copies == []
 
 
 def test_starbucks_informs_only_the_environment_player_at_its_seat():

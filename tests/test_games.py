@@ -268,4 +268,5 @@ def test_games_agree_with_the_field_scanning_reference(case):
     assert game.legal(run, move) == legal(run, move)
     assert game.winner(run) is winner(run)
     assert game.complete(run) == complete(run)
+    assert game.verdict(run) == (complete(run), winner(run))
     assert game.default_heuristic(run) == heuristic(run)
