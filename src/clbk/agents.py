@@ -466,7 +466,7 @@ class Simulation:
     # -- settlement and reporting -------------------------------------------------
 
     def _settle(self, quiescent: bool) -> SimulationReport:
-        """One pass over the opened sessions. Each binding's verdict is read once from its local
+        """One pass over the opened sessions. Each binding's verdict is read once from its
         run, and the same verdicts decide the session's winner (one fold over the final
         formula), its heuristic wins and ledgers and, only in a quiescent run, what each
         resource-base entry the session touched settles to (None when it is spent; a None wins
@@ -489,7 +489,7 @@ class Simulation:
                 if not verdict.complete:
                     continue
                 if binding.heuristic_fired and verdict.winner is Player.MACHINE:
-                    mover = query.server if binding.polarity == POSITIVE else query.env_mover(spec)
+                    mover = query.server if binding.machine is Player.MACHINE else query.env_mover(spec)
                     atom = session.atoms[spec].node.name
                     wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in binding.local)))
                 occ = query.atoms.get(spec)

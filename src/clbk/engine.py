@@ -5,14 +5,15 @@ Sessions are built with ``new_session``, which binds every surface atom occurren
 formula's notes; a caller that adds strategies sets ``heuristic``/``script`` on
 ``session.bindings`` afterwards, before the first step. Two invariants keep the state small.
 Moves enter a session only through ``Session.append`` (a delivered move, when ``step`` hands it
-to ``env_move``), which also files each move with the binding at its spec, in the game's local
-roles: a positive occurrence holds the run's own ``Labmove`` objects, a negative one each move
-flipped once, so a binding's local run is always at hand, ready-made. Every flipped, copied or
-scripted move is a ``Labmove.relabeled`` copy, so the engine parses a payload only where it
-enters play: a heuristic's answer or a committed choice. One seat rule serves both players:
-``_seat_move`` polls the bindings in order for the seats a player holds (the local environment
-seat is the environment's at a positive occurrence and the machine's at a negative one), and a
-heuristic is polled again only after a move is filed at its occurrence.
+to ``env_move``), which also files each move with the binding at its spec, so a binding's run is
+always at hand. A move exists once: every binding holds the run's own ``Labmove`` objects, and a
+negated occurrence swaps the two players' roles by reading them through ``Binding.machine``, the
+session player on its local machine seat, not by a flipped copy. Every copied or scripted move is
+a ``Labmove.relabeled`` copy, so the engine parses a payload only where it enters play: a
+heuristic's answer or a committed choice. One seat rule serves both players: ``_seat_move`` polls
+the bindings in order for the seats a player holds (the local environment seat is the
+environment's at a positive occurrence and the machine's at a negative one), and a heuristic is
+polled again only after a move is filed at its occurrence.
 Moves leave a session only through ``Session.listener``, called once per appended move; the
 driving functions report only whether they moved. ``_enter`` is the only place that changes
 ``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``, when play reaches a proof
@@ -22,7 +23,7 @@ walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simul
 choice at a closure node enters the closure premise at its branch's position in ``premises_A``,
 the order in which the checker holds closure premises. Once the session rests, the winner is
 one fold over the final formula (``evaluate_winner``): each binding's game is read once for
-its verdict (``read_verdicts``), straight from its local run, and the connectives fold those
+its verdict (``read_verdicts``), straight from its run, and the connectives fold those
 verdicts to one Boolean, as the winner of a parallel composition is a Boolean function of its
 components' winners."""
 
@@ -89,15 +90,16 @@ class Binding:
     """Per-occurrence game wiring, made by ``new_session`` (or when play reaches the
     occurrence) from its atom's note. The heuristic sits on the local machine seat, the script
     on the local environment seat; which session label that maps to depends on polarity.
+    ``machine`` is the session player on the local machine seat, set from ``polarity`` when made:
+    ``MACHINE`` at a positive occurrence, ``ENVIRONMENT`` at a negative one.
     ``heuristic_fired`` records that the heuristic has answered, on either seat: the machine's
     at a positive occurrence or, as the environment's stand-in, at a negative one. ``local``
-    holds the moves played at the occurrence since it was bound (the choice move that resolved
-    it stays in ``run`` only) in the game's local roles (``Session.local_run``): the session's
-    own ``Labmove`` objects at a positive occurrence, each move flipped once, when it is filed,
-    at a negative one (a ``Labmove.relabeled`` copy, its payload not parsed again). The game
-    and the heuristic read only each move's ``player``, ``key`` and ``value``.
+    holds the session's own ``Labmove`` objects played at the occurrence since it was bound
+    (the choice move that resolved it stays in ``run`` only), at either polarity; the game and
+    the heuristic read it through ``machine``, and only each move's ``player``, ``key`` and
+    ``value``.
 
-    A heuristic is a pure function of the local run, so ``heuristic_idle_at`` records
+    A heuristic is a pure function of the run and ``machine``, so ``heuristic_idle_at`` records
     ``len(local)`` when it last returned None, and it is not polled again until a move is
     filed here. Strategies are therefore set before the first step: by ``new_session`` from
     the notes, or by the caller on ``session.bindings`` right after it."""
@@ -112,6 +114,10 @@ class Binding:
     heuristic_fired: bool = False
     heuristic_idle_at: int = -1
     local: list[Labmove] = field(default_factory=list)
+    machine: Player = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.machine = Player.MACHINE if self.polarity == POSITIVE else Player.ENVIRONMENT
 
 
 @dataclass
@@ -141,14 +147,17 @@ class Session:
         self.run.append(lm)
         binding = self.bindings.get(lm.spec)
         if binding is not None:
-            binding.local.append(lm if binding.polarity == POSITIVE else lm.relabeled(lm.player.flip(), lm.spec))
+            binding.local.append(lm)
         if self.listener:
             self.listener(self, lm)
 
     def local_run(self, spec: str) -> Run:
         """The moves at occurrence ``spec`` in its game's local roles: the session's own moves,
-        flipped when the occurrence is negative."""
-        return tuple(self.bindings[spec].local)
+        copied with their players flipped when the occurrence is negative."""
+        binding = self.bindings[spec]
+        if binding.machine is Player.MACHINE:
+            return tuple(binding.local)
+        return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in binding.local)
 
 
 def noted_heuristic(heuristics: dict[str, Heuristic], name: str, game: GameDef | None) -> Heuristic | None:
@@ -221,12 +230,10 @@ def machine_turn(session: Session) -> bool:
             session.append(Labmove(Player.MACHINE, rule.spec, str(rule.branch)))
             moved = True
         elif isinstance(rule, RuleC):
-            # The environment's moves so far, in local roles: the machine's at the negative nu.
+            # Each side takes the environment's moves so far at the other, both read before either is copied.
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
-            replays = [
-                (pi, [m for m in nu.local if m.player is Player.MACHINE]),
-                (nu, [m for m in pi.local if m.player is Player.ENVIRONMENT]),
-            ]
+            env = Player.ENVIRONMENT
+            replays = [(pi, [m for m in nu.local if m.player is env]), (nu, [m for m in pi.local if m.player is env])]
             for to, moves in replays:
                 for m in moves:
                     session.append(m.relabeled(Player.MACHINE, to.spec))
@@ -273,16 +280,16 @@ def _seat_move(session: Session, player: Player) -> Labmove | None:
     machine seat it plays the heuristic's answer. None if no seat of ``player`` has a move."""
     env = player is Player.ENVIRONMENT
     for binding in session.bindings.values():
-        if (binding.polarity == POSITIVE) == env:
+        if player is not binding.machine:
             script = binding.script
             if script is not None and binding.script_pos < len(script.moves):
-                move = script.moves[binding.script_pos]
-                if env or binding.game.legal(session.local_run(binding.spec), move):
+                move = script.moves[binding.script_pos].relabeled(player, binding.spec)
+                if env or binding.game.legal(binding.local, move, binding.machine):
                     binding.script_pos += 1
-                    return move.relabeled(player, binding.spec)
+                    return move
         elif binding.heuristic is not None and binding.heuristic_idle_at != len(binding.local):
             # a move was filed since it last passed
-            payload = binding.heuristic(session.local_run(binding.spec))
+            payload = binding.heuristic(binding.local, binding.machine)
             if payload is not None:
                 binding.heuristic_fired = True
                 return Labmove(player, binding.spec, payload)
@@ -318,13 +325,13 @@ def run_to_quiescence(session: Session, max_steps: int = 10_000) -> None:
 
 
 def read_verdicts(session: Session) -> dict[str, Verdict]:
-    """Each binding's verdict, by spec, from one read of its local run."""
-    return {spec: binding.game.verdict(binding.local) for spec, binding in session.bindings.items()}
+    """Each binding's verdict, by spec, from one read of its run through its machine seat."""
+    return {spec: binding.game.verdict(binding.local, binding.machine) for spec, binding in session.bindings.items()}
 
 
 def evaluate_winner(session: Session, verdicts: dict[str, Verdict] | None = None) -> Player:
     """Compose the winner over the final formula in one walk, as a Boolean function of its
-    games' verdicts (``verdicts``, by spec, else read here from each binding's local run): a
+    games' verdicts (``verdicts``, by spec, else read here from each binding's run): a
     surface atom holds exactly when its game's winner is the machine, surface choices
     elementarize (unresolved ones default against their owner: a choice conjunction holds, a
     choice disjunction does not), and elementary atoms take the interpretation, false where it

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 # not typing.Callable, whose cache would keep Run's Labmove, and so this module, alive after a re-import
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
@@ -35,8 +35,8 @@ class Labmove:
     """One move. Its payload is checked against the grammar and parsed once, here: ``key``
     and ``value`` hold a ``k=N`` payload's key and value, or None; they take no part in
     equality or hashing. A move with the same payload for another player or at another spec
-    is made by ``relabeled``, which carries the parse over: every flip, relay, copy-cat and
-    script move is such a copy, so a payload is parsed where it enters play (a script when it
+    is made by ``relabeled``, which carries the parse over: every relay, copy-cat and script
+    move is such a copy, so a payload is parsed where it enters play (a script when it
     is built, a heuristic's answer, an interactive line, a committed choice)."""
 
     player: Player
@@ -70,7 +70,7 @@ class Labmove:
         return f"{self.player.value}{self.spec}{self.payload}"
 
 
-Run = tuple[Labmove, ...]
+Run = Sequence[Labmove]  # a tuple, or a binding's live list
 
 
 def subrun(run, spec: str) -> Run:
@@ -78,13 +78,11 @@ def subrun(run, spec: str) -> Run:
     return tuple(lm.relabeled(lm.player, lm.spec[len(spec):]) for lm in run if lm.spec.startswith(spec))
 
 
-def flip_run(run) -> Run:
-    return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in run)
-
-
-# A heuristic is a pure function of its occurrence's local run: the engine polls it again
-# only after a move is filed at that occurrence, so it must not read anything else.
-Heuristic = Callable[[Run], Optional[str]]
+# A heuristic is a pure function of its occurrence's run and of ``machine``, the player on the
+# occurrence's local machine seat: the engine polls it again only after a move is filed at that
+# occurrence, so it must not read anything else. The run is the binding's live list of the
+# session's own moves, so a heuristic must neither keep nor mutate it.
+Heuristic = Callable[[Run, Player], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,11 @@ class GameDef:
     ``correct`` of the asked values. Only the first move of each key by the player who owns
     it counts: the environment owns the asks, the machine the answer.
 
-    ``legal``/``verdict``/``default_heuristic`` take runs normalised to those local roles;
-    the engine flips labels for occurrences played in negated positions. They read only each
-    move's ``player``, ``key`` and ``value``: a local run keeps its moves' session specs.
-    ``winner`` and ``complete`` are the two halves of one ``verdict``.
+    ``legal``/``verdict``/``default_heuristic`` read a run through ``machine``, the player
+    whose moves are the local machine's: ``MACHINE`` in local roles, ``ENVIRONMENT`` where the
+    engine plays an occurrence in a negated position, the roles swapped without copying a move.
+    They read only each move's ``player``, ``key`` and ``value``, and ``verdict``'s winner is in
+    local roles. A run keeps its moves' session specs.
     """
 
     name: str
@@ -131,12 +130,12 @@ class GameDef:
     answer_range: tuple[int, float]
     correct: Callable[..., int]
 
-    def _read(self, run: Run) -> dict[str, int]:
+    def _read(self, run: Run, machine: Player) -> dict[str, int]:
         """The value of the first move of each key by the player who owns that key."""
         seen: dict[str, int] = {}
         for lm in run:
             key = lm.key
-            if key is not None and key not in seen and (key == self.answer) == (lm.player is Player.MACHINE):
+            if key is not None and key not in seen and (key == self.answer) == (lm.player is machine):
                 seen[key] = lm.value
         return seen
 
@@ -145,35 +144,29 @@ class GameDef:
         values = [seen.get(key) for key, _ in self.asks]
         return None if None in values else values
 
-    def legal(self, run: Run, lm: Labmove) -> bool:
-        seen = self._read(run)
+    def legal(self, run: Run, lm: Labmove, machine: Player = Player.MACHINE) -> bool:
+        seen = self._read(run, machine)
         for key, bound in self.asks:
             if lm.key == key:
-                return lm.player is Player.ENVIRONMENT and key not in seen and 1 <= lm.value <= bound
+                return lm.player is not machine and key not in seen and 1 <= lm.value <= bound
             if key not in seen:
                 return False
         lo, hi = self.answer_range
-        return lm.key == self.answer and lm.player is Player.MACHINE and lm.key not in seen and lo <= lm.value <= hi
+        return lm.key == self.answer and lm.player is machine and lm.key not in seen and lo <= lm.value <= hi
 
-    def verdict(self, run: Run) -> Verdict:
+    def verdict(self, run: Run, machine: Player = Player.MACHINE) -> Verdict:
         """Both verdicts from one read of ``run``: complete once every ask and the answer are
         made, won by the machine unless every ask was made and the answer is missing or wrong."""
-        seen = self._read(run)
+        seen = self._read(run, machine)
         asked = self._asked(seen)
         if asked is None:
             return Verdict(False, Player.MACHINE)
         answer = seen.get(self.answer)
         return Verdict(answer is not None, Player.MACHINE if answer == self.correct(*asked) else Player.ENVIRONMENT)
 
-    def winner(self, run: Run) -> Player:
-        return self.verdict(run).winner
-
-    def complete(self, run: Run) -> bool:
-        return self.verdict(run).complete
-
-    def default_heuristic(self, run: Run) -> str | None:
+    def default_heuristic(self, run: Run, machine: Player = Player.MACHINE) -> str | None:
         """Answer a completed ask with ``correct`` of its values, clamped to ``answer_range``."""
-        seen = self._read(run)
+        seen = self._read(run, machine)
         asked = None if self.answer in seen else self._asked(seen)
         if asked is None:
             return None

@@ -1,4 +1,5 @@
-"""Seeded random formula generators shared by the property and acceptance tests."""
+"""Seeded random formula generators shared by the property and acceptance tests, and the
+flipped-run oracle for reading a game in swapped roles."""
 
 import random
 
@@ -21,6 +22,11 @@ ELEMENTARY = ["p", "q", "r", "s"]
 GENERAL = ["P", "Q", "C", "D"]
 AGENTS = ["w", "u", "God", "*1", "kiosk9"]
 NOTE_NAMES = ["hx", "mk", "req", "sy"]
+
+
+def flip_run(run):
+    """``run`` with every move's player flipped: a negated game's run in its local roles."""
+    return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in run)
 
 
 def random_atom(rng: random.Random):

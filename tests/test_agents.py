@@ -15,7 +15,7 @@ from clbk.agents import (
 )
 from clbk.engine import Session, Status
 from clbk.formula import NEGATIVE, POSITIVE, parse_formula
-from clbk.games import GameDef, Labmove, Player, coffee_game, flip_run
+from clbk.games import GameDef, Labmove, Player, coffee_game
 from clbk.scenario import builtin_scenario, parse_scenario
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -313,29 +313,24 @@ def test_starbucks_conservation_copies(text, coffees, dollars, minters):
     for query in sim.opened:
         session = query.session
         for binding in session.bindings.values():
-            run = session.local_run(binding.spec)
-            payloads = tuple(m.payload for m in run if not m.is_choice())
-            if not binding.game.complete(run):
+            payloads = tuple(m.payload for m in binding.local if not m.is_choice())
+            if not binding.game.verdict(binding.local, binding.machine).complete:
                 continue
             pool = original_coffees if binding.game.name == "coffee" else original_dollars
             assert payloads in pool, (query.qid, binding.spec, payloads)
 
 
 def test_starbucks_bindings_hold_the_runs_own_moves():
-    """A positive occurrence holds the session's own move objects; a negative one holds them
-    flipped, each once."""
+    """Every occurrence, positive or negative, holds the session's own move objects at its spec,
+    each once and in order."""
     sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
     sim.run(10_000)
     assert sim.opened
     for query in sim.opened:
         run = query.session.run
-        played = {id(lm) for lm in run}
         for binding in query.session.bindings.values():
-            if binding.polarity == POSITIVE:
-                assert all(id(lm) in played for lm in binding.local), (query.qid, binding.spec)
-            else:
-                own = tuple(lm for lm in run if lm.spec == binding.spec and not lm.is_choice())
-                assert tuple(binding.local) == flip_run(own), (query.qid, binding.spec)
+            own = [id(lm) for lm in run if lm.spec == binding.spec and not lm.is_choice()]
+            assert [id(lm) for lm in binding.local] == own, (query.qid, binding.spec)
     held = [b for q in sim.opened for b in q.session.bindings.values() if b.local]
     assert {b.polarity for b in held} == {POSITIVE, NEGATIVE}
 
@@ -394,15 +389,15 @@ def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypa
 
 
 def test_a_heuristic_is_polled_again_only_after_its_occurrence_moves():
-    """A heuristic is a pure function of its local run, so a binding's heuristic is polled at
-    most once per move filed there, plus once for its empty run."""
+    """A heuristic is a pure function of its run and machine seat, so a binding's heuristic is
+    polled at most once per move filed there, plus once for its empty run."""
     agents = parse_scenario(builtin_scenario("starbucks"))
     calls = []
 
     def counted(fn):
-        def heuristic(run):
-            calls.append(run)
-            return fn(run)
+        def heuristic(run, machine):
+            calls.append(len(run))
+            return fn(run, machine)
 
         return heuristic
 
@@ -430,10 +425,10 @@ def test_settle_reads_each_binding_run_once(monkeypatch):
     settling, reads, copies = [], [], []
     read, local_run, settle = GameDef._read, Session.local_run, Simulation._settle
 
-    def counted_read(game, run):
+    def counted_read(game, run, machine):
         if settling:
             reads.append(run)
-        return read(game, run)
+        return read(game, run, machine)
 
     def counted_local_run(session, spec):
         if settling:

@@ -29,9 +29,9 @@ from clbk.formula import (
     print_formula,
     surface_occurrences,
 )
-from clbk.games import Labmove, Player, Script, coffee_game, dollar_game, flip_run
+from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
 from clbk.prover import ProofTree, RuleA, RuleB, hybridize, premises_A, premises_B, prove
-from genlib import random_ast, random_provable
+from genlib import flip_run, random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 COFFEE = coffee_game(10)
@@ -364,10 +364,12 @@ def test_copycat_identity_game():
 
 
 def assert_one_object_per_move(session):
-    """Every move a positive binding holds is an entry of the session run itself, not a copy."""
+    """Every move a binding holds, positive or negative, is an entry of the session run itself,
+    not a copy."""
     played = {id(lm) for lm in session.run}
-    held = [lm for binding in session.bindings.values() if binding.polarity == POSITIVE for lm in binding.local]
-    assert held and all(id(lm) in played for lm in held)
+    for polarity in (POSITIVE, NEGATIVE):
+        held = [lm for binding in session.bindings.values() if binding.polarity == polarity for lm in binding.local]
+        assert held and all(id(lm) in played for lm in held), polarity
 
 
 def test_each_move_is_one_object():
@@ -436,7 +438,7 @@ def _reference_winner(session, node, spec, sign):
             return T if session.interpretation.get(name, False) else B
         case General(_, _) | Hybrid(_, _, _):
             sub = engine.subrun(tuple(session.run), spec)
-            return session.games[node.name].winner(flip_run(sub) if sign == NEGATIVE else sub)
+            return session.games[node.name].verdict(flip_run(sub) if sign == NEGATIVE else sub).winner
         case Chand(_):
             return T
         case Chor(_):
@@ -564,11 +566,11 @@ def test_listener_is_the_only_output():
 
 
 def _answer_once(after: int, payload: str):
-    """A pure heuristic that plays ``payload`` once the local run has ``after`` moves, until
-    the machine has played it."""
+    """A pure heuristic that plays ``payload`` once the run has ``after`` moves, until the
+    player on the local machine seat has played it."""
 
-    def heuristic(run):
-        if len(run) < after or any(lm.player is T and lm.payload == payload for lm in run):
+    def heuristic(run, machine):
+        if len(run) < after or any(lm.player is machine and lm.payload == payload for lm in run):
             return None
         return payload
 
@@ -576,11 +578,12 @@ def _answer_once(after: int, payload: str):
 
 
 def assert_local_runs_ready_made(session):
-    """Each binding's local run is the session's moves at its spec other than the choice that
-    resolved it, flipped at a negative occurrence, with the keys and values of the moves it
-    stands for."""
+    """Each binding holds the session's own move objects at its spec other than the choice that
+    resolved it, and ``local_run`` is those moves in local roles, flipped at a negative
+    occurrence, with the keys and values of the moves it stands for."""
     for spec, binding in session.bindings.items():
         moves = tuple(lm for lm in session.run if lm.spec == spec and not lm.is_choice())
+        assert [id(lm) for lm in binding.local] == [id(lm) for lm in moves]
         expected = flip_run(moves) if binding.polarity == NEGATIVE else moves
         got = session.local_run(spec)
         assert got == expected
@@ -616,7 +619,7 @@ def test_quiescence_leaves_no_heuristic_or_environment_script_with_a_move():
             resting = {spec for spec, b in s.bindings.items() if b.heuristic is not None and not b.heuristic_fired}
             for spec, binding in s.bindings.items():
                 if binding.heuristic is not None:
-                    assert binding.heuristic(s.local_run(spec)) is None, (print_formula(f), spec)
+                    assert binding.heuristic(binding.local, binding.machine) is None, (print_formula(f), spec)
                 if binding.script is not None and binding.polarity == POSITIVE:
                     assert binding.script_pos == len(binding.script.payloads), (print_formula(f), spec)
             choices = [o for o in surface_occurrences(s.formula, "choice") if env_chooses(o)]

@@ -14,6 +14,7 @@ from clbk.games import (
     dollar_game,
     subrun,
 )
+from genlib import flip_run
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 
@@ -87,18 +88,18 @@ def test_subrun_does_not_mix_sibling_specs():
 
 def test_coffee_winner_rules():
     game = coffee_game(10)
-    assert game.winner(()) is T
-    assert game.winner((lm(B, "", "x=3"), lm(B, "", "y=1"), lm(T, "", "z=4"))) is T
-    assert game.winner((lm(B, "", "x=3"), lm(B, "", "y=1"), lm(T, "", "z=5"))) is B
-    assert game.winner((lm(B, "", "x=3"), lm(B, "", "y=1"))) is B
-    assert game.winner((lm(B, "", "x=3"),)) is T
+    assert game.verdict(()).winner is T
+    assert game.verdict((lm(B, "", "x=3"), lm(B, "", "y=1"), lm(T, "", "z=4"))).winner is T
+    assert game.verdict((lm(B, "", "x=3"), lm(B, "", "y=1"), lm(T, "", "z=5"))).winner is B
+    assert game.verdict((lm(B, "", "x=3"), lm(B, "", "y=1"))).winner is B
+    assert game.verdict((lm(B, "", "x=3"),)).winner is T
 
 
 def test_coffee_complete_and_legal():
     game = coffee_game(10)
     run = (lm(B, "", "x=3"), lm(B, "", "y=1"))
-    assert not game.complete(run)
-    assert game.complete(run + (lm(T, "", "z=4"),))
+    assert not game.verdict(run).complete
+    assert game.verdict(run + (lm(T, "", "z=4"),)).complete
     assert game.legal((), lm(B, "", "x=3"))
     assert not game.legal((), lm(B, "", "y=1"))
     assert not game.legal(run, lm(T, "", "z=11"))
@@ -139,10 +140,10 @@ def test_coffee_heuristic_answers_at_once_under_a_huge_bound():
 
 def test_dollar_game_and_heuristic():
     game = dollar_game(5)
-    assert game.winner(()) is T
-    assert game.winner((lm(B, "", "v=2"), lm(T, "", "r=4"))) is T
-    assert game.winner((lm(B, "", "v=2"), lm(T, "", "r=5"))) is B
-    assert game.winner((lm(B, "", "v=2"),)) is B
+    assert game.verdict(()).winner is T
+    assert game.verdict((lm(B, "", "v=2"), lm(T, "", "r=4"))).winner is T
+    assert game.verdict((lm(B, "", "v=2"), lm(T, "", "r=5"))).winner is B
+    assert game.verdict((lm(B, "", "v=2"),)).winner is B
     assert game.default_heuristic((lm(B, "", "v=3"),)) == "r=6"
     assert game.default_heuristic(()) is None
     assert not game.legal((), lm(B, "", "v=6"))
@@ -262,11 +263,11 @@ def _game_and_moves(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(_game_and_moves())
-def test_games_agree_with_the_field_scanning_reference(case):
+@given(_game_and_moves(), st.sampled_from([T, B]))
+def test_games_agree_with_the_field_scanning_reference(case, machine):
+    """Read through ``machine=B``, a run is the reference's run with every player flipped."""
     game, (legal, winner, complete, heuristic), run, move = case
-    assert game.legal(run, move) == legal(run, move)
-    assert game.winner(run) is winner(run)
-    assert game.complete(run) == complete(run)
-    assert game.verdict(run) == (complete(run), winner(run))
-    assert game.default_heuristic(run) == heuristic(run)
+    local, local_move = (run, move) if machine is T else (flip_run(run), flip_run((move,))[0])
+    assert game.legal(run, move, machine) == legal(local, local_move)
+    assert game.verdict(run, machine) == (complete(local), winner(local))
+    assert game.default_heuristic(run, machine) == heuristic(local)
