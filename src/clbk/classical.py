@@ -1,10 +1,13 @@
-"""Classical propositional validity of elementary formulas, by Quine's truth-value analysis:
-split on an atom, fold the constants, and stop at the first branch that folds to F. The
-elementarization of any formula is folded straight from the formula (see ``is_valid``)."""
+"""Classical propositional validity of elementary formulas. A formula is folded first, and the
+elementarization of any formula is folded straight from the formula (see ``is_valid``). Up to
+``_TABLE_ATOMS`` atoms, validity is one bit-parallel truth table (Knuth, TAOCP 4A, 7.1.3);
+above that, and for countermodels, Quine's truth-value analysis: split on an atom, fold the
+constants, and stop at the first branch that folds to F."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
 
 from .formula import (
     And,
@@ -54,8 +57,25 @@ def is_valid(f: Formula, general: GeneralFold | None = None) -> bool:
     With ``general``, the validity of ``f``'s elementarization, folded straight from ``f``
     with no elementarized copy built: each general atom folds to ``general(atom, sign)``,
     its polarity in ``f`` being ``sign``, a hybrid atom to its elementary component, a choice
-    conjunction to T and a choice disjunction to F."""
-    return _falsify(_fold(f, POSITIVE, general)) is None
+    conjunction to T and a choice disjunction to F.
+
+    A folded formula of n <= ``_TABLE_ATOMS`` atoms is evaluated on all 2^n rows at once:
+    atom i is the 2^n-bit mask of the rows where bit i is set, ``~``, ``&`` and ``|`` act on
+    whole masks, and the formula is valid iff every bit of the result is set. Above that,
+    ``_falsify`` decides."""
+    return _valid(_fold(f, POSITIVE, general))
+
+
+def _valid(g: Folded) -> bool:
+    """Whether the folded formula g is valid (see ``is_valid``)."""
+    if type(g) is bool:
+        return g
+    count: dict[str, int] = {}
+    _count(g, count)
+    if len(count) > _TABLE_ATOMS:
+        return _falsify(g) is None
+    full, *masks = _masks(len(count))
+    return _table(g, dict(zip(count, masks)), full) == full
 
 
 def satisfiable(f: Formula) -> bool:
@@ -98,6 +118,29 @@ def _fold(f: Formula, sign: int = POSITIVE, general: GeneralFold | None = None) 
         if kind is Chand or kind is Chor:
             return kind is Chand
     raise FormulaError("not an elementary formula")
+
+
+# Above this many atoms the 2^n-bit masks of a table grow too large, and Quine's splits decide.
+_TABLE_ATOMS = 16
+
+
+@cache
+def _masks(n: int) -> tuple[int, ...]:
+    """The mask of all 2^n rows, then, for each i < n, the mask of the rows where bit i is
+    set: 2^i clear bits and 2^i set bits, repeated, which is ``full // (2^(2^i) + 1)``
+    shifted up by 2^i. Kept for each n up to ``_TABLE_ATOMS``."""
+    full = (1 << (1 << n)) - 1
+    return full, *(full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n))
+
+
+def _table(g: Folded, masks: dict[str, int], full: int) -> int:
+    """The rows of the truth table where g is true, given the rows ``masks`` of its atoms."""
+    if type(g) is str:
+        return masks[g]
+    if g[0] == "~":
+        return full ^ _table(g[1], masks, full)
+    left, right = _table(g[1], masks, full), _table(g[2], masks, full)
+    return left & right if g[0] == "&" else left | right
 
 
 def _not(a: Folded) -> Folded:

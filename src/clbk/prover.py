@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -29,13 +30,11 @@ from .formula import (
     SYMBOLS,
     Truth,
     atom_text,
-    child_at,
     children,
     elementary_names,
     env_chooses,
     print_formula,
     rebuild,
-    resolve_spec,
     substitute_at,
     surface_leaves,
     surface_occurrences,
@@ -96,20 +95,40 @@ class BranchPremise:
 
 @dataclass(frozen=True)
 class PairPremise:
-    """The premise of pairing the occurrences at ``paths`` (positive, then negative; specs
-    ``pos_spec`` and ``neg_spec``) of ``conclusion`` by the fresh elementary atom ``name``.
-    Its ``formula`` is built on first read, so a search builds only the premises it tries."""
+    """The premise of pairing the surface occurrences ``pos`` (positive) and ``neg``
+    (negative) of one general atom in ``conclusion``, whose walk is ``walk``, by the fresh
+    elementary atom ``name``. Its ``formula`` is built on first read, so a search builds only
+    the premises it tries, and its walk is derived from ``walk`` (see ``leaves``)."""
 
-    pos_spec: str
-    neg_spec: str
     name: str
     conclusion: Formula
-    paths: tuple[Path, Path]
+    walk: _Walk
+    pos: Occurrence
+    neg: Occurrence
+
+    @property
+    def pos_spec(self) -> str:
+        return self.pos.spec
+
+    @property
+    def neg_spec(self) -> str:
+        return self.neg.spec
 
     @cached_property
     def formula(self) -> Formula:
         """``conclusion`` with both occurrences replaced by ``Elementary(name)``."""
-        return _paired(self.conclusion, *self.paths, Elementary(self.name))
+        return _paired(self.conclusion, self.pos.path, self.neg.path, Elementary(self.name))
+
+    def leaves(self) -> list[Occurrence]:
+        """``surface_leaves(formula)``, derived from the conclusion's: the same list with the
+        two paired occurrences now ``Elementary(name)`` at their path, spec, polarity and
+        agent. ``_paired`` rebuilds only the nodes above them, so every other leaf is the same
+        node at the same place in the premise."""
+        atom, pos, neg = Elementary(self.name), self.pos, self.neg
+        return [
+            Occurrence(atom, o.path, o.spec, o.polarity, o.env) if o is pos or o is neg else o
+            for o in self.walk.leaves
+        ]
 
 
 def measure(f: Formula) -> int:
@@ -146,20 +165,21 @@ def names_valid(f: Formula, winnable: frozenset[str] = frozenset()) -> bool:
 
 class _Walk:
     """One surface walk of a formula, from which every rule's premises are generated: its
-    surface choice occurrences; its surface general-atom occurrences, as (positive, negative)
-    lists per name in order of first occurrence; and every elementary name in it, under
-    choices too, a hybrid counting by its elementary component. The walk is
-    ``surface_leaves``, which reads a kept walk, such as that of a session formula the
-    simulator proves, and keeps none: a search node is walked once, and a memo would stay on
-    every node the search keeps until ``prove`` returns."""
+    surface ``leaves``, in order; its surface choice occurrences; its surface general-atom
+    occurrences, as (positive, negative) lists per name in order of first occurrence; and
+    every elementary name in it, under choices too, a hybrid counting by its elementary
+    component. The leaves are ``surface_leaves`` of the formula, or, for a pairing premise,
+    derived from its conclusion's walk (``PairPremise.leaves``). Nothing keeps the walk on
+    its formula: the search's memo holds every node it expands until ``prove`` returns."""
 
-    __slots__ = ("choices", "atoms", "names")
+    __slots__ = ("leaves", "choices", "atoms", "names")
 
-    def __init__(self, f: Formula):
+    def __init__(self, leaves: Sequence[Occurrence]):
+        self.leaves = leaves
         self.choices: list[Occurrence] = []
         self.atoms: dict[str, tuple[list[Occurrence], list[Occurrence]]] = {}
         self.names: set[str] = set()
-        for occ in surface_leaves(f):
+        for occ in leaves:
             node = occ.node
             if isinstance(node, General):
                 poss, negs = self.atoms.setdefault(node.name, ([], []))
@@ -242,9 +262,9 @@ def premises_C(
     ``avoid``. ``walk`` is the conclusion's walk if the caller has made it; ``canonical``
     keeps only the pairs that ``_Walk.pairs(canonical=True)`` keeps. No premise formula is
     built here: each is built when its ``formula`` is first read."""
-    walk = _Walk(f) if walk is None else walk
+    walk = _Walk(surface_leaves(f)) if walk is None else walk
     fresh = _fresh_name(walk.names | avoid)
-    return [PairPremise(pi.spec, nu.spec, fresh, f, (pi.path, nu.path)) for pi, nu in walk.pairs(canonical)]
+    return [PairPremise(fresh, f, walk, pi, nu) for pi, nu in walk.pairs(canonical)]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -358,14 +378,17 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     A pairing premise is built only when the search tries it: ``premises_C`` lists a node's
     pairings once per expanded node, and a premise's formula is built, in one descent that
     rebuilds only the nodes on its two paths, when the search first reads it. A node that
-    the name-level check refutes builds none."""
+    the name-level check refutes builds none. A premise the search expands is not walked
+    anew: its walk is its conclusion's, with the two paired leaves replaced
+    (``PairPremise.leaves``)."""
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
 _UNSEEN = object()
 
 
-def _search(g: Formula, s: _Search) -> ProofTree | None:
+def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTree | None:
+    """``prove`` at ``g``; ``pair`` is the pairing whose premise ``g`` is, if it is one."""
     # the root is neither looked up nor keyed nor stored: no node below it meets it (see prove)
     root = not s.expanded
     if not root:
@@ -380,17 +403,17 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
     if s.max_nodes is not None and s.expanded >= s.max_nodes:
         raise SearchBudgetExceeded(f"proof search exceeded {s.max_nodes} nodes")
     s.expanded += 1
-    walk = _Walk(g)
+    walk = _Walk(surface_leaves(g) if pair is None else pair.leaves())
     monotone = walk.monotone(s.winnable)
     pairs = premises_C(g, s.root_avoid, walk, monotone)
     # a monotone node has no choice, so with pairs left only a pairing can prove it, and none
     # can when its name-level elementarization is invalid (see prove)
     spanned = not (monotone and pairs and (s.refuted or root)) or names_valid(g, s.winnable)
     result = None
-    for pair in pairs if spanned else ():
-        sub = _search(pair.formula, s)
+    for premise in pairs if spanned else ():
+        sub = _search(premise.formula, s, premise)
         if sub is not None:
-            result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
+            result = ProofTree(g, RuleC(premise.pos_spec, premise.neg_spec, premise.name), (sub,))
             break
     # no closure at a monotone node with pairs left: had it been stable, its first pairing
     # would have succeeded
@@ -418,23 +441,52 @@ def _search(g: Formula, s: _Search) -> ProofTree | None:
 
 def hybridize(t: ProofTree) -> ProofTree:
     """Replace each pairing rule's fresh atom by the matching hybrid atom throughout its premise
-    subtree. One pass carries the renaming made by the pairings above each node down the tree,
-    so every conclusion is rewritten once; an outer pairing's renaming wins over an inner one."""
-    return _convert(t, {})
+    subtree. One pass carries the renaming made by the pairings above each node down the tree;
+    an outer pairing's renaming wins over an inner one.
+
+    Each premise's conclusion is rewritten beside its parent's plain and hybrid conclusions
+    (``_shared``): a subtree it shares with the parent's conclusion is taken from the parent's
+    hybrid conclusion, so only the nodes its rule rebuilt are rewritten, and ``verify_proof``
+    compares shared subtrees at once. This equals rewriting every conclusion in full wherever
+    each pairing's name is fresh in its own conclusion, since the shared subtrees then hold no
+    atom the pairing renames. A tree where one is not fails ``verify_proof`` at that node, in
+    either form."""
+    return _convert(t, {}, t.conclusion, t.conclusion)
 
 
-def _convert(node: ProofTree, renaming: dict[str, Hybrid]) -> ProofTree:
+def _convert(node: ProofTree, renaming: dict[str, Hybrid], parent: Formula, parent_hybrid: Formula) -> ProofTree:
     rule = node.rule
     conclusion = node.conclusion
     inner = renaming
     if isinstance(rule, RuleC):
-        pos = child_at(conclusion, resolve_spec(conclusion, rule.pos_spec))
-        if not isinstance(pos, General):
+        pos = _leaf_at(conclusion, rule.pos_spec)
+        if pos is None or type(pos.node) is not General:
             raise FormulaError("pairing rule must address a general atom")
-        inner = {rule.name: Hybrid(pos.name, rule.name)} | renaming
+        inner = {rule.name: Hybrid(pos.node.name, rule.name)} | renaming
     if renaming:
-        conclusion = transform(conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
-    return ProofTree(conclusion, rule, tuple(_convert(p, inner) for p in node.premises))
+        conclusion = _shared(conclusion, parent, parent_hybrid, renaming)
+    return ProofTree(conclusion, rule, tuple(_convert(p, inner, node.conclusion, conclusion) for p in node.premises))
+
+
+def _shared(h: Formula, g: Formula, g_hybrid: Formula, renaming: dict[str, Hybrid]) -> Formula:
+    """``h`` with each elementary atom that ``renaming`` names replaced by its hybrid, given
+    ``g_hybrid``, which is ``g`` so rewritten: a subtree of ``h`` that is ``g``'s subtree at the
+    same place, or a branch of ``g``'s choice there, is taken from ``g_hybrid``."""
+    if h is g:
+        return g_hybrid
+    kind = type(h)
+    if kind is type(g) and kind in BINARY_KINDS:
+        left = _shared(h.left, g.left, g_hybrid.left, renaming)
+        right = _shared(h.right, g.right, g_hybrid.right, renaming)
+        return h if left is h.left and right is h.right else kind(left, right)
+    if kind is type(g) and (kind is Not or kind is EnvAnn):
+        child = _shared(h.child, g.child, g_hybrid.child, renaming)
+        return h if child is h.child else rebuild(h, (child,))
+    if type(g) is Chand or type(g) is Chor:
+        for part, hybrid in zip(g.parts, g_hybrid.parts):
+            if h is part:
+                return hybrid
+    return transform(h, lambda n: renaming.get(n.name, n) if type(n) is Elementary else n)
 
 
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
@@ -442,10 +494,11 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     all of ``premises_A``, in order, under a stable conclusion; the named ``premises_B`` entry;
     or the named pair given one atom absent from the conclusion, elementary or hybrid.
 
-    Rule C builds no premise. It finds each named occurrence by one descent along its spec,
-    then compares the premise with the conclusion along the two paths only: every child off
-    them must be equal (``==``, which returns at once on a shared subtree), and both paired
-    leaves must be the same atom, ``Elementary(name)`` or ``Hybrid(<general name>, name)``.
+    Rules B and C find each named occurrence by one descent along its spec (``_leaf_at``).
+    Rule B then builds the one premise it names. Rule C builds none: it compares the premise
+    with the conclusion along the two paths only. Every child off them must be equal (``==``,
+    which returns at once on a shared subtree), and both paired leaves must be the same atom,
+    ``Elementary(name)`` or ``Hybrid(<general name>, name)``.
     The freshness check walks the conclusion of the first rule C on a path only: a checked
     pairing replaces two general atoms, so its premise's names are the conclusion's and
     ``name``, and they are carried down to the next rule C."""
@@ -462,17 +515,28 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
         case RuleA():
             ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
         case RuleB(spec, branch, env):
-            ok = any(got == [e.formula] for e in premises_B(g) if (e.spec, e.branch, e.env) == (spec, branch, env))
+            occ = _leaf_at(g, spec)
+            ok = (
+                occ is not None
+                and type(occ.node) in (Chand, Chor)
+                and not env_chooses(occ)
+                and occ.env == env
+                and 1 <= branch <= len(occ.node.parts)
+                and got == [substitute_at(g, occ.path, occ.node.parts[branch - 1])]
+            )
         case RuleC(pos_spec, neg_spec, name):
-            pos, neg = _general_at(g, pos_spec, POSITIVE), _general_at(g, neg_spec, NEGATIVE)
+            pos, neg = _leaf_at(g, pos_spec), _leaf_at(g, neg_spec)
             ok = (
                 pos is not None
                 and neg is not None
-                and pos[0].name == neg[0].name
+                and type(pos.node) is General
+                and type(neg.node) is General
+                and (pos.polarity, neg.polarity) == (POSITIVE, NEGATIVE)
+                and pos.node.name == neg.node.name
                 and len(got) == 1
-                and (ends := _ends_off(got[0], g, [pos[1], neg[1]])) is not None
+                and (ends := _ends_off(got[0], g, pos.path, neg.path)) is not None
                 and ends[0] == ends[1]
-                and ends[0] in (Elementary(name), Hybrid(pos[0].name, name))
+                and ends[0] in (Elementary(name), Hybrid(pos.node.name, name))
                 and name not in (names := elementary_names(g) if names is None else names)
             )
             below = names | {name} if ok else None
@@ -481,20 +545,19 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
     return ok and all(_verify(p, winnable, below) for p in t.premises)
 
 
-def _general_at(f: Formula, spec: str, sign: int) -> tuple[General, Path] | None:
-    """The general atom that occurs in ``f`` at ``spec`` with polarity ``sign``, and its path;
-    None if there is none. A spec is one dot-terminated step per binary connective on the way,
-    as ``surface_occurrences`` writes it; negations and annotations take none, and no step
-    enters a choice."""
+def _leaf_at(f: Formula, spec: str) -> Occurrence | None:
+    """The surface leaf occurrence of ``f`` at ``spec``, as ``surface_leaves`` gives it; None if
+    ``spec`` addresses none. A spec is one dot-terminated step per binary connective on the
+    way; negations and annotations take none, and no step enters a choice."""
     steps = spec.split(".")
     if steps.pop():  # the spec did not end with its dot
         return None
     steps.reverse()
-    node, path, polarity = f, [], POSITIVE
+    node, path, polarity, env = f, [], POSITIVE, None
     while True:
         kind = type(node)
         if kind is EnvAnn or kind is Not:
-            polarity = -polarity if kind is Not else polarity
+            polarity, env = (-polarity, env) if kind is Not else (polarity, node.agent)
             node = node.child
             path.append(1)
         elif kind in BINARY_KINDS and steps and steps[-1] in ("1", "2"):
@@ -503,29 +566,38 @@ def _general_at(f: Formula, spec: str, sign: int) -> tuple[General, Path] | None
             node = node.left if step == 1 else node.right
             path.append(step)
         else:
-            found = kind is General and not steps and polarity == sign
-            return (node, tuple(path)) if found else None
+            leaf = not steps and kind not in BINARY_KINDS
+            return Occurrence(node, tuple(path), spec, polarity, env) if leaf else None
 
 
-def _ends_off(h: Formula, g: Formula, paths: list[Path]) -> list[Formula] | None:
-    """The nodes of ``h`` at ``paths`` (none a prefix of another) if ``h`` agrees with ``g``
-    off them: each node on a path has ``g``'s connective and agent, and each child off the
-    paths equals ``g``'s. None if it does not."""
-    if paths == [()]:
-        return [h]
-    if type(h) is not type(g) or (type(g) is EnvAnn and h.agent != g.agent):
+def _ends_off(h: Formula, g: Formula, p: Path, q: Path) -> tuple[Formula, Formula] | None:
+    """The nodes of ``h`` at ``g``'s two surface leaf paths ``p`` and ``q``, left one first, if
+    ``h`` agrees with ``g`` off them (see ``_end_off``); None if it does not."""
+    fork = next(i for i, (a, b) in enumerate(zip(p, q)) if a != b)  # a binary node of g
+    top = _end_off(h, g, p[:fork])
+    if top is None or type(top[0]) is not type(top[1]):
         return None
-    ends: list[Formula] = []
-    for i, (a, b) in enumerate(zip(children(h), children(g)), start=1):
-        below = [p[1:] for p in paths if p[0] == i]
-        if below:
-            sub = _ends_off(a, b, below)
-            if sub is None:
-                return None
-            ends += sub
-        elif a is not b and a != b:
+    (h, g), (p, q) = top, (p, q) if p[fork] == 1 else (q, p)
+    left, right = _end_off(h.left, g.left, p[fork + 1 :]), _end_off(h.right, g.right, q[fork + 1 :])
+    return None if left is None or right is None else (left[0], right[0])
+
+
+def _end_off(h: Formula, g: Formula, path: Path) -> tuple[Formula, Formula] | None:
+    """The nodes of ``h`` and of ``g`` at ``path``, which passes only negations, annotations
+    and binary connectives of ``g``, if ``h`` agrees with ``g`` off it: each node on it has
+    ``g``'s connective and agent, and each child off it equals ``g``'s (``==``, which returns
+    at once on a shared subtree). None if it does not."""
+    for step in path:
+        kind = type(g)
+        if type(h) is not kind or (kind is EnvAnn and h.agent != g.agent):
             return None
-    return ends
+        if kind is Not or kind is EnvAnn:
+            h, g = h.child, g.child
+            continue
+        h, g, off, g_off = (h.left, g.left, h.right, g.right) if step == 1 else (h.right, g.right, h.left, g.left)
+        if off is not g_off and off != g_off:
+            return None
+    return h, g
 
 
 _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}

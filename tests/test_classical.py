@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clbk import classical
 from clbk.classical import countermodel, evaluate, is_valid, satisfiable
 from clbk.formula import (
     And,
@@ -145,3 +146,53 @@ def test_countermodel_examples():
     assert countermodel(Truth(False)) == {}
     with pytest.raises(FormulaError):
         countermodel(parse_formula("P -> P"))
+
+
+def _random_folded(rng, names):
+    """A random folded formula over exactly ``names``: each name once and some again, each
+    leaf and some inner nodes negated, joined by ``&`` and ``|`` at random."""
+    leaves = list(names) + [rng.choice(names) for _ in range(rng.randint(0, len(names)))]
+    rng.shuffle(leaves)
+    parts = [("~", name) if rng.random() < 0.3 else name for name in leaves]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        node = (rng.choice("&|"), parts[i], parts[i + 1])
+        parts[i : i + 2] = [("~", node) if rng.random() < 0.2 else node]
+    return parts[0]
+
+
+def test_truth_tables_agree_with_quine_up_to_sixteen_atoms(monkeypatch):
+    """On folded formulas of 12 to 16 atoms, the bit-parallel table decides validity as
+    ``_falsify`` does, and never calls it. The valid ones are ``a | g | ~a`` with ``a`` the
+    most frequent atom, on which ``_falsify`` ends after one split."""
+    rng = random.Random(107)
+    formulas = []
+    for _ in range(150):
+        names = [f"p{i}" for i in range(rng.randint(12, 16))]
+        g = _random_folded(rng, names)
+        formulas.append(g)
+        formulas.append(("|", ("|", names[0], _random_folded(rng, names + names[:1] * 40)), ("~", names[0])))
+    expected = [classical._falsify(g) is None for g in formulas]
+    assert set(expected) == {True, False}
+    quine = []
+    original = classical._falsify
+    monkeypatch.setattr(classical, "_falsify", lambda g: quine.append(g) or original(g))
+    assert [classical._valid(g) for g in formulas] == expected
+    assert quine == []
+
+
+def test_seventeen_atoms_and_more_take_quine(monkeypatch):
+    """Above 16 atoms no table is built: ``_falsify`` decides, called first on the whole
+    folded formula."""
+    rng = random.Random(109)
+    formulas = [_random_folded(rng, [f"p{i}" for i in range(size)]) for size in (17, 18, 24)]
+    expected = [classical._falsify(g) is None for g in formulas]
+    calls, tables = [], []
+    original = classical._falsify
+    monkeypatch.setattr(classical, "_falsify", lambda g: calls.append(g) or original(g))
+    monkeypatch.setattr(classical, "_table", lambda *args: tables.append(args))
+    for g, valid in zip(formulas, expected):
+        calls.clear()
+        assert classical._valid(g) == valid
+        assert calls[0] is g
+    assert tables == []

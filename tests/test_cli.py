@@ -61,6 +61,24 @@ def test_prove_hybrid_listing_three_pairings(capsys):
         assert out == listing
 
 
+_CHAIN_11 = " /\\ ".join(["C"] * 11)
+PROVER_GOLDENS = {
+    "choices": "(((p | C) \\/ (C & D)) -> ((p | C) \\/ (C & D))) @ w",
+    "chain-11": f"({_CHAIN_11}) -> ({_CHAIN_11})",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVER_GOLDENS))
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_prove_listing_matches_golden(capsys, name, hybrid):
+    """Plain and hybrid listings of a proof with choices and pairings, and of the n = 11
+    chain, byte for byte as ``tests/golden/prover`` holds them."""
+    code, out, _ = run_cli(capsys, "prove", PROVER_GOLDENS[name], *(["--hybrid"] if hybrid else []))
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "prover" / f"{name}{'-hybrid' if hybrid else ''}.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_prove_trivial_success(capsys):
     code, _, _ = run_cli(capsys, "prove", "p -> p")
     assert code == 0

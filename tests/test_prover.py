@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter, defaultdict
+from operator import is_not
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from clbk.formula import (
     skeleton,
     substitute_at,
     substitute_paths,
+    surface_leaves,
     surface_occurrences,
     transform,
 )
@@ -278,8 +280,24 @@ def _reference_search(g, trees, verdicts, root_avoid, winnable):
     return result
 
 
-def _listings(tree):
-    return None if tree is None else (format_proof(tree), format_proof(hybridize(tree)))
+def _reference_hybridize(t):
+    """The hybrid form with every conclusion rewritten in full, each pairing's renaming carried
+    down its premise subtree and an outer pairing's winning: the oracle for ``hybridize``,
+    which rewrites only what each rule rebuilt."""
+    return _reference_convert(t, {})
+
+
+def _reference_convert(node, renaming):
+    rule, inner = node.rule, renaming
+    if isinstance(rule, RuleC):
+        general = child_at(node.conclusion, resolve_spec(node.conclusion, rule.pos_spec)).name
+        inner = {rule.name: Hybrid(general, rule.name)} | renaming
+    conclusion = transform(node.conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
+    return ProofTree(conclusion, rule, tuple(_reference_convert(p, inner) for p in node.premises))
+
+
+def _listings(tree, convert=hybridize):
+    return None if tree is None else (format_proof(tree), format_proof(convert(tree)))
 
 
 def test_prove_agrees_with_reference_search():
@@ -289,7 +307,7 @@ def test_prove_agrees_with_reference_search():
     verdicts = set()
     for f in formulas:
         got, expected = prove(f), _reference_prove(f)
-        assert _listings(got) == _listings(expected), print_formula(f)
+        assert _listings(got) == _listings(expected, _reference_hybridize), print_formula(f)
         verdicts.add(got is None)
     assert verdicts == {True, False}
 
@@ -392,17 +410,45 @@ def _rule_c_mutants(tree):
             yield "spec into a choice", _replace_node(tree, at, rule=crossing)
 
 
-def test_verify_agrees_with_reference_checker():
-    """Every proof, its hybrid form, five mutants of each and the mutants of each rule-C node
-    (``_rule_c_mutants``) get the same verdict from ``verify_proof`` and from the oracle."""
-    rng = random.Random(67)
+def _prover_corpus(rng):
+    """The proofs of 1,000 random formulas, where there is one, and of 100 random provable
+    formulas, 40 of them with a pairing."""
     trees = [prove(random_ast(rng, depth=4)) for _ in range(1000)]
     trees += [t for _, t in random_provable(rng, 60) + random_provable(rng, 40, need_pairing=True)]
+    return list(filter(None, trees))
+
+
+def _rule_b_mutants(tree):
+    """(kind, mutant) for each rule-B node of ``tree``: its rule given another agent, branch 0
+    or a leaf that is no choice; and for each rule-A node with premises, rule B at the
+    environment's choice of its first premise, which keeps that premise."""
+    for at, node in _tree_nodes(tree):
+        rule, g = node.rule, node.conclusion
+        if isinstance(rule, RuleA) and node.premises:
+            entry = premises_A(g)[0]
+            choice = RuleB(entry.spec, 1, entry.env)
+            yield "environment's choice", _replace_node(tree, at, rule=choice, premises=node.premises[:1])
+        if not isinstance(rule, RuleB):
+            continue
+        yield "another agent", _replace_node(tree, at, rule=RuleB(rule.spec, rule.branch, (rule.env or "w") + "x"))
+        yield "branch 0", _replace_node(tree, at, rule=RuleB(rule.spec, 0, rule.env))
+        for occ in surface_occurrences(g, "leaf"):
+            if not children(occ.node):
+                yield "no choice", _replace_node(tree, at, rule=RuleB(occ.spec, 1, occ.env))
+                break
+
+
+def test_verify_agrees_with_reference_checker():
+    """Every proof, its hybrid form, five mutants of each and the mutants of each rule-B and
+    rule-C node (``_rule_b_mutants``, ``_rule_c_mutants``) get the same verdict from
+    ``verify_proof`` and from the oracle."""
+    rng = random.Random(67)
     verdicts = Counter()
     kinds = Counter()
-    for tree in filter(None, trees):
+    for tree in _prover_corpus(rng):
         for form in (tree, hybridize(tree)):
-            mutants = [("form", form)] + [("label", m) for m in _mutations(form, rng, 5)] + list(_rule_c_mutants(form))
+            mutants = [("form", form)] + [("label", m) for m in _mutations(form, rng, 5)]
+            mutants += [*_rule_b_mutants(form), *_rule_c_mutants(form)]
             for kind, candidate in mutants:
                 verdict = verify_proof(candidate)
                 assert verdict == _reference_verify(candidate), (kind, format_proof(candidate))
@@ -411,6 +457,101 @@ def test_verify_agrees_with_reference_checker():
     assert verdicts[True] >= 200 and verdicts[False] >= 1000, verdicts
     for kind in {k for k, _ in kinds} - {"form", "label"}:
         assert kinds[kind, False] >= 20 and not kinds[kind, True], kinds
+
+
+def _renamed(t, old, new, memo):
+    """``t`` with the elementary atom ``old`` renamed ``new`` in every conclusion and pairing.
+    Each subtree is renamed once (``memo``), so what ``t``'s conclusions share stays shared."""
+
+    def rename(f):
+        if id(f) not in memo:
+            kids = [rename(k) for k in children(f)]
+            changed = any(map(is_not, kids, children(f)))
+            memo[id(f)] = Elementary(new) if f == Elementary(old) else rebuild(f, kids) if changed else f
+        return memo[id(f)]
+
+    rule = t.rule
+    if isinstance(rule, RuleC) and rule.name == old:
+        rule = RuleC(rule.pos_spec, rule.neg_spec, new)
+    return ProofTree(rename(t.conclusion), rule, tuple(_renamed(p, old, new, memo) for p in t.premises))
+
+
+def _fresh_name_mutants(tree):
+    """``tree`` with one pairing's name renamed throughout its premise subtree onto another
+    name that occurs nowhere in the pairing's subtree: ``zz``, or a name that a pairing in
+    another branch gave its atom. The names stay fresh, so each mutant is a proof. (A name
+    above a pairing stays in every conclusion below it, so no pairing below can take it.)"""
+    paired = {node.rule.name for _, node in _tree_nodes(tree) if isinstance(node.rule, RuleC)}
+    for at, node in _tree_nodes(tree):
+        rule = node.rule
+        if isinstance(rule, RuleC):
+            below = set().union(*(elementary_names(n.conclusion) for _, n in _tree_nodes(node)))
+            for name in sorted(paired - below) + ["zz"]:
+                premise = _renamed(node.premises[0], rule.name, name, {})
+                yield _replace_node(tree, at, rule=RuleC(rule.pos_spec, rule.neg_spec, name), premises=(premise,))
+
+
+def _off_path_pairs(h, g, paths):
+    """(``h``'s child, ``g``'s child) for each child off ``paths`` of the nodes on them."""
+    if () in paths:
+        return
+    for i, (a, b) in enumerate(zip(children(h), children(g)), start=1):
+        below = [p[1:] for p in paths if p[0] == i]
+        if below:
+            yield from _off_path_pairs(a, b, below)
+        else:
+            yield a, b
+
+
+# Provable, with pairings in more than one branch of a closure.
+_BRANCHING_PAIRINGS = [
+    "(((p | C) \\/ (C & D)) -> ((p | C) \\/ (C & D))) @ w",
+    "((C /\\ D) & (D | C)) -> ((C /\\ D) & (D | C))",
+    "((C & D) /\\ (C | D)) -> ((C & D) /\\ (C | D))",
+]
+
+
+def test_hybridize_agrees_with_full_rewrite_and_shares_off_path_children():
+    """On the prover corpus, three proofs with pairings in several branches, and each proof's
+    fresh-name mutants, ``hybridize`` equals the full rewrite, and each hybrid rule-B and
+    rule-C premise holds its hybrid conclusion's children off the rule's paths as the same
+    objects."""
+    rng = random.Random(67)
+    checked = Counter()
+    trees = _prover_corpus(rng) + [prove(parse_formula(src)) for src in _BRANCHING_PAIRINGS]
+    for tree in trees:
+        for form in [tree, *_fresh_name_mutants(tree)]:
+            assert verify_proof(form), format_proof(form)
+            hybrid = hybridize(form)
+            assert hybrid == _reference_hybridize(form), format_proof(form)
+            for (_, node), (_, hnode) in zip(_tree_nodes(form), _tree_nodes(hybrid)):
+                g, rule = node.conclusion, node.rule
+                if isinstance(rule, RuleB):
+                    paths = [resolve_spec(g, rule.spec)]
+                elif isinstance(rule, RuleC):
+                    paths = [resolve_spec(g, rule.pos_spec), resolve_spec(g, rule.neg_spec)]
+                else:
+                    continue
+                for a, b in _off_path_pairs(hnode.premises[0].conclusion, hnode.conclusion, paths):
+                    assert a is b, format_proof(form)
+                    checked[type(rule), form is tree] += 1
+            paired = {n.rule.name for _, n in _tree_nodes(form) if isinstance(n.rule, RuleC)}
+            checked["another branch's name"] += form is not tree and "zz" not in paired
+    assert checked.pop("another branch's name") >= 3, checked
+    assert min(checked.values()) >= 50 and len(checked) == 4, checked
+
+
+def test_name_in_conclusion_mutants_fail_once_hybridized():
+    """A pairing given a name its conclusion holds fails ``verify_proof`` in the hybrid form
+    too, whatever ``hybridize`` shares below it."""
+    rng = random.Random(67)
+    failed = 0
+    for tree in _prover_corpus(rng):
+        for kind, mutant in _rule_c_mutants(tree):
+            if kind == "name in conclusion":
+                assert not verify_proof(hybridize(mutant)), format_proof(mutant)
+                failed += 1
+    assert failed >= 20, failed
 
 
 def _unprovable_family(n):
@@ -595,7 +736,7 @@ def _agrees_with_reference(sources, winnable=frozenset()):
     for src in sources:
         f = parse_formula(src)
         got = prove(f, winnable)
-        assert _listings(got) == _listings(_reference_prove(f, winnable)), src
+        assert _listings(got) == _listings(_reference_prove(f, winnable), _reference_hybridize), src
         verdicts.add(got is None)
     return verdicts
 
@@ -723,14 +864,30 @@ def _keeps_a_walk(f):
     return vars(f).keys() != f.__dataclass_fields__.keys() or any(map(_keeps_a_walk, children(f)))
 
 
+def _fields(leaves):
+    return [(o.node, o.path, o.spec, o.polarity, o.env) for o in leaves]
+
+
 def test_search_keeps_no_walk_on_its_nodes(monkeypatch):
     """The search walks each node it expands once, and its memo holds the node until ``prove``
-    returns, so a walk kept on the node would only cost memory."""
-    nodes = []
+    returns, so a walk kept on the node would only cost memory. A pairing premise's walk is
+    derived from its conclusion's (``PairPremise.leaves``), and equals the premise's own
+    ``surface_leaves`` field by field and in order: on the 4-clause variant and on random
+    provable formulas."""
+    nodes, derived = [], []
     original = prover.premises_C
     monkeypatch.setattr(prover, "premises_C", lambda g, *rest: nodes.append(g) or original(g, *rest))
+    leaves = prover.PairPremise.leaves
+    record = lambda pair: derived.append((pair, leaves(pair))) or derived[-1][1]
+    monkeypatch.setattr(prover.PairPremise, "leaves", record)
     assert prove(parse_formula(_CLAUSE_VARIANT_4)) is None
     assert len(nodes) == 361
+    assert len(derived) == 360
+    for f, _ in random_provable(random.Random(31), 40, need_pairing=True):
+        assert prove(f) is not None
+    assert len(derived) > 400
+    for pair, walk in derived:
+        assert _fields(walk) == _fields(surface_leaves(pair.formula)), print_formula(pair.formula)
     assert not any(map(_keeps_a_walk, nodes))
 
 
@@ -754,7 +911,7 @@ def test_invalid_name_level_form_refutes_monotone_node(seed):
     winnable = frozenset(name for name in "CD" if rng.random() < 0.2)
     for _ in range(40):
         g = Implies(random_body(rng), random_body(rng)) if rng.random() < 0.7 else random_ast(rng, depth=4)
-        walk = prover._Walk(g)
+        walk = prover._Walk(surface_leaves(g))
         if walk.monotone(winnable) and walk.pairs() and not names_valid(g, winnable):
             assert _reference_prove(g, winnable) is None, print_formula(g)
 
