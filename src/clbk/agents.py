@@ -314,6 +314,13 @@ class Simulation:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
         may forward the challenge and collect the answer from a counterparty."""
         table = {a: {} for a in self.agents}
+        # the queries each agent sent to another agent, by server in registration order and
+        # each server's in submission order
+        sent: dict[str, list[Query]] = {}
+        for server, queries in self.queues.items():
+            for query in queries:
+                if query.client != server:
+                    sent.setdefault(query.client, []).append(query)
         for aid, seats in table.items():
             tables: dict[bool, dict[str, list[tuple[str, str]]]] = {True: {}, False: {}}  # by ``produces``
 
@@ -329,14 +336,10 @@ class Simulation:
                             seat(query, occ, True)
             # Client-side answer seats on queries this agent sent elsewhere, where it plays: not
             # on the server's antecedent, whose resources other agents supply.
-            for server, queries in self.queues.items():
-                if server == aid:
-                    continue
-                for query in queries:
-                    if query.client == aid:
-                        for occ in query.atoms.values():
-                            if occ.env == aid:
-                                seat(query, occ, occ.polarity == NEGATIVE)
+            for query in sent.get(aid, ()):
+                for occ in query.atoms.values():
+                    if occ.env == aid:
+                        seat(query, occ, occ.polarity == NEGATIVE)
             # Executor seats on sessions served for others.
             for query in mine:
                 if query.contract_ref is not None or query.client == aid:

@@ -5,7 +5,8 @@ first walk of a non-leaf formula in its instance ``__dict__``, so the simulator,
 and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
 there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
 Paths are read through ``_trail``. The printer writes atoms with ``atom_text``, connectives
-with ``SYMBOLS`` and every operand by the one parenthesization rule of ``_operand``."""
+with ``SYMBOLS`` and parenthesizes every operand whose kind is not bare on its side
+(``_BARE_SIDES``)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import is_not
+from typing import NamedTuple
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -267,8 +269,13 @@ def resolve_spec(f: Formula, spec: str) -> Path:
         raise FormulaError(f"specification {spec!r} does not address an occurrence")
 
 
-@dataclass(frozen=True, slots=True)
-class Occurrence:
+class Occurrence(NamedTuple):
+    """A surface leaf occurrence: its ``node``, its ``path`` and ``spec`` in the walked formula,
+    its ``polarity`` there and the agent ``env`` of its innermost annotation, if any. A tuple,
+    so cheap to build and immutable. Equality and hashing are by fields, as for any tuple,
+    which compares or hashes ``node`` in full; ``PairPremise.leaves`` finds its two
+    occurrences in a walk by identity (``is``) instead."""
+
     node: Formula
     path: Path
     spec: str
@@ -591,27 +598,43 @@ def atom_text(f: Formula) -> str:
 
 SYMBOLS = {Not: "~", Implies: "->", And: "/\\", Or: "\\/", Chand: "&", Chor: "|"}
 
-# The kinds each binary connective prints bare as its left and as its right operand, besides
-# atoms and negations; every other operand is parenthesized.
-_OPEN_KINDS = {Implies: ((), (Implies,)), And: ((And,), ()), Or: ((Or, And), (And,))}
-
-
-def _operand(node: Formula, open_kinds: tuple[type, ...]) -> str:
-    """``node`` printed bare when it is an atom, a negation or one of ``open_kinds``, else parenthesized."""
-    text = print_formula(node)
-    return text if isinstance(node, (*ATOM_KINDS, Not, *open_kinds)) else f"({text})"
+# The kinds that print bare as an operand: atoms and negations everywhere, and by side the
+# connectives that bind at least as tightly or associate that way; every other operand is
+# parenthesized. Each binary connective's entry is (left side, right side).
+_BARE = frozenset((*ATOM_KINDS, Not))
+_BARE_SIDES = {
+    Implies: (_BARE, _BARE | {Implies}),
+    And: (_BARE | {And}, _BARE),
+    Or: (_BARE | {Or, And}, _BARE | {And}),
+}
+_BARE_ANNOTATED = _BARE | {Implies}
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical text; parse_formula(print_formula(f)) is structurally equal to f."""
+    """Canonical text; parse_formula(print_formula(f)) is structurally equal to f. Each
+    operand is printed and parenthesized in this frame, so a formula nests one frame deep per
+    level."""
     kind = type(f)
-    if kind in _OPEN_KINDS:
-        left, right = _OPEN_KINDS[kind]
-        return f"{_operand(f.left, left)} {SYMBOLS[kind]} {_operand(f.right, right)}"
-    if kind in CHOICE_KINDS:
-        return f" {SYMBOLS[kind]} ".join(_operand(p, ()) for p in f.parts)
+    sides = _BARE_SIDES.get(kind)
+    if sides is not None:
+        left, right = print_formula(f.left), print_formula(f.right)
+        if type(f.left) not in sides[0]:
+            left = f"({left})"
+        if type(f.right) not in sides[1]:
+            right = f"({right})"
+        return f"{left} {SYMBOLS[kind]} {right}"
+    if kind is Chand or kind is Chor:
+        texts = []
+        for part in f.parts:
+            text = print_formula(part)
+            texts.append(text if type(part) in _BARE else f"({text})")
+        return f" {SYMBOLS[kind]} ".join(texts)
     if kind is Not:
-        return "~" + _operand(f.child, ())
+        text = print_formula(f.child)
+        return f"~{text}" if type(f.child) in _BARE else f"~({text})"
     if kind is EnvAnn:
-        return f"{_operand(f.child, (Implies,))} @ {_agent_str(f.agent)}"
+        text = print_formula(f.child)
+        if type(f.child) not in _BARE_ANNOTATED:
+            text = f"({text})"
+        return f"{text} @ {_agent_str(f.agent)}"
     return atom_text(f)

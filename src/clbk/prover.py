@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 from .classical import is_valid
@@ -93,18 +92,22 @@ class BranchPremise:
     formula: Formula
 
 
-@dataclass(frozen=True)
 class PairPremise:
     """The premise of pairing the surface occurrences ``pos`` (positive) and ``neg``
     (negative) of one general atom in ``conclusion``, whose walk is ``walk``, by the fresh
-    elementary atom ``name``. Its ``formula`` is built on first read, so a search builds only
-    the premises it tries, and its walk is derived from ``walk`` (see ``leaves``)."""
+    elementary atom ``name``. Its ``formula`` is built on first read and kept, so a search
+    builds only the premises it tries, and its walk is derived from ``walk`` (see ``leaves``).
+    A plain slotted class: the search makes one per pair at every node it expands."""
 
-    name: str
-    conclusion: Formula
-    walk: _Walk
-    pos: Occurrence
-    neg: Occurrence
+    __slots__ = ("name", "conclusion", "walk", "pos", "neg", "_formula")
+
+    def __init__(self, name: str, conclusion: Formula, walk: _Walk, pos: Occurrence, neg: Occurrence):
+        self.name = name
+        self.conclusion = conclusion
+        self.walk = walk
+        self.pos = pos
+        self.neg = neg
+        self._formula: Formula | None = None
 
     @property
     def pos_spec(self) -> str:
@@ -114,16 +117,20 @@ class PairPremise:
     def neg_spec(self) -> str:
         return self.neg.spec
 
-    @cached_property
+    @property
     def formula(self) -> Formula:
         """``conclusion`` with both occurrences replaced by ``Elementary(name)``."""
-        return _paired(self.conclusion, self.pos.path, self.neg.path, Elementary(self.name))
+        f = self._formula
+        if f is None:
+            f = self._formula = _paired(self.conclusion, self.pos.path, self.neg.path, Elementary(self.name))
+        return f
 
     def leaves(self) -> list[Occurrence]:
         """``surface_leaves(formula)``, derived from the conclusion's: the same list with the
         two paired occurrences now ``Elementary(name)`` at their path, spec, polarity and
         agent. ``_paired`` rebuilds only the nodes above them, so every other leaf is the same
-        node at the same place in the premise."""
+        node at the same place in the premise. The two are found by identity (``is``), which
+        costs less than comparing their fields."""
         atom, pos, neg = Elementary(self.name), self.pos, self.neg
         return [
             Occurrence(atom, o.path, o.spec, o.polarity, o.env) if o is pos or o is neg else o
@@ -498,7 +505,7 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     Rule B then builds the one premise it names. Rule C builds none: it compares the premise
     with the conclusion along the two paths only. Every child off them must be equal (``==``,
     which returns at once on a shared subtree), and both paired leaves must be the same atom,
-    ``Elementary(name)`` or ``Hybrid(<general name>, name)``.
+    ``Elementary(name)`` or ``Hybrid(<general name>, name)`` (``_pairs_as``).
     The freshness check walks the conclusion of the first rule C on a path only: a checked
     pairing replaces two general atoms, so its premise's names are the conclusion's and
     ``name``, and they are carried down to the next rule C."""
@@ -536,7 +543,7 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
                 and len(got) == 1
                 and (ends := _ends_off(got[0], g, pos.path, neg.path)) is not None
                 and ends[0] == ends[1]
-                and ends[0] in (Elementary(name), Hybrid(pos.node.name, name))
+                and _pairs_as(ends[0], name, pos.node.name)
                 and name not in (names := elementary_names(g) if names is None else names)
             )
             below = names | {name} if ok else None
@@ -545,28 +552,41 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
     return ok and all(_verify(p, winnable, below) for p in t.premises)
 
 
+def _pairs_as(leaf: Formula, name: str, general: str) -> bool:
+    """Whether ``leaf`` equals ``Elementary(name)`` or ``Hybrid(general, name)``, read by its
+    type and fields rather than compared with either."""
+    kind = type(leaf)
+    if kind is Elementary:
+        return leaf.name == name
+    return kind is Hybrid and leaf.elementary == name and leaf.name == general and leaf.note is None
+
+
 def _leaf_at(f: Formula, spec: str) -> Occurrence | None:
     """The surface leaf occurrence of ``f`` at ``spec``, as ``surface_leaves`` gives it; None if
     ``spec`` addresses none. A spec is one dot-terminated step per binary connective on the
     way; negations and annotations take none, and no step enters a choice."""
     steps = spec.split(".")
-    if steps.pop():  # the spec did not end with its dot
+    last = len(steps) - 1  # the index of what follows the final dot, which must be nothing
+    if steps[last]:
         return None
-    steps.reverse()
-    node, path, polarity, env = f, [], POSITIVE, None
+    i, node, path, polarity, env = 0, f, [], POSITIVE, None
     while True:
         kind = type(node)
         if kind is EnvAnn or kind is Not:
             polarity, env = (-polarity, env) if kind is Not else (polarity, node.agent)
             node = node.child
             path.append(1)
-        elif kind in BINARY_KINDS and steps and steps[-1] in ("1", "2"):
-            step = int(steps.pop())
-            polarity = -polarity if kind is Implies and step == 1 else polarity
-            node = node.left if step == 1 else node.right
-            path.append(step)
+        elif kind in BINARY_KINDS and i < last and steps[i] in ("1", "2"):
+            if steps[i] == "1":
+                polarity = -polarity if kind is Implies else polarity
+                node = node.left
+                path.append(1)
+            else:
+                node = node.right
+                path.append(2)
+            i += 1
         else:
-            leaf = not steps and kind not in BINARY_KINDS
+            leaf = i == last and kind not in BINARY_KINDS
             return Occurrence(node, tuple(path), spec, polarity, env) if leaf else None
 
 

@@ -129,13 +129,20 @@ def test_prove_reports_a_non_ascii_letter_before_any_syntax_error(capsys):
 
 @pytest.mark.parametrize(
     "formula",
-    ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000, "p -> " * 500 + "p"],
+    ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000, "p -> " * 1500 + "p"],
     ids=["negations", "parentheses", "implications"],
 )
 def test_prove_input_nesting_too_deeply(capsys, formula):
     """The parser, the prover and the engine recurse on nesting depth; an input deeper than
     the interpreter's recursion limit is an input error wherever it overflows."""
     assert run_cli(capsys, "prove", formula) == (2, "", "error: input nests too deeply\n")
+
+
+def test_prove_lists_a_500_level_implication_chain(capsys):
+    """The printer takes one frame per nesting level, so a chain of 500 implications, well
+    inside the recursion limit, proves by closure and prints as one line."""
+    formula = "p -> " * 500 + "p"
+    assert run_cli(capsys, "prove", formula) == (0, f"1. {formula}, rule A, 0\n", "")
 
 
 # The bind file of the README.

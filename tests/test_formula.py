@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clbk.formula import (
+    ATOM_KINDS,
+    SYMBOLS,
     And,
     Chand,
     Chor,
@@ -22,6 +24,8 @@ from clbk.formula import (
     ParseError,
     POSITIVE,
     Truth,
+    _agent_str,
+    atom_text,
     child_at,
     children,
     elementarize,
@@ -164,6 +168,62 @@ def test_printer_style_table(text):
     x = parse_formula(text)
     places = [Implies(x, r), Implies(r, x), And(x, r), And(r, x), Or(x, r), Or(r, x), Chand((x, r)), Not(x), EnvAnn(x, "w")]
     assert [print_formula(f) for f in places] == PRINTER_STYLE[text]
+
+
+# The printer as first written, one helper frame per operand: the oracle that the one-frame
+# ``print_formula`` is checked against.
+_ORACLE_OPEN_KINDS = {Implies: ((), (Implies,)), And: ((And,), ()), Or: ((Or, And), (And,))}
+
+
+def _oracle_operand(node, open_kinds):
+    text = _oracle_print(node)
+    return text if isinstance(node, (*ATOM_KINDS, Not, *open_kinds)) else f"({text})"
+
+
+def _oracle_print(f):
+    kind = type(f)
+    if kind in _ORACLE_OPEN_KINDS:
+        left, right = _ORACLE_OPEN_KINDS[kind]
+        return f"{_oracle_operand(f.left, left)} {SYMBOLS[kind]} {_oracle_operand(f.right, right)}"
+    if kind in (Chand, Chor):
+        return f" {SYMBOLS[kind]} ".join(_oracle_operand(p, ()) for p in f.parts)
+    if kind is Not:
+        return "~" + _oracle_operand(f.child, ())
+    if kind is EnvAnn:
+        return f"{_oracle_operand(f.child, (Implies,))} @ {_agent_str(f.agent)}"
+    return atom_text(f)
+
+
+def test_print_formula_agrees_with_the_operand_printer():
+    """On random formulas with negations, choices and annotations against quoted and bare
+    agents, and on the printer style table's places, the one-frame printer writes exactly
+    what the operand-helper printer writes."""
+    rng = random.Random(20261020)
+    formulas = [random_ast(rng, depth=6) for _ in range(1500)]
+    for text in PRINTER_STYLE:
+        x = parse_formula(text)
+        formulas += [Not(Chor((x, r))), EnvAnn(Not(x), "*1"), EnvAnn(Implies(x, Chand((x, Not(x)))), "kiosk9")]
+    kinds = {type(node) for f in formulas for node in _nodes(f)}
+    assert kinds == {Truth, Elementary, General, Hybrid, Not, And, Or, Implies, Chand, Chor, EnvAnn}
+    agents = {node.agent for f in formulas for node in _nodes(f) if isinstance(node, EnvAnn)}
+    assert {"*1", "w"} <= agents
+    for f in formulas:
+        assert print_formula(f) == _oracle_print(f)
+
+
+def _nodes(f):
+    yield f
+    for k in children(f):
+        yield from _nodes(k)
+
+
+def test_occurrences_refuse_assignment():
+    occ = surface_occurrences(parse_formula("(C /\\ p) -> C"), "leaf")[0]
+    with pytest.raises(AttributeError):
+        occ.node = p
+    with pytest.raises(TypeError):
+        occ[0] = p
+    assert occ.node == C
 
 
 def test_skeleton_removes_annotation():

@@ -891,6 +891,44 @@ def test_search_keeps_no_walk_on_its_nodes(monkeypatch):
     assert not any(map(_keeps_a_walk, nodes))
 
 
+def test_a_pairing_premise_is_built_once(monkeypatch):
+    """``PairPremise.formula`` is built on its first read, by one ``_paired`` call, and every
+    later read returns the same object."""
+    builds = _count_calls(monkeypatch, "_paired")
+    pair = premises_C(parse_formula("(C /\\ p) -> (q \\/ C)"))[0]
+    assert builds == []
+    first = pair.formula
+    assert first == parse_formula("(r /\\ p) -> (q \\/ r)")
+    assert all(pair.formula is first for _ in range(3))
+    assert len(builds) == 1
+
+
+def test_leaf_at_finds_every_surface_leaf():
+    """``_leaf_at`` along a leaf's spec gives that leaf as ``surface_leaves`` does: the same
+    node, path, spec, polarity and agent, on random formulas with negations, choices and
+    annotations."""
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(400):
+        f = random_ast(rng, depth=5)
+        for occ in surface_leaves(f):
+            assert prover._leaf_at(f, occ.spec) == occ, print_formula(f)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["", "1", "1..", "3.", "0.", "1.1.1.", "1.1.1.1.", "2.1.", "2.2.", "12.", "1.2"],
+    ids=lambda spec: repr(spec),
+)
+def test_leaf_at_refuses_a_spec_that_addresses_no_leaf(spec):
+    """No leaf for the empty spec of a binary root, an undotted or doubled dot, a step other
+    than 1 or 2, a step past a leaf, or a step into a choice (the consequent ``C | D``)."""
+    f = parse_formula("~((C /\\ p) @ w) -> (C | D)")
+    assert prover._leaf_at(f, spec) is None
+
+
 def test_names_valid_examples():
     assert names_valid(parse_formula("(C /\\ D) -> (D /\\ C)"))
     assert names_valid(parse_formula("(C /\\ C) -> (C /\\ C /\\ C)"))
