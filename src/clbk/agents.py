@@ -148,8 +148,11 @@ class Bus:
 class Query:
     """One query of ``client`` to ``server``, from submission to its result.
     ``planned`` is the session formula: the server's consumable resources, if it has any,
-    imply the query body. ``atoms`` are its surface atom occurrences by spec. An unroutable
-    query (to God or to an unregistered agent) has no plan and never opens."""
+    imply the query body. ``atoms`` are its surface atom occurrences by spec: the seats are
+    paired, and moves relayed, by these. Settlement books the session's own atoms instead
+    (``session.atoms``), so a good that play chose out of a choice is booked at the spec the
+    choice left it at. An unroutable query (to God or to an unregistered agent) has no plan
+    and never opens."""
 
     qid: str
     formula: Formula
@@ -191,9 +194,12 @@ class SimulationReport:
     unprovable or unroutable, ``unfinished`` when opened in a run cut short by its step budget,
     and ``pending`` when never opened. Each session's winner is one fold over verdicts read
     once per binding (``engine.read_verdicts``), and the same verdicts give its heuristic wins,
-    ledger entries and leftovers. A quiescent run settles in place each resource-base entry a
-    session touched: a won contract and a spent conjunct are dropped, a partly played conjunct
-    keeps its index with its position. A run cut short changes no resource base."""
+    ledger entries and leftovers. A ledger entry books a completed atom of the session's own
+    final formula (``session.atoms``), so a good chosen during play counts, while the seats
+    still pair the planned formula's atoms (``Query.atoms``). A quiescent run settles in place
+    each resource-base entry a session touched: a won contract and a spent conjunct are
+    dropped, a partly played conjunct keeps its index with its position. A run cut short
+    changes no resource base."""
 
     quiescent: bool
     steps: int
@@ -491,14 +497,14 @@ class Simulation:
                 verdict = verdicts[spec]
                 if not verdict.complete:
                     continue
+                occ = session.atoms[spec]
+                atom = occ.node.name
                 if binding.heuristic_fired and verdict.winner is Player.MACHINE:
                     mover = query.server if binding.machine is Player.MACHINE else query.env_mover(spec)
-                    atom = session.atoms[spec].node.name
                     wins.append(HeuristicWin(mover, atom, query.qid, spec, tuple(lm.payload for lm in binding.local)))
-                occ = query.atoms.get(spec)
-                if booked and occ is not None and spec.startswith(prefix):
+                if booked and spec.startswith(prefix):
                     side = "paid" if occ.polarity == NEGATIVE else "received"
-                    ledgers[query.client][side][occ.node.name] += 1
+                    ledgers[query.client][side][atom] += 1
             if not quiescent:
                 continue
             mine = settled[query.server]

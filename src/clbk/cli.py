@@ -13,7 +13,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import EngineError, Status, StepBudgetExceeded
-from .formula import FormulaError, file_message, note_names, parse_formula, print_formula
+from .formula import SPEC_RE, FormulaError, file_message, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -53,7 +53,7 @@ def cmd_prove(args) -> int:
     return EXIT_OK
 
 
-_BIND_RE = re.compile(r"^bind\s+(?P<spec>(\d+\.)*)\s*(?P<kind>script|heuristic)\s+(?P<name>[a-zA-Z][a-zA-Z0-9]*)$")
+_BIND_RE = re.compile(rf"^bind\s+(?P<spec>{SPEC_RE.pattern})\s*(?P<kind>script|heuristic)\s+(?P<name>[a-zA-Z][a-zA-Z0-9]*)$")
 _LET_RE = re.compile(r"^let\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*(?P<value>true|false)$")
 
 
@@ -90,9 +90,6 @@ def _load_bind_file(path: str):
             else:
                 raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     return games, scripts, resolve_heuristics(games, heuristics), binds, interpretation
-
-
-_SPEC_RE = re.compile(r"([0-9]+\.)*")  # a move line's spec; Labmove judges the payload after it
 
 
 def cmd_play(args) -> int:
@@ -138,7 +135,7 @@ def cmd_play(args) -> int:
                 text = raw.strip()
                 if not text:
                     continue
-                spec = _SPEC_RE.match(text).group()
+                spec = SPEC_RE.match(text).group()  # Labmove judges the payload after it
                 try:
                     lm = Labmove(Player.ENVIRONMENT, spec, text[len(spec):])
                 except ValueError:

@@ -4,9 +4,9 @@ A formula's surface walk is memoized on the formula itself: ``surface_occurrence
 first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
 and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
 there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
-Paths are read through ``_trail``. The printer writes atoms with ``atom_text``, connectives
-with ``SYMBOLS`` and parenthesizes every operand whose kind is not bare on its side
-(``_BARE_SIDES``)."""
+Paths are read through ``_trail``, and specs through ``occurrence_at`` alone. The printer
+writes atoms with ``atom_text``, connectives with ``SYMBOLS`` and parenthesizes every operand
+whose kind is not bare on its side (``_BARE_SIDES``)."""
 
 from __future__ import annotations
 
@@ -206,16 +206,6 @@ def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
     return rebuild(f, kids)
 
 
-def substitute_paths(f: Formula, replacements: dict[Path, Formula], path: Path = ()) -> Formula:
-    """Replace, in one pass, the subformula at each path of ``replacements`` (paths relative to
-    ``f``, none a prefix of another) with its value; ``path`` is where ``f`` sits in the walk."""
-    if path in replacements:
-        return replacements[path]
-    kids = children(f)
-    new = [substitute_paths(k, replacements, path + (i,)) for i, k in enumerate(kids, start=1)]
-    return rebuild(f, new) if any(map(is_not, new, kids)) else f
-
-
 def skeleton(f: Formula) -> Formula:
     """Strip every environment annotation; nothing else changes."""
     return transform(f, lambda n: n.child if isinstance(n, EnvAnn) else n)
@@ -239,41 +229,12 @@ def specification(f: Formula, path: Path) -> str:
     return "".join(parts)
 
 
-_SPEC_RE = re.compile(r"^(\d+\.)*$")
-
-
-def resolve_spec(f: Formula, spec: str) -> Path:
-    """Inverse of specification: the innermost occurrence addressed by ``spec``."""
-    if not _SPEC_RE.match(spec):
-        raise FormulaError(f"malformed specification string {spec!r}")
-    components = [int(p) for p in spec.split(".") if p]
-    node = f
-    path: list[int] = []
-    while True:
-        if isinstance(node, (Not, EnvAnn)):
-            path.append(1)
-            node = children(node)[0]
-            continue
-        if not components:
-            return tuple(path)
-        if isinstance(node, (And, Or, Implies)):
-            step = components.pop(0)
-            kids = children(node)
-            if not 1 <= step <= len(kids):
-                raise FormulaError(f"specification {spec!r} does not address an occurrence")
-            path.append(step)
-            node = kids[step - 1]
-            continue
-        if isinstance(node, CHOICE_KINDS):
-            raise FormulaError(f"specification {spec!r} crosses a choice operator")
-        raise FormulaError(f"specification {spec!r} does not address an occurrence")
-
-
 class Occurrence(NamedTuple):
-    """A surface leaf occurrence: its ``node``, its ``path`` and ``spec`` in the walked formula,
-    its ``polarity`` there and the agent ``env`` of its innermost annotation, if any. A tuple,
-    so cheap to build and immutable. Equality and hashing are by fields, as for any tuple,
-    which compares or hashes ``node`` in full; ``PairPremise.leaves`` finds its two
+    """A node of a walked formula: its ``node``, its ``path`` and ``spec`` there, its
+    ``polarity`` and the agent ``env`` of its innermost annotation, if any. The surface walk
+    makes one per surface leaf, and ``occurrence_at`` one for the node a spec leads to. A
+    tuple, so cheap to build and immutable. Equality and hashing are by fields, as for any
+    tuple, which compares or hashes ``node`` in full; ``PairPremise.leaves`` finds its two
     occurrences in a walk by identity (``is``) instead."""
 
     node: Formula
@@ -281,6 +242,56 @@ class Occurrence(NamedTuple):
     spec: str
     polarity: int
     env: str | None
+
+
+# A spec: one dot-terminated step per binary connective on the way, in ASCII digits. The
+# pattern is what ``resolve_spec`` accepts and what a bind line or an interactive move
+# reads as its spec; a step other than ``1.`` or ``2.`` matches it but leads nowhere.
+SPEC_RE = re.compile(r"(?:[0-9]+\.)*")
+
+
+def occurrence_at(f: Formula, spec: str) -> Occurrence:
+    """The one descent along a spec. From ``f``'s root it passes every negation and
+    annotation, and takes a step at a binary connective while ``spec`` goes on with ``1.``
+    or ``2.``; it stops where neither applies. The result is the innermost node reached,
+    with its path, polarity and agent, and its ``spec`` is the part of ``spec`` read:
+    ``spec`` itself exactly when ``spec`` addresses that node. Along a surface leaf's spec
+    it gives the leaf as ``surface_leaves`` does."""
+    steps = spec.split(".")
+    steps[-1] = None  # what follows the last dot is no step, even when empty
+    node, path, sign, env, i = f, [], POSITIVE, None, 0
+    while True:
+        kind = type(node)  # as in _surface_walk, a type test is cheaper than isinstance
+        if kind is EnvAnn:
+            node, env = node.child, node.agent
+            path.append(1)
+        elif kind is Not:
+            node, sign = node.child, -sign
+            path.append(1)
+        elif kind in BINARY_KINDS and (step := steps[i]) in ("1", "2"):
+            if step == "1":
+                node, sign = node.left, (-sign if kind is Implies else sign)
+                path.append(1)
+            else:
+                node = node.right
+                path.append(2)
+            i += 1
+        else:  # each step read is two characters
+            return Occurrence(node, tuple(path), spec[: 2 * i], sign, env)
+
+
+def resolve_spec(f: Formula, spec: str) -> Path:
+    """Inverse of specification: the path of the innermost node ``spec`` addresses, as
+    ``occurrence_at`` reads it. A spec it does not read to the end is refused by where the
+    read stopped."""
+    if not SPEC_RE.fullmatch(spec):
+        raise FormulaError(f"malformed specification string {spec!r}")
+    occ = occurrence_at(f, spec)
+    if occ.spec == spec:
+        return occ.path
+    if isinstance(occ.node, CHOICE_KINDS):
+        raise FormulaError(f"specification {spec!r} crosses a choice operator")
+    raise FormulaError(f"specification {spec!r} does not address an occurrence")
 
 
 def _surface_walk(out: list[Occurrence], node: Formula, path: Path, spec: str, sign: int, env: str | None) -> None:

@@ -19,7 +19,6 @@ from .formula import (
     FormulaError,
     General,
     Hybrid,
-    Implies,
     NEGATIVE,
     Not,
     Occurrence,
@@ -32,6 +31,7 @@ from .formula import (
     children,
     elementary_names,
     env_chooses,
+    occurrence_at,
     print_formula,
     rebuild,
     substitute_at,
@@ -108,14 +108,6 @@ class PairPremise:
         self.pos = pos
         self.neg = neg
         self._formula: Formula | None = None
-
-    @property
-    def pos_spec(self) -> str:
-        return self.pos.spec
-
-    @property
-    def neg_spec(self) -> str:
-        return self.neg.spec
 
     @property
     def formula(self) -> Formula:
@@ -420,7 +412,7 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
     for premise in pairs if spanned else ():
         sub = _search(premise.formula, s, premise)
         if sub is not None:
-            result = ProofTree(g, RuleC(premise.pos_spec, premise.neg_spec, premise.name), (sub,))
+            result = ProofTree(g, RuleC(premise.pos.spec, premise.neg.spec, premise.name), (sub,))
             break
     # no closure at a monotone node with pairs left: had it been stable, its first pairing
     # would have succeeded
@@ -466,8 +458,8 @@ def _convert(node: ProofTree, renaming: dict[str, Hybrid], parent: Formula, pare
     conclusion = node.conclusion
     inner = renaming
     if isinstance(rule, RuleC):
-        pos = _leaf_at(conclusion, rule.pos_spec)
-        if pos is None or type(pos.node) is not General:
+        pos = occurrence_at(conclusion, rule.pos_spec)
+        if pos.spec != rule.pos_spec or type(pos.node) is not General:
             raise FormulaError("pairing rule must address a general atom")
         inner = {rule.name: Hybrid(pos.node.name, rule.name)} | renaming
     if renaming:
@@ -501,7 +493,7 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     all of ``premises_A``, in order, under a stable conclusion; the named ``premises_B`` entry;
     or the named pair given one atom absent from the conclusion, elementary or hybrid.
 
-    Rules B and C find each named occurrence by one descent along its spec (``_leaf_at``).
+    Rules B and C find each named occurrence by one descent along its spec (``occurrence_at``).
     Rule B then builds the one premise it names. Rule C builds none: it compares the premise
     with the conclusion along the two paths only. Every child off them must be equal (``==``,
     which returns at once on a shared subtree), and both paired leaves must be the same atom,
@@ -522,9 +514,9 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
         case RuleA():
             ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
         case RuleB(spec, branch, env):
-            occ = _leaf_at(g, spec)
+            occ = occurrence_at(g, spec)
             ok = (
-                occ is not None
+                occ.spec == spec
                 and type(occ.node) in (Chand, Chor)
                 and not env_chooses(occ)
                 and occ.env == env
@@ -532,10 +524,10 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
                 and got == [substitute_at(g, occ.path, occ.node.parts[branch - 1])]
             )
         case RuleC(pos_spec, neg_spec, name):
-            pos, neg = _leaf_at(g, pos_spec), _leaf_at(g, neg_spec)
+            pos, neg = occurrence_at(g, pos_spec), occurrence_at(g, neg_spec)
             ok = (
-                pos is not None
-                and neg is not None
+                pos.spec == pos_spec
+                and neg.spec == neg_spec
                 and type(pos.node) is General
                 and type(neg.node) is General
                 and (pos.polarity, neg.polarity) == (POSITIVE, NEGATIVE)
@@ -559,35 +551,6 @@ def _pairs_as(leaf: Formula, name: str, general: str) -> bool:
     if kind is Elementary:
         return leaf.name == name
     return kind is Hybrid and leaf.elementary == name and leaf.name == general and leaf.note is None
-
-
-def _leaf_at(f: Formula, spec: str) -> Occurrence | None:
-    """The surface leaf occurrence of ``f`` at ``spec``, as ``surface_leaves`` gives it; None if
-    ``spec`` addresses none. A spec is one dot-terminated step per binary connective on the
-    way; negations and annotations take none, and no step enters a choice."""
-    steps = spec.split(".")
-    last = len(steps) - 1  # the index of what follows the final dot, which must be nothing
-    if steps[last]:
-        return None
-    i, node, path, polarity, env = 0, f, [], POSITIVE, None
-    while True:
-        kind = type(node)
-        if kind is EnvAnn or kind is Not:
-            polarity, env = (-polarity, env) if kind is Not else (polarity, node.agent)
-            node = node.child
-            path.append(1)
-        elif kind in BINARY_KINDS and i < last and steps[i] in ("1", "2"):
-            if steps[i] == "1":
-                polarity = -polarity if kind is Implies else polarity
-                node = node.left
-                path.append(1)
-            else:
-                node = node.right
-                path.append(2)
-            i += 1
-        else:
-            leaf = i == last and kind not in BINARY_KINDS
-            return Occurrence(node, tuple(path), spec, polarity, env) if leaf else None
 
 
 def _ends_off(h: Formula, g: Formula, p: Path, q: Path) -> tuple[Formula, Formula] | None:

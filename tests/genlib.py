@@ -16,6 +16,7 @@ from clbk.formula import (
     Note,
     Or,
     Truth,
+    surface_leaves,
 )
 
 ELEMENTARY = ["p", "q", "r", "s"]
@@ -41,6 +42,21 @@ def random_atom(rng: random.Random):
             note = Note(rng.choice("hs"), rng.choice(NOTE_NAMES))
         return General(rng.choice(GENERAL), note)
     return Hybrid(rng.choice(GENERAL), rng.choice(ELEMENTARY))
+
+
+# What each prefix is extended by: nothing, a step (past a leaf, or into a choice where the
+# prefix names one), steps out of range or with a leading zero, a step without its final
+# dot, and steps in Arabic-Indic digits.
+_SPEC_TAILS = ("", "1.", "2.", "0.", "3.", "01.", "1", "2", "\u0661.", "\u0662.")
+
+
+def spec_strings(f):
+    """Spec strings to read along ``f``, sorted: each surface leaf's spec and every prefix of
+    it that ends at a dot, each followed by every tail of ``_SPEC_TAILS``."""
+    prefixes = {""}
+    for occ in surface_leaves(f):
+        prefixes.update(occ.spec[: i + 1] for i, ch in enumerate(occ.spec) if ch == ".")
+    return sorted({prefix + tail for prefix in prefixes for tail in _SPEC_TAILS})
 
 
 def random_ast(rng: random.Random, depth: int = 6, env_ok: bool = True):

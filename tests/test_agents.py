@@ -132,6 +132,37 @@ def test_middleman_relays_each_move_once():
     assert report.heuristic_wins == [HeuristicWin("f", "C", "m:1", "1.", ("x=2", "y=3", "z=7"))]
 
 
+CHOSEN_GOOD = """
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+
+agent m kind=regular
+  game C = coffee(zmax=10)
+  game D = dollar(vmax=5)
+  script req = [x=2, y=3]
+  rb C @ f
+
+agent u kind=regular
+  game C = coffee(zmax=10)
+  game D = dollar(vmax=5)
+  query (C{s=req} | D) @ m
+"""
+
+
+def test_settle_books_a_good_chosen_during_play():
+    """``m`` chooses ``C`` in ``u``'s query ``(C{s=req} | D) @ m``, so the coffee it delivers
+    sits at ``2.`` of the session's final formula but under a choice in the planned one.
+    Settlement books from the session's own atoms, so ``u`` receives it."""
+    report = Simulation(parse_scenario(CHOSEN_GOOD)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert [line.split(" ", 1)[1] for line in report.trace] == [
+        "m T 2.1", "u B 2.x=2", "m T 1.x=2", "u B 2.y=3", "m T 1.y=3", "f B 1.z=7", "m T 2.z=7"
+    ]
+    assert report.ledgers["u"] == {"received": Counter({"C": 1}), "paid": Counter()}
+
+
 def test_settle_drops_only_the_conjunct_a_session_consumed():
     text = MINI.replace("rb C @ f", "rb C @ f\n  rb C @ f")
     report = Simulation(parse_scenario(text)).run(1000)

@@ -241,6 +241,9 @@ def test_play_bind_line_sets_only_its_seat(tmp_path, capsys):
 def test_play_bind_line_errors(tmp_path, capsys):
     cases = {
         "bind 3. script req": "error: bind target '3.' is not a surface atom occurrence\n",
+        # a step is 1 or 2 in ASCII digits, as every spec reader takes it
+        "bind 01. script req": "error: bind target '01.' is not a surface atom occurrence\n",
+        "bind \u0662. script req": "error: line 3: cannot parse 'bind \u0662. script req'\n",
         "bind 1. script nope": "error: unknown script 'nope'\n",
         "bind 1. heuristic nope": "error: unknown heuristic 'nope'\n",
         "script req = [x=2]": "error: line 3: script 'req' is already defined\n",
@@ -455,6 +458,32 @@ def test_simulate_middleman_counts_the_providers_answer_as_a_heuristic_win(tmp_p
     assert code == 0
     assert out.endswith("heuristic wins: 1\nquiescent in 2 steps\n")
     assert (tmp_path / "traces" / "agent-f.txt").read_text() == "5 f B 1.z=7\n"
+
+
+CHOSEN_GOOD_SCENARIO = """\
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+agent m
+  game C = coffee(zmax=10)
+  game D = dollar(vmax=5)
+  script req = [x=2, y=3]
+  rb C @ f
+agent u
+  game C = coffee(zmax=10)
+  game D = dollar(vmax=5)
+  query (C{s=req} | D) @ m
+"""
+
+
+def test_simulate_books_a_good_chosen_during_play(tmp_path, capsys):
+    """The client is booked the coffee its server chose for it during play."""
+    path = tmp_path / "chosen.clbk"
+    path.write_text(CHOSEN_GOOD_SCENARIO)
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0
+    assert "ledger u: received C=1; paid -\n" in out
 
 
 def test_simulate_note_naming_an_unknown_script(tmp_path, capsys):

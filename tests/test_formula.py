@@ -31,6 +31,7 @@ from clbk.formula import (
     elementarize,
     is_elementary,
     note_names,
+    occurrence_at,
     parse_formula,
     polarity,
     print_formula,
@@ -39,11 +40,11 @@ from clbk.formula import (
     skeleton,
     specification,
     substitute_at,
-    substitute_paths,
+    surface_leaves,
     surface_occurrences,
     transform,
 )
-from genlib import random_ast
+from genlib import random_ast, spec_strings
 
 p, q, r = Elementary("p"), Elementary("q"), Elementary("r")
 C = General("C")
@@ -316,6 +317,10 @@ def test_resolve_spec_examples():
     with pytest.raises(FormulaError):
         resolve_spec(parse_formula("p & q"), "1.")
 
+    # a spec that ends at a binary connective addresses it
+    assert resolve_spec(parse_formula("p /\\ q"), "") == ()
+    assert resolve_spec(parse_formula("(P /\\ Q) -> R"), "1.") == (1,)
+
 
 def test_substitute_examples():
     f = parse_formula("p /\\ q")
@@ -379,6 +384,40 @@ def test_specification_resolve_inverse():
                 assert resolve_spec(f, occ.spec) == occ.path
 
 
+def test_occurrence_at_finds_every_surface_leaf():
+    """``occurrence_at`` along a leaf's spec gives that leaf as ``surface_leaves`` does: the
+    same node, path, spec, polarity and agent, on random formulas with negations, choices and
+    annotations."""
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(400):
+        f = random_ast(rng, depth=5)
+        for occ in surface_leaves(f):
+            assert occurrence_at(f, occ.spec) == occ, print_formula(f)
+            checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_resolve_spec_returns_a_path_exactly_where_occurrence_at_reads_the_whole_spec(seed):
+    """On leaf specs and their prefixes, specs past a leaf or into a choice, steps ``0.``,
+    ``3.`` and ``01.``, a missing final dot and non-ASCII digits (``spec_strings``):
+    ``occurrence_at`` reads a prefix of the spec up to a node at that prefix's path and
+    polarity, and ``resolve_spec`` returns that node's path exactly when the read is the
+    whole spec."""
+    f = random_ast(random.Random(seed), depth=5)
+    for spec in spec_strings(f):
+        occ = occurrence_at(f, spec)
+        assert spec.startswith(occ.spec)
+        assert child_at(f, occ.path) is occ.node and polarity(f, occ.path) == occ.polarity
+        try:
+            path = resolve_spec(f, spec)
+        except FormulaError:
+            path = None
+        assert path == (occ.path if occ.spec == spec else None), (print_formula(f), spec)
+
+
 def _paths(f, path=()):
     yield path
     for i, c in enumerate(children(f), start=1):
@@ -407,19 +446,6 @@ def test_substitute_own_subformula_is_identity():
         f = random_ast(rng, depth=5)
         for path in _paths(f):
             assert substitute_at(f, path, child_at(f, path)) == f
-
-
-def test_substitute_paths_matches_one_at_a_time():
-    rng = random.Random(31)
-    for _ in range(300):
-        f = random_ast(rng, depth=5)
-        leaves = [path for path in _paths(f) if not children(child_at(f, path))]
-        chosen = {path: Truth(rng.random() < 0.5) for path in leaves if rng.random() < 0.5}
-        expected = f
-        for path, g in chosen.items():
-            expected = substitute_at(expected, path, g)
-        assert substitute_paths(f, chosen) == expected
-        assert substitute_paths(f, {}) is f
 
 
 def test_note_names_matches_recursive_definition():
@@ -590,9 +616,12 @@ ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
         (lambda f: resolve_spec(f, "3."), "specification '3.' does not address an occurrence"),
         (lambda f: resolve_spec(f, "1.1.1."), "specification '1.1.1.' does not address an occurrence"),
         (lambda f: resolve_spec(f, "2.1."), "specification '2.1.' crosses a choice operator"),
+        (lambda f: resolve_spec(f, "01."), "specification '01.' does not address an occurrence"),
+        (lambda f: resolve_spec(f, "\u0661.\u0662."), "malformed specification string '\u0661.\u0662.'"),
     ],
     ids=["child_at", "substitute_at", "polarity", "specification", "specification-choice",
-         "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice"],
+         "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice",
+         "resolve-leading-zero", "resolve-non-ascii-digit"],
 )
 def test_paths_and_specs_that_do_not_resolve_name_the_step(call, message):
     with pytest.raises(FormulaError, match=f"^{re.escape(message)}$"):

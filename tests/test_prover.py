@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from clbk import prover
 from clbk.classical import evaluate, is_valid
 from clbk.formula import (
+    BINARY_KINDS,
     NEGATIVE,
     POSITIVE,
     And,
     Elementary,
     EnvAnn,
+    FormulaError,
     General,
     Hybrid,
     Implies,
@@ -25,13 +27,13 @@ from clbk.formula import (
     elementarize,
     elementary_names,
     env_chooses,
+    occurrence_at,
     parse_formula,
     print_formula,
     rebuild,
     resolve_spec,
     skeleton,
     substitute_at,
-    substitute_paths,
     surface_leaves,
     surface_occurrences,
     transform,
@@ -54,7 +56,7 @@ from clbk.prover import (
     prove,
     verify_proof,
 )
-from genlib import random_ast, random_body, random_provable
+from genlib import random_ast, random_body, random_provable, spec_strings
 from test_acceptance import _mutations, _replace_node, _tree_nodes
 
 
@@ -258,7 +260,7 @@ def _reference_search(g, trees, verdicts, root_avoid, winnable):
     for pair in premises_C(g, root_avoid):
         sub = _reference_search(pair.formula, trees, verdicts, root_avoid, winnable)
         if sub is not None:
-            result = ProofTree(g, RuleC(pair.pos_spec, pair.neg_spec, pair.name), (sub,))
+            result = ProofTree(g, RuleC(pair.pos.spec, pair.neg.spec, pair.name), (sub,))
             break
     if result is None and is_stable(g, winnable):
         subs = []
@@ -375,6 +377,9 @@ def _rule_c_mutants(tree):
         general = child_at(g, pos).name
         end = child_at(h, pos)
 
+        def paired(f, p, q, atom):
+            return substitute_at(substitute_at(f, p, atom), q, atom)
+
         def with_premise(conclusion, rule=rule):
             # a proof of the new premise, where there is one, leaves the verdict to this node
             proof = prove(conclusion) or ProofTree(conclusion, premise.rule, premise.premises)
@@ -389,18 +394,17 @@ def _rule_c_mutants(tree):
                 yield "agent on a path", with_premise(substitute_at(h, annotated, EnvAnn(ann.child, ann.agent + "x")))
                 break
         other = "D" if general != "D" else "C"
-        foreign = dict.fromkeys((pos, neg), Hybrid(other, rule.name))
-        yield "hybrid of another name", with_premise(substitute_paths(h, foreign))
+        yield "hybrid of another name", with_premise(paired(h, pos, neg, Hybrid(other, rule.name)))
         mixed = Hybrid(general, rule.name) if type(end) is Elementary else Elementary(rule.name)
         yield "unlike ends", with_premise(substitute_at(h, neg, mixed))
         for taken in sorted(elementary_names(g))[:1]:
             atom = Hybrid(general, taken) if type(end) is Hybrid else Elementary(taken)
             renamed = RuleC(rule.pos_spec, rule.neg_spec, taken)
-            yield "name in conclusion", with_premise(substitute_paths(h, dict.fromkeys((pos, neg), atom)), renamed)
+            yield "name in conclusion", with_premise(paired(h, pos, neg, atom), renamed)
         for occ in surface_occurrences(g, "general"):
             if occ.polarity == NEGATIVE and occ.node.name != general:
                 crossed = RuleC(rule.pos_spec, occ.spec, rule.name)
-                yield "two names", with_premise(substitute_paths(g, dict.fromkeys((pos, occ.path), end)), crossed)
+                yield "two names", with_premise(paired(g, pos, occ.path, end), crossed)
                 break
         yield "swapped specs", _replace_node(tree, at, rule=RuleC(rule.neg_spec, rule.pos_spec, rule.name))
         for undotted in (rule.pos_spec[:-1], rule.pos_spec + "1"):
@@ -903,30 +907,46 @@ def test_a_pairing_premise_is_built_once(monkeypatch):
     assert len(builds) == 1
 
 
-def test_leaf_at_finds_every_surface_leaf():
-    """``_leaf_at`` along a leaf's spec gives that leaf as ``surface_leaves`` does: the same
-    node, path, spec, polarity and agent, on random formulas with negations, choices and
-    annotations."""
-    rng = random.Random(20261021)
-    checked = 0
-    for _ in range(400):
-        f = random_ast(rng, depth=5)
-        for occ in surface_leaves(f):
-            assert prover._leaf_at(f, occ.spec) == occ, print_formula(f)
-            checked += 1
-    assert checked > 1000
-
-
 @pytest.mark.parametrize(
     "spec",
     ["", "1", "1..", "3.", "0.", "1.1.1.", "1.1.1.1.", "2.1.", "2.2.", "12.", "1.2"],
     ids=lambda spec: repr(spec),
 )
 def test_leaf_at_refuses_a_spec_that_addresses_no_leaf(spec):
-    """No leaf for the empty spec of a binary root, an undotted or doubled dot, a step other
-    than 1 or 2, a step past a leaf, or a step into a choice (the consequent ``C | D``)."""
+    """Rules B and C read a spec by ``occurrence_at``, and it addresses no leaf with the empty
+    spec of a binary root, an undotted or doubled dot, a step other than 1 or 2, a step past
+    a leaf, or a step into a choice (the consequent ``C | D``): the read stops short of the
+    spec or lands on a connective."""
     f = parse_formula("~((C /\\ p) @ w) -> (C | D)")
-    assert prover._leaf_at(f, spec) is None
+    occ = occurrence_at(f, spec)
+    assert occ.spec != spec or type(occ.node) in BINARY_KINDS
+
+
+def test_verify_proof_reads_a_rule_spec_as_resolve_spec_does():
+    """A rule-B or rule-C node whose spec (the positive one for rule C) is replaced by any
+    of ``spec_strings`` of its conclusion verifies exactly when ``resolve_spec`` resolves
+    that string to the occurrence the rule named: ``verify_proof`` and ``resolve_spec`` read
+    one spec grammar."""
+    rng = random.Random(73)
+    checked = Counter()
+    for _, tree in random_provable(rng, 30) + random_provable(rng, 20, need_pairing=True):
+        for _, node in _tree_nodes(tree):
+            rule, g = node.rule, node.conclusion
+            if isinstance(rule, RuleB):
+                named, respec = rule.spec, lambda s: RuleB(s, rule.branch, rule.env)
+            elif isinstance(rule, RuleC):
+                named, respec = rule.pos_spec, lambda s: RuleC(s, rule.neg_spec, rule.name)
+            else:
+                continue
+            target = resolve_spec(g, named)
+            for spec in spec_strings(g):
+                try:
+                    same = resolve_spec(g, spec) == target
+                except FormulaError:
+                    same = False
+                assert verify_proof(ProofTree(g, respec(spec), node.premises)) == same, (format_proof(tree), spec)
+                checked[type(rule), same] += 1
+    assert len(checked) == 4 and min(checked.values()) >= 20, checked
 
 
 def test_names_valid_examples():
