@@ -1,50 +1,30 @@
 """Toolkit for a propositional logic of interactive resources: a three-rule prover, a
-proof-executing game engine with copy-cat, and a deterministic multi-agent simulator."""
+proof-executing game engine with copy-cat, and a deterministic multi-agent simulator.
 
-from .agents import Agent, Bus, ResourceEntry, Simulation, SimulationReport
-from .classical import countermodel, evaluate, is_valid, satisfiable
+The names below are the library surface the README documents and the command line uses;
+everything else is reached through its module."""
+
+from .agents import Agent, AgentError, Simulation
+from .classical import countermodel, is_valid
 from .engine import (
-    Binding,
-    Session,
-    Status,
-    env_move,
-    evaluate_winner,
-    machine_turn,
-    new_session,
-    run_to_quiescence,
-    step,
+    EngineError, Session, Status, StepBudgetExceeded, env_move, evaluate_winner, machine_turn, new_session,
+    read_verdicts, run_to_quiescence, step,
 )
 from .formula import (
-    Formula,
-    FormulaError,
-    ParseError,
-    elementarize,
-    is_elementary,
-    parse_formula,
-    polarity,
-    print_formula,
-    resolve_spec,
-    skeleton,
-    specification,
-    substitute_at,
-    surface_occurrences,
+    SPEC_RE, FormulaError, occurrence_at, parse_formula, print_formula, resolve_spec, surface_occurrences,
 )
-from .games import GameDef, Labmove, Player, Script, coffee_game, dollar_game, subrun
-from .prover import (
-    ProofTree,
-    RuleA,
-    RuleB,
-    RuleC,
-    SearchBudgetExceeded,
-    format_proof,
-    hybridize,
-    is_stable,
-    premises_A,
-    premises_B,
-    premises_C,
-    prove,
-    verify_proof,
-)
-from .scenario import load_scenario, parse_scenario
+from .games import GameDef, Labmove, Player, Script, coffee_game, dollar_game
+from .prover import SearchBudgetExceeded, format_proof, hybridize, prove, verify_proof
+from .scenario import ScenarioError, builtin_scenario, load_scenario, parse_scenario
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Agent", "AgentError", "Simulation",
+    "countermodel", "is_valid",
+    "EngineError", "Session", "Status", "StepBudgetExceeded", "env_move", "evaluate_winner", "machine_turn",
+    "new_session", "read_verdicts", "run_to_quiescence", "step",
+    "SPEC_RE", "FormulaError", "occurrence_at", "parse_formula", "print_formula", "resolve_spec",
+    "surface_occurrences",
+    "GameDef", "Labmove", "Player", "Script", "coffee_game", "dollar_game",
+    "SearchBudgetExceeded", "format_proof", "hybridize", "prove", "verify_proof",
+    "ScenarioError", "builtin_scenario", "load_scenario", "parse_scenario",
+]

@@ -30,21 +30,10 @@ from .formula import (
 Valuation = dict[str, bool]
 
 
-def evaluate(f: Formula, valuation: Valuation, general: GeneralFold | None = None) -> bool:
-    """Truth value of an elementary formula under a total valuation of its atoms: every atom
-    is read from ``valuation``, also one the value does not depend on. With ``general``, the
-    value of ``f``'s elementarization, folded as ``is_valid`` folds it."""
-    folded = _fold(f, POSITIVE, general)
-    for name in elementary_names(f):
-        value = valuation[name]
-        if type(folded) is not bool:
-            folded = _assign(folded, name, value)
-    return folded
-
-
 def countermodel(f: Formula) -> Valuation | None:
     """A valuation of every atom of f under which f is false, or None when f is valid;
-    rejects non-elementary input."""
+    rejects non-elementary input. Quine's analysis decides it at any number of atoms, as it
+    decides ``is_valid`` above ``_TABLE_ATOMS``; an atom the model does not need is false."""
     found = _falsify(_fold(f))
     if found is None:
         return None
@@ -76,11 +65,6 @@ def _valid(g: Folded) -> bool:
         return _falsify(g) is None
     full, *masks = _masks(len(count))
     return _table(g, dict(zip(count, masks)), full) == full
-
-
-def satisfiable(f: Formula) -> bool:
-    """True iff f holds under some valuation of its atoms; rejects non-elementary input."""
-    return countermodel(Not(f)) is not None
 
 
 # A folded formula is a bool, an atom name, or a tuple ("~", a), ("&", a, b) or ("|", a, b)

@@ -13,7 +13,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import EngineError, Status, StepBudgetExceeded
-from .formula import SPEC_RE, FormulaError, file_message, note_names, parse_formula, print_formula
+from .formula import SPEC_RE, FormulaError, file_message, note_names, occurrence_at, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -23,6 +23,8 @@ from .scenario import (
     parse_resource_directive,
     parse_scenario,
     resolve_heuristics,
+    strip_comment,
+    unique,
 )
 
 EXIT_OK = 0
@@ -57,13 +59,6 @@ _BIND_RE = re.compile(rf"^bind\s+(?P<spec>{SPEC_RE.pattern})\s*(?P<kind>script|h
 _LET_RE = re.compile(r"^let\s+(?P<name>[a-z][a-z0-9]*)\s*=\s*(?P<value>true|false)$")
 
 
-def _unbound(key, bound: dict, what: str, lineno: int):
-    """``key``, unless an earlier line already bound it in ``bound``; ``what`` names it in the error."""
-    if key in bound:
-        raise ScenarioError(f"line {lineno}: {what} is already bound")
-    return key
-
-
 def _load_bind_file(path: str):
     """A bind file's games, scripts, heuristics, binds and interpretation. ``binds`` maps each
     bound seat, ``(spec, kind)``, to the strategy name bound there. A second ``bind`` of one
@@ -76,17 +71,17 @@ def _load_bind_file(path: str):
     interpretation: dict[str, bool] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#")[0].strip()
+            line = strip_comment(raw)
             if not line:
                 continue
             if parse_resource_directive(line, lineno, games, scripts, heuristics):
                 continue
             if m := _BIND_RE.match(line):
                 spec, kind = m.group("spec", "kind")
-                binds[_unbound((spec, kind), binds, f"the {kind} at {spec!r}", lineno)] = m.group("name")
+                binds[unique((spec, kind), binds, lineno, f"the {kind} at {spec!r}", "bound")] = m.group("name")
             elif m := _LET_RE.match(line):
-                name = m.group("name")
-                interpretation[_unbound(name, interpretation, f"atom {name!r}", lineno)] = m.group("value") == "true"
+                name, value = m.group("name", "value")
+                interpretation[unique(name, interpretation, lineno, f"atom {name!r}", "bound")] = value == "true"
             else:
                 raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     return games, scripts, resolve_heuristics(games, heuristics), binds, interpretation
@@ -140,6 +135,9 @@ def cmd_play(args) -> int:
                     lm = Labmove(Player.ENVIRONMENT, spec, text[len(spec):])
                 except ValueError:
                     print(f"ignored malformed move {text!r}")
+                    continue
+                if occurrence_at(session.formula, spec).spec != spec:
+                    print(f"ignored move at {spec!r}: no occurrence there")
                     continue
                 session.deliver(lm)
                 engine.run_to_quiescence(session, args.max_steps)

@@ -1,12 +1,12 @@
-"""Formula AST, concrete syntax, and structural queries (occurrences, addresses, elementarization).
+"""Formula AST, concrete syntax, and structural queries (occurrences and their addresses).
 
 A formula's surface walk is memoized on the formula itself: ``surface_occurrences`` keeps the
 first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
 and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
 there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
-Paths are read through ``_trail``, and specs through ``occurrence_at`` alone. The printer
-writes atoms with ``atom_text``, connectives with ``SYMBOLS`` and parenthesizes every operand
-whose kind is not bare on its side (``_BARE_SIDES``)."""
+A path lists the 1-based child taken at each node from the root; a spec is read by
+``occurrence_at`` alone. The printer writes atoms with ``atom_text``, connectives with
+``SYMBOLS`` and parenthesizes every operand whose kind is not bare on its side (``_BARE_SIDES``)."""
 
 from __future__ import annotations
 
@@ -179,21 +179,6 @@ def transform(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     return fn(f)
 
 
-def _trail(f: Formula, path: Path) -> list[Formula]:
-    """The nodes ``path`` passes through, from ``f`` to the node it addresses."""
-    trail = [f]
-    for step in path:
-        kids = children(trail[-1])
-        if not 1 <= step <= len(kids):
-            raise PathError(f"path step {step} does not resolve in {print_formula(trail[-1])}")
-        trail.append(kids[step - 1])
-    return trail
-
-
-def child_at(f: Formula, path: Path) -> Formula:
-    return _trail(f, path)[-1]
-
-
 def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
     """Replace the subformula addressed by ``path`` with ``g``, leaving every other node intact."""
     if not path:
@@ -204,29 +189,6 @@ def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
         raise PathError(f"path step {step} does not resolve in {print_formula(f)}")
     kids[step - 1] = substitute_at(kids[step - 1], path[1:], g)
     return rebuild(f, kids)
-
-
-def skeleton(f: Formula) -> Formula:
-    """Strip every environment annotation; nothing else changes."""
-    return transform(f, lambda n: n.child if isinstance(n, EnvAnn) else n)
-
-
-def polarity(f: Formula, path: Path) -> int:
-    """POSITIVE or NEGATIVE: parity of negations over the path, implication antecedents counting as one."""
-    steps = zip(_trail(f, path), path)
-    flips = sum(isinstance(node, Not) or (isinstance(node, Implies) and step == 1) for node, step in steps)
-    return NEGATIVE if flips % 2 else POSITIVE
-
-
-def specification(f: Formula, path: Path) -> str:
-    """Dot-terminated address of a surface occurrence; transparent through negation and annotation."""
-    parts = []
-    for node, step in zip(_trail(f, path), path):
-        if isinstance(node, CHOICE_KINDS):
-            raise PathError("path crosses a choice operator; not a surface occurrence")
-        if isinstance(node, BINARY_KINDS):
-            parts.append(f"{step}.")
-    return "".join(parts)
 
 
 class Occurrence(NamedTuple):
@@ -281,9 +243,9 @@ def occurrence_at(f: Formula, spec: str) -> Occurrence:
 
 
 def resolve_spec(f: Formula, spec: str) -> Path:
-    """Inverse of specification: the path of the innermost node ``spec`` addresses, as
-    ``occurrence_at`` reads it. A spec it does not read to the end is refused by where the
-    read stopped."""
+    """The path of the innermost node ``spec`` addresses, as ``occurrence_at`` reads it: a
+    surface occurrence's spec gives back that occurrence's path. A spec it does not read to
+    the end is refused by where the read stopped."""
     if not SPEC_RE.fullmatch(spec):
         raise FormulaError(f"malformed specification string {spec!r}")
     occ = occurrence_at(f, spec)
@@ -358,52 +320,6 @@ def env_chooses(occ: Occurrence) -> bool:
     """Whether the environment picks the branch of a surface choice occurrence: a positive
     choice conjunction or a negative choice disjunction. The machine picks the other two."""
     return isinstance(occ.node, Chand) == (occ.polarity == POSITIVE)
-
-
-def is_elementary(f: Formula) -> bool:
-    """No choice operators, no general atoms, no hybrid atoms anywhere: exactly the kinds
-    elementarization replaces, so it leaves an elementary formula as it is."""
-    return elementarize(f) == f
-
-
-def elementarize(f: Formula, backed: Callable[[General], bool] = lambda g: False, names: bool = False) -> Formula:
-    """Collapse surface choices and general atoms to truth constants; hybrids become their
-    elementary component. A negative general atom becomes T; a positive one becomes T exactly
-    when ``backed(atom)`` holds (by default never), i.e. the machine already holds a way to win it.
-
-    With ``names``, the name-level elementarization: a general atom that is not a backed
-    positive one becomes the elementary atom named after it, at either polarity. General
-    names are upper case and elementary ones lower case, so the two never clash."""
-
-    def general(g: General, sign: int) -> Formula:
-        if sign == POSITIVE and backed(g):
-            return Truth(True)
-        return Elementary(g.name) if names else Truth(sign == NEGATIVE)
-
-    return _elementarize(f, POSITIVE, general)
-
-
-def _elementarize(node: Formula, sign: int, general: Callable[[General, int], Formula]) -> Formula:
-    kind = type(node)  # as in _surface_walk, a type test is cheaper than a match
-    if kind is And:
-        return And(_elementarize(node.left, sign, general), _elementarize(node.right, sign, general))
-    if kind is Or:
-        return Or(_elementarize(node.left, sign, general), _elementarize(node.right, sign, general))
-    if kind is Implies:
-        return Implies(_elementarize(node.left, -sign, general), _elementarize(node.right, sign, general))
-    if kind is Not:
-        return Not(_elementarize(node.child, -sign, general))
-    if kind is General:
-        return general(node, sign)
-    if kind is Hybrid:
-        return Elementary(node.elementary)
-    if kind is EnvAnn:
-        return EnvAnn(_elementarize(node.child, sign, general), node.agent)
-    if kind is Chand:
-        return Truth(True)
-    if kind is Chor:
-        return Truth(False)
-    return node
 
 
 def elementary_names(f: Formula) -> set[str]:

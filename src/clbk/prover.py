@@ -77,12 +77,6 @@ class ProofTree:
     def node_count(self) -> int:
         return 1 + sum(p.node_count() for p in self.premises)
 
-    def rules_preorder(self) -> list[RuleTag]:
-        out = [self.rule]
-        for p in self.premises:
-            out.extend(p.rules_preorder())
-        return out
-
 
 @dataclass(frozen=True)
 class BranchPremise:
@@ -128,17 +122,6 @@ class PairPremise:
             Occurrence(atom, o.path, o.spec, o.polarity, o.env) if o is pos or o is neg else o
             for o in self.walk.leaves
         ]
-
-
-def measure(f: Formula) -> int:
-    """Choice operators plus general-atom occurrences; strictly decreases along every rule."""
-    match f:
-        case Chand(parts) | Chor(parts):
-            return 1 + sum(measure(p) for p in parts)
-        case General(_, _):
-            return 1
-        case _:
-            return sum(measure(c) for c in children(f))
 
 
 def _backed(g: General, winnable: frozenset[str]) -> bool:
@@ -223,11 +206,6 @@ def premises_A(f: Formula) -> list[BranchPremise]:
     return _branch_premises(f, surface_occurrences(f, "choice"), True)
 
 
-def premises_B(f: Formula) -> list[BranchPremise]:
-    """One premise per branch of each negative choice-conjunction / positive choice-disjunction."""
-    return _branch_premises(f, surface_occurrences(f, "choice"), False)
-
-
 _FRESH_BASE = "pqrstuvwxyz"
 
 
@@ -271,9 +249,10 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def memo_key(f: Formula, root_avoid: frozenset[str]) -> str:
-    """The refutation-memo key of a search node: its skeleton written as text, with the
-    operands of every chain of ``/\\`` or of ``\\/`` flattened and sorted, and then every
-    fresh elementary atom (a name outside ``root_avoid``) renamed by order of first occurrence.
+    """The refutation-memo key of a search node: the node without its annotations, written
+    as text, with the operands of every chain of ``/\\`` or of ``\\/`` flattened and sorted,
+    and then every fresh elementary atom (a name outside ``root_avoid``) renamed by order of
+    first occurrence.
     The sort compares operands with every fresh atom written alike, so the names the pairings
     gave their fresh atoms decide only the order of operands that tie.
 
@@ -344,13 +323,15 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     canonical pairing-chain proofs. Below the root, proofs are memoized on the exact formula
     and refutations on its ``memo_key``, so a node refuted once prunes every node equal to it
     up to the order of ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms. The
-    root has no entry: ``measure`` falls along every rule and is the same for nodes with equal
-    keys, so no node below the root meets it in either memo. With ``max_nodes`` set,
-    expanding more nodes than that raises ``SearchBudgetExceeded``.
+    root has no entry. Count a node's choice operators and general-atom occurrences: every
+    premise counts fewer than its conclusion, since a branch premise drops a choice and a
+    pairing premise two general atoms, and nodes with equal keys count alike. So every node
+    below the root counts fewer than the root, and none meets it in either memo. With
+    ``max_nodes`` set, expanding more nodes than that raises ``SearchBudgetExceeded``.
 
     Pairings on disjoint occurrences commute, so the search enumerates matchings rather than
     pairing orders where that is sound: at a *monotone* node, one with no surface choice and
-    no backed positive occurrence of a name that also occurs negatively. ``elementarize``
+    no backed positive occurrence of a name that also occurs negatively. Elementarization
     makes an unbacked positive general atom false and a negative one true, so replacing both
     by one fresh atom can only raise the classical value: every pairing of a stable monotone
     node is stable and monotone again. Such a node is therefore provable exactly when some
@@ -366,11 +347,11 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
       valuation v that falsifies ``N(g)``, and give each fresh atom of any matching the
       value v gives its name. A paired occurrence then keeps its value in ``N(g)``, and an
       unpaired one takes its worst value, so, the node being monotone in each literal, every
-      matched descendant is false under v. ``elementarize(g)`` is the matching with no pairs,
-      so ``g`` itself is unstable too. This is the spanning condition of Bibel's connection
-      method; it is necessary, not sufficient, since a matching links each occurrence once.
-      Like ``memo_key``, the check runs at the root, and elsewhere only once something is
-      refuted, so a search that refutes nothing pays it at the root alone.
+      matched descendant is false under v. The elementarization of ``g`` is the matching with
+      no pairs, so ``g`` itself is unstable too. This is the spanning condition of Bibel's
+      connection method; it is necessary, not sufficient, since a matching links each
+      occurrence once. Like ``memo_key``, the check runs at the root, and elsewhere only once
+      something is refuted, so a search that refutes nothing pays it at the root alone.
 
     Each keeps the first successful branch of the full search, so proofs are unchanged.
 
@@ -490,7 +471,7 @@ def _shared(h: Formula, g: Formula, g_hybrid: Formula, renaming: dict[str, Hybri
 
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     """Check that every node's premises are the ones its rule generates from its conclusion:
-    all of ``premises_A``, in order, under a stable conclusion; the named ``premises_B`` entry;
+    all of ``premises_A``, in order, under a stable conclusion; the named machine-choice branch;
     or the named pair given one atom absent from the conclusion, elementary or hybrid.
 
     Rules B and C find each named occurrence by one descent along its spec (``occurrence_at``).

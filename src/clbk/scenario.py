@@ -22,17 +22,17 @@ class ScenarioError(ValueError):
     pass
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def strip_comment(line: str) -> str:
+    """A scenario or bind file line without its ``#`` comment and surrounding whitespace."""
+    return line.partition("#")[0].strip()
 
 
-def _undefined(kind: str, name: str, defined, lineno: int) -> str:
-    """``name``, unless an earlier line already defined a ``kind`` so named."""
-    if name in defined:
-        raise ScenarioError(f"line {lineno}: {kind} {name!r} is already defined")
-    return name
+def unique(key, seen, lineno: int, what: str, verb: str = "defined"):
+    """``key``, unless an earlier line of the file already put it in ``seen``: then an error
+    at line ``lineno`` that ``what`` is already defined (or bound, by ``verb``)."""
+    if key in seen:
+        raise ScenarioError(f"line {lineno}: {what} is already {verb}")
+    return key
 
 
 def parse_resource_directive(
@@ -48,15 +48,18 @@ def parse_resource_directive(
         bound = _GAME_PARAMS[factory]
         if param != bound or int(value) < 1:
             raise ScenarioError(f"line {lineno}: {factory} takes {bound}=N with N >= 1, not {param}={value}")
-        games[_undefined("game", m.group("atom"), games, lineno)] = GAME_FACTORIES[factory](int(value))
+        atom = m.group("atom")
+        games[unique(atom, games, lineno, f"game {atom!r}")] = GAME_FACTORIES[factory](int(value))
     elif m := _SCRIPT_RE.match(line):
         try:
             script = Script(tuple(p.strip() for p in m.group("items").split(",") if p.strip()))
         except ValueError as exc:  # an item outside the move payload grammar
             raise ScenarioError(f"line {lineno}: {exc}") from exc
-        scripts[_undefined("script", m.group("name"), scripts, lineno)] = script
+        name = m.group("name")
+        scripts[unique(name, scripts, lineno, f"script {name!r}")] = script
     elif m := _HEURISTIC_RE.match(line):
-        heuristics.append((_undefined("heuristic", m.group("name"), dict(heuristics), lineno), m.group("kind")))
+        name = m.group("name")
+        heuristics.append((unique(name, dict(heuristics), lineno, f"heuristic {name!r}"), m.group("kind")))
     else:
         return False
     return True
@@ -77,7 +80,7 @@ def parse_scenario(text: str) -> list[Agent]:
     pending_heuristics: dict[str, list[tuple[str, str]]] = {}
     current: Agent | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = strip_comment(raw)
         if not line:
             continue
         m = _AGENT_RE.match(line)

@@ -1,14 +1,23 @@
 """Seeded random formula generators shared by the property and acceptance tests, and the
-flipped-run oracle for reading a game in swapped roles."""
+reference definitions the tests check the package against: path queries, elementarization,
+classical evaluation, the termination measure, the machine-choice premises and the flipped
+run. Each is written from its definition by plain recursion over public ``clbk`` names, so
+that it stays independent of the code it checks."""
 
 import random
+from itertools import product
 
 from clbk.formula import (
+    BINARY_KINDS,
+    CHOICE_KINDS,
+    NEGATIVE,
+    POSITIVE,
     And,
     Chand,
     Chor,
     Elementary,
     EnvAnn,
+    FormulaError,
     General,
     Hybrid,
     Implies,
@@ -16,8 +25,16 @@ from clbk.formula import (
     Note,
     Or,
     Truth,
+    children,
+    elementary_names,
+    env_chooses,
+    rebuild,
+    substitute_at,
     surface_leaves,
+    surface_occurrences,
+    transform,
 )
+from clbk.prover import BranchPremise, RuleC, prove
 
 ELEMENTARY = ["p", "q", "r", "s"]
 GENERAL = ["P", "Q", "C", "D"]
@@ -28,6 +45,122 @@ NOTE_NAMES = ["hx", "mk", "req", "sy"]
 def flip_run(run):
     """``run`` with every move's player flipped: a negated game's run in its local roles."""
     return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in run)
+
+
+# --- reference definitions ----------------------------------------------------
+
+
+def trail(f, path):
+    """The nodes ``path`` passes through, from ``f`` to the node it addresses."""
+    nodes = [f]
+    for step in path:
+        nodes.append(children(nodes[-1])[step - 1])
+    return nodes
+
+
+def child_at(f, path):
+    return trail(f, path)[-1]
+
+
+def polarity(f, path):
+    """POSITIVE or NEGATIVE: the parity of the negations and implication antecedents the
+    path enters."""
+    steps = zip(trail(f, path), path)
+    flips = sum(isinstance(node, Not) or (isinstance(node, Implies) and step == 1) for node, step in steps)
+    return NEGATIVE if flips % 2 else POSITIVE
+
+
+def specification(f, path):
+    """The spec of the node at ``path``: one ``1.`` or ``2.`` per binary connective the path
+    passes. A path through a choice has no spec and raises ``FormulaError``."""
+    parts = []
+    for node, step in zip(trail(f, path), path):
+        if isinstance(node, CHOICE_KINDS):
+            raise FormulaError("path crosses a choice operator")
+        if isinstance(node, BINARY_KINDS):
+            parts.append(f"{step}.")
+    return "".join(parts)
+
+
+def skeleton(f):
+    """``f`` with every environment annotation stripped."""
+    return transform(f, lambda n: n.child if isinstance(n, EnvAnn) else n)
+
+
+def elementarize(f, backed=lambda g: False, names=False):
+    """The elementarization of ``f``: a choice conjunction becomes T and a choice disjunction
+    F, a hybrid its elementary component, and a general atom T when it is negative or a
+    positive one ``backed`` holds for, else F. With ``names``, a general atom that is not a
+    backed positive one becomes the elementary atom named after it instead."""
+
+    def walk(node, sign):
+        if isinstance(node, General):
+            if sign == POSITIVE and backed(node):
+                return Truth(True)
+            return Elementary(node.name) if names else Truth(sign == NEGATIVE)
+        if isinstance(node, Hybrid):
+            return Elementary(node.elementary)
+        if isinstance(node, CHOICE_KINDS):
+            return Truth(isinstance(node, Chand))
+        if isinstance(node, Not):
+            return Not(walk(node.child, -sign))
+        if isinstance(node, Implies):
+            return Implies(walk(node.left, -sign), walk(node.right, sign))
+        return rebuild(node, [walk(k, sign) for k in children(node)])
+
+    return walk(f, POSITIVE)
+
+
+def is_elementary(f):
+    """No choice operator, general atom or hybrid atom anywhere in ``f``."""
+    return not isinstance(f, (General, Hybrid, *CHOICE_KINDS)) and all(map(is_elementary, children(f)))
+
+
+def evaluate(f, valuation):
+    """The truth value of the elementary formula ``f`` under ``valuation``, which must give
+    every atom of ``f``, also one the value does not depend on; any other formula raises
+    ``FormulaError``."""
+    if isinstance(f, Truth):
+        return f.value
+    if isinstance(f, Elementary):
+        return valuation[f.name]
+    if isinstance(f, (Not, EnvAnn)):
+        value = evaluate(f.child, valuation)
+        return not value if isinstance(f, Not) else value
+    if isinstance(f, BINARY_KINDS):
+        left, right = evaluate(f.left, valuation), evaluate(f.right, valuation)
+        if isinstance(f, And):
+            return left and right
+        return left or right if isinstance(f, Or) else not left or right
+    raise FormulaError("not an elementary formula")
+
+
+def satisfiable(f):
+    """Whether some valuation of the atoms of the elementary formula ``f`` makes it true."""
+    names = sorted(elementary_names(f))
+    return any(evaluate(f, dict(zip(names, row))) for row in product((False, True), repeat=len(names)))
+
+
+def measure(f):
+    """Choice operators plus general-atom occurrences: every rule's premise has fewer than its
+    conclusion."""
+    return isinstance(f, (General, *CHOICE_KINDS)) + sum(map(measure, children(f)))
+
+
+def premises_B(f):
+    """One premise per branch of each surface choice the machine picks: a negative choice
+    conjunction or a positive choice disjunction."""
+    return [
+        BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part))
+        for occ in surface_occurrences(f, "choice")
+        if not env_chooses(occ)
+        for i, part in enumerate(occ.node.parts, start=1)
+    ]
+
+
+def rules_preorder(tree):
+    """The rules of a proof tree, each node's before its premises'."""
+    return [tree.rule] + [rule for premise in tree.premises for rule in rules_preorder(premise)]
 
 
 def random_atom(rng: random.Random):
@@ -132,8 +265,6 @@ def random_elementary(rng: random.Random, depth: int = 4, atoms=("p", "q", "r"),
 def random_provable(rng: random.Random, count: int, need_pairing: bool = False, max_tries: int = 20_000):
     """Random provable annotated formulas, found by search; optionally only those whose
     proof pairs general atoms."""
-    from clbk.prover import RuleC, prove
-
     found = []
     tries = 0
     while len(found) < count and tries < max_tries:
@@ -147,7 +278,7 @@ def random_provable(rng: random.Random, count: int, need_pairing: bool = False, 
         tree = prove(f)
         if tree is None:
             continue
-        if need_pairing and not any(isinstance(r, RuleC) for r in tree.rules_preorder()):
+        if need_pairing and not any(isinstance(r, RuleC) for r in rules_preorder(tree)):
             continue
         found.append((f, tree))
     if len(found) < count:

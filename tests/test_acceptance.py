@@ -7,16 +7,7 @@ import time
 
 from clbk.agents import Simulation
 from clbk.cli import main
-from clbk.formula import (
-    POSITIVE,
-    is_elementary,
-    elementarize,
-    parse_formula,
-    print_formula,
-    resolve_spec,
-    specification,
-    surface_occurrences,
-)
+from clbk.formula import POSITIVE, parse_formula, print_formula, resolve_spec, surface_occurrences
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
 from clbk import engine
 from clbk.prover import (
@@ -26,15 +17,23 @@ from clbk.prover import (
     RuleC,
     format_proof,
     hybridize,
-    measure,
     premises_A,
-    premises_B,
     premises_C,
     prove,
     verify_proof,
 )
 from clbk.scenario import builtin_scenario, parse_scenario
-from genlib import random_ast, random_elementary, random_provable
+from genlib import (
+    elementarize,
+    is_elementary,
+    measure,
+    premises_B,
+    random_ast,
+    random_elementary,
+    random_provable,
+    rules_preorder,
+    specification,
+)
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 
@@ -49,7 +48,7 @@ def test_criterion_1_example_proof_reproduction(capsys):
     tree = prove(parse_formula("(C /\\ C) -> (C \\/ C) @ w"))
     assert tree is not None
     assert tree.node_count() == 3
-    assert [type(r) for r in tree.rules_preorder()] == [RuleC, RuleC, RuleA]
+    assert [type(r) for r in rules_preorder(tree)] == [RuleC, RuleC, RuleA]
     converted = hybridize(tree)
     leaf = converted.premises[0].premises[0]
     assert print_formula(leaf.conclusion) == "(C_p /\\ C_q) -> (C_p \\/ C_q) @ w"

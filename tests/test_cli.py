@@ -223,6 +223,20 @@ def test_play_interactive_ignores_a_non_ascii_choice_digit(monkeypatch, capsys, 
     assert (code, out) == (0, f"ignored malformed move {line!r}\nwinner: T\n")
 
 
+def test_play_interactive_names_a_move_at_no_occurrence(tmp_path, monkeypatch, capsys):
+    """A well-formed move whose spec addresses no occurrence (a leading zero, a step out of
+    range, a step past an atom) is ignored with a line that names its spec, and play goes on."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("01.x=3\n3.x=1\n2.1.x=1\n2.x=3\n2.y=2\n"))
+    bind = write_bind(tmp_path, "game C = coffee(zmax=10)\n")
+    code, out, _ = run_cli(capsys, "play", "(C -> C) @ w", "--scripts", bind, "--interactive")
+    assert code == 0
+    assert out == (
+        "ignored move at '01.': no occurrence there\nignored move at '3.': no occurrence there\n"
+        "ignored move at '2.1.': no occurrence there\n"
+        "1 env B 2.x=3\n2 m T 1.x=3\n3 env B 2.y=2\n4 m T 1.y=2\nwinner: T\n"
+    )
+
+
 def test_play_interactive_applies_the_step_budget_after_each_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2.1\n"))
     code, out, _ = run_cli(capsys, "play", "((p & q) -> (p & q)) @ w", "--interactive", "--max-steps", "1")

@@ -30,8 +30,8 @@ from clbk.formula import (
     surface_occurrences,
 )
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
-from clbk.prover import ProofTree, RuleA, RuleB, hybridize, premises_A, premises_B, prove
-from genlib import flip_run, random_ast, random_provable
+from clbk.prover import ProofTree, RuleA, RuleB, hybridize, premises_A, prove
+from genlib import flip_run, premises_B, random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 COFFEE = coffee_game(10)

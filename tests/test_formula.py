@@ -26,25 +26,28 @@ from clbk.formula import (
     Truth,
     _agent_str,
     atom_text,
-    child_at,
     children,
-    elementarize,
-    is_elementary,
     note_names,
     occurrence_at,
     parse_formula,
-    polarity,
     print_formula,
     rebuild,
     resolve_spec,
-    skeleton,
-    specification,
     substitute_at,
     surface_leaves,
     surface_occurrences,
     transform,
 )
-from genlib import random_ast, spec_strings
+from genlib import (
+    child_at,
+    elementarize,
+    is_elementary,
+    polarity,
+    random_ast,
+    skeleton,
+    spec_strings,
+    specification,
+)
 
 p, q, r = Elementary("p"), Elementary("q"), Elementary("r")
 C = General("C")
@@ -607,11 +610,7 @@ ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda f: child_at(f, (3,)), "path step 3 does not resolve in (p /\\ C) -> (p & q)"),
         (lambda f: substitute_at(f, (1, 3), Truth(True)), "path step 3 does not resolve in p /\\ C"),
-        (lambda f: polarity(f, (2, 3)), "path step 3 does not resolve in p & q"),
-        (lambda f: specification(f, (4,)), "path step 4 does not resolve in (p /\\ C) -> (p & q)"),
-        (lambda f: specification(f, (2, 1)), "path crosses a choice operator; not a surface occurrence"),
         (lambda f: resolve_spec(f, "1.x"), "malformed specification string '1.x'"),
         (lambda f: resolve_spec(f, "3."), "specification '3.' does not address an occurrence"),
         (lambda f: resolve_spec(f, "1.1.1."), "specification '1.1.1.' does not address an occurrence"),
@@ -619,8 +618,7 @@ ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
         (lambda f: resolve_spec(f, "01."), "specification '01.' does not address an occurrence"),
         (lambda f: resolve_spec(f, "\u0661.\u0662."), "malformed specification string '\u0661.\u0662.'"),
     ],
-    ids=["child_at", "substitute_at", "polarity", "specification", "specification-choice",
-         "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice",
+    ids=["substitute_at", "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice",
          "resolve-leading-zero", "resolve-non-ascii-digit"],
 )
 def test_paths_and_specs_that_do_not_resolve_name_the_step(call, message):

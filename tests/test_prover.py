@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clbk import prover
-from clbk.classical import evaluate, is_valid
+from clbk.classical import is_valid
 from clbk.formula import (
     BINARY_KINDS,
     NEGATIVE,
@@ -22,9 +22,8 @@ from clbk.formula import (
     Implies,
     Not,
     Or,
-    child_at,
+    Truth,
     children,
-    elementarize,
     elementary_names,
     env_chooses,
     occurrence_at,
@@ -32,7 +31,6 @@ from clbk.formula import (
     print_formula,
     rebuild,
     resolve_spec,
-    skeleton,
     substitute_at,
     surface_leaves,
     surface_occurrences,
@@ -47,16 +45,26 @@ from clbk.prover import (
     format_proof,
     hybridize,
     is_stable,
-    measure,
     memo_key,
     names_valid,
     premises_A,
-    premises_B,
     premises_C,
     prove,
     verify_proof,
 )
-from genlib import random_ast, random_body, random_provable, spec_strings
+from genlib import (
+    child_at,
+    elementarize,
+    evaluate,
+    measure,
+    premises_B,
+    random_ast,
+    random_body,
+    random_provable,
+    rules_preorder,
+    skeleton,
+    spec_strings,
+)
 from test_acceptance import _mutations, _replace_node, _tree_nodes
 
 
@@ -121,7 +129,7 @@ def test_prove_example_three_nodes():
     t = prove(parse_formula("(C /\\ C) -> (C \\/ C) @ w"))
     assert t is not None
     assert t.node_count() == 3
-    assert [type(r) for r in t.rules_preorder()] == [RuleC, RuleC, RuleA]
+    assert [type(r) for r in rules_preorder(t)] == [RuleC, RuleC, RuleA]
 
 
 def test_prove_unprovable_verdicts():
@@ -133,7 +141,7 @@ def test_prove_unprovable_verdicts():
 def test_prove_choice_tree_shape():
     t = prove(parse_formula("((p & q) -> (p & q)) @ w"))
     assert t is not None
-    rules = t.rules_preorder()
+    rules = rules_preorder(t)
     assert [type(r) for r in rules] == [RuleA, RuleB, RuleA, RuleB, RuleA]
     assert t.node_count() == 5
 
@@ -615,7 +623,7 @@ def test_wide_identity_closes_in_one_node():
     tree = prove(_wide_identity(18))
     assert time.perf_counter() - start < 1.0
     assert tree.node_count() == 1
-    assert [type(r) for r in tree.rules_preorder()] == [RuleA]
+    assert [type(r) for r in rules_preorder(tree)] == [RuleA]
 
 
 def test_memo_key_ignores_pairing_order():
@@ -977,9 +985,11 @@ def test_invalid_name_level_form_refutes_monotone_node(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63))
 def test_folded_elementarization_agrees_with_the_built_one(seed):
-    """``is_stable``, ``names_valid`` and the engine's ``evaluate`` fold the elementarization
-    straight from the formula; each agrees with the same check of the copy ``elementarize``
-    builds, on arbitrary formulas (choices, hybrids, notes and annotations included)."""
+    """``is_stable``, ``names_valid`` and ``is_valid`` with a general-atom fold read the
+    elementarization straight from the formula; each agrees with the same check of the copy
+    ``elementarize`` builds, on arbitrary formulas (choices, hybrids, notes and annotations
+    included). On the formula with a valuation's constants put for its elementary atoms, the
+    fold's value is the built copy's value under that valuation."""
     rng = random.Random(seed)
     winnable = frozenset(name for name in "PQCD" if rng.random() < 0.3)
     backed = lambda g: prover._backed(g, winnable)
@@ -988,8 +998,19 @@ def test_folded_elementarization_agrees_with_the_built_one(seed):
         assert is_stable(f, winnable) == is_valid(elementarize(f, backed)), print_formula(f)
         assert names_valid(f, winnable) == is_valid(elementarize(f, backed, names=True)), print_formula(f)
         valuation = defaultdict(bool, {name: rng.random() < 0.5 for name in "pqrs"})
-        default = evaluate(f, valuation, lambda g, sign: sign == NEGATIVE)
+        closed = transform(f, lambda n: _constant(n, valuation))
+        default = is_valid(closed, lambda g, sign: sign == NEGATIVE)
         assert default == evaluate(elementarize(f), valuation), print_formula(f)
+
+
+def _constant(node, valuation):
+    """``node`` as a truth constant under ``valuation`` if it is an elementary atom or a hybrid
+    one (by its elementary component), else ``node`` itself."""
+    if isinstance(node, Elementary):
+        return Truth(valuation[node.name])
+    if isinstance(node, Hybrid):
+        return Truth(valuation[node.elementary])
+    return node
 
 
 def test_the_root_is_never_keyed(monkeypatch):
