@@ -13,7 +13,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import EngineError, Status, StepBudgetExceeded
-from .formula import SPEC_RE, FormulaError, file_message, note_names, occurrence_at, parse_formula, print_formula
+from .formula import SPEC_RE, FormulaError, file_message, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -136,8 +136,8 @@ def cmd_play(args) -> int:
                 except ValueError:
                     print(f"ignored malformed move {text!r}")
                     continue
-                if occurrence_at(session.formula, spec).spec != spec:
-                    print(f"ignored move at {spec!r}: no occurrence there")
+                if (reason := engine.move_refusal(session, lm)) is not None:
+                    print(f"ignored move at {spec!r}: {reason}")
                     continue
                 session.deliver(lm)
                 engine.run_to_quiescence(session, args.max_steps)

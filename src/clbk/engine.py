@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Callable
 
 from .formula import (
+    CHOICE_KINDS,
     And,
     Chand,
     Elementary,
@@ -48,10 +49,12 @@ from .formula import (
     Or,
     POSITIVE,
     Truth,
+    env_chooses,
+    occurrence_at,
     surface_occurrences,
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, Verdict, subrun
-from .prover import ProofTree, RuleB, RuleC, premises_A, verify_proof
+from .prover import ProofTree, RuleA, RuleB, RuleC, premises_A, verify_proof
 
 __all__ = [
     "Binding",
@@ -62,6 +65,7 @@ __all__ = [
     "env_move",
     "evaluate_winner",
     "machine_turn",
+    "move_refusal",
     "new_session",
     "noted_heuristic",
     "read_verdicts",
@@ -243,33 +247,51 @@ def machine_turn(session: Session) -> bool:
         _enter(session, session.node.premises[0])
 
 
+def move_refusal(session: Session, lm: Labmove) -> str | None:
+    """Why ``env_move`` does not apply ``lm``, or None when it does: when ``lm`` picks a branch
+    of a choice the environment owns at the closure node where the session rests, or is any
+    other move at a general atom or at a hybrid atom with a copy-cat partner."""
+    if lm.player is not Player.ENVIRONMENT:
+        return "not an environment move"
+    choice = lm.is_choice()
+    occ = None if choice else session.atoms.get(lm.spec)
+    if occ is not None:
+        return None if type(occ.node) is General or _partner(session, occ) else "no copy-cat partner"
+    occ = occurrence_at(session.formula, lm.spec)
+    if occ.spec != lm.spec:
+        return "no occurrence there"
+    if not choice:
+        return "no game there"
+    if type(session.node.rule) is not RuleA:
+        return "not at a closure node"
+    if type(occ.node) not in CHOICE_KINDS:
+        return "no choice there"
+    if not env_chooses(occ):
+        return "the machine's choice"
+    return None if 1 <= int(lm.payload) <= len(occ.node.parts) else f"no branch {lm.payload}"
+
+
+def _partner(session: Session, occ: Occurrence) -> Occurrence | None:
+    """The other surface occurrence of the hybrid atom at ``occ``, where copy-cat answers."""
+    for o in session.atoms.values():
+        if type(o.node) is Hybrid and o.node.elementary == occ.node.elementary and o.spec != occ.spec:
+            return o
+    return None
+
+
 def env_move(session: Session, lm: Labmove) -> None:
     """Process one environment move at a closure node: record it at a general atom, copy-cat it
-    at a hybrid atom, enter the premise of a branch ``premises_A`` lists; ignore anything else."""
-    if lm.player is not Player.ENVIRONMENT:
+    at a hybrid atom, enter the premise of a branch ``premises_A`` lists; ignore any move that
+    ``move_refusal`` refuses."""
+    if move_refusal(session, lm) is not None:
         return
-    occ = session.atoms.get(lm.spec)
-    if occ is not None and not lm.is_choice():
-        if isinstance(occ.node, General):
-            session.append(lm)
-            return
-        partners = (
-            o
-            for o in session.atoms.values()
-            if isinstance(o.node, Hybrid) and o.node.elementary == occ.node.elementary and o.spec != occ.spec
-        )
-        sigma = next(partners, None)
-        if sigma is not None:
-            session.append(lm)
-            session.append(lm.relabeled(Player.MACHINE, sigma.spec))
-        return
+    session.append(lm)
     if lm.is_choice():
-        for entry, premise in zip(premises_A(session.formula), session.node.premises):
-            if (entry.spec, entry.branch) == (lm.spec, int(lm.payload)):
-                session.append(lm)
-                _enter(session, premise)
-                machine_turn(session)
-                return
+        branches = [(entry.spec, entry.branch) for entry in premises_A(session.formula)]
+        _enter(session, session.node.premises[branches.index((lm.spec, int(lm.payload)))])
+        machine_turn(session)
+    elif type((occ := session.atoms[lm.spec]).node) is Hybrid:
+        session.append(lm.relabeled(Player.MACHINE, _partner(session, occ).spec))
 
 
 def _seat_move(session: Session, player: Player) -> Labmove | None:

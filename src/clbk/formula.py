@@ -4,9 +4,10 @@ A formula's surface walk is memoized on the formula itself: ``surface_occurrence
 first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
 and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
 there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
-A path lists the 1-based child taken at each node from the root; a spec is read by
-``occurrence_at`` alone. The printer writes atoms with ``atom_text``, connectives with
-``SYMBOLS`` and parenthesizes every operand whose kind is not bare on its side (``_BARE_SIDES``)."""
+An occurrence has one address, its spec: ``occurrence_at`` is the one descent along a spec, and
+``substitute_at`` rebuilds a formula along that same descent. The printer writes atoms with
+``atom_text``, connectives with ``SYMBOLS`` and parenthesizes every operand whose kind is not
+bare on its side (``_BARE_SIDES``)."""
 
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ def file_message(exc: FormulaError, lineno: int, start: int) -> str:
     if isinstance(exc, ParseError):
         return f"line {lineno}, column {start + exc.col}: {exc.message}"
     return f"line {lineno}: {exc}"
-
-
-class PathError(FormulaError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,6 @@ class EnvAnn(Formula):
     agent: str
 
 
-Path = tuple[int, ...]
-
 ATOM_KINDS = (Truth, Elementary, General, Hybrid)
 CHOICE_KINDS = (Chand, Chor)
 BINARY_KINDS = (And, Or, Implies)
@@ -179,20 +174,22 @@ def transform(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     return fn(f)
 
 
-def substitute_at(f: Formula, path: Path, g: Formula) -> Formula:
-    """Replace the subformula addressed by ``path`` with ``g``, leaving every other node intact."""
-    if not path:
+def substitute_at(f: Formula, spec: str, g: Formula) -> Formula:
+    """``f`` with the node ``occurrence_at(f, spec)`` reaches replaced by ``g``, passing every
+    negation and annotation as that descent does and keeping every node off the way. ``spec``
+    must be read to the end (``occurrence_at(f, spec).spec == spec``), as a walk's specs are."""
+    kind = type(f)
+    if kind is Not or kind is EnvAnn:
+        return rebuild(f, (substitute_at(f.child, spec, g),))
+    if not spec:
         return g
-    step = path[0]
-    kids = list(children(f))
-    if not 1 <= step <= len(kids):
-        raise PathError(f"path step {step} does not resolve in {print_formula(f)}")
-    kids[step - 1] = substitute_at(kids[step - 1], path[1:], g)
-    return rebuild(f, kids)
+    if spec[0] == "1":
+        return kind(substitute_at(f.left, spec[2:], g), f.right)
+    return kind(f.left, substitute_at(f.right, spec[2:], g))
 
 
 class Occurrence(NamedTuple):
-    """A node of a walked formula: its ``node``, its ``path`` and ``spec`` there, its
+    """A node of a walked formula: its ``node``, its ``spec``, which is its one address, its
     ``polarity`` and the agent ``env`` of its innermost annotation, if any. The surface walk
     makes one per surface leaf, and ``occurrence_at`` one for the node a spec leads to. A
     tuple, so cheap to build and immutable. Equality and hashing are by fields, as for any
@@ -200,15 +197,14 @@ class Occurrence(NamedTuple):
     occurrences in a walk by identity (``is``) instead."""
 
     node: Formula
-    path: Path
     spec: str
     polarity: int
     env: str | None
 
 
 # A spec: one dot-terminated step per binary connective on the way, in ASCII digits. The
-# pattern is what ``resolve_spec`` accepts and what a bind line or an interactive move
-# reads as its spec; a step other than ``1.`` or ``2.`` matches it but leads nowhere.
+# pattern is what a bind line or an interactive move reads as its spec; a step other than
+# ``1.`` or ``2.`` matches it but leads nowhere.
 SPEC_RE = re.compile(r"(?:[0-9]+\.)*")
 
 
@@ -216,64 +212,46 @@ def occurrence_at(f: Formula, spec: str) -> Occurrence:
     """The one descent along a spec. From ``f``'s root it passes every negation and
     annotation, and takes a step at a binary connective while ``spec`` goes on with ``1.``
     or ``2.``; it stops where neither applies. The result is the innermost node reached,
-    with its path, polarity and agent, and its ``spec`` is the part of ``spec`` read:
-    ``spec`` itself exactly when ``spec`` addresses that node. Along a surface leaf's spec
-    it gives the leaf as ``surface_leaves`` does."""
+    with its polarity and agent, and its ``spec`` is the part of ``spec`` read: ``spec``
+    itself exactly when ``spec`` addresses that node. Along a surface leaf's spec it gives
+    the leaf as ``surface_leaves`` does."""
     steps = spec.split(".")
     steps[-1] = None  # what follows the last dot is no step, even when empty
-    node, path, sign, env, i = f, [], POSITIVE, None, 0
+    node, sign, env, i = f, POSITIVE, None, 0
     while True:
         kind = type(node)  # as in _surface_walk, a type test is cheaper than isinstance
         if kind is EnvAnn:
             node, env = node.child, node.agent
-            path.append(1)
         elif kind is Not:
             node, sign = node.child, -sign
-            path.append(1)
         elif kind in BINARY_KINDS and (step := steps[i]) in ("1", "2"):
             if step == "1":
                 node, sign = node.left, (-sign if kind is Implies else sign)
-                path.append(1)
             else:
                 node = node.right
-                path.append(2)
             i += 1
         else:  # each step read is two characters
-            return Occurrence(node, tuple(path), spec[: 2 * i], sign, env)
+            return Occurrence(node, spec[: 2 * i], sign, env)
 
 
-def resolve_spec(f: Formula, spec: str) -> Path:
-    """The path of the innermost node ``spec`` addresses, as ``occurrence_at`` reads it: a
-    surface occurrence's spec gives back that occurrence's path. A spec it does not read to
-    the end is refused by where the read stopped."""
-    if not SPEC_RE.fullmatch(spec):
-        raise FormulaError(f"malformed specification string {spec!r}")
-    occ = occurrence_at(f, spec)
-    if occ.spec == spec:
-        return occ.path
-    if isinstance(occ.node, CHOICE_KINDS):
-        raise FormulaError(f"specification {spec!r} crosses a choice operator")
-    raise FormulaError(f"specification {spec!r} does not address an occurrence")
-
-
-def _surface_walk(out: list[Occurrence], node: Formula, path: Path, spec: str, sign: int, env: str | None) -> None:
+def _surface_walk(out: list[Occurrence], node: Formula, spec: str, sign: int, env: str | None) -> None:
     """Append the leaf occurrences (atoms, truth constants and choices) not under a choice
     operator to ``out``, left to right: loop down annotations, negations and right children,
     and recurse only into left children."""
     while True:
         kind = type(node)  # no subclasses of these five exist; a type test is cheaper than a match
         if kind is EnvAnn:
-            node, path, env = node.child, path + (1,), node.agent
+            node, env = node.child, node.agent
         elif kind is Not:
-            node, path, sign = node.child, path + (1,), -sign
+            node, sign = node.child, -sign
         elif kind is Implies:
-            _surface_walk(out, node.left, path + (1,), spec + "1.", -sign, env)
-            node, path, spec = node.right, path + (2,), spec + "2."
+            _surface_walk(out, node.left, spec + "1.", -sign, env)
+            node, spec = node.right, spec + "2."
         elif kind is And or kind is Or:
-            _surface_walk(out, node.left, path + (1,), spec + "1.", sign, env)
-            node, path, spec = node.right, path + (2,), spec + "2."
+            _surface_walk(out, node.left, spec + "1.", sign, env)
+            node, spec = node.right, spec + "2."
         else:
-            out.append(Occurrence(node, path, spec, sign, env))
+            out.append(Occurrence(node, spec, sign, env))
             return
 
 
@@ -285,7 +263,7 @@ def surface_leaves(f: Formula) -> Sequence[Occurrence]:
     if walk is not None:
         return walk
     out: list[Occurrence] = []
-    _surface_walk(out, f, (), "", POSITIVE, None)
+    _surface_walk(out, f, "", POSITIVE, None)
     return out
 
 

@@ -23,7 +23,6 @@ from .formula import (
     Not,
     Occurrence,
     Or,
-    Path,
     POSITIVE,
     SYMBOLS,
     Truth,
@@ -108,18 +107,18 @@ class PairPremise:
         """``conclusion`` with both occurrences replaced by ``Elementary(name)``."""
         f = self._formula
         if f is None:
-            f = self._formula = _paired(self.conclusion, self.pos.path, self.neg.path, Elementary(self.name))
+            f = self._formula = _paired(self.conclusion, self.pos.spec, self.neg.spec, Elementary(self.name))
         return f
 
     def leaves(self) -> list[Occurrence]:
         """``surface_leaves(formula)``, derived from the conclusion's: the same list with the
-        two paired occurrences now ``Elementary(name)`` at their path, spec, polarity and
-        agent. ``_paired`` rebuilds only the nodes above them, so every other leaf is the same
-        node at the same place in the premise. The two are found by identity (``is``), which
+        two paired occurrences now ``Elementary(name)`` at their spec, polarity and agent.
+        ``_paired`` rebuilds only the nodes above them, so every other leaf is the same node
+        at the same place in the premise. The two are found by identity (``is``), which
         costs less than comparing their fields."""
         atom, pos, neg = Elementary(self.name), self.pos, self.neg
         return [
-            Occurrence(atom, o.path, o.spec, o.polarity, o.env) if o is pos or o is neg else o
+            Occurrence(atom, o.spec, o.polarity, o.env) if o is pos or o is neg else o
             for o in self.walk.leaves
         ]
 
@@ -194,7 +193,7 @@ class _Walk:
 
 def _branch_premises(f: Formula, choices: list[Occurrence], env_side: bool) -> list[BranchPremise]:
     return [
-        BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part))
+        BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.spec, part))
         for occ in choices
         if env_chooses(occ) == env_side
         for i, part in enumerate(occ.node.parts, start=1)
@@ -218,17 +217,18 @@ def _fresh_name(taken: set[str]) -> str:
                 return name
 
 
-def _paired(f: Formula, p: Path, q: Path, atom: Formula) -> Formula:
-    """``f`` with the nodes at ``p`` and ``q`` (neither a prefix of the other) replaced by
-    ``atom``, in one descent: the nodes the two paths share are rebuilt once."""
-    kids = list(children(f))
-    i, j = p[0] - 1, q[0] - 1
-    if i == j:
-        kids[i] = _paired(kids[i], p[1:], q[1:], atom)
-    else:
-        kids[i] = substitute_at(kids[i], p[1:], atom)
-        kids[j] = substitute_at(kids[j], q[1:], atom)
-    return rebuild(f, kids)
+def _paired(f: Formula, p: str, q: str, atom: Formula) -> Formula:
+    """``f`` with the surface leaves at the specs ``p`` and ``q`` (two different ones) replaced
+    by ``atom``, in one descent: the nodes above both are rebuilt once."""
+    kind = type(f)
+    if kind is Not or kind is EnvAnn:
+        return rebuild(f, (_paired(f.child, p, q, atom),))
+    if p[0] != q[0]:
+        p, q = (p, q) if p[0] == "1" else (q, p)
+        return kind(substitute_at(f.left, p[2:], atom), substitute_at(f.right, q[2:], atom))
+    if p[0] == "1":
+        return kind(_paired(f.left, p[2:], q[2:], atom), f.right)
+    return kind(f.left, _paired(f.right, p[2:], q[2:], atom))
 
 
 def premises_C(
@@ -357,8 +357,8 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
 
     A pairing premise is built only when the search tries it: ``premises_C`` lists a node's
     pairings once per expanded node, and a premise's formula is built, in one descent that
-    rebuilds only the nodes on its two paths, when the search first reads it. A node that
-    the name-level check refutes builds none. A premise the search expands is not walked
+    rebuilds only the nodes above its two paired leaves, when the search first reads it. A
+    node that the name-level check refutes builds none. A premise the search expands is not walked
     anew: its walk is its conclusion's, with the two paired leaves replaced
     (``PairPremise.leaves``)."""
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
@@ -474,10 +474,11 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     all of ``premises_A``, in order, under a stable conclusion; the named machine-choice branch;
     or the named pair given one atom absent from the conclusion, elementary or hybrid.
 
-    Rules B and C find each named occurrence by one descent along its spec (``occurrence_at``).
-    Rule B then builds the one premise it names. Rule C builds none: it compares the premise
-    with the conclusion along the two paths only. Every child off them must be equal (``==``,
-    which returns at once on a shared subtree), and both paired leaves must be the same atom,
+    A rule names each occurrence by its spec, its one address, and finds it by one descent
+    along the spec (``occurrence_at``). Rule B builds the one premise it names along the same
+    spec (``substitute_at``). Rule C builds none: it descends premise and conclusion together
+    along its two specs (``_ends_off``). Every child off the way must be equal (``==``, which
+    returns at once on a shared subtree), and both paired leaves must be the same atom,
     ``Elementary(name)`` or ``Hybrid(<general name>, name)`` (``_pairs_as``).
     The freshness check walks the conclusion of the first rule C on a path only: a checked
     pairing replaces two general atoms, so its premise's names are the conclusion's and
@@ -502,7 +503,7 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
                 and not env_chooses(occ)
                 and occ.env == env
                 and 1 <= branch <= len(occ.node.parts)
-                and got == [substitute_at(g, occ.path, occ.node.parts[branch - 1])]
+                and got == [substitute_at(g, spec, occ.node.parts[branch - 1])]
             )
         case RuleC(pos_spec, neg_spec, name):
             pos, neg = occurrence_at(g, pos_spec), occurrence_at(g, neg_spec)
@@ -514,7 +515,7 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
                 and (pos.polarity, neg.polarity) == (POSITIVE, NEGATIVE)
                 and pos.node.name == neg.node.name
                 and len(got) == 1
-                and (ends := _ends_off(got[0], g, pos.path, neg.path)) is not None
+                and (ends := _ends_off(got[0], g, pos_spec, neg_spec)) is not None
                 and ends[0] == ends[1]
                 and _pairs_as(ends[0], name, pos.node.name)
                 and name not in (names := elementary_names(g) if names is None else names)
@@ -534,33 +535,34 @@ def _pairs_as(leaf: Formula, name: str, general: str) -> bool:
     return kind is Hybrid and leaf.elementary == name and leaf.name == general and leaf.note is None
 
 
-def _ends_off(h: Formula, g: Formula, p: Path, q: Path) -> tuple[Formula, Formula] | None:
-    """The nodes of ``h`` at ``g``'s two surface leaf paths ``p`` and ``q``, left one first, if
-    ``h`` agrees with ``g`` off them (see ``_end_off``); None if it does not."""
-    fork = next(i for i, (a, b) in enumerate(zip(p, q)) if a != b)  # a binary node of g
+def _ends_off(h: Formula, g: Formula, p: str, q: str) -> tuple[Formula, Formula] | None:
+    """The nodes of ``h`` at ``g``'s two surface leaf specs ``p`` and ``q``, left one first, if
+    ``h`` agrees with ``g`` off the way to them (see ``_end_off``); None if it does not."""
+    fork = next(i for i in range(0, len(p), 2) if p[i] != q[i])  # at a binary node of g
     top = _end_off(h, g, p[:fork])
     if top is None or type(top[0]) is not type(top[1]):
         return None
-    (h, g), (p, q) = top, (p, q) if p[fork] == 1 else (q, p)
-    left, right = _end_off(h.left, g.left, p[fork + 1 :]), _end_off(h.right, g.right, q[fork + 1 :])
+    (h, g), (p, q) = top, (p, q) if p[fork] == "1" else (q, p)
+    left, right = _end_off(h.left, g.left, p[fork + 2 :]), _end_off(h.right, g.right, q[fork + 2 :])
     return None if left is None or right is None else (left[0], right[0])
 
 
-def _end_off(h: Formula, g: Formula, path: Path) -> tuple[Formula, Formula] | None:
-    """The nodes of ``h`` and of ``g`` at ``path``, which passes only negations, annotations
-    and binary connectives of ``g``, if ``h`` agrees with ``g`` off it: each node on it has
-    ``g``'s connective and agent, and each child off it equals ``g``'s (``==``, which returns
-    at once on a shared subtree). None if it does not."""
-    for step in path:
-        kind = type(g)
+def _end_off(h: Formula, g: Formula, spec: str) -> tuple[Formula, Formula] | None:
+    """The nodes of ``h`` and of ``g`` where the descent along ``spec``, which ``g`` reads to
+    the end, stops (as ``occurrence_at``'s), if ``h`` agrees with ``g`` off the way: each node
+    passed has ``g``'s connective and agent, and each child off the way equals ``g``'s (``==``,
+    which returns at once on a shared subtree). None if it does not."""
+    i = 0
+    while (kind := type(g)) is Not or kind is EnvAnn or i < len(spec):
         if type(h) is not kind or (kind is EnvAnn and h.agent != g.agent):
             return None
         if kind is Not or kind is EnvAnn:
             h, g = h.child, g.child
             continue
-        h, g, off, g_off = (h.left, g.left, h.right, g.right) if step == 1 else (h.right, g.right, h.left, g.left)
+        h, g, off, g_off = (h.left, g.left, h.right, g.right) if spec[i] == "1" else (h.right, g.right, h.left, g.left)
         if off is not g_off and off != g_off:
             return None
+        i += 2
     return h, g
 
 

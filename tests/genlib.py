@@ -1,5 +1,6 @@
 """Seeded random formula generators shared by the property and acceptance tests, and the
-reference definitions the tests check the package against: path queries, elementarization,
+reference definitions the tests check the package against: path queries and a path-based
+replacement (the package addresses an occurrence by its spec alone), elementarization,
 classical evaluation, the termination measure, the machine-choice premises and the flipped
 run. Each is written from its definition by plain recursion over public ``clbk`` names, so
 that it stays independent of the code it checks."""
@@ -8,6 +9,7 @@ import random
 from itertools import product
 
 from clbk.formula import (
+    ATOM_KINDS,
     BINARY_KINDS,
     CHOICE_KINDS,
     NEGATIVE,
@@ -29,9 +31,7 @@ from clbk.formula import (
     elementary_names,
     env_chooses,
     rebuild,
-    substitute_at,
     surface_leaves,
-    surface_occurrences,
     transform,
 )
 from clbk.prover import BranchPremise, RuleC, prove
@@ -60,6 +60,28 @@ def trail(f, path):
 
 def child_at(f, path):
     return trail(f, path)[-1]
+
+
+def replace_at(f, path, g):
+    """``f`` with the node at ``path`` replaced by ``g``; every node off ``path`` is kept."""
+    if not path:
+        return g
+    kids = list(children(f))
+    kids[path[0] - 1] = replace_at(kids[path[0] - 1], path[1:], g)
+    return rebuild(f, kids)
+
+
+def leaf_paths(f, path=()):
+    """The path of each surface leaf of ``f`` (an atom, a truth constant or a choice not under
+    a choice operator), left to right: the order of ``surface_leaves``."""
+    if isinstance(f, (*ATOM_KINDS, *CHOICE_KINDS)):
+        return [path]
+    return [leaf for i, kid in enumerate(children(f), start=1) for leaf in leaf_paths(kid, path + (i,))]
+
+
+def path_to(f, spec):
+    """The path of the surface leaf of ``f`` whose ``specification`` is ``spec``, or None."""
+    return next((path for path in leaf_paths(f) if specification(f, path) == spec), None)
 
 
 def polarity(f, path):
@@ -151,9 +173,9 @@ def premises_B(f):
     """One premise per branch of each surface choice the machine picks: a negative choice
     conjunction or a positive choice disjunction."""
     return [
-        BranchPremise(occ.spec, i, occ.env, substitute_at(f, occ.path, part))
-        for occ in surface_occurrences(f, "choice")
-        if not env_chooses(occ)
+        BranchPremise(occ.spec, i, occ.env, replace_at(f, path, part))
+        for occ, path in zip(surface_leaves(f), leaf_paths(f))
+        if isinstance(occ.node, CHOICE_KINDS) and not env_chooses(occ)
         for i, part in enumerate(occ.node.parts, start=1)
     ]
 

@@ -7,7 +7,7 @@ import time
 
 from clbk.agents import Simulation
 from clbk.cli import main
-from clbk.formula import POSITIVE, parse_formula, print_formula, resolve_spec, surface_occurrences
+from clbk.formula import POSITIVE, occurrence_at, parse_formula, print_formula, surface_occurrences
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
 from clbk import engine
 from clbk.prover import (
@@ -32,7 +32,6 @@ from genlib import (
     random_elementary,
     random_provable,
     rules_preorder,
-    specification,
 )
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -254,8 +253,7 @@ def test_criterion_6_formula_calculus_properties():
         f = random_ast(rng, depth=5)
         for kind in ("choice", "general", "hybrid"):
             for occ in surface_occurrences(f, kind):
-                assert specification(f, occ.path) == occ.spec
-                assert resolve_spec(f, occ.spec) == occ.path
+                assert occurrence_at(f, occ.spec) == occ
         assert is_elementary(elementarize(f))
 
     from clbk.classical import is_valid

@@ -405,10 +405,10 @@ def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypa
     roots = []
     walk = formula._surface_walk
 
-    def counted(out, node, path, *rest):
-        if not path:
+    def counted(out, node, spec, *rest):
+        if not spec:  # the walk recurses only into left operands, whose specs end in "1."
             roots.append(node)
-        return walk(out, node, path, *rest)
+        return walk(out, node, spec, *rest)
 
     monkeypatch.setattr(games, "_PAYLOAD_RE", Counting())
     monkeypatch.setattr(formula, "_surface_walk", counted)

@@ -237,6 +237,41 @@ def test_play_interactive_names_a_move_at_no_occurrence(tmp_path, monkeypatch, c
     )
 
 
+@pytest.mark.parametrize(
+    "formula, lines, out",
+    [
+        (
+            "(C -> C) @ w",
+            "x=3\n2.x=3\n",
+            "ignored move at '': no game there\n1 env B 2.x=3\n2 m T 1.x=3\n",
+        ),
+        (
+            "((p & q) -> (p & q)) @ w",
+            "2.3\n2.1\n",
+            "ignored move at '2.': no branch 3\n1 env B 2.1\n2 m T 1.1\n",
+        ),
+        (
+            "((p & q) -> (p & q)) @ w",
+            "1.1\n2.2\n",
+            "ignored move at '1.': the machine's choice\n1 env B 2.2\n2 m T 1.2\n",
+        ),
+        (
+            "((p & q) -> (p & q)) @ w",
+            "2.1\n2.2\n",
+            "1 env B 2.1\n2 m T 1.1\nignored move at '2.': no choice there\n",
+        ),
+    ],
+    ids=["at-a-connective", "branch-out-of-range", "machine-choice", "resolved-choice"],
+)
+def test_play_interactive_names_why_a_move_is_ignored(tmp_path, monkeypatch, capsys, formula, lines, out):
+    """A well-formed move at an occurrence that the engine does not apply (a move at a
+    connective, a branch out of range, a choice the machine makes, a choice already resolved)
+    is ignored with a line that names its spec and the engine's reason, and play goes on."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+    bind = write_bind(tmp_path, "game C = coffee(zmax=10)\n")
+    assert run_cli(capsys, "play", formula, "--scripts", bind, "--interactive") == (0, out + "winner: T\n", "")
+
+
 def test_play_interactive_applies_the_step_budget_after_each_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2.1\n"))
     code, out, _ = run_cli(capsys, "play", "((p & q) -> (p & q)) @ w", "--interactive", "--max-steps", "1")

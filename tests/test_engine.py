@@ -23,6 +23,7 @@ from clbk.formula import (
     Not,
     Or,
     POSITIVE,
+    SPEC_RE,
     Truth,
     env_chooses,
     parse_formula,
@@ -30,7 +31,7 @@ from clbk.formula import (
     surface_occurrences,
 )
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
-from clbk.prover import ProofTree, RuleA, RuleB, hybridize, premises_A, prove
+from clbk.prover import ProofTree, RuleA, RuleB, RuleC, hybridize, premises_A, prove
 from genlib import flip_run, premises_B, random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
@@ -113,6 +114,7 @@ def test_env_move_requires_environment_label():
     s = coffee_session()
     engine.machine_turn(s)
     heard = listen(s)
+    assert engine.move_refusal(s, Labmove(T, "2.1.", "x=3")) == "not an environment move"
     engine.env_move(s, Labmove(T, "2.1.", "x=3"))
     assert heard == []
     assert s.run == []
@@ -172,6 +174,58 @@ def test_env_move_ignores_unmatched_moves():
     assert s.run == []
 
 
+@pytest.mark.parametrize(
+    "src, moves, reason",
+    [
+        ("(C /\\ C) -> (C \\/ C) @ w", ["9.9.x=1"], "no occurrence there"),
+        ("(C /\\ C) -> (C \\/ C) @ w", ["1.7"], "no choice there"),
+        ("(C /\\ C) -> (C \\/ C) @ w", ["1.x=1"], "no game there"),
+        ("(C -> C) @ w", ["x=3"], "no game there"),
+        ("((p & q) -> (p & q)) @ w", ["2.3"], "no branch 3"),
+        ("((p & q) -> (p & q)) @ w", ["2.0"], "no branch 0"),
+        ("((p & q) -> (p & q)) @ w", ["1.1"], "the machine's choice"),
+        ("((p & q) -> (p & q)) @ w", ["2.1", "2.2"], "no choice there"),
+        ("((p & q) -> (p & q)) @ w", ["2.1", "x=1"], "no game there"),
+        ("C_p \\/ ~p", ["1.x=3"], "no copy-cat partner"),
+    ],
+    ids=["no-occurrence", "choice-at-a-connective", "move-at-a-connective", "move-at-the-root", "branch-3",
+         "branch-0", "machine-choice", "resolved-choice", "move-at-a-resolved-root", "lone-hybrid"],
+)
+def test_move_refusal_names_why_env_move_ignores_a_move(src, moves, reason):
+    """``env_move`` applies the moves before the last, for which ``move_refusal`` gives None,
+    and ignores the last, for which it gives the reason: the session neither moves nor plays."""
+    s = coffee_session(src)
+    engine.machine_turn(s)
+    *played, last = [Labmove(B, *_split(text)) for text in moves]
+    for lm in played:
+        assert engine.move_refusal(s, lm) is None
+        engine.env_move(s, lm)
+    node, run, heard = s.node, list(s.run), listen(s)
+    assert engine.move_refusal(s, last) == reason
+    engine.env_move(s, last)
+    assert (heard, s.run, s.node) == ([], run, node)
+
+
+def test_move_refusal_refuses_a_choice_before_play_reaches_a_closure_node():
+    """Before ``machine_turn`` walks the pairing at the root, an environment choice has no
+    closure premise to enter; once play rests at the closure node, it enters one."""
+    s = coffee_session("((C -> C) /\\ ((p & q) -> (p & q))) @ w")
+    lm = Labmove(B, "2.2.", "1")
+    assert engine.move_refusal(s, lm) == "not at a closure node"
+    engine.env_move(s, lm)
+    assert s.run == [] and isinstance(s.node.rule, RuleC)
+    engine.machine_turn(s)
+    assert engine.move_refusal(s, lm) is None
+    engine.env_move(s, lm)
+    assert [str(m) for m in s.run] == ["B2.2.1", "T2.1.1"]
+
+
+def _split(text):
+    """A move line's (spec, payload), as ``clbk play --interactive`` splits it."""
+    spec = SPEC_RE.match(text).group()
+    return spec, text[len(spec):]
+
+
 def test_env_choice_enters_the_premise_listed_by_premises_A(monkeypatch):
     """At the first closure node of a proof, each branch ``premises_A`` lists, chosen by the
     environment, enters the premise at that entry's position, whose conclusion is the entry's
@@ -196,6 +250,7 @@ def test_env_choice_enters_the_premise_listed_by_premises_A(monkeypatch):
         for k, entry in enumerate(premises_A(s.formula)):
             s = at_closure()
             entered.clear()
+            assert engine.move_refusal(s, Labmove(B, entry.spec, str(entry.branch))) is None
             engine.env_move(s, Labmove(B, entry.spec, str(entry.branch)))
             assert entered[0] is node.premises[k], print_formula(f)
             assert entered[0].conclusion == entry.formula
@@ -205,9 +260,11 @@ def test_env_choice_enters_the_premise_listed_by_premises_A(monkeypatch):
         refused = [("out of range", spec, str(n + 1)) for spec, n in branches.items()]
         refused += [("machine-owned", e.spec, str(e.branch)) for e in premises_B(s.formula)]
         refused += [("atom", spec, "1") for spec in s.atoms]
+        reasons = {"machine-owned": "the machine's choice", "atom": "no choice there"}
         played = list(s.run)
         heard = listen(s)
         for kind, spec, payload in refused:
+            assert engine.move_refusal(s, Labmove(B, spec, payload)) == reasons.get(kind, f"no branch {payload}")
             engine.env_move(s, Labmove(B, spec, payload))
             assert heard == [] and s.run == played and s.node is node, (kind, print_formula(f))
             seen[kind] += 1

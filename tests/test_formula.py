@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,21 +31,24 @@ from clbk.formula import (
     parse_formula,
     print_formula,
     rebuild,
-    resolve_spec,
     substitute_at,
     surface_leaves,
     surface_occurrences,
     transform,
 )
+from clbk.prover import _paired
 from genlib import (
     child_at,
     elementarize,
     is_elementary,
+    leaf_paths,
     polarity,
     random_ast,
+    replace_at,
     skeleton,
     spec_strings,
     specification,
+    trail,
 )
 
 p, q, r = Elementary("p"), Elementary("q"), Elementary("r")
@@ -228,6 +230,7 @@ def test_occurrences_refuse_assignment():
     with pytest.raises(TypeError):
         occ[0] = p
     assert occ.node == C
+    assert occ._fields == ("node", "spec", "polarity", "env")
 
 
 def test_skeleton_removes_annotation():
@@ -292,16 +295,13 @@ def test_surface_matching_environment():
 
 def test_specification_examples():
     f = parse_formula("(p & q) -> r")
-    occ = surface_occurrences(f, "choice")[0]
-    assert specification(f, occ.path) == "1."
+    assert leaf_paths(f)[0] == (1,) and specification(f, (1,)) == "1."
 
     g = parse_formula("~(P \\/ Q)")
-    occs = surface_occurrences(g, "general")
-    assert specification(g, occs[1].path) == "2."
+    assert leaf_paths(g)[1] == (1, 2) and specification(g, (1, 2)) == "2."
 
     h = parse_formula("((C /\\ C) -> (C \\/ C)) @ w")
-    occs = surface_occurrences(h, "general")
-    assert specification(h, occs[3].path) == "2.2."
+    assert leaf_paths(h)[3] == (1, 2, 2) and specification(h, (1, 2, 2)) == "2.2."
 
 
 def test_specification_rejects_choice_crossing():
@@ -310,33 +310,38 @@ def test_specification_rejects_choice_crossing():
         specification(f, (1,))
 
 
-def test_resolve_spec_examples():
+def test_occurrence_at_examples():
     f = parse_formula("p -> q")
-    assert child_at(f, resolve_spec(f, "2.")) == q
+    assert occurrence_at(f, "2.") == (q, "2.", POSITIVE, None)
 
-    g = parse_formula("(C /\\ C) -> (C \\/ C)")
-    assert resolve_spec(g, "1.2.") == (1, 2)
+    g = parse_formula("~(C /\\ C) -> (C \\/ C) @ w")
+    assert occurrence_at(g, "1.2.") == (C, "1.2.", POSITIVE, "w")
 
-    with pytest.raises(FormulaError):
-        resolve_spec(parse_formula("p & q"), "1.")
+    # no step enters a choice: the read stops at it
+    assert occurrence_at(parse_formula("p & q"), "1.").spec == ""
 
     # a spec that ends at a binary connective addresses it
-    assert resolve_spec(parse_formula("p /\\ q"), "") == ()
-    assert resolve_spec(parse_formula("(P /\\ Q) -> R"), "1.") == (1,)
+    assert occurrence_at(parse_formula("p /\\ q"), "") == (And(p, q), "", POSITIVE, None)
+    assert occurrence_at(parse_formula("(P /\\ Q) -> R"), "1.").node == parse_formula("P /\\ Q")
 
 
 def test_substitute_examples():
     f = parse_formula("p /\\ q")
-    assert substitute_at(f, (2,), r) == parse_formula("p /\\ r")
+    assert substitute_at(f, "2.", r) == parse_formula("p /\\ r")
 
     g = parse_formula("(p & q) -> p")
     occ = surface_occurrences(g, "choice")[0]
-    assert substitute_at(g, occ.path, p) == parse_formula("p -> p")
+    assert substitute_at(g, occ.spec, p) == parse_formula("p -> p")
 
     h = parse_formula("C -> C")
-    h1 = substitute_at(h, (1,), Hybrid("C", "p"))
-    h2 = substitute_at(h1, (2,), Hybrid("C", "p"))
+    h1 = substitute_at(h, "1.", Hybrid("C", "p"))
+    h2 = substitute_at(h1, "2.", Hybrid("C", "p"))
     assert h2 == parse_formula("C_p -> C_p")
+
+    # negations and annotations on the way are kept, as occurrence_at passes them
+    k = parse_formula("~(p /\\ ~C) @ w")
+    assert substitute_at(k, "2.", q) == parse_formula("~(p /\\ ~q) @ w")
+    assert substitute_at(k, "", r) == parse_formula("~r @ w")
 
 
 def test_is_elementary():
@@ -378,18 +383,19 @@ def test_round_trip_hypothesis(seed):
 
 
 def test_specification_resolve_inverse():
+    """Each surface leaf's spec is the ``specification`` of its path, and ``occurrence_at``
+    reads that spec back to the node at the path."""
     rng = random.Random(7)
     for _ in range(300):
         f = random_ast(rng, depth=5)
-        for kind in ("choice", "general", "hybrid"):
-            for occ in surface_occurrences(f, kind):
-                assert specification(f, occ.path) == occ.spec
-                assert resolve_spec(f, occ.spec) == occ.path
+        for occ, path in zip(surface_leaves(f), leaf_paths(f), strict=True):
+            assert specification(f, path) == occ.spec
+            assert occurrence_at(f, occ.spec).node is child_at(f, path)
 
 
 def test_occurrence_at_finds_every_surface_leaf():
     """``occurrence_at`` along a leaf's spec gives that leaf as ``surface_leaves`` does: the
-    same node, path, spec, polarity and agent, on random formulas with negations, choices and
+    same node, spec, polarity and agent, on random formulas with negations, choices and
     annotations."""
     rng = random.Random(20261021)
     checked = 0
@@ -403,28 +409,41 @@ def test_occurrence_at_finds_every_surface_leaf():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63))
-def test_resolve_spec_returns_a_path_exactly_where_occurrence_at_reads_the_whole_spec(seed):
+def test_occurrence_at_reads_the_longest_prefix_that_addresses_a_node(seed):
     """On leaf specs and their prefixes, specs past a leaf or into a choice, steps ``0.``,
     ``3.`` and ``01.``, a missing final dot and non-ASCII digits (``spec_strings``):
-    ``occurrence_at`` reads a prefix of the spec up to a node at that prefix's path and
-    polarity, and ``resolve_spec`` returns that node's path exactly when the read is the
-    whole spec."""
+    ``occurrence_at`` reads a prefix of the spec that addresses a node, and gives that node
+    with its polarity; it reads the whole spec exactly when the spec addresses a node."""
     f = random_ast(random.Random(seed), depth=5)
+    addressed = _addressed(f)
     for spec in spec_strings(f):
         occ = occurrence_at(f, spec)
         assert spec.startswith(occ.spec)
-        assert child_at(f, occ.path) is occ.node and polarity(f, occ.path) == occ.polarity
-        try:
-            path = resolve_spec(f, spec)
-        except FormulaError:
-            path = None
-        assert path == (occ.path if occ.spec == spec else None), (print_formula(f), spec)
+        path = addressed[occ.spec]
+        assert child_at(f, path) is occ.node and polarity(f, path) == occ.polarity
+        assert (occ.spec == spec) == (spec in addressed), (print_formula(f), spec)
 
 
 def _paths(f, path=()):
     yield path
     for i, c in enumerate(children(f), start=1):
         yield from _paths(c, path + (i,))
+
+
+def _addressed(f):
+    """Each spec that addresses a node of ``f``, mapped to that node's path: the paths that
+    cross no choice, by their ``specification``, less those that end at a negation or an
+    annotation, which a spec passes."""
+    out = {}
+    for path in _paths(f):
+        try:
+            spec = specification(f, path)
+        except FormulaError:
+            continue
+        if not isinstance(child_at(f, path), (Not, EnvAnn)):
+            assert spec not in out
+            out[spec] = path
+    return out
 
 
 def test_transform_identity_returns_same_object():
@@ -447,8 +466,31 @@ def test_substitute_own_subformula_is_identity():
     rng = random.Random(29)
     for _ in range(300):
         f = random_ast(rng, depth=5)
-        for path in _paths(f):
-            assert substitute_at(f, path, child_at(f, path)) == f
+        for spec, path in _addressed(f).items():
+            assert substitute_at(f, spec, child_at(f, path)) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_substitute_at_agrees_with_the_path_reference(seed):
+    """On random formulas with negations, annotations and choices: at every surface leaf (an
+    atom, a truth constant or a choice), ``substitute_at`` along the leaf's spec equals the
+    reference replacement along its path, and keeps every child off the way as the same
+    object; and the prover's ``_paired`` at two leaves equals two ``substitute_at`` calls."""
+    rng = random.Random(seed)
+    marker = Elementary("zz")
+    for _ in range(5):
+        f = random_ast(rng, depth=rng.randint(1, 5))
+        leaves = list(zip(surface_leaves(f), leaf_paths(f), strict=True))
+        for occ, path in leaves:
+            got = substitute_at(f, occ.spec, marker)
+            assert got == replace_at(f, path, marker), (print_formula(f), occ.spec)
+            for node, new, step in zip(trail(f, path), trail(got, path), path):
+                kept = [a is b for i, (a, b) in enumerate(zip(children(node), children(new)), 1) if i != step]
+                assert all(kept), (print_formula(f), occ.spec)
+        for (a, _), (b, _) in zip(leaves, leaves[1:]):
+            want = substitute_at(substitute_at(f, a.spec, marker), b.spec, marker)
+            assert _paired(f, a.spec, b.spec, marker) == want == _paired(f, b.spec, a.spec, marker)
 
 
 def test_note_names_matches_recursive_definition():
@@ -493,32 +535,32 @@ def test_polarity_flips_under_negation_and_antecedent():
     rng = random.Random(17)
     for _ in range(200):
         f = random_ast(rng, depth=4)
-        for occ in surface_occurrences(f, "general"):
+        for occ, path in zip(surface_leaves(f), leaf_paths(f)):
             wrapped = Not(f)
-            assert polarity(wrapped, (1,) + occ.path) == -occ.polarity
+            assert polarity(wrapped, (1,) + path) == -occ.polarity
             ante = Implies(f, q)
-            assert polarity(ante, (1,) + occ.path) == -occ.polarity
+            assert polarity(ante, (1,) + path) == -occ.polarity
 
 
 # --- the surface walk against the generator walk it replaced -----------------
 
 
-def _reference_surface_walk(node, path=(), spec="", sign=POSITIVE, env=None):
+def _reference_surface_walk(node, spec="", sign=POSITIVE, env=None):
     """The leaf occurrences (atoms, truth constants and choices) not under a choice operator,
     as a chain of generators: the plain recursive statement of the walk."""
     match node:
         case EnvAnn(c, agent):
-            yield from _reference_surface_walk(c, path + (1,), spec, sign, agent)
+            yield from _reference_surface_walk(c, spec, sign, agent)
         case Not(c):
-            yield from _reference_surface_walk(c, path + (1,), spec, -sign, env)
+            yield from _reference_surface_walk(c, spec, -sign, env)
         case Implies(l, r):
-            yield from _reference_surface_walk(l, path + (1,), spec + "1.", -sign, env)
-            yield from _reference_surface_walk(r, path + (2,), spec + "2.", sign, env)
+            yield from _reference_surface_walk(l, spec + "1.", -sign, env)
+            yield from _reference_surface_walk(r, spec + "2.", sign, env)
         case And(l, r) | Or(l, r):
-            yield from _reference_surface_walk(l, path + (1,), spec + "1.", sign, env)
-            yield from _reference_surface_walk(r, path + (2,), spec + "2.", sign, env)
+            yield from _reference_surface_walk(l, spec + "1.", sign, env)
+            yield from _reference_surface_walk(r, spec + "2.", sign, env)
         case _:
-            yield node, path, spec, sign, env
+            yield node, spec, sign, env
 
 
 _REFERENCE_KINDS = {
@@ -534,7 +576,7 @@ def assert_walk_matches_reference(f):
     for kind, cls in _REFERENCE_KINDS.items():
         expected = [occ for occ in _reference_surface_walk(f) if isinstance(occ[0], cls)]
         got = surface_occurrences(f, kind)
-        assert [(o.node, o.path, o.spec, o.polarity, o.env) for o in got] == expected, (kind, print_formula(f))
+        assert [tuple(o) for o in got] == expected, (kind, print_formula(f))
         assert all(o.node is e[0] for o, e in zip(got, expected))
 
 
@@ -608,19 +650,21 @@ ERROR_FORMULA = parse_formula("(p /\\ C) -> (p & q)")
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "spec, read",
     [
-        (lambda f: substitute_at(f, (1, 3), Truth(True)), "path step 3 does not resolve in p /\\ C"),
-        (lambda f: resolve_spec(f, "1.x"), "malformed specification string '1.x'"),
-        (lambda f: resolve_spec(f, "3."), "specification '3.' does not address an occurrence"),
-        (lambda f: resolve_spec(f, "1.1.1."), "specification '1.1.1.' does not address an occurrence"),
-        (lambda f: resolve_spec(f, "2.1."), "specification '2.1.' crosses a choice operator"),
-        (lambda f: resolve_spec(f, "01."), "specification '01.' does not address an occurrence"),
-        (lambda f: resolve_spec(f, "\u0661.\u0662."), "malformed specification string '\u0661.\u0662.'"),
+        ("1.x", "1."),
+        ("3.", ""),
+        ("1.1.1.", "1.1."),
+        ("2.1.", "2."),
+        ("01.", ""),
+        ("\u0661.\u0662.", ""),
     ],
-    ids=["substitute_at", "resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice",
-         "resolve-leading-zero", "resolve-non-ascii-digit"],
+    ids=["resolve-malformed", "resolve-past-end", "resolve-below-atom", "resolve-choice", "resolve-leading-zero",
+         "resolve-non-ascii-digit"],
 )
-def test_paths_and_specs_that_do_not_resolve_name_the_step(call, message):
-    with pytest.raises(FormulaError, match=f"^{re.escape(message)}$"):
-        call(ERROR_FORMULA)
+def test_paths_and_specs_that_do_not_resolve_name_the_step(spec, read):
+    """A spec that addresses no node is read up to the step that does not resolve: a step
+    that is no ``1.`` or ``2.``, a step past an atom, or a step into a choice."""
+    occ = occurrence_at(ERROR_FORMULA, spec)
+    assert occ.spec == read != spec
+    assert occ.node is occurrence_at(ERROR_FORMULA, read).node

@@ -16,7 +16,6 @@ from clbk.formula import (
     And,
     Elementary,
     EnvAnn,
-    FormulaError,
     General,
     Hybrid,
     Implies,
@@ -30,8 +29,6 @@ from clbk.formula import (
     parse_formula,
     print_formula,
     rebuild,
-    resolve_spec,
-    substitute_at,
     surface_leaves,
     surface_occurrences,
     transform,
@@ -56,11 +53,14 @@ from genlib import (
     child_at,
     elementarize,
     evaluate,
+    leaf_paths,
     measure,
+    path_to,
     premises_B,
     random_ast,
     random_body,
     random_provable,
+    replace_at,
     rules_preorder,
     skeleton,
     spec_strings,
@@ -300,7 +300,7 @@ def _reference_hybridize(t):
 def _reference_convert(node, renaming):
     rule, inner = node.rule, renaming
     if isinstance(rule, RuleC):
-        general = child_at(node.conclusion, resolve_spec(node.conclusion, rule.pos_spec)).name
+        general = child_at(node.conclusion, path_to(node.conclusion, rule.pos_spec)).name
         inner = {rule.name: Hybrid(general, rule.name)} | renaming
     conclusion = transform(node.conclusion, lambda n: renaming.get(n.name, n) if isinstance(n, Elementary) else n)
     return ProofTree(conclusion, rule, tuple(_reference_convert(p, inner) for p in node.premises))
@@ -344,7 +344,7 @@ def _reference_verify(t, winnable=frozenset()):
                 return False
             if len(t.premises) != 1:
                 return False
-            if t.premises[0].conclusion != substitute_at(g, occ.path, occ.node.parts[branch - 1]):
+            if t.premises[0].conclusion != replace_at(g, path_to(g, spec), occ.node.parts[branch - 1]):
                 return False
         case RuleC(pos_spec, neg_spec, name):
             poss = [o for o in surface_occurrences(g, "general") if o.spec == pos_spec and o.polarity == POSITIVE]
@@ -360,8 +360,8 @@ def _reference_verify(t, winnable=frozenset()):
                 return False
             candidates = []
             for replacement in (Elementary(name), Hybrid(pi.node.name, name)):
-                h = substitute_at(g, pi.path, replacement)
-                h = substitute_at(h, nu.path, replacement)
+                h = replace_at(g, path_to(g, pi.spec), replacement)
+                h = replace_at(h, path_to(g, nu.spec), replacement)
                 candidates.append(h)
             if t.premises[0].conclusion not in candidates:
                 return False
@@ -381,30 +381,30 @@ def _rule_c_mutants(tree):
             continue
         g, premise = node.conclusion, node.premises[0]
         h = premise.conclusion
-        pos, neg = resolve_spec(g, rule.pos_spec), resolve_spec(g, rule.neg_spec)
+        pos, neg = path_to(g, rule.pos_spec), path_to(g, rule.neg_spec)
         general = child_at(g, pos).name
         end = child_at(h, pos)
 
         def paired(f, p, q, atom):
-            return substitute_at(substitute_at(f, p, atom), q, atom)
+            return replace_at(replace_at(f, p, atom), q, atom)
 
         def with_premise(conclusion, rule=rule):
             # a proof of the new premise, where there is one, leaves the verdict to this node
             proof = prove(conclusion) or ProofTree(conclusion, premise.rule, premise.premises)
             return _replace_node(tree, at, rule=rule, premises=(proof,))
 
-        off = [occ.path for occ in surface_occurrences(h, "leaf") if occ.path not in (pos, neg)]
+        off = [path for path in leaf_paths(h) if path not in (pos, neg)]
         if off:
-            yield "off-path leaf", with_premise(substitute_at(h, off[0], Elementary("zz")))
+            yield "off-path leaf", with_premise(replace_at(h, off[0], Elementary("zz")))
         for annotated in (pos[:i] for i in range(len(pos))):
             ann = child_at(h, annotated)
             if type(ann) is EnvAnn:
-                yield "agent on a path", with_premise(substitute_at(h, annotated, EnvAnn(ann.child, ann.agent + "x")))
+                yield "agent on a path", with_premise(replace_at(h, annotated, EnvAnn(ann.child, ann.agent + "x")))
                 break
         other = "D" if general != "D" else "C"
         yield "hybrid of another name", with_premise(paired(h, pos, neg, Hybrid(other, rule.name)))
         mixed = Hybrid(general, rule.name) if type(end) is Elementary else Elementary(rule.name)
-        yield "unlike ends", with_premise(substitute_at(h, neg, mixed))
+        yield "unlike ends", with_premise(replace_at(h, neg, mixed))
         for taken in sorted(elementary_names(g))[:1]:
             atom = Hybrid(general, taken) if type(end) is Hybrid else Elementary(taken)
             renamed = RuleC(rule.pos_spec, rule.neg_spec, taken)
@@ -412,7 +412,7 @@ def _rule_c_mutants(tree):
         for occ in surface_occurrences(g, "general"):
             if occ.polarity == NEGATIVE and occ.node.name != general:
                 crossed = RuleC(rule.pos_spec, occ.spec, rule.name)
-                yield "two names", with_premise(paired(g, pos, occ.path, end), crossed)
+                yield "two names", with_premise(paired(g, pos, path_to(g, occ.spec), end), crossed)
                 break
         yield "swapped specs", _replace_node(tree, at, rule=RuleC(rule.neg_spec, rule.pos_spec, rule.name))
         for undotted in (rule.pos_spec[:-1], rule.pos_spec + "1"):
@@ -539,9 +539,9 @@ def test_hybridize_agrees_with_full_rewrite_and_shares_off_path_children():
             for (_, node), (_, hnode) in zip(_tree_nodes(form), _tree_nodes(hybrid)):
                 g, rule = node.conclusion, node.rule
                 if isinstance(rule, RuleB):
-                    paths = [resolve_spec(g, rule.spec)]
+                    paths = [path_to(g, rule.spec)]
                 elif isinstance(rule, RuleC):
-                    paths = [resolve_spec(g, rule.pos_spec), resolve_spec(g, rule.neg_spec)]
+                    paths = [path_to(g, rule.pos_spec), path_to(g, rule.neg_spec)]
                 else:
                     continue
                 for a, b in _off_path_pairs(hnode.premises[0].conclusion, hnode.conclusion, paths):
@@ -877,7 +877,7 @@ def _keeps_a_walk(f):
 
 
 def _fields(leaves):
-    return [(o.node, o.path, o.spec, o.polarity, o.env) for o in leaves]
+    return [tuple(o) for o in leaves]
 
 
 def test_search_keeps_no_walk_on_its_nodes(monkeypatch):
@@ -930,11 +930,11 @@ def test_leaf_at_refuses_a_spec_that_addresses_no_leaf(spec):
     assert occ.spec != spec or type(occ.node) in BINARY_KINDS
 
 
-def test_verify_proof_reads_a_rule_spec_as_resolve_spec_does():
+def test_verify_proof_reads_a_rule_spec_as_the_reference_does():
     """A rule-B or rule-C node whose spec (the positive one for rule C) is replaced by any
-    of ``spec_strings`` of its conclusion verifies exactly when ``resolve_spec`` resolves
-    that string to the occurrence the rule named: ``verify_proof`` and ``resolve_spec`` read
-    one spec grammar."""
+    of ``spec_strings`` of its conclusion verifies exactly when that string is the
+    ``specification`` of the path of the occurrence the rule named (``path_to``):
+    ``verify_proof`` reads the spec grammar the path reference writes."""
     rng = random.Random(73)
     checked = Counter()
     for _, tree in random_provable(rng, 30) + random_provable(rng, 20, need_pairing=True):
@@ -946,12 +946,9 @@ def test_verify_proof_reads_a_rule_spec_as_resolve_spec_does():
                 named, respec = rule.pos_spec, lambda s: RuleC(s, rule.neg_spec, rule.name)
             else:
                 continue
-            target = resolve_spec(g, named)
+            target = path_to(g, named)
             for spec in spec_strings(g):
-                try:
-                    same = resolve_spec(g, spec) == target
-                except FormulaError:
-                    same = False
+                same = path_to(g, spec) == target
                 assert verify_proof(ProofTree(g, respec(spec), node.premises)) == same, (format_proof(tree), spec)
                 checked[type(rule), same] += 1
     assert len(checked) == 4 and min(checked.values()) >= 20, checked
