@@ -441,12 +441,13 @@ class Simulation:
             winnable=self.winnable[aid],
         )
         for occ in query.atoms.values():
-            # At a note-less occurrence, the manual of the agent that owes the good (the server at a
-            # positive one, the provider at a negative one) answers if that agent holds no seat there.
+            # Unless an h= note binds a heuristic (an s= note binds the other seat), the manual of the agent
+            # owing the good answers where it holds no seat: the server at a positive occurrence, else the provider.
             owner = aid if occ.polarity == POSITIVE else occ.env
             manual = self.manuals.get(owner, {}).get(occ.node.name)
-            if manual and occ.node.note is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
-                query.session.bindings[occ.spec].heuristic = manual
+            binding = query.session.bindings[occ.spec]
+            if manual and binding.heuristic is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
+                binding.heuristic = manual
         query.session.listener = lambda s, lm: self._on_append(query, lm)
         self.opened.append(query)
         for lm in query.early:

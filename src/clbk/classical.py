@@ -1,8 +1,8 @@
 """Classical propositional validity of elementary formulas. A formula is folded first, and the
-elementarization of any formula is folded straight from the formula (see ``is_valid``). Up to
-``_TABLE_ATOMS`` atoms, validity is one bit-parallel truth table (Knuth, TAOCP 4A, 7.1.3);
-above that, and for countermodels, Quine's truth-value analysis: split on an atom, fold the
-constants, and stop at the first branch that folds to F."""
+elementarization of any formula is folded straight from the formula (see ``is_valid``). One
+procedure, ``_falsify``, decides validity and finds countermodels: up to ``_TABLE_ATOMS``
+atoms, one bit-parallel truth table (Knuth, TAOCP 4A, 7.1.3) whose lowest false row is the
+countermodel; above that, Quine's truth-value analysis splits on atoms until a branch fits one."""
 
 from __future__ import annotations
 
@@ -32,12 +32,10 @@ Valuation = dict[str, bool]
 
 def countermodel(f: Formula) -> Valuation | None:
     """A valuation of every atom of f under which f is false, or None when f is valid;
-    rejects non-elementary input. Quine's analysis decides it at any number of atoms, as it
-    decides ``is_valid`` above ``_TABLE_ATOMS``; an atom the model does not need is false."""
+    rejects non-elementary input. ``_falsify`` decides it, as it decides ``is_valid``; an
+    atom the model does not need is false."""
     found = _falsify(_fold(f))
-    if found is None:
-        return None
-    return {name: found.get(name, False) for name in sorted(elementary_names(f))}
+    return None if found is None else {name: found.get(name, False) for name in sorted(elementary_names(f))}
 
 
 def is_valid(f: Formula, general: GeneralFold | None = None) -> bool:
@@ -46,25 +44,9 @@ def is_valid(f: Formula, general: GeneralFold | None = None) -> bool:
     With ``general``, the validity of ``f``'s elementarization, folded straight from ``f``
     with no elementarized copy built: each general atom folds to ``general(atom, sign)``,
     its polarity in ``f`` being ``sign``, a hybrid atom to its elementary component, a choice
-    conjunction to T and a choice disjunction to F.
-
-    A folded formula of n <= ``_TABLE_ATOMS`` atoms is evaluated on all 2^n rows at once:
-    atom i is the 2^n-bit mask of the rows where bit i is set, ``~``, ``&`` and ``|`` act on
-    whole masks, and the formula is valid iff every bit of the result is set. Above that,
-    ``_falsify`` decides."""
-    return _valid(_fold(f, POSITIVE, general))
-
-
-def _valid(g: Folded) -> bool:
-    """Whether the folded formula g is valid (see ``is_valid``)."""
-    if type(g) is bool:
-        return g
-    count: dict[str, int] = {}
-    _count(g, count)
-    if len(count) > _TABLE_ATOMS:
-        return _falsify(g) is None
-    full, *masks = _masks(len(count))
-    return _table(g, dict(zip(count, masks)), full) == full
+    conjunction to T and a choice disjunction to F. ``f`` is valid iff ``_falsify`` finds
+    no valuation that makes it false."""
+    return _falsify(_fold(f, POSITIVE, general)) is None
 
 
 # A folded formula is a bool, an atom name, or a tuple ("~", a), ("&", a, b) or ("|", a, b)
@@ -104,7 +86,7 @@ def _fold(f: Formula, sign: int = POSITIVE, general: GeneralFold | None = None) 
     raise FormulaError("not an elementary formula")
 
 
-# Above this many atoms the 2^n-bit masks of a table grow too large, and Quine's splits decide.
+# Above this many atoms the 2^n-bit masks of a table grow too large, and Quine's splits come first.
 _TABLE_ATOMS = 16
 
 
@@ -173,12 +155,20 @@ def _count(g: Folded, count: dict[str, int]) -> None:
 
 
 def _falsify(g: Folded) -> Valuation | None:
-    """A partial valuation under which g folds to F, or None when there is none. Splits on
-    the atom that occurs most often, trying True and then False for it."""
+    """A valuation of some of g's atoms under which g folds to F, or None when there is none.
+    A g of n <= ``_TABLE_ATOMS`` atoms is evaluated on all 2^n rows at once: atom i is the
+    2^n-bit mask of the rows where bit i is set, ``~``, ``&`` and ``|`` act on whole masks,
+    and the lowest clear bit of the result is the row returned. Above that, split on the atom
+    that occurs most often, trying True and then False for it."""
     if type(g) is bool:
         return None if g else {}
     count: dict[str, int] = {}
     _count(g, count)
+    if len(count) <= _TABLE_ATOMS:
+        full, *masks = _masks(len(count))
+        rows = _table(g, dict(zip(count, masks)), full)
+        row = (~rows & (rows + 1)).bit_length() - 1  # the lowest clear bit
+        return None if rows == full else {name: row >> i & 1 == 1 for i, name in enumerate(count)}
     name = max(count, key=count.__getitem__)
     for value in (True, False):
         found = _falsify(_assign(g, name, value))

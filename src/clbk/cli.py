@@ -151,12 +151,21 @@ def cmd_play(args) -> int:
             sink.close()
 
 
-def _write_traces(directory: str, report) -> None:
-    """Write the global trace and one file per agent, one move line each."""
+def _trace_files(agents: list[Agent]) -> dict[str, str]:
+    """The agent trace files' names, each with its agent's id. Two ids that give one name
+    are an input error, since one agent's trace would overwrite the other's."""
+    owners: dict[str, str] = {}
+    for aid in (agent.id for agent in agents):
+        name = f"agent-{re.sub(r'[^A-Za-z0-9]', '_', aid)}.txt"
+        if owners.setdefault(name, aid) != aid:
+            raise InputError(f"agents {owners[name]!r} and {aid!r} would both write the trace file {name!r}")
+    return owners
+
+
+def _write_traces(directory: str, report, owners: dict[str, str]) -> None:
+    """Write the global trace and one file per agent (see ``_trace_files``), one move line each."""
     os.makedirs(directory, exist_ok=True)
-    files = {"trace.txt": report.trace}
-    for aid, lines in report.agent_traces.items():
-        files[f"agent-{re.sub(r'[^A-Za-z0-9]', '_', aid)}.txt"] = lines
+    files = {"trace.txt": report.trace} | {name: report.agent_traces[aid] for name, aid in owners.items()}
     for name, lines in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
@@ -178,9 +187,10 @@ def cmd_simulate(args) -> int:
     agents = _scenario_agents(args.scenario)
     if args.max_steps < 0:
         raise InputError("--max-steps must not be negative")
+    owners = _trace_files(agents) if args.trace_dir else {}  # a duplicate id is left to Simulation
     report = Simulation(agents).run(args.max_steps)
     if args.trace_dir:
-        _write_traces(args.trace_dir, report)
+        _write_traces(args.trace_dir, report, owners)
     print(report.summary())
     for result in report.results:
         print(f"{result.qid} client={result.client} {print_formula(result.formula)}: {result.status}")

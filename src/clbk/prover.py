@@ -151,7 +151,7 @@ class _Walk:
     every elementary name in it, under choices too, a hybrid counting by its elementary
     component. The leaves are ``surface_leaves`` of the formula, or, for a pairing premise,
     derived from its conclusion's walk (``PairPremise.leaves``). Nothing keeps the walk on
-    its formula: the search's memo holds every node it expands until ``prove`` returns."""
+    its formula: the search's memo holds every proved node until ``prove`` returns."""
 
     __slots__ = ("leaves", "choices", "atoms", "names")
 
@@ -305,13 +305,15 @@ def _operands(node: Formula, kind: type, out: list[Formula]) -> list[Formula]:
 
 
 class _Search:
-    """One proof search: its fixed inputs, its two memos and the number of nodes expanded."""
+    """One proof search: its fixed inputs, its memos and the number of nodes expanded. A
+    proof is kept by its exact formula (``proofs``), a refutation by its ``memo_key`` alone
+    (``refuted``)."""
 
     def __init__(self, root_avoid: frozenset[str], winnable: frozenset[str], max_nodes: int | None):
         self.root_avoid = root_avoid
         self.winnable = winnable
         self.max_nodes = max_nodes
-        self.trees: dict[Formula, ProofTree | None] = {}
+        self.proofs: dict[Formula, ProofTree] = {}
         self.refuted: set[str] = set()
         self.expanded = 0
 
@@ -364,21 +366,16 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
-_UNSEEN = object()
-
-
 def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTree | None:
     """``prove`` at ``g``; ``pair`` is the pairing whose premise ``g`` is, if it is one."""
     # the root is neither looked up nor keyed nor stored: no node below it meets it (see prove)
     root = not s.expanded
-    if not root:
-        seen = s.trees.get(g, _UNSEEN)
-        if seen is not _UNSEEN:
-            return seen
-    # a provable search often refutes nothing, and then needs no key at all
+    if not root and (proof := s.proofs.get(g)) is not None:
+        return proof
+    # a provable search often refutes nothing, and then needs no key at all; an exact repeat
+    # of a refuted node has its key, so it ends here too, before the budget check
     key = memo_key(g, s.root_avoid) if s.refuted else None
     if key in s.refuted:
-        s.trees[g] = None
         return None
     if s.max_nodes is not None and s.expanded >= s.max_nodes:
         raise SearchBudgetExceeded(f"proof search exceeded {s.max_nodes} nodes")
@@ -413,9 +410,10 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
                 result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
                 break
     if not root:
-        s.trees[g] = result
         if result is None:
             s.refuted.add(memo_key(g, s.root_avoid) if key is None else key)
+        else:
+            s.proofs[g] = result
     return result
 
 

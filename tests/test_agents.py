@@ -132,6 +132,40 @@ def test_middleman_relays_each_move_once():
     assert report.heuristic_wins == [HeuristicWin("f", "C", "m:1", "1.", ("x=2", "y=3", "z=7"))]
 
 
+DIRECT_ORDER = """
+agent "*C" kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  script req = [x=2, y=3]
+  rb C{h=hx} @ God
+
+agent "+C" kind=regular
+  game C = coffee(zmax=10)
+  query C{s=req} @ "*C"
+"""
+
+
+def test_a_servers_manual_answers_a_direct_order_with_a_script_note():
+    """A client orders coffee from its provider directly. The query's ``s=`` note binds the
+    occurrence's environment seat, so the heuristic seat is free and the server's own manual
+    answers there: the session is won, the client is booked its coffee, and the answer is
+    the provider's heuristic win."""
+    report = Simulation(parse_scenario(DIRECT_ORDER)).run(1000)
+    assert report.quiescent and report.all_won()
+    assert [line.split(" ", 1)[1] for line in report.trace] == ["+C B x=2", "+C B y=3", "*C T z=7"]
+    assert report.heuristic_wins == [HeuristicWin("*C", "C", "*C:2", "", ("x=2", "y=3", "z=7"))]
+    assert report.ledgers["+C"] == {"received": Counter(C=1), "paid": Counter()}
+
+
+def test_an_h_note_wins_over_the_servers_manual():
+    """Where an ``h=`` note binds a heuristic, the server's manual is not bound over it."""
+    text = DIRECT_ORDER.replace("heuristic hx = coffee", "heuristic hx = coffee\n  heuristic hy = coffee")
+    sim = Simulation(parse_scenario(text.replace("C{s=req} @", "C{h=hy} @")))
+    sim.run(1000)
+    (query,) = [q for q in sim.opened if q.client == "+C"]
+    assert query.session.bindings[""].heuristic is sim.agents["*C"].heuristics["hy"]
+
+
 CHOSEN_GOOD = """
 agent f kind=provider
   game C = coffee(zmax=10)

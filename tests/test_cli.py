@@ -509,6 +509,43 @@ def test_simulate_middleman_counts_the_providers_answer_as_a_heuristic_win(tmp_p
     assert (tmp_path / "traces" / "agent-f.txt").read_text() == "5 f B 1.z=7\n"
 
 
+DIRECT_ORDER_SCENARIO = """\
+agent "*C" kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  script req = [x=2, y=3]
+  rb C{h=hx} @ God
+agent "+C"
+  game C = coffee(zmax=10)
+  query C{s=req} @ "*C"
+"""
+
+
+def test_simulate_a_direct_order_is_answered_by_the_servers_manual(tmp_path, capsys):
+    """A query with an ``s=`` note, sent straight to the provider, is answered by the
+    provider's manual."""
+    path = tmp_path / "direct.clbk"
+    path.write_text(DIRECT_ORDER_SCENARIO)
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0
+    assert '*C:2 client=+C C{s=req} @ "*C": won\n' in out
+    assert "ledger +C: received C=1; paid -\n" in out
+    assert out.endswith("heuristic wins: 1\nquiescent in 3 steps\n")
+
+
+def test_simulate_refuses_two_agents_sharing_a_trace_file(tmp_path, capsys):
+    """``*C`` and ``+C`` both map to ``agent-_C.txt``: with ``--trace-dir`` the run is refused
+    before it starts, naming both agents and the file, and nothing is written."""
+    path = tmp_path / "direct.clbk"
+    path.write_text(DIRECT_ORDER_SCENARIO)
+    traces = tmp_path / "traces"
+    code, out, err = run_cli(capsys, "simulate", str(path), "--trace-dir", str(traces))
+    assert (code, out) == (2, "")
+    assert err == "error: agents '*C' and '+C' would both write the trace file 'agent-_C.txt'\n"
+    assert not traces.exists()
+    assert run_cli(capsys, "simulate", str(path))[0] == 0
+
+
 CHOSEN_GOOD_SCENARIO = """\
 agent f kind=provider
   game C = coffee(zmax=10)

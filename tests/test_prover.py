@@ -871,6 +871,32 @@ def test_pairing_premises_built_only_when_tried(monkeypatch):
     assert (len(calls), len(builds)) == (361, 466)
 
 
+def test_search_memoizes_proofs_by_formula_and_refutations_by_key_alone(monkeypatch):
+    """Below the root, ``_Search.proofs`` holds exactly the proved nodes, each by its own
+    conclusion, and ``_Search.refuted`` the ``memo_key`` of each refuted node: no refuted
+    node enters ``proofs``. The root is in neither. On the 4-clause variant, which is
+    refuted, and on two proofs whose searches refute nodes on the way."""
+    searches, verdicts = [], []
+    search, new_search = prover._search, prover._Search
+    monkeypatch.setattr(prover, "_Search", lambda *args: searches.append(new_search(*args)) or searches[-1])
+    monkeypatch.setattr(prover, "_search", lambda g, *rest: verdicts.append((g, search(g, *rest))) or verdicts[-1][1])
+    cases = [(_CLAUSE_VARIANT_4, False), (_BRANCHING_PAIRINGS[0], True), (_BRANCHING_PAIRINGS[2], True)]
+    for source, provable in cases:
+        searches.clear()
+        verdicts.clear()
+        root = parse_formula(source)
+        assert (prove(root) is not None) == provable
+        (s,) = searches
+        avoid = frozenset(elementary_names(root))
+        below = [(g, tree) for g, tree in verdicts if g is not root]
+        refuted = [g for g, tree in below if tree is None]
+        assert refuted and all(g not in s.proofs for g in refuted)
+        assert s.refuted == {memo_key(g, avoid) for g in refuted}
+        assert s.proofs == {g: tree for g, tree in below if tree is not None}
+        assert all(g is tree.conclusion for g, tree in s.proofs.items())
+        assert root not in s.proofs and memo_key(root, avoid) not in s.refuted
+
+
 def _keeps_a_walk(f):
     """Whether ``f`` or a node under it holds anything in its ``__dict__`` besides its fields."""
     return vars(f).keys() != f.__dataclass_fields__.keys() or any(map(_keeps_a_walk, children(f)))
@@ -881,8 +907,8 @@ def _fields(leaves):
 
 
 def test_search_keeps_no_walk_on_its_nodes(monkeypatch):
-    """The search walks each node it expands once, and its memo holds the node until ``prove``
-    returns, so a walk kept on the node would only cost memory. A pairing premise's walk is
+    """The search walks each node it expands once, and its memo holds a proved node until
+    ``prove`` returns, so a walk kept on the node would only cost memory. A pairing premise's walk is
     derived from its conclusion's (``PairPremise.leaves``), and equals the premise's own
     ``surface_leaves`` field by field and in order: on the 4-clause variant and on random
     provable formulas."""
