@@ -65,15 +65,16 @@ class Agent:
     queries: list[Formula] = field(default_factory=list)
 
     def manuals(self) -> dict[str, Heuristic]:
-        """Atoms this agent can produce on demand: general atoms carrying an 'h' note in its RB."""
+        """Atoms this agent can produce on demand: general atoms carrying an 'h' note in its RB,
+        each with the heuristic its note names, which the agent must define."""
         out: dict[str, Heuristic] = {}
         for entry in self.rb:
             for occ in surface_occurrences(entry.formula, "general"):
                 note = occ.node.note
                 if occ.polarity == POSITIVE and note is not None and note.kind == "h":
-                    fn = engine.noted_heuristic(self.heuristics, note.name, self.games.get(occ.node.name))
-                    if fn is not None:
-                        out[occ.node.name] = fn
+                    if (fn := self.heuristics.get(note.name)) is None:
+                        raise AgentError(f"{self.id!r} names heuristic {note.name!r}, which it does not define")
+                    out[occ.node.name] = fn
         return out
 
     def winnable(self, manuals: dict[str, Heuristic] | None = None) -> frozenset[str]:
@@ -289,14 +290,18 @@ class Simulation:
 
     def submit_query(self, server: str, q: Formula, client: str, contract_ref: int | None = None) -> str:
         """Queue ``q`` at ``server`` on behalf of ``client``; returns the session id. Every
-        script a note of the session formula names must be one of the server's. A query
-        submitted once play has begun gets no relay seats: they are paired before the first move."""
+        script and heuristic a note of the session formula names must be one of the server's.
+        A query submitted once play has begun gets no relay seats: they are paired before the
+        first move."""
         if server not in self.agents:
             raise BusError(f"unknown recipient {server!r}")
         qid = f"{server}:{len(self.queues[server]) + 1}"
-        planned, consumed = self._session_formula(self.agents[server], q, client, contract_ref)
-        if unknown := sorted(note_names(planned, "s") - self.agents[server].scripts.keys()):
-            raise AgentError(f"query {print_formula(q)} names script {unknown[0]!r}, which {server!r} does not define")
+        agent = self.agents[server]
+        planned, consumed = self._session_formula(agent, q, client, contract_ref)
+        for kind, defined in (("script", agent.scripts), ("heuristic", agent.heuristics)):
+            if unknown := sorted(note_names(planned, kind[0]) - defined.keys()):
+                text = print_formula(q)
+                raise AgentError(f"query {text} names {kind} {unknown[0]!r}, which {server!r} does not define")
         atoms = {occ.spec: occ for occ in surface_occurrences(planned, "atom")}
         query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms)
         self.queries[qid] = query

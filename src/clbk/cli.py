@@ -94,8 +94,9 @@ def cmd_play(args) -> int:
     )
     if args.max_steps < 0:
         raise InputError("--max-steps must not be negative")
-    if unknown := sorted(note_names(f, "s") - scripts.keys()):
-        raise InputError(f"unknown script {unknown[0]!r}")
+    for kind, defined in (("script", scripts), ("heuristic", heuristics)):
+        if unknown := sorted(note_names(f, kind[0]) - defined.keys()):
+            raise InputError(f"unknown {kind} {unknown[0]!r}")
     tree = prove(f)
     if tree is None:
         print("unprovable")

@@ -67,7 +67,6 @@ __all__ = [
     "machine_turn",
     "move_refusal",
     "new_session",
-    "noted_heuristic",
     "read_verdicts",
     "run_to_quiescence",
     "step",
@@ -164,14 +163,6 @@ class Session:
         return tuple(lm.relabeled(lm.player.flip(), lm.spec) for lm in binding.local)
 
 
-def noted_heuristic(heuristics: dict[str, Heuristic], name: str, game: GameDef | None) -> Heuristic | None:
-    """The heuristic an ``h=name`` note binds: the one so named, else ``game``'s default."""
-    heuristic = heuristics.get(name)
-    if heuristic is None and game is not None:
-        heuristic = game.default_heuristic
-    return heuristic
-
-
 def _occurrence_binding(session: Session, occ) -> Binding:
     name = occ.node.name
     game = session.games.get(name)
@@ -180,7 +171,7 @@ def _occurrence_binding(session: Session, occ) -> Binding:
     note = occ.node.note
     if note is not None:
         if note.kind == "h":
-            heuristic = noted_heuristic(session.heuristics, note.name, game)
+            heuristic = session.heuristics.get(note.name)
         else:
             script = session.scripts.get(note.name)
     if game is None:

@@ -10,7 +10,6 @@ from itertools import count
 from .classical import is_valid
 from .formula import (
     And,
-    BINARY_KINDS,
     Chand,
     Chor,
     Elementary,
@@ -36,7 +35,6 @@ from .formula import (
     substitute_at,
     surface_leaves,
     surface_occurrences,
-    transform,
 )
 
 
@@ -418,69 +416,61 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
 
 
 def hybridize(t: ProofTree) -> ProofTree:
-    """Replace each pairing rule's fresh atom by the matching hybrid atom throughout its premise
-    subtree. One pass carries the renaming made by the pairings above each node down the tree;
-    an outer pairing's renaming wins over an inner one.
-
-    Each premise's conclusion is rewritten beside its parent's plain and hybrid conclusions
-    (``_shared``): a subtree it shares with the parent's conclusion is taken from the parent's
-    hybrid conclusion, so only the nodes its rule rebuilt are rewritten, and ``verify_proof``
-    compares shared subtrees at once. This equals rewriting every conclusion in full wherever
-    each pairing's name is fresh in its own conclusion, since the shared subtrees then hold no
-    atom the pairing renames. A tree where one is not fails ``verify_proof`` at that node, in
-    either form."""
-    return _convert(t, {}, t.conclusion, t.conclusion)
+    """``t`` with each pairing's atom ``Elementary(name)`` replaced by ``Hybrid(<general name>,
+    name)``: its rules replayed from its conclusion, each premise built from its node's hybrid
+    conclusion by the rule's builder (C: ``_paired``, B: ``substitute_at``, A: ``premises_A``),
+    so it holds every child off the rule's paths as the same object. Only the rules and shape
+    of ``t`` are read, so ``t`` should be a proof (``verify_proof(t)``); then so is the result.
+    A rule that addresses no pair of general atoms (C) or no branch of a machine choice (B)
+    raises ``FormulaError``; a node with more or fewer premises than its rule builds, ``ValueError``."""
+    return _convert(t, t.conclusion)
 
 
-def _convert(node: ProofTree, renaming: dict[str, Hybrid], parent: Formula, parent_hybrid: Formula) -> ProofTree:
+def _convert(node: ProofTree, h: Formula) -> ProofTree:
+    """``hybridize`` at ``node``, whose hybrid conclusion is ``h``."""
     rule = node.rule
-    conclusion = node.conclusion
-    inner = renaming
     if isinstance(rule, RuleC):
-        pos = occurrence_at(conclusion, rule.pos_spec)
-        if pos.spec != rule.pos_spec or type(pos.node) is not General:
-            raise FormulaError("pairing rule must address a general atom")
-        inner = {rule.name: Hybrid(pos.node.name, rule.name)} | renaming
-    if renaming:
-        conclusion = _shared(conclusion, parent, parent_hybrid, renaming)
-    return ProofTree(conclusion, rule, tuple(_convert(p, inner, node.conclusion, conclusion) for p in node.premises))
+        atom = _pair_atom(h, rule)
+        built = None if atom is None else [_paired(h, rule.pos_spec, rule.neg_spec, Hybrid(atom.name, rule.name))]
+    elif isinstance(rule, RuleB):
+        built = None if (part := _chosen(h, rule)) is None else [substitute_at(h, rule.spec, part)]
+    else:
+        built = [e.formula for e in premises_A(h)]
+    if built is None:
+        raise FormulaError(f"{rule} addresses no occurrence it applies to")
+    return ProofTree(h, rule, tuple(_convert(p, f) for p, f in zip(node.premises, built, strict=True)))
 
 
-def _shared(h: Formula, g: Formula, g_hybrid: Formula, renaming: dict[str, Hybrid]) -> Formula:
-    """``h`` with each elementary atom that ``renaming`` names replaced by its hybrid, given
-    ``g_hybrid``, which is ``g`` so rewritten: a subtree of ``h`` that is ``g``'s subtree at the
-    same place, or a branch of ``g``'s choice there, is taken from ``g_hybrid``."""
-    if h is g:
-        return g_hybrid
-    kind = type(h)
-    if kind is type(g) and kind in BINARY_KINDS:
-        left = _shared(h.left, g.left, g_hybrid.left, renaming)
-        right = _shared(h.right, g.right, g_hybrid.right, renaming)
-        return h if left is h.left and right is h.right else kind(left, right)
-    if kind is type(g) and (kind is Not or kind is EnvAnn):
-        child = _shared(h.child, g.child, g_hybrid.child, renaming)
-        return h if child is h.child else rebuild(h, (child,))
-    if type(g) is Chand or type(g) is Chor:
-        for part, hybrid in zip(g.parts, g_hybrid.parts):
-            if h is part:
-                return hybrid
-    return transform(h, lambda n: renaming.get(n.name, n) if type(n) is Elementary else n)
+def _pair_atom(g: Formula, rule: RuleC) -> General | None:
+    """The general atom ``rule`` pairs in ``g``, if its specs address a positive and a negative one."""
+    pos, neg = occurrence_at(g, rule.pos_spec), occurrence_at(g, rule.neg_spec)
+    ok = (pos.spec, neg.spec, pos.polarity, neg.polarity) == (rule.pos_spec, rule.neg_spec, POSITIVE, NEGATIVE)
+    ok = ok and type(pos.node) is General and type(neg.node) is General and pos.node.name == neg.node.name
+    return pos.node if ok else None
+
+
+def _chosen(g: Formula, rule: RuleB) -> Formula | None:
+    """The branch ``rule`` takes in ``g``, if its spec addresses a machine choice of its agent with that branch."""
+    occ = occurrence_at(g, rule.spec)
+    ok = occ.spec == rule.spec and type(occ.node) in (Chand, Chor) and not env_chooses(occ) and occ.env == rule.env
+    return occ.node.parts[rule.branch - 1] if ok and 1 <= rule.branch <= len(occ.node.parts) else None
 
 
 def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     """Check that every node's premises are the ones its rule generates from its conclusion:
     all of ``premises_A``, in order, under a stable conclusion; the named machine-choice branch;
-    or the named pair given one atom absent from the conclusion, elementary or hybrid.
+    or the named pair given one atom absent from the conclusion, elementary or hybrid. This
+    checks ``t`` itself; ``hybridize`` reads no premise's conclusion, so check both forms.
 
     A rule names each occurrence by its spec, its one address, and finds it by one descent
-    along the spec (``occurrence_at``). Rule B builds the one premise it names along the same
-    spec (``substitute_at``). Rule C builds none: it descends premise and conclusion together
-    along its two specs (``_ends_off``). Every child off the way must be equal (``==``, which
-    returns at once on a shared subtree), and both paired leaves must be the same atom,
-    ``Elementary(name)`` or ``Hybrid(<general name>, name)`` (``_pairs_as``).
-    The freshness check walks the conclusion of the first rule C on a path only: a checked
-    pairing replaces two general atoms, so its premise's names are the conclusion's and
-    ``name``, and they are carried down to the next rule C."""
+    along the spec (``occurrence_at``), as ``hybridize`` does (``_chosen``, ``_pair_atom``).
+    Rule B builds the one premise it names along the same spec (``substitute_at``). Rule C
+    builds none: it descends premise and conclusion together along its two specs
+    (``_ends_off``). Every child off the way must be equal (``==``, which returns at once on a
+    shared subtree), and both paired leaves must be the same atom, ``Elementary(name)`` or
+    ``Hybrid(<general name>, name)`` (``_pairs_as``). The freshness check walks the conclusion
+    of the first rule C on a path only: a checked pairing replaces two general atoms, so its
+    premise's names are the conclusion's and ``name``, and they are carried down."""
     return _verify(t, winnable, None)
 
 
@@ -493,29 +483,14 @@ def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> b
     match t.rule:
         case RuleA():
             ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
-        case RuleB(spec, branch, env):
-            occ = occurrence_at(g, spec)
-            ok = (
-                occ.spec == spec
-                and type(occ.node) in (Chand, Chor)
-                and not env_chooses(occ)
-                and occ.env == env
-                and 1 <= branch <= len(occ.node.parts)
-                and got == [substitute_at(g, spec, occ.node.parts[branch - 1])]
-            )
+        case RuleB(spec):
+            ok = (part := _chosen(g, t.rule)) is not None and got == [substitute_at(g, spec, part)]
         case RuleC(pos_spec, neg_spec, name):
-            pos, neg = occurrence_at(g, pos_spec), occurrence_at(g, neg_spec)
             ok = (
-                pos.spec == pos_spec
-                and neg.spec == neg_spec
-                and type(pos.node) is General
-                and type(neg.node) is General
-                and (pos.polarity, neg.polarity) == (POSITIVE, NEGATIVE)
-                and pos.node.name == neg.node.name
+                (atom := _pair_atom(g, t.rule)) is not None
                 and len(got) == 1
                 and (ends := _ends_off(got[0], g, pos_spec, neg_spec)) is not None
-                and ends[0] == ends[1]
-                and _pairs_as(ends[0], name, pos.node.name)
+                and ends[0] == ends[1] and _pairs_as(ends[0], name, atom.name)
                 and name not in (names := elementary_names(g) if names is None else names)
             )
             below = names | {name} if ok else None

@@ -13,6 +13,7 @@ from clbk.agents import (
     ResourceEntry,
     Simulation,
 )
+from clbk.cli import main
 from clbk.engine import Session, Status
 from clbk.formula import NEGATIVE, POSITIVE, parse_formula
 from clbk.games import GameDef, Labmove, Player, coffee_game
@@ -288,9 +289,23 @@ def test_a_run_cut_short_settles_nothing():
     assert sim.queries["f:1"].session.status is Status.QUIESCENT
 
 
-def test_manuals_fall_back_to_the_games_default_heuristic():
-    agent = Agent(id="f", games={"C": coffee_game(10)}, rb=[ResourceEntry(parse_formula("C{h=nosuch} @ God"))])
-    assert agent.manuals() == {"C": agent.games["C"].default_heuristic}
+def test_an_h_note_naming_no_heuristic_is_refused_before_the_run(tmp_path, capsys):
+    """An ``h=`` note names a heuristic of the agent that resolves it: the holder of a
+    resource-base entry, the server of a query. One that names none is not played on its
+    game's default: ``Simulation`` raises ``AgentError``, naming the agent and the heuristic,
+    and ``clbk simulate`` exits 2 with that message."""
+    cases = {
+        MINI.replace("rb C{h=hx} @ God", "rb C{h=nope} @ God"): "'f' names heuristic 'nope', which it does not define",
+        MINI + "  query C{h=nope} @ f\n": "query C{h=nope} @ f names heuristic 'nope', which 'f' does not define",
+    }
+    for text, message in cases.items():
+        with pytest.raises(AgentError) as caught:
+            Simulation(parse_scenario(text))
+        assert str(caught.value) == message
+        path = tmp_path / "nope.clbk"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_a_simulation_computes_each_agents_manuals_once(monkeypatch):

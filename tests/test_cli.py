@@ -281,8 +281,8 @@ def test_play_interactive_applies_the_step_budget_after_each_line(monkeypatch, c
 
 def test_play_bind_line_sets_only_its_seat(tmp_path, capsys):
     """The note's heuristic keeps the machine seat of 1.; the bind line fills its other seat."""
-    bind = write_bind(tmp_path, "game C = coffee(zmax=10)\nscript req = [x=3, y=1]\nbind 1. script req\n")
-    code, out, _ = run_cli(capsys, "play", "(C{h=prov} -> C) @ w", "--scripts", bind)
+    text = "game C = coffee(zmax=10)\nheuristic prov = coffee\nscript req = [x=3, y=1]\nbind 1. script req\n"
+    code, out, _ = run_cli(capsys, "play", "(C{h=prov} -> C) @ w", "--scripts", write_bind(tmp_path, text))
     assert code == 0
     assert out == "1 m T 1.x=3\n2 m T 1.y=1\n3 env B 1.z=4\n4 m T 2.z=4\nwinner: T\n"
 
@@ -339,9 +339,13 @@ def test_play_script_item_outside_the_payload_grammar(tmp_path, capsys):
 
 
 def test_play_note_naming_no_script_in_the_bind_file(tmp_path, capsys):
-    for formula in ("(C -> C{s=nope}) @ w", "(C -> (C{s=nope} & p)) @ w"):
+    """An ``s=`` note naming no script of the bind file is an input error, and so is an ``h=``
+    note naming no heuristic of it."""
+    cases = {"(C -> C{s=nope}) @ w": "script", "(C -> (C{s=nope} & p)) @ w": "script"}
+    cases |= {"(C{h=nope} -> C) @ w": "heuristic", "(C -> (C{h=nope} & p)) @ w": "heuristic"}
+    for formula, kind in cases.items():
         code, out, err = run_cli(capsys, "play", formula, "--scripts", write_bind(tmp_path))
-        assert (code, out, err) == (2, "", "error: unknown script 'nope'\n"), formula
+        assert (code, out, err) == (2, "", f"error: unknown {kind} 'nope'\n"), formula
 
 
 def test_play_unbound_atom_in_an_entered_branch(monkeypatch, capsys):

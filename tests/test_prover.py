@@ -16,6 +16,7 @@ from clbk.formula import (
     And,
     Elementary,
     EnvAnn,
+    FormulaError,
     General,
     Hybrid,
     Implies,
@@ -566,6 +567,28 @@ def test_name_in_conclusion_mutants_fail_once_hybridized():
     assert failed >= 20, failed
 
 
+_MISADDRESSED = {
+    *("environment's choice", "another agent", "branch 0", "no choice"),  # rule B
+    *("two names", "swapped specs", "undotted spec", "spec into a choice"),  # rule C
+}
+
+
+def test_hybridize_refuses_rules_that_address_nothing_they_apply_to():
+    """``hybridize`` builds each premise by its node's rule, so a rule B that takes no branch of
+    a machine choice of its agent, or a rule C that addresses no positive and negative
+    occurrence of one general atom, raises ``FormulaError``: every such mutant of a proof
+    (``_rule_b_mutants``, ``_rule_c_mutants``) is refused."""
+    rng = random.Random(67)
+    refused = Counter()
+    for tree in _prover_corpus(rng):
+        for kind, mutant in [*_rule_b_mutants(tree), *_rule_c_mutants(tree)]:
+            if kind in _MISADDRESSED:
+                with pytest.raises(FormulaError, match="addresses no occurrence it applies to"):
+                    hybridize(mutant)
+                refused[kind] += 1
+    assert set(refused) == _MISADDRESSED and min(refused.values()) >= 10, refused
+
+
 def _unprovable_family(n):
     return parse_formula(" /\\ ".join(["C"] * n) + " -> (" + " /\\ ".join(["C"] * (n + 1)) + ")")
 
@@ -854,17 +877,20 @@ def test_name_level_check_expansions_pinned(monkeypatch, source, nodes):
 def test_pairing_premises_built_only_when_tried(monkeypatch):
     """A pairing premise is built when the search tries it. The (C^8) -> (C^8) search expands
     9 nodes and lists 8 + 7 + ... + 1 = 36 pairing premises, but tries only the first at each
-    of 8 nodes, so it builds 8; ``verify_proof`` builds none, in either form. The 4-clause
-    variant still expands 361 nodes, and builds 466 of the premises it lists (all of them
-    took 840 builds). Both paths of every pair here part at the root, so each build is one
-    ``_paired`` call."""
+    of 8 nodes, so it builds 8; ``hybridize`` builds one per pairing, 8 more, and
+    ``verify_proof`` builds none, in either form. The 4-clause variant still expands 361
+    nodes, and builds 466 of the premises it lists (all of them took 840 builds). Both paths
+    of every pair here part at the root, so each build is one ``_paired`` call."""
     calls = _count_calls(monkeypatch, "premises_C")
     builds = _count_calls(monkeypatch, "_paired")
     c8 = " /\\ ".join(["C"] * 8)
     tree = prove(parse_formula(f"({c8}) -> ({c8})"))
     assert (len(calls), len(builds)) == (9, 8)
-    assert verify_proof(tree) and verify_proof(hybridize(tree))
-    assert len(builds) == 8
+    hybrid = hybridize(tree)
+    assert len(builds) == 16
+    builds.clear()
+    assert verify_proof(tree) and verify_proof(hybrid)
+    assert not builds
     calls.clear()
     builds.clear()
     assert prove(parse_formula(_CLAUSE_VARIANT_4)) is None
