@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 from . import engine
@@ -28,6 +27,7 @@ from .formula import (
 )
 from .games import GameDef, Heuristic, Labmove, Player, Script, Verdict, subrun
 from .prover import hybridize, prove
+from .records import Frozen, Record, set_field
 
 GOD = "God"
 
@@ -40,12 +40,14 @@ class BusError(AgentError):
     pass
 
 
-@dataclass
-class ResourceEntry:
+class ResourceEntry(Record):
     """One resource-base member: an annotated formula, plus the position already played on it."""
 
-    formula: Formula
-    position: tuple[Labmove, ...] = ()
+    __slots__ = __match_args__ = ("formula", "position")
+
+    def __init__(self, formula: Formula, position: tuple[Labmove, ...] = ()):
+        self.formula = formula
+        self.position = position
 
     def __str__(self) -> str:
         text = print_formula(self.formula)
@@ -54,15 +56,26 @@ class ResourceEntry:
         return text
 
 
-@dataclass
-class Agent:
-    id: str
-    kind: str = "regular"
-    games: dict[str, GameDef] = field(default_factory=dict)
-    heuristics: dict[str, Heuristic] = field(default_factory=dict)
-    scripts: dict[str, Script] = field(default_factory=dict)
-    rb: list[ResourceEntry] = field(default_factory=list)
-    queries: list[Formula] = field(default_factory=list)
+class Agent(Record):
+    __slots__ = __match_args__ = ("id", "kind", "games", "heuristics", "scripts", "rb", "queries")
+
+    def __init__(
+        self,
+        id: str,
+        kind: str = "regular",
+        games: dict[str, GameDef] | None = None,
+        heuristics: dict[str, Heuristic] | None = None,
+        scripts: dict[str, Script] | None = None,
+        rb: list[ResourceEntry] | None = None,
+        queries: list[Formula] | None = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.games = {} if games is None else games
+        self.heuristics = {} if heuristics is None else heuristics
+        self.scripts = {} if scripts is None else scripts
+        self.rb = [] if rb is None else rb
+        self.queries = [] if queries is None else queries
 
     def manuals(self) -> dict[str, Heuristic]:
         """Atoms this agent can produce on demand: general atoms carrying an 'h' note in its RB,
@@ -112,10 +125,12 @@ def unfold_and_chain(f: Formula, n: int, spec: str) -> list[tuple[Formula, str]]
 # --- bus --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoveMsg:
-    session_id: str
-    move: Labmove
+class MoveMsg(Frozen):
+    __slots__ = __match_args__ = ("session_id", "move")
+
+    def __init__(self, session_id: str, move: Labmove):
+        set_field(self, "session_id", session_id)
+        set_field(self, "move", move)
 
 
 class Bus:
@@ -145,8 +160,7 @@ class Bus:
 # --- queue and flow plumbing -------------------------------------------------
 
 
-@dataclass
-class Query:
+class Query(Record):
     """One query of ``client`` to ``server``, from submission to its result.
     ``planned`` is the session formula: the server's consumable resources, if it has any,
     imply the query body. ``atoms`` are its surface atom occurrences by spec: the seats are
@@ -155,17 +169,36 @@ class Query:
     choice left it at. An unroutable query (to God or to an unregistered agent) has no plan
     and never opens."""
 
-    qid: str
-    formula: Formula
-    client: str
-    server: str
-    contract_ref: int | None = None  # index into the server's RB when self-executing a contract
-    planned: Formula | None = None
-    consumed: list[int] = field(default_factory=list)  # RB indices of the conjuncts in the planned antecedent
-    atoms: dict[str, Occurrence] = field(default_factory=dict)
-    status: str = "pending"  # won | lost | rejected | unfinished | pending
-    session: Session | None = None
-    early: list[Labmove] = field(default_factory=list)  # moves that arrived before opening
+    __slots__ = __match_args__ = (
+        "qid", "formula", "client", "server", "contract_ref", "planned", "consumed", "atoms", "status", "session",
+        "early",
+    )
+
+    def __init__(
+        self,
+        qid: str,
+        formula: Formula,
+        client: str,
+        server: str,
+        contract_ref: int | None = None,  # index into the server's RB when self-executing a contract
+        planned: Formula | None = None,
+        consumed: list[int] | None = None,  # RB indices of the conjuncts in the planned antecedent
+        atoms: dict[str, Occurrence] | None = None,
+        status: str = "pending",  # won | lost | rejected | unfinished | pending
+        session: Session | None = None,
+        early: list[Labmove] | None = None,  # moves that arrived before opening
+    ):
+        self.qid = qid
+        self.formula = formula
+        self.client = client
+        self.server = server
+        self.contract_ref = contract_ref
+        self.planned = planned
+        self.consumed = [] if consumed is None else consumed
+        self.atoms = {} if atoms is None else atoms
+        self.status = status
+        self.session = session
+        self.early = [] if early is None else early
 
     @property
     def opponent(self) -> str:
@@ -178,17 +211,18 @@ class Query:
         return (binding.env if binding else None) or self.opponent
 
 
-@dataclass
-class HeuristicWin:
-    agent: str
-    atom: str
-    session_id: str
-    spec: str
-    payloads: tuple[str, ...]
+class HeuristicWin(Record):
+    __slots__ = __match_args__ = ("agent", "atom", "session_id", "spec", "payloads")
+
+    def __init__(self, agent: str, atom: str, session_id: str, spec: str, payloads: tuple[str, ...]):
+        self.agent = agent
+        self.atom = atom
+        self.session_id = session_id
+        self.spec = spec
+        self.payloads = payloads
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(Record):
     """What a run leaves. ``results`` are the simulation's own queries: the served ones grouped
     by server in registration order, each group in submission order, then the unroutable ones
     as ``<client>!rN``. Each is ``won`` or ``lost`` once its session is over, ``rejected`` when
@@ -202,14 +236,29 @@ class SimulationReport:
     dropped, a partly played conjunct keeps its index with its position. A run cut short
     changes no resource base."""
 
-    quiescent: bool
-    steps: int
-    results: list[Query]
-    heuristic_wins: list[HeuristicWin]
-    ledgers: dict[str, dict[str, Counter]]
-    final_rb: dict[str, list[str]]
-    trace: list[str]
-    agent_traces: dict[str, list[str]]
+    __slots__ = __match_args__ = (
+        "quiescent", "steps", "results", "heuristic_wins", "ledgers", "final_rb", "trace", "agent_traces",
+    )
+
+    def __init__(
+        self,
+        quiescent: bool,
+        steps: int,
+        results: list[Query],
+        heuristic_wins: list[HeuristicWin],
+        ledgers: dict[str, dict[str, Counter]],
+        final_rb: dict[str, list[str]],
+        trace: list[str],
+        agent_traces: dict[str, list[str]],
+    ):
+        self.quiescent = quiescent
+        self.steps = steps
+        self.results = results
+        self.heuristic_wins = heuristic_wins
+        self.ledgers = ledgers
+        self.final_rb = final_rb
+        self.trace = trace
+        self.agent_traces = agent_traces
 
     def summary(self) -> str:
         parts = []

@@ -30,7 +30,6 @@ components' winners."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -55,6 +54,7 @@ from .formula import (
 )
 from .games import GameDef, Heuristic, Labmove, Player, Run, Script, Verdict, subrun
 from .prover import ProofTree, RuleA, RuleB, RuleC, premises_A, verify_proof
+from .records import Record
 
 __all__ = [
     "Binding",
@@ -88,8 +88,7 @@ class Status(Enum):
     FINISHED = "finished"
 
 
-@dataclass(slots=True)
-class Binding:
+class Binding(Record):
     """Per-occurrence game wiring, made by ``new_session`` (or when play reaches the
     occurrence) from its atom's note. The heuristic sits on the local machine seat, the script
     on the local environment seat; which session label that maps to depends on polarity.
@@ -107,35 +106,69 @@ class Binding:
     filed here. Strategies are therefore set before the first step: by ``new_session`` from
     the notes, or by the caller on ``session.bindings`` right after it."""
 
-    spec: str
-    game: GameDef
-    polarity: int
-    env: str | None
-    heuristic: Heuristic | None = None
-    script: Script | None = None
-    script_pos: int = 0
-    heuristic_fired: bool = False
-    heuristic_idle_at: int = -1
-    local: list[Labmove] = field(default_factory=list)
-    machine: Player = field(init=False, compare=False, repr=False)
+    __match_args__ = (
+        "spec", "game", "polarity", "env", "heuristic", "script", "script_pos", "heuristic_fired",
+        "heuristic_idle_at", "local",
+    )
+    __slots__ = (*__match_args__, "machine")
 
-    def __post_init__(self):
-        self.machine = Player.MACHINE if self.polarity == POSITIVE else Player.ENVIRONMENT
+    def __init__(
+        self,
+        spec: str,
+        game: GameDef,
+        polarity: int,
+        env: str | None,
+        heuristic: Heuristic | None = None,
+        script: Script | None = None,
+        script_pos: int = 0,
+        heuristic_fired: bool = False,
+        heuristic_idle_at: int = -1,
+        local: list[Labmove] | None = None,
+    ):
+        self.spec = spec
+        self.game = game
+        self.polarity = polarity
+        self.env = env
+        self.heuristic = heuristic
+        self.script = script
+        self.script_pos = script_pos
+        self.heuristic_fired = heuristic_fired
+        self.heuristic_idle_at = heuristic_idle_at
+        self.local = [] if local is None else local
+        self.machine = Player.MACHINE if polarity == POSITIVE else Player.ENVIRONMENT
 
 
-@dataclass
-class Session:
-    node: ProofTree
-    run: list[Labmove] = field(default_factory=list)
-    atoms: dict[str, Occurrence] = field(default_factory=dict)
-    bindings: dict[str, Binding] = field(default_factory=dict)
-    games: dict[str, GameDef] = field(default_factory=dict)
-    heuristics: dict[str, Heuristic] = field(default_factory=dict)
-    scripts: dict[str, Script] = field(default_factory=dict)
-    interpretation: dict[str, bool] = field(default_factory=dict)
-    inbox: deque[Labmove] = field(default_factory=deque)
-    status: Status = Status.RUNNING
-    listener: Callable[["Session", Labmove], None] | None = None
+class Session(Record):
+    __slots__ = __match_args__ = (
+        "node", "run", "atoms", "bindings", "games", "heuristics", "scripts", "interpretation", "inbox",
+        "status", "listener",
+    )
+
+    def __init__(
+        self,
+        node: ProofTree,
+        run: list[Labmove] | None = None,
+        atoms: dict[str, Occurrence] | None = None,
+        bindings: dict[str, Binding] | None = None,
+        games: dict[str, GameDef] | None = None,
+        heuristics: dict[str, Heuristic] | None = None,
+        scripts: dict[str, Script] | None = None,
+        interpretation: dict[str, bool] | None = None,
+        inbox: deque[Labmove] | None = None,
+        status: Status = Status.RUNNING,
+        listener: Callable[[Session, Labmove], None] | None = None,
+    ):
+        self.node = node
+        self.run = [] if run is None else run
+        self.atoms = {} if atoms is None else atoms
+        self.bindings = {} if bindings is None else bindings
+        self.games = {} if games is None else games
+        self.heuristics = {} if heuristics is None else heuristics
+        self.scripts = {} if scripts is None else scripts
+        self.interpretation = {} if interpretation is None else interpretation
+        self.inbox = deque() if inbox is None else inbox
+        self.status = status
+        self.listener = listener
 
     @property
     def formula(self) -> Formula:  # the conclusion of the proof node play rests at

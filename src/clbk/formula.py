@@ -1,9 +1,11 @@
 """Formula AST, concrete syntax, and structural queries (occurrences and their addresses).
 
-A formula's surface walk is memoized on the formula itself: ``surface_occurrences`` keeps the
-first walk of a non-leaf formula in its instance ``__dict__``, so the simulator, the proof checker
-and the engine read one walk of each session formula. ``surface_leaves`` reads that walk where
-there is one, and otherwise walks afresh and keeps nothing, for the prover's search nodes.
+The formula kinds are plain slotted records (see ``records``), so importing this module
+generates no code. A formula's surface walk is memoized on the formula itself:
+``surface_occurrences`` keeps the first walk of a non-leaf formula in its slot ``_surface``,
+so the simulator, the proof checker and the engine read one walk of each session formula.
+``surface_leaves`` reads that walk where there is one, and otherwise walks afresh and keeps
+nothing, for the prover's search nodes.
 An occurrence has one address, its spec: ``occurrence_at`` is the one descent along a spec, and
 ``substitute_at`` rebuilds a formula along that same descent. The printer writes atoms with
 ``atom_text``, connectives with ``SYMBOLS`` and parenthesizes every operand whose kind is not
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import is_not
 from typing import NamedTuple
+
+from .records import Frozen, set_field
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -43,96 +46,197 @@ def file_message(exc: FormulaError, lineno: int, start: int) -> str:
     return f"line {lineno}: {exc}"
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(Frozen):
     """Strategy annotation on a general atom: kind 'h' (machine heuristic) or 's' (environment script)."""
 
-    kind: str
-    name: str
+    __slots__ = __match_args__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str):
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Frozen):
+    """Base of the formula kinds, immutable records (see ``records``). Each shape writes its own
+    ``__eq__`` and ``__hash__``, which compare and hash the tuple of its fields, so a subformula
+    that both sides share is matched by identity, without a call. A negation, an annotation
+    and a binary node keep their surface walk in the slot ``_surface`` (see
+    ``surface_occurrences``); the leaf kinds of the walk read this class's None."""
+
+    __slots__ = ()
+    _surface = None
 
 
-@dataclass(frozen=True)
 class Truth(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class Elementary(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class General(Formula):
-    name: str
-    note: Note | None = None
+    __slots__ = __match_args__ = ("name", "note")
+
+    def __init__(self, name: str, note: Note | None = None):
+        set_field(self, "name", name)
+        set_field(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.note) == (other.name, other.note)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.note))
 
 
-@dataclass(frozen=True)
 class Hybrid(Formula):
     """Pair of a general atom (the played game, ``name`` as on ``General``) and the elementary
     atom standing in for it; ``atom_text`` prints it ``name_elementary``."""
 
-    name: str
-    elementary: str
-    note: Note | None = None
+    __slots__ = __match_args__ = ("name", "elementary", "note")
+
+    def __init__(self, name: str, elementary: str, note: Note | None = None):
+        set_field(self, "name", name)
+        set_field(self, "elementary", elementary)
+        set_field(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.elementary, self.note) == (other.name, other.elementary, other.note)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.elementary, self.note))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __match_args__ = ("child",)
+    __slots__ = (*__match_args__, "_surface")
+
+    def __init__(self, child: Formula):
+        set_field(self, "child", child)
+        set_field(self, "_surface", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The shape of ``And``, ``Or`` and ``Implies``, the kinds the prover builds most."""
+
+    __match_args__ = ("left", "right")
+    __slots__ = (*__match_args__, "_surface")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_binary_walk(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+# each slot's own setter, which costs less than set_field's lookup of the slot by name
+_set_left, _set_right, _set_binary_walk = (_Binary.__dict__[name].__set__ for name in _Binary.__slots__)
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Chand(Formula):
-    """Choice conjunction, n-ary (n >= 2); the environment picks the branch."""
-
-    parts: tuple[Formula, ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise FormulaError("choice conjunction needs at least two branches")
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Chor(Formula):
-    """Choice disjunction, n-ary (n >= 2); the machine picks the branch."""
-
-    parts: tuple[Formula, ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise FormulaError("choice disjunction needs at least two branches")
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class _Choice(Formula):
+    """The shape of ``Chand`` and ``Chor``: n-ary, n >= 2."""
+
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[Formula, ...]):
+        if len(parts) < 2:
+            raise FormulaError(f"{self._connective} needs at least two branches")
+        set_field(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+
+class Chand(_Choice):
+    """Choice conjunction; the environment picks the branch."""
+
+    __slots__ = ()
+    _connective = "choice conjunction"
+
+
+class Chor(_Choice):
+    """Choice disjunction; the machine picks the branch."""
+
+    __slots__ = ()
+    _connective = "choice disjunction"
+
+
 class EnvAnn(Formula):
     """Marks a subformula as played against a named agent."""
 
-    child: Formula
-    agent: str
+    __match_args__ = ("child", "agent")
+    __slots__ = (*__match_args__, "_surface")
+
+    def __init__(self, child: Formula, agent: str):
+        set_field(self, "child", child)
+        set_field(self, "agent", agent)
+        set_field(self, "_surface", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child, self.agent) == (other.child, other.agent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child, self.agent))
 
 
 ATOM_KINDS = (Truth, Elementary, General, Hybrid)
@@ -259,7 +363,7 @@ def surface_leaves(f: Formula) -> Sequence[Occurrence]:
     """Every surface leaf occurrence of ``f`` (atoms, truth constants and choices): ``f``'s
     kept walk if it has one (see ``surface_occurrences``), else a walk of its own that nothing
     keeps, for formulas visited once, such as the prover's search nodes."""
-    walk = f.__dict__.get("_surface")
+    walk = f._surface
     if walk is not None:
         return walk
     out: list[Occurrence] = []
@@ -279,15 +383,15 @@ def surface_occurrences(f: Formula, kind: str) -> list[Occurrence]:
     """Occurrences of the given kind ('choice', 'general', 'hybrid', 'atom', or 'leaf' for atoms
     and choices alike) not under any choice operator.
 
-    The first call on ``f`` keeps its walk in ``f``'s own ``__dict__`` (``_surface``, outside
-    the fields, so equality, hashing and printing ignore it), and every later call filters
-    that walk: callers share the same ``Occurrence`` objects. A leaf ``f`` is walked anew each
-    time, since its walk would hold ``f`` itself, a reference cycle."""
-    walk = f.__dict__.get("_surface")
+    The first call on ``f`` keeps its walk in ``f``'s slot ``_surface`` (no field, so
+    equality, hashing and printing ignore it), and every later call filters that walk:
+    callers share the same ``Occurrence`` objects. A leaf ``f`` is walked anew each time,
+    since its walk would hold ``f`` itself, a reference cycle."""
+    walk = f._surface
     if walk is None:
         walk = tuple(surface_leaves(f))
         if walk[0].node is not f:
-            object.__setattr__(f, "_surface", walk)
+            set_field(f, "_surface", walk)
     if kind == "leaf":
         return list(walk)
     kinds = _KIND_FILTERS[kind]

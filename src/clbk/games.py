@@ -6,10 +6,11 @@ from __future__ import annotations
 import re
 # not typing.Callable, whose cache would keep Run's Labmove, and so this module, alive after a re-import
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
 from typing import NamedTuple, Optional
+
+from .records import Frozen, set_field
 
 
 class Player(Enum):
@@ -23,44 +24,42 @@ class Player(Enum):
         return self.value
 
 
-_set = object.__setattr__  # how a frozen dataclass sets its own fields
-
 # The whole payload grammar: a word ``[a-z][a-z0-9=]*`` or a choice ``[0-9]+``; a word of
 # the form ``k=N`` (one letter, digits) also reads as a key and a value.
 _PAYLOAD_RE = re.compile(r"([a-z])=([0-9]+)|[a-z][a-z0-9=]*|[0-9]+")
 
 
-@dataclass(frozen=True, slots=True)
-class Labmove:
+class Labmove(Frozen):
     """One move. Its payload is checked against the grammar and parsed once, here: ``key``
-    and ``value`` hold a ``k=N`` payload's key and value, or None; they take no part in
-    equality or hashing. A move with the same payload for another player or at another spec
-    is made by ``relabeled``, which carries the parse over: every relay, copy-cat and script
-    move is such a copy, so a payload is parsed where it enters play (a script when it
-    is built, a heuristic's answer, an interactive line, a committed choice)."""
+    and ``value`` hold a ``k=N`` payload's key and value, or None; they are no fields, so
+    they take no part in equality, hashing or printing. A move with the same payload for
+    another player or at another spec is made by ``relabeled``, which carries the parse
+    over: every relay, copy-cat and script move is such a copy, so a payload is parsed where
+    it enters play (a script when it is built, a heuristic's answer, an interactive line, a
+    committed choice)."""
 
-    player: Player
-    spec: str
-    payload: str
-    key: str | None = field(init=False, compare=False, repr=False)
-    value: int | None = field(init=False, compare=False, repr=False)
+    __match_args__ = ("player", "spec", "payload")
+    __slots__ = (*__match_args__, "key", "value")
 
-    def __post_init__(self):
-        m = _PAYLOAD_RE.fullmatch(self.payload)
+    def __init__(self, player: Player, spec: str, payload: str):
+        m = _PAYLOAD_RE.fullmatch(payload)
         if m is None:
-            raise ValueError(f"bad move payload {self.payload!r}")
+            raise ValueError(f"bad move payload {payload!r}")
         key, digits = m.groups()
-        _set(self, "key", key)
-        _set(self, "value", None if digits is None else int(digits))
+        set_field(self, "player", player)
+        set_field(self, "spec", spec)
+        set_field(self, "payload", payload)
+        set_field(self, "key", key)
+        set_field(self, "value", None if digits is None else int(digits))
 
     def relabeled(self, player: Player, spec: str) -> Labmove:
         """This move played by ``player`` at ``spec``, its payload's parse carried over."""
         copy = object.__new__(Labmove)
-        _set(copy, "player", player)
-        _set(copy, "spec", spec)
-        _set(copy, "payload", self.payload)
-        _set(copy, "key", self.key)
-        _set(copy, "value", self.value)
+        set_field(copy, "player", player)
+        set_field(copy, "spec", spec)
+        set_field(copy, "payload", self.payload)
+        set_field(copy, "key", self.key)
+        set_field(copy, "value", self.value)
         return copy
 
     def is_choice(self) -> bool:
@@ -85,19 +84,19 @@ def subrun(run, spec: str) -> Run:
 Heuristic = Callable[[Run, Player], Optional[str]]
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(Frozen):
     """Preprogrammed move payloads for one occurrence, consumed front to back. Each payload is
     checked against the grammar and parsed once, when the script is built: ``moves`` holds it
     as an environment ``Labmove`` at the empty spec (a ``ValueError`` for a bad payload), which
-    the engine probes for legality and plays relabelled to its seat. ``moves`` takes no part in
-    equality, hashing or printing."""
+    the engine probes for legality and plays relabelled to its seat. ``moves`` is no field, so
+    it takes no part in equality, hashing or printing."""
 
-    payloads: tuple[str, ...]
-    moves: tuple[Labmove, ...] = field(init=False, compare=False, repr=False)
+    __match_args__ = ("payloads",)
+    __slots__ = (*__match_args__, "moves")
 
-    def __post_init__(self):
-        _set(self, "moves", tuple(Labmove(Player.ENVIRONMENT, "", payload) for payload in self.payloads))
+    def __init__(self, payloads: tuple[str, ...]):
+        set_field(self, "payloads", payloads)
+        set_field(self, "moves", tuple(Labmove(Player.ENVIRONMENT, "", payload) for payload in payloads))
 
 
 class Verdict(NamedTuple):
@@ -107,8 +106,7 @@ class Verdict(NamedTuple):
     winner: Player
 
 
-@dataclass(frozen=True)
-class GameDef:
+class GameDef(Frozen):
     """A constant game over local roles: the environment asks, the machine answers.
 
     The environment makes the ``asks`` in order, each a ``(key, bound)`` with a value in
@@ -124,11 +122,21 @@ class GameDef:
     local roles. A run keeps its moves' session specs.
     """
 
-    name: str
-    asks: tuple[tuple[str, float], ...]
-    answer: str
-    answer_range: tuple[int, float]
-    correct: Callable[..., int]
+    __slots__ = __match_args__ = ("name", "asks", "answer", "answer_range", "correct")
+
+    def __init__(
+        self,
+        name: str,
+        asks: tuple[tuple[str, float], ...],
+        answer: str,
+        answer_range: tuple[int, float],
+        correct: Callable[..., int],
+    ):
+        set_field(self, "name", name)
+        set_field(self, "asks", asks)
+        set_field(self, "answer", answer)
+        set_field(self, "answer_range", answer_range)
+        set_field(self, "correct", correct)
 
     def _read(self, run: Run, machine: Player) -> dict[str, int]:
         """The value of the first move of each key by the player who owns that key."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 
 from .classical import is_valid
@@ -36,51 +35,61 @@ from .formula import (
     surface_leaves,
     surface_occurrences,
 )
+from .records import Frozen, Record, set_field
 
 
-@dataclass(frozen=True)
-class RuleA:
+class RuleA(Frozen):
     """Closure rule: stable conclusion, one premise per branch of every environment-choice occurrence."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RuleB:
+
+class RuleB(Frozen):
     """Machine-choice rule: the premise commits occurrence ``spec`` to ``branch``."""
 
-    spec: str
-    branch: int
-    env: str | None
+    __slots__ = __match_args__ = ("spec", "branch", "env")
+
+    def __init__(self, spec: str, branch: int, env: str | None):
+        set_field(self, "spec", spec)
+        set_field(self, "branch", branch)
+        set_field(self, "env", env)
 
 
-@dataclass(frozen=True)
-class RuleC:
+class RuleC(Frozen):
     """Atom-pairing rule: one positive and one negative occurrence of the same general atom
     are replaced by the fresh elementary atom ``name`` (rendered as a hybrid after conversion)."""
 
-    pos_spec: str
-    neg_spec: str
-    name: str
+    __slots__ = __match_args__ = ("pos_spec", "neg_spec", "name")
+
+    def __init__(self, pos_spec: str, neg_spec: str, name: str):
+        set_field(self, "pos_spec", pos_spec)
+        set_field(self, "neg_spec", neg_spec)
+        set_field(self, "name", name)
 
 
 RuleTag = RuleA | RuleB | RuleC
 
 
-@dataclass
-class ProofTree:
-    conclusion: Formula
-    rule: RuleTag
-    premises: tuple["ProofTree", ...] = ()
+class ProofTree(Record):
+    __slots__ = __match_args__ = ("conclusion", "rule", "premises")
+
+    def __init__(self, conclusion: Formula, rule: RuleTag, premises: tuple[ProofTree, ...] = ()):
+        self.conclusion = conclusion
+        self.rule = rule
+        self.premises = premises
 
     def node_count(self) -> int:
         return 1 + sum(p.node_count() for p in self.premises)
 
 
-@dataclass(frozen=True)
-class BranchPremise:
-    spec: str
-    branch: int
-    env: str | None
-    formula: Formula
+class BranchPremise(Frozen):
+    __slots__ = __match_args__ = ("spec", "branch", "env", "formula")
+
+    def __init__(self, spec: str, branch: int, env: str | None, formula: Formula):
+        set_field(self, "spec", spec)
+        set_field(self, "branch", branch)
+        set_field(self, "env", env)
+        set_field(self, "formula", formula)
 
 
 class PairPremise:

@@ -600,7 +600,7 @@ def test_surface_walk_of_a_leaf_formula_is_not_kept():
         f = parse_formula(text)
         first, again = surface_occurrences(f, "leaf"), surface_occurrences(f, "leaf")
         assert first == again and first[0].node is f and first[0] is not again[0], text
-        assert vars(f) == {name: getattr(f, name) for name in f.__dataclass_fields__}, text
+        assert f._surface is None and not hasattr(f, "__dict__"), text
 
 
 def test_surface_walk_matches_reference_on_random_formulas():

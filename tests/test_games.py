@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import time
 
@@ -61,7 +60,7 @@ def test_relabeled_copy_equals_a_fresh_move(player, spec, payload, to_player, to
     fresh = lm(to_player, to_spec, payload)
     assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
     assert (copy.key, copy.value) == (fresh.key, fresh.value)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         copy.payload = "x=1"
 
 

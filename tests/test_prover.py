@@ -924,8 +924,9 @@ def test_search_memoizes_proofs_by_formula_and_refutations_by_key_alone(monkeypa
 
 
 def _keeps_a_walk(f):
-    """Whether ``f`` or a node under it holds anything in its ``__dict__`` besides its fields."""
-    return vars(f).keys() != f.__dataclass_fields__.keys() or any(map(_keeps_a_walk, children(f)))
+    """Whether ``f`` or a node under it holds a walk in its slot ``_surface``, the one place
+    besides its fields that a formula has."""
+    return f._surface is not None or any(map(_keeps_a_walk, children(f)))
 
 
 def _fields(leaves):
