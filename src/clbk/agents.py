@@ -185,8 +185,6 @@ class Query(Record):
         consumed: list[int] | None = None,  # RB indices of the conjuncts in the planned antecedent
         atoms: dict[str, Occurrence] | None = None,
         status: str = "pending",  # won | lost | rejected | unfinished | pending
-        session: Session | None = None,
-        early: list[Labmove] | None = None,  # moves that arrived before opening
     ):
         self.qid = qid
         self.formula = formula
@@ -197,8 +195,8 @@ class Query(Record):
         self.consumed = [] if consumed is None else consumed
         self.atoms = {} if atoms is None else atoms
         self.status = status
-        self.session = session
-        self.early = [] if early is None else early
+        self.session: Session | None = None
+        self.early: list[Labmove] = []  # moves that arrived before opening
 
     @property
     def opponent(self) -> str:

@@ -120,10 +120,6 @@ class Binding(Record):
         env: str | None,
         heuristic: Heuristic | None = None,
         script: Script | None = None,
-        script_pos: int = 0,
-        heuristic_fired: bool = False,
-        heuristic_idle_at: int = -1,
-        local: list[Labmove] | None = None,
     ):
         self.spec = spec
         self.game = game
@@ -131,10 +127,10 @@ class Binding(Record):
         self.env = env
         self.heuristic = heuristic
         self.script = script
-        self.script_pos = script_pos
-        self.heuristic_fired = heuristic_fired
-        self.heuristic_idle_at = heuristic_idle_at
-        self.local = [] if local is None else local
+        self.script_pos = 0
+        self.heuristic_fired = False
+        self.heuristic_idle_at = -1
+        self.local: list[Labmove] = []
         self.machine = Player.MACHINE if polarity == POSITIVE else Player.ENVIRONMENT
 
 
@@ -147,28 +143,22 @@ class Session(Record):
     def __init__(
         self,
         node: ProofTree,
-        run: list[Labmove] | None = None,
-        atoms: dict[str, Occurrence] | None = None,
-        bindings: dict[str, Binding] | None = None,
-        games: dict[str, GameDef] | None = None,
-        heuristics: dict[str, Heuristic] | None = None,
-        scripts: dict[str, Script] | None = None,
-        interpretation: dict[str, bool] | None = None,
-        inbox: deque[Labmove] | None = None,
-        status: Status = Status.RUNNING,
-        listener: Callable[[Session, Labmove], None] | None = None,
+        games: dict[str, GameDef],
+        heuristics: dict[str, Heuristic],
+        scripts: dict[str, Script],
+        interpretation: dict[str, bool],
     ):
         self.node = node
-        self.run = [] if run is None else run
-        self.atoms = {} if atoms is None else atoms
-        self.bindings = {} if bindings is None else bindings
-        self.games = {} if games is None else games
-        self.heuristics = {} if heuristics is None else heuristics
-        self.scripts = {} if scripts is None else scripts
-        self.interpretation = {} if interpretation is None else interpretation
-        self.inbox = deque() if inbox is None else inbox
-        self.status = status
-        self.listener = listener
+        self.run: list[Labmove] = []
+        self.atoms: dict[str, Occurrence] = {}
+        self.bindings: dict[str, Binding] = {}
+        self.games = games
+        self.heuristics = heuristics
+        self.scripts = scripts
+        self.interpretation = interpretation
+        self.inbox: deque[Labmove] = deque()
+        self.status = Status.RUNNING
+        self.listener: Callable[[Session, Labmove], None] | None = None
 
     @property
     def formula(self) -> Formula:  # the conclusion of the proof node play rests at

@@ -57,11 +57,11 @@ class Note(Frozen):
 
 
 class Formula(Frozen):
-    """Base of the formula kinds, immutable records (see ``records``). Each shape writes its own
-    ``__eq__`` and ``__hash__``, which compare and hash the tuple of its fields, so a subformula
-    that both sides share is matched by identity, without a call. A negation, an annotation
-    and a binary node keep their surface walk in the slot ``_surface`` (see
-    ``surface_occurrences``); the leaf kinds of the walk read this class's None."""
+    """Base of the formula kinds, immutable records (see ``records``). They compare and hash
+    the tuple of their fields, so a subformula that both sides share is matched by identity,
+    without a call. A negation, an annotation and a binary node keep their surface walk in the
+    slot ``_surface`` (see ``surface_occurrences``); the leaf kinds of the walk read this
+    class's None."""
 
     __slots__ = ()
     _surface = None
@@ -73,28 +73,12 @@ class Truth(Formula):
     def __init__(self, value: bool):
         set_field(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class Elementary(Formula):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
         set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
 
 
 class General(Formula):
@@ -103,14 +87,6 @@ class General(Formula):
     def __init__(self, name: str, note: Note | None = None):
         set_field(self, "name", name)
         set_field(self, "note", note)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.note) == (other.name, other.note)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.note))
 
 
 class Hybrid(Formula):
@@ -124,14 +100,6 @@ class Hybrid(Formula):
         set_field(self, "elementary", elementary)
         set_field(self, "note", note)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.elementary, self.note) == (other.name, other.elementary, other.note)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.elementary, self.note))
-
 
 class Not(Formula):
     __match_args__ = ("child",)
@@ -140,14 +108,6 @@ class Not(Formula):
     def __init__(self, child: Formula):
         set_field(self, "child", child)
         set_field(self, "_surface", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.child,))
 
 
 class _Binary(Formula):
@@ -160,14 +120,6 @@ class _Binary(Formula):
         _set_left(self, left)
         _set_right(self, right)
         _set_binary_walk(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
 
 # each slot's own setter, which costs less than set_field's lookup of the slot by name
@@ -196,14 +148,6 @@ class _Choice(Formula):
             raise FormulaError(f"{self._connective} needs at least two branches")
         set_field(self, "parts", parts)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) == (other.parts,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
-
 
 class Chand(_Choice):
     """Choice conjunction; the environment picks the branch."""
@@ -229,14 +173,6 @@ class EnvAnn(Formula):
         set_field(self, "child", child)
         set_field(self, "agent", agent)
         set_field(self, "_surface", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.child, self.agent) == (other.child, other.agent)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.child, self.agent))
 
 
 ATOM_KINDS = (Truth, Elementary, General, Hybrid)

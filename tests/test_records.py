@@ -1,8 +1,11 @@
 """Record semantics: every formula kind and every immutable record compares and hashes as the
 tuple of its fields, tells kinds with equal fields apart, refuses assignment and deletion,
-prints its fields and matches them positionally; mutable records compare by field too."""
+prints its fields, matches them positionally, and copies and pickles through them; mutable
+records compare by field too."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from math import inf
@@ -27,9 +30,10 @@ from clbk.formula import (
     Truth,
     children,
     parse_formula,
+    surface_occurrences,
 )
 from clbk.games import GameDef, Labmove, Player, Script
-from clbk.prover import BranchPremise, ProofTree, RuleA, RuleB, RuleC
+from clbk.prover import BranchPremise, ProofTree, RuleA, RuleB, RuleC, format_proof, hybridize, prove
 
 # one formula holding every formula kind, and a note
 EVERY_KIND = "((p | C{h=x}) \\/ (C & D_q)) -> ~T /\\ (E @ w)"
@@ -175,3 +179,43 @@ def test_importing_the_command_line_generates_no_code():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "[]\n"
+
+
+def _copies(x):
+    return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+
+
+def test_immutable_records_and_proofs_copy_and_pickle_through_their_fields():
+    proof = hybridize(prove(parse_formula("(((p | C) \\/ (C & D)) -> ((p | C) \\/ (C & D))) @ w")))
+    assert "C_q" in format_proof(proof)  # its leaves hold hybrid atoms
+    for x in [*(x for pair in _immutable_records() for x in pair), proof]:
+        for clone in _copies(x):
+            assert type(clone) is type(x) and clone == x and repr(clone) == repr(x), x
+
+
+def test_a_copied_record_derives_what_its_fields_give_and_keeps_no_cache():
+    for move in _copies(Labmove(Player.MACHINE, "1.", "x=3")):
+        assert (move.key, move.value) == ("x", 3)
+    for script in _copies(Script(("x=3", "y=1"))):
+        assert script.moves == Script(("x=3", "y=1")).moves
+    f = parse_formula("(C -> C) @ w")
+    surface_occurrences(f, "leaf")
+    assert f._surface is not None
+    for clone in _copies(f):
+        assert clone._surface is None and clone == f
+
+
+def test_a_shared_subtree_is_matched_by_identity_past_the_recursion_limit():
+    shared = Elementary("p")
+    for _ in range(5000):  # past the recursion limit, so only an identity match ends a comparison
+        shared = Not(shared)
+    builders = [
+        lambda name: And(Not(shared), Elementary(name)),
+        lambda name: EnvAnn(shared, name),
+        *(lambda name, kind=kind: kind(shared, Elementary(name)) for kind in (And, Or, Implies)),
+        *(lambda name, kind=kind: kind((Elementary(name), shared)) for kind in (Chand, Chor)),
+    ]
+    for build in builders:
+        x, y, z = build("q"), build("q"), build("r")
+        assert x is not y and x == y and not x != y, type(x)
+        assert x != z and not x == z, type(x)
