@@ -163,15 +163,13 @@ class Bus:
 class Query(Record):
     """One query of ``client`` to ``server``, from submission to its result.
     ``planned`` is the session formula: the server's consumable resources, if it has any,
-    imply the query body. ``atoms`` are its surface atom occurrences by spec: the seats are
-    paired, and moves relayed, by these. Settlement books the session's own atoms instead
-    (``session.atoms``), so a good that play chose out of a choice is booked at the spec the
-    choice left it at. An unroutable query (to God or to an unregistered agent) has no plan
-    and never opens."""
+    imply the query body. Its surface atoms are read from the walk the formula keeps: the
+    seats are paired from it, and the session opens on it, so ``session.atoms`` starts with
+    the same ``Occurrence`` objects and is the query's one occurrence table from then on.
+    An unroutable query (to God or to an unregistered agent) has no plan and never opens."""
 
     __slots__ = __match_args__ = (
-        "qid", "formula", "client", "server", "contract_ref", "planned", "consumed", "atoms", "status", "session",
-        "early",
+        "qid", "formula", "client", "server", "contract_ref", "planned", "consumed", "status", "session", "early",
     )
 
     def __init__(
@@ -183,7 +181,6 @@ class Query(Record):
         contract_ref: int | None = None,  # index into the server's RB when self-executing a contract
         planned: Formula | None = None,
         consumed: list[int] | None = None,  # RB indices of the conjuncts in the planned antecedent
-        atoms: dict[str, Occurrence] | None = None,
         status: str = "pending",  # won | lost | rejected | unfinished | pending
     ):
         self.qid = qid
@@ -193,7 +190,6 @@ class Query(Record):
         self.contract_ref = contract_ref
         self.planned = planned
         self.consumed = [] if consumed is None else consumed
-        self.atoms = {} if atoms is None else atoms
         self.status = status
         self.session: Session | None = None
         self.early: list[Labmove] = []  # moves that arrived before opening
@@ -229,10 +225,10 @@ class SimulationReport(Record):
     once per binding (``engine.read_verdicts``), and the same verdicts give its heuristic wins,
     ledger entries and leftovers. A ledger entry books a completed atom of the session's own
     final formula (``session.atoms``), so a good chosen during play counts, while the seats
-    still pair the planned formula's atoms (``Query.atoms``). A quiescent run settles in place
-    each resource-base entry a session touched: a won contract and a spent conjunct are
-    dropped, a partly played conjunct keeps its index with its position. A run cut short
-    changes no resource base."""
+    were paired on the planned formula's atoms. A quiescent run settles in place each
+    resource-base entry a session touched: a won contract and a spent conjunct are dropped, a
+    partly played conjunct keeps its index with its position. A run cut short changes no
+    resource base."""
 
     __slots__ = __match_args__ = (
         "quiescent", "steps", "results", "heuristic_wins", "ledgers", "final_rb", "trace", "agent_traces",
@@ -284,11 +280,11 @@ class Simulation:
     ``engine.run_to_quiescence``, which returns only once its session is quiescent or finished,
     so no session is left running and only the bus and the unopened queries can hold work.
 
-    A seat is an occurrence ``(qid, spec)`` where an agent relays play between sessions:
-    ``seats[aid]`` maps each of ``aid``'s seats to its partner seat and whether it produces
-    (relays challenges) or consumes (relays answers). Its polarity is the occurrence's in
-    ``queries[qid].atoms``, and ``aid`` holds it locally when it serves ``qid``. The seats are
-    paired once, when the run first needs them, from the queries submitted by then.
+    A seat is an occurrence ``(qid, spec)`` of a planned formula where an agent relays play
+    between sessions; ``aid`` holds it locally when it serves ``qid``. ``seats[aid]`` maps each
+    of ``aid``'s seats to its relay rule: the partner seat, the session player whose moves the
+    seat forwards, and whether the copy changes player. The seats and their rules are fixed
+    once, when the first query is opened, from the queries submitted by then.
 
     The bus carries one message type, ``MoveMsg``. Each session's listener traces every move
     and relays it from the server's own seats; it also posts each machine move to the agent
@@ -349,8 +345,7 @@ class Simulation:
             if unknown := sorted(note_names(planned, kind[0]) - defined.keys()):
                 text = print_formula(q)
                 raise AgentError(f"query {text} names {kind} {unknown[0]!r}, which {server!r} does not define")
-        atoms = {occ.spec: occ for occ in surface_occurrences(planned, "atom")}
-        query = Query(qid, q, client, server, contract_ref, planned, consumed, atoms)
+        query = Query(qid, q, client, server, contract_ref, planned, consumed)
         self.queries[qid] = query
         self.queues[server].append(query)
         self.unopened[server].append(query)
@@ -368,9 +363,13 @@ class Simulation:
         return target, []
 
     @cached_property
-    def seats(self) -> dict[str, dict[tuple[str, str], tuple[tuple[str, str], bool]]]:
+    def seats(self) -> dict[str, dict[tuple[str, str], tuple[tuple[str, str], Player, bool]]]:
         """Pair, per agent and atom, the seats where it owes answers with the seats where it
-        may forward the challenge and collect the answer from a counterparty."""
+        may forward the challenge and collect the answer from a counterparty. A produce seat
+        forwards its local environment's moves (challenges), a consume seat its local
+        machine's (answers); the copy changes player where the two seats' polarities differ.
+        Each planned formula's surface atoms are read from the walk it keeps."""
+        atoms = {qid: surface_occurrences(query.planned, "atom") for qid, query in self.queries.items()}
         table = {a: {} for a in self.agents}
         # the queries each agent sent to another agent, by server in registration order and
         # each server's in submission order
@@ -380,39 +379,42 @@ class Simulation:
                 if query.client != server:
                     sent.setdefault(query.client, []).append(query)
         for aid, seats in table.items():
-            tables: dict[bool, dict[str, list[tuple[str, str]]]] = {True: {}, False: {}}  # by ``produces``
+            tables: dict[bool, dict[str, list[tuple[str, Occurrence]]]] = {True: {}, False: {}}  # by ``produces``
 
             def seat(query: Query, occ: Occurrence, produces: bool) -> None:
-                tables[produces].setdefault(occ.node.name, []).append((query.qid, occ.spec))
+                tables[produces].setdefault(occ.node.name, []).append((query.qid, occ))
 
             mine = self.queues[aid]
             # God-contract liabilities: negative occurrences of own contract sessions.
             for query in mine:
                 if query.contract_ref is not None:
-                    for occ in query.atoms.values():
+                    for occ in atoms[query.qid]:
                         if occ.polarity == NEGATIVE:
                             seat(query, occ, True)
             # Client-side answer seats on queries this agent sent elsewhere, where it plays: not
             # on the server's antecedent, whose resources other agents supply.
             for query in sent.get(aid, ()):
-                for occ in query.atoms.values():
+                for occ in atoms[query.qid]:
                     if occ.env == aid:
                         seat(query, occ, occ.polarity == NEGATIVE)
             # Executor seats on sessions served for others.
             for query in mine:
                 if query.contract_ref is not None or query.client == aid:
                     continue
-                for occ in query.atoms.values():
+                for occ in atoms[query.qid]:
                     if occ.polarity == NEGATIVE:
                         seat(query, occ, False)
                     elif occ.node.name not in self.manuals[aid]:
                         seat(query, occ, True)
             for name, producers in tables[True].items():
-                for produce, consume in zip(producers, tables[False].get(name, [])):
-                    if produce[0] == consume[0] and self.queries[produce[0]].server == aid:
+                for (pid, produce), (cid, consume) in zip(producers, tables[False].get(name, [])):
+                    if pid == cid and self.queries[pid].server == aid:
                         continue  # the session's own copy-cat joins two seats it serves
-                    seats[produce] = (consume, True)
-                    seats[consume] = (produce, False)
+                    flips = produce.polarity != consume.polarity
+                    challenger = Player.ENVIRONMENT if produce.polarity == POSITIVE else Player.MACHINE
+                    answerer = Player.MACHINE if consume.polarity == POSITIVE else Player.ENVIRONMENT
+                    seats[pid, produce.spec] = ((cid, consume.spec), challenger, flips)
+                    seats[cid, consume.spec] = ((pid, produce.spec), answerer, flips)
         return table
 
     # -- relays ----------------------------------------------------------------
@@ -428,19 +430,17 @@ class Simulation:
             self._inform(query, lm)
 
     def _relay(self, aid: str, sid: str, lm: Labmove) -> None:
-        """Copy a challenge at one of ``aid``'s produce seats, or an answer at a consume seat,
-        to the partner seat in the same local role: played there if ``aid`` serves the
-        partner's session, else posted to its server."""
+        """Copy a move at one of ``aid``'s seats to the partner seat, if the seat forwards
+        that player's moves, flipping its player if the seat's rule says so: played there if
+        ``aid`` serves the partner's session, else posted to its server."""
         seat = self.seats[aid].get((sid, lm.spec))
         if seat is None:
             return
-        (pid, pspec), produces = seat
-        polarity = self.queries[sid].atoms[lm.spec].polarity
-        if produces != ((lm.player is Player.ENVIRONMENT) == (polarity == POSITIVE)):
+        (pid, pspec), forwards, flips = seat
+        if lm.player is not forwards:
             return
         partner = self.queries[pid]
-        label = lm.player if partner.atoms[pspec].polarity == polarity else lm.player.flip()
-        copy = lm.relabeled(label, pspec)
+        copy = lm.relabeled(forwards.flip() if flips else forwards, pspec)
         if partner.server == aid:
             self._apply_local(partner, copy)
         else:
@@ -481,6 +481,7 @@ class Simulation:
             return False
         query = self.unopened[aid].popleft()
         agent = self.agents[aid]
+        seats = self.seats  # paired first, so the prover reads each planned formula's kept walk
         tree = prove(query.planned, winnable=self.winnable[aid])
         if tree is None:
             query.status = "rejected"
@@ -492,13 +493,13 @@ class Simulation:
             scripts=agent.scripts,
             winnable=self.winnable[aid],
         )
-        for occ in query.atoms.values():
+        for occ in query.session.atoms.values():
             # Unless an h= note binds a heuristic (an s= note binds the other seat), the manual of the agent
             # owing the good answers where it holds no seat: the server at a positive occurrence, else the provider.
             owner = aid if occ.polarity == POSITIVE else occ.env
             manual = self.manuals.get(owner, {}).get(occ.node.name)
             binding = query.session.bindings[occ.spec]
-            if manual and binding.heuristic is None and (query.qid, occ.spec) not in self.seats.get(owner, {}):
+            if manual and binding.heuristic is None and (query.qid, occ.spec) not in seats.get(owner, {}):
                 binding.heuristic = manual
         query.session.listener = lambda s, lm: self._on_append(query, lm)
         self.opened.append(query)

@@ -13,7 +13,7 @@ import sys
 from . import engine
 from .agents import Agent, AgentError, Simulation
 from .engine import EngineError, Status, StepBudgetExceeded
-from .formula import SPEC_RE, FormulaError, file_message, note_names, parse_formula, print_formula
+from .formula import SPEC_RE, FormulaError, ParseError, file_message, note_names, parse_formula, print_formula
 from .games import GameDef, Labmove, Player, Script
 from .prover import SearchBudgetExceeded, format_proof, hybridize, prove
 from .scenario import (
@@ -218,7 +218,7 @@ def cmd_fmt(args) -> int:
             continue
         try:
             out.append(print_formula(parse_formula(text)))
-        except FormulaError as exc:
+        except ParseError as exc:
             raise InputError(file_message(exc, lineno, len(raw) - len(raw.lstrip()))) from exc
     sys.stdout.writelines(line + "\n" for line in out)
     return EXIT_OK

@@ -18,8 +18,8 @@ Moves leave a session only through ``Session.listener``, called once per appende
 driving functions report only whether they moved. ``_enter`` is the only place that changes
 ``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``, when play reaches a proof
 node. It reads the conclusion's surface walk through ``surface_occurrences``, which keeps one
-walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simulator's
-``Query.atoms`` share one walk of a conclusion and its ``Occurrence`` objects. An environment
+walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simulator's seat
+pairing share one walk of a conclusion and its ``Occurrence`` objects. An environment
 choice at a closure node enters the closure premise at its branch's position in ``premises_A``,
 the order in which the checker holds closure premises. Once the session rests, the winner is
 one fold over the final formula (``evaluate_winner``): each binding's game is read once for
@@ -52,26 +52,10 @@ from .formula import (
     occurrence_at,
     surface_occurrences,
 )
-from .games import GameDef, Heuristic, Labmove, Player, Run, Script, Verdict, subrun
+from .games import GameDef, Heuristic, Labmove, Player, Run, Script, Verdict
+from .games import subrun  # unused here; re-exported so that perfbench/tracing.py can wrap ``engine.subrun``
 from .prover import ProofTree, RuleA, RuleB, RuleC, premises_A, verify_proof
 from .records import Record
-
-__all__ = [
-    "Binding",
-    "EngineError",
-    "Session",
-    "Status",
-    "StepBudgetExceeded",
-    "env_move",
-    "evaluate_winner",
-    "machine_turn",
-    "move_refusal",
-    "new_session",
-    "read_verdicts",
-    "run_to_quiescence",
-    "step",
-    "subrun",
-]
 
 
 class EngineError(RuntimeError):

@@ -38,12 +38,10 @@ class ParseError(FormulaError):
         self.col = col
 
 
-def file_message(exc: FormulaError, lineno: int, start: int) -> str:
+def file_message(exc: ParseError, lineno: int, start: int) -> str:
     """``exc``, raised by a formula that starts at 0-based column ``start`` of file line
-    ``lineno``, placed in the file: a parse error by the line and column there, others by line."""
-    if isinstance(exc, ParseError):
-        return f"line {lineno}, column {start + exc.col}: {exc.message}"
-    return f"line {lineno}: {exc}"
+    ``lineno``, placed in the file by the line and column there."""
+    return f"line {lineno}, column {start + exc.col}: {exc.message}"
 
 
 class Note(Frozen):

@@ -7,7 +7,7 @@ import re
 from importlib import resources
 
 from .agents import Agent, ResourceEntry, is_contract
-from .formula import FormulaError, file_message, parse_formula
+from .formula import ParseError, file_message, parse_formula
 from .games import GAME_FACTORIES, GameDef, Heuristic, Script
 
 _AGENT_RE = re.compile(r'^agent\s+("(?P<quoted>[^"\s]+)"|(?P<bare>[A-Za-z][A-Za-z0-9]*))(\s+kind=(?P<kind>provider|consumer|regular))?$')
@@ -96,7 +96,7 @@ def parse_scenario(text: str) -> list[Agent]:
         if m := _FORMULA_RE.match(line):
             try:
                 f = parse_formula(m.group("formula"))
-            except FormulaError as exc:
+            except ParseError as exc:
                 indent = len(raw) - len(raw.lstrip())
                 raise ScenarioError(file_message(exc, lineno, indent + m.start("formula"))) from exc
             if m.group("kind") == "rb":

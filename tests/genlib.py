@@ -306,3 +306,16 @@ def random_provable(rng: random.Random, count: int, need_pairing: bool = False, 
     if len(found) < count:
         raise RuntimeError(f"generator exhausted: found {len(found)} of {count}")
     return found
+
+
+def illegal_moves(session):
+    """The moves filed at ``session``'s bindings that their games forbid, as ``(spec, str(move))``
+    in binding and run order: each binding's ``local`` run is replayed move by move through
+    ``GameDef.legal`` at the binding's machine seat. A move after an illegal one is judged on
+    the run as filed, the illegal move included."""
+    found = []
+    for spec, binding in session.bindings.items():
+        for i, lm in enumerate(binding.local):
+            if not binding.game.legal(binding.local[:i], lm, binding.machine):
+                found.append((spec, str(lm)))
+    return found

@@ -15,9 +15,11 @@ from clbk.agents import (
 )
 from clbk.cli import main
 from clbk.engine import Session, Status
-from clbk.formula import NEGATIVE, POSITIVE, parse_formula
+from clbk.formula import NEGATIVE, POSITIVE, parse_formula, surface_occurrences
 from clbk.games import GameDef, Labmove, Player, coffee_game
+from clbk.prover import hybridize, prove
 from clbk.scenario import builtin_scenario, parse_scenario
+from genlib import illegal_moves
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 
@@ -57,6 +59,13 @@ def test_bus_rejects_unknown_recipient():
     bus.register("a")
     with pytest.raises(BusError, match="unknown recipient"):
         bus.post("ghost", MoveMsg("sid", Labmove(T, "1.", "x=3")))
+
+
+def test_submit_query_refuses_an_unregistered_server():
+    sim = Simulation([Agent("a")])
+    with pytest.raises(BusError, match="unknown recipient 'ghost'"):
+        sim.submit_query("ghost", parse_formula("p -> p"), client="a")
+    assert sim.queries == {}
 
 
 def test_god_agent_id_is_reserved():
@@ -417,7 +426,8 @@ def test_starbucks_bindings_hold_the_runs_own_moves():
 
 def test_a_session_reads_its_querys_walk(monkeypatch):
     """A session opens on the query's planned formula itself, so its atoms are the very
-    Occurrence objects of ``Query.atoms``: the formula is walked once for both."""
+    Occurrence objects of the walk that formula keeps, from which the seats were paired:
+    the formula is walked once for both."""
     opened = []
     original = engine.new_session
 
@@ -431,8 +441,9 @@ def test_a_session_reads_its_querys_walk(monkeypatch):
     sim.run(10_000)
     assert len(opened) == len(sim.opened) == 6
     for query, atoms in zip(sim.opened, opened):
-        assert atoms.keys() == query.atoms.keys() and atoms
-        assert all(atoms[spec] is occ for spec, occ in query.atoms.items()), query.qid
+        planned = surface_occurrences(query.planned, "atom")
+        assert list(atoms) == [occ.spec for occ in planned] and atoms
+        assert all(atoms[occ.spec] is occ for occ in planned), query.qid
 
 
 def test_starbucks_parses_each_payload_once_and_walks_each_formula_once(monkeypatch):
@@ -593,3 +604,65 @@ def test_move_before_opening_is_applied_once_open():
     assert report.quiescent and report.all_won()
     assert report.trace == ["1 a B 2.x=2", "2 a T 1.x=2", "3 a B 2.y=3", "4 a T 1.y=3", "5 f B 1.z=7", "6 a T 2.z=7"]
     assert query.session.run[0] == Labmove(B, "2.", "x=2")
+
+
+CHAINED_ORDERS = """
+agent f kind=provider
+  game C = coffee(zmax=10)
+  heuristic hx = coffee
+  rb C{h=hx} @ God
+
+agent m1
+  game C = coffee(zmax=10)
+  script req = [x=2, y=3]
+  rb C @ f
+
+agent m2
+  game C = coffee(zmax=10)
+  script req = [x=2, y=3]
+  query C{s=req} @ m1
+
+agent u0
+  game C = coffee(zmax=10)
+  query C{s=req} @ m2
+"""
+
+
+def test_legality_replay_of_what_the_bindings_file():
+    """Each binding's run replayed through its game's ``legal``. The starbucks run files only
+    legal moves. The two probes pin a known defect (ROADMAP, "Legal runs in the engine and in
+    the simulator"): the engine copies environment moves the game forbids, and a middleman
+    that orders a good for itself and relays a client's order for it files forbidden moves,
+    yet every session is won. A change that enforces legality turns these two pins around."""
+    sim = Simulation(parse_scenario(builtin_scenario("starbucks")))
+    assert sim.run(10_000).all_won()
+    assert sum(len(b.local) for q in sim.opened for b in q.session.bindings.values()) == 160
+    assert [illegal_moves(q.session) for q in sim.opened] == [[]] * 6
+
+    # Probe 1: interactive environment moves that the coffee game forbids, each copied.
+    session = engine.new_session(hybridize(prove(parse_formula("(C -> C) @ w"))), games={"C": coffee_game(10)})
+    engine.machine_turn(session)
+    for spec, payload in [("2.", "y=2"), ("2.", "x=0"), ("2.", "z=99"), ("1.", "q")]:
+        lm = Labmove(B, spec, payload)
+        assert engine.move_refusal(session, lm) is None
+        session.deliver(lm)
+        engine.run_to_quiescence(session)
+    assert len(session.run) == 8
+    assert illegal_moves(session) == [
+        ("1.", "T1.y=2"), ("1.", "T1.x=0"), ("1.", "T1.z=99"), ("1.", "B1.q"),
+        ("2.", "B2.y=2"), ("2.", "B2.x=0"), ("2.", "B2.z=99"), ("2.", "T2.q"),
+    ]
+    assert engine.evaluate_winner(session) is T
+
+    # Probe 2: m2 orders a coffee for itself and relays u0's order for one through m1.
+    sim = Simulation(parse_scenario(CHAINED_ORDERS))
+    report = sim.run(1000)
+    assert report.quiescent and report.all_won() and len(report.heuristic_wins) == 1
+    assert [(q.qid, sum(len(b.local) for b in q.session.bindings.values())) for q in sim.opened] == [
+        ("f:1", 0), ("m1:1", 10), ("m2:1", 3)
+    ]
+    assert {q.qid: illegal_moves(q.session) for q in sim.opened} == {
+        "f:1": [],
+        "m1:1": [("1.", "T1.x=2"), ("1.", "T1.y=3"), ("2.", "B2.x=2"), ("2.", "B2.y=3")],
+        "m2:1": [("", "Tz=7")],
+    }

@@ -67,6 +67,11 @@ def test_new_session_missing_game_errors():
         engine.new_session(tree, games={"C": COFFEE})
 
 
+def test_new_session_refuses_a_proof_that_does_not_verify():
+    with pytest.raises(EngineError, match="proof tree does not verify"):
+        engine.new_session(ProofTree(parse_formula("C -> D"), RuleA()))
+
+
 def test_machine_turn_on_fresh_pairing_proof_emits_nothing():
     s = coffee_session()
     heard = listen(s)

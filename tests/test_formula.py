@@ -91,6 +91,12 @@ def test_parse_chand_nary_and_nested():
     assert parse_formula("p & (q & r)") == Chand((p, Chand((q, r))))
 
 
+def test_a_choice_needs_two_branches():
+    for kind in (Chand, Chor):
+        with pytest.raises(FormulaError, match="at least two branches"):
+            kind((Elementary("p"),))
+
+
 def test_parse_reports_position():
     with pytest.raises(ParseError, match="line 1"):
         parse_formula("p -> ->")

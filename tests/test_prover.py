@@ -209,6 +209,12 @@ def test_verify_rejects_wrong_branch():
     assert not verify_proof(wrong)
 
 
+def test_verify_rejects_a_rule_that_is_no_rule_tag():
+    f = parse_formula("p -> p")
+    assert verify_proof(ProofTree(f, RuleA()))
+    assert not verify_proof(ProofTree(f, "A"))
+
+
 def test_prove_format_listing():
     t = prove(parse_formula("(C /\\ C) -> (C \\/ C) @ w"))
     lines = format_proof(t).splitlines()
