@@ -8,6 +8,7 @@ from itertools import count
 
 from .classical import is_valid
 from .formula import (
+    BINARY_KINDS,
     And,
     Chand,
     Chor,
@@ -17,6 +18,7 @@ from .formula import (
     FormulaError,
     General,
     Hybrid,
+    Implies,
     NEGATIVE,
     Not,
     Occurrence,
@@ -313,8 +315,8 @@ def _operands(node: Formula, kind: type, out: list[Formula]) -> list[Formula]:
 
 class _Search:
     """One proof search: its fixed inputs, its memos and the number of nodes expanded. A
-    proof is kept by its exact formula (``proofs``), a refutation by its ``memo_key`` alone
-    (``refuted``)."""
+    proof below a branch premise is kept by its exact formula (``proofs``), a refutation by
+    its ``memo_key`` alone (``refuted``)."""
 
     def __init__(self, root_avoid: frozenset[str], winnable: frozenset[str], max_nodes: int | None):
         self.root_avoid = root_avoid
@@ -329,13 +331,17 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     """Proof search with a fixed rule order: atom pairings first, then closure, then machine choices.
 
     Pairings are exhausted before closing so that fully general conclusions reproduce the
-    canonical pairing-chain proofs. Below the root, proofs are memoized on the exact formula
-    and refutations on its ``memo_key``, so a node refuted once prunes every node equal to it
-    up to the order of ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms. The
-    root has no entry. Count a node's choice operators and general-atom occurrences: every
-    premise counts fewer than its conclusion, since a branch premise drops a choice and a
-    pairing premise two general atoms, and nodes with equal keys count alike. So every node
-    below the root counts fewer than the root, and none meets it in either memo. With
+    canonical pairing-chain proofs. Below the root, refutations are memoized on their
+    ``memo_key``, so a node refuted once prunes every node equal to it up to the order of
+    ``/\\`` and ``\\/`` operands and a renaming of its fresh atoms; proofs are memoized on the
+    exact formula, and only below a branch premise (rule A or B). Count a node's choice
+    operators and general-atom occurrences: every premise counts fewer than its conclusion,
+    since a branch premise drops a choice and a pairing premise two general atoms, and nodes
+    with equal keys count alike. So no node below the root meets it in either memo. Nor does
+    a node on a pure pairing chain from the root meet an equal node: it keeps the root's
+    choices, which a branch premise lowers; the k-th pairing on the chain names its atom with
+    the k-th name outside the root's (``_fresh_name``), so two different pairing sequences
+    leave different atoms at some leaf; and the search runs each sequence once. With
     ``max_nodes`` set, expanding more nodes than that raises ``SearchBudgetExceeded``.
 
     Pairings on disjoint occurrences commute, so the search enumerates matchings rather than
@@ -373,11 +379,12 @@ def prove(f: Formula, winnable: frozenset[str] = frozenset(), max_nodes: int | N
     return _search(f, _Search(frozenset(elementary_names(f)), winnable, max_nodes))
 
 
-def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTree | None:
-    """``prove`` at ``g``; ``pair`` is the pairing whose premise ``g`` is, if it is one."""
-    # the root is neither looked up nor keyed nor stored: no node below it meets it (see prove)
-    root = not s.expanded
-    if not root and (proof := s.proofs.get(g)) is not None:
+def _search(g: Formula, s: _Search, pair: PairPremise | None = None, branched: bool = False) -> ProofTree | None:
+    """``prove`` at ``g``; ``pair`` is the pairing whose premise ``g`` is, if it is one, and
+    ``branched`` whether a branch premise (rule A or B) lies on the way from the root."""
+    # proofs are looked up and kept only below a branch: a node on a pure pairing chain from
+    # the root meets no equal node (see prove)
+    if branched and (proof := s.proofs.get(g)) is not None:
         return proof
     # a provable search often refutes nothing, and then needs no key at all; an exact repeat
     # of a refuted node has its key, so it ends here too, before the budget check
@@ -386,6 +393,7 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
         return None
     if s.max_nodes is not None and s.expanded >= s.max_nodes:
         raise SearchBudgetExceeded(f"proof search exceeded {s.max_nodes} nodes")
+    root = not s.expanded
     s.expanded += 1
     walk = _Walk(surface_leaves(g) if pair is None else pair.leaves())
     monotone = walk.monotone(s.winnable)
@@ -395,7 +403,7 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
     spanned = not (monotone and pairs and (s.refuted or root)) or names_valid(g, s.winnable)
     result = None
     for premise in pairs if spanned else ():
-        sub = _search(premise.formula, s, premise)
+        sub = _search(premise.formula, s, premise, branched)
         if sub is not None:
             result = ProofTree(g, RuleC(premise.pos.spec, premise.neg.spec, premise.name), (sub,))
             break
@@ -404,7 +412,7 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
     if result is None and not (monotone and pairs) and is_stable(g, s.winnable):
         subs = []
         for entry in _branch_premises(g, walk.choices, True):
-            sub = _search(entry.formula, s)
+            sub = _search(entry.formula, s, None, True)
             if sub is None:
                 break
             subs.append(sub)
@@ -412,15 +420,15 @@ def _search(g: Formula, s: _Search, pair: PairPremise | None = None) -> ProofTre
             result = ProofTree(g, RuleA(), tuple(subs))
     if result is None:
         for entry in _branch_premises(g, walk.choices, False):
-            sub = _search(entry.formula, s)
+            sub = _search(entry.formula, s, None, True)
             if sub is not None:
                 result = ProofTree(g, RuleB(entry.spec, entry.branch, entry.env), (sub,))
                 break
-    if not root:
-        if result is None:
+    if result is None:
+        if not root:  # no node below the root meets it (see prove)
             s.refuted.add(memo_key(g, s.root_avoid) if key is None else key)
-        else:
-            s.proofs[g] = result
+    elif branched:
+        s.proofs[g] = result
     return result
 
 
@@ -432,12 +440,20 @@ def hybridize(t: ProofTree) -> ProofTree:
     of ``t`` are read, so ``t`` should be a proof (``verify_proof(t)``); then so is the result.
     A rule that addresses no pair of general atoms (C) or no branch of a machine choice (B)
     raises ``FormulaError``; a node with more or fewer premises than its rule builds, ``ValueError``."""
-    return _convert(t, t.conclusion)
+    order, todo = [], [(t, t.conclusion)]
+    while todo:  # each node with its hybrid conclusion, before its premises, which come last to first
+        node, h = todo.pop()
+        order.append((node, h))
+        todo += zip(node.premises, _hybrid_premises(node.rule, h), strict=True)
+    built: list[ProofTree] = []
+    for node, h in reversed(order):  # each node after its premises' trees, which end ``built``
+        k = len(built) - len(node.premises)
+        built[k:] = [ProofTree(h, node.rule, tuple(built[k:]))]
+    return built[0]
 
 
-def _convert(node: ProofTree, h: Formula) -> ProofTree:
-    """``hybridize`` at ``node``, whose hybrid conclusion is ``h``."""
-    rule = node.rule
+def _hybrid_premises(rule: RuleTag, h: Formula) -> list[Formula]:
+    """The conclusions of the premises ``rule`` builds from the hybrid conclusion ``h``."""
     if isinstance(rule, RuleC):
         atom = _pair_atom(h, rule)
         built = None if atom is None else [_paired(h, rule.pos_spec, rule.neg_spec, Hybrid(atom.name, rule.name))]
@@ -447,7 +463,7 @@ def _convert(node: ProofTree, h: Formula) -> ProofTree:
         built = [e.formula for e in premises_A(h)]
     if built is None:
         raise FormulaError(f"{rule} addresses no occurrence it applies to")
-    return ProofTree(h, rule, tuple(_convert(p, f) for p, f in zip(node.premises, built, strict=True)))
+    return built
 
 
 def _pair_atom(g: Formula, rule: RuleC) -> General | None:
@@ -471,81 +487,100 @@ def verify_proof(t: ProofTree, winnable: frozenset[str] = frozenset()) -> bool:
     or the named pair given one atom absent from the conclusion, elementary or hybrid. This
     checks ``t`` itself; ``hybridize`` reads no premise's conclusion, so check both forms.
 
-    A rule names each occurrence by its spec, its one address, and finds it by one descent
-    along the spec (``occurrence_at``), as ``hybridize`` does (``_chosen``, ``_pair_atom``).
-    Rule B builds the one premise it names along the same spec (``substitute_at``). Rule C
-    builds none: it descends premise and conclusion together along its two specs
-    (``_ends_off``). Every child off the way must be equal (``==``, which returns at once on a
+    A rule names each occurrence by its spec, its one address. Rule B finds its choice by one
+    descent along the spec (``_chosen``) and builds the one premise it names along the same
+    spec (``substitute_at``). Rule C builds none: it descends premise and conclusion together
+    along its two specs, once (``_ends_off``), and reads its general atom and both polarities
+    where that descent ends; ``hybridize`` alone finds the atom by two descents of its own
+    (``_pair_atom``). Every child off the way must be equal (``==``, which returns at once on a
     shared subtree), and both paired leaves must be the same atom, ``Elementary(name)`` or
     ``Hybrid(<general name>, name)`` (``_pairs_as``). The freshness check walks the conclusion
     of the first rule C on a path only: a checked pairing replaces two general atoms, so its
     premise's names are the conclusion's and ``name``, and they are carried down."""
-    return _verify(t, winnable, None)
+    todo: list[tuple[ProofTree, set[str] | None]] = [(t, None)]
+    while todo:  # a loop, not recursion: each node with its conclusion's names, None if not known
+        node, names = todo.pop()
+        g = node.conclusion
+        got = [p.conclusion for p in node.premises]
+        below = None
+        match node.rule:
+            case RuleA():
+                ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
+            case RuleB(spec):
+                ok = (part := _chosen(g, node.rule)) is not None and got == [substitute_at(g, spec, part)]
+            case RuleC(pos_spec, neg_spec, name):
+                ok = (
+                    len(got) == 1
+                    and (ends := _ends_off(got[0], g, pos_spec, neg_spec)) is not None
+                    and _pairs_as(ends, name)
+                    and name not in (names := elementary_names(g) if names is None else names)
+                )
+                below = names | {name} if ok else None
+            case _:
+                ok = False
+        if not ok:
+            return False
+        todo += [(p, below) for p in node.premises]
+    return True
 
 
-def _verify(t: ProofTree, winnable: frozenset[str], names: set[str] | None) -> bool:
-    """``verify_proof`` at ``t``; ``names`` are the elementary names of its conclusion, or
-    None where they are not known."""
-    g = t.conclusion
-    got = [p.conclusion for p in t.premises]
-    below = None
-    match t.rule:
-        case RuleA():
-            ok = is_stable(g, winnable) and got == [e.formula for e in premises_A(g)]
-        case RuleB(spec):
-            ok = (part := _chosen(g, t.rule)) is not None and got == [substitute_at(g, spec, part)]
-        case RuleC(pos_spec, neg_spec, name):
-            ok = (
-                (atom := _pair_atom(g, t.rule)) is not None
-                and len(got) == 1
-                and (ends := _ends_off(got[0], g, pos_spec, neg_spec)) is not None
-                and ends[0] == ends[1] and _pairs_as(ends[0], name, atom.name)
-                and name not in (names := elementary_names(g) if names is None else names)
-            )
-            below = names | {name} if ok else None
-        case _:
-            ok = False
-    return ok and all(_verify(p, winnable, below) for p in t.premises)
-
-
-def _pairs_as(leaf: Formula, name: str, general: str) -> bool:
-    """Whether ``leaf`` equals ``Elementary(name)`` or ``Hybrid(general, name)``, read by its
-    type and fields rather than compared with either."""
+def _pairs_as(ends: list[tuple[Formula, Formula, int]], name: str) -> bool:
+    """Whether ``ends`` (see ``_ends_off``) are a positive and a negative occurrence of one
+    general atom in the conclusion that the premise both replaces by ``Elementary(name)`` or
+    both by ``Hybrid(<general name>, name)``, read by type and fields rather than compared."""
+    (leaf, pos, pos_sign), (other, neg, neg_sign) = ends
+    ok = (pos_sign, neg_sign) == (POSITIVE, NEGATIVE) and type(pos) is type(neg) is General
+    if not ok or pos.name != neg.name or leaf != other:
+        return False
     kind = type(leaf)
     if kind is Elementary:
         return leaf.name == name
-    return kind is Hybrid and leaf.elementary == name and leaf.name == general and leaf.note is None
+    return kind is Hybrid and leaf.elementary == name and leaf.name == pos.name and leaf.note is None
 
 
-def _ends_off(h: Formula, g: Formula, p: str, q: str) -> tuple[Formula, Formula] | None:
-    """The nodes of ``h`` at ``g``'s two surface leaf specs ``p`` and ``q``, left one first, if
-    ``h`` agrees with ``g`` off the way to them (see ``_end_off``); None if it does not."""
-    fork = next(i for i in range(0, len(p), 2) if p[i] != q[i])  # at a binary node of g
-    top = _end_off(h, g, p[:fork])
-    if top is None or type(top[0]) is not type(top[1]):
+def _ends_off(h: Formula, g: Formula, p: str, q: str) -> list[tuple[Formula, Formula, int]] | None:
+    """The ends of one descent through ``h`` and ``g`` together along ``g``'s specs ``p`` and
+    ``q``, ``p``'s first (see ``_end_off``), if the specs part with a ``1.`` and a ``2.`` step
+    at a binary node and ``h`` agrees with ``g`` off the way; None if not."""
+    fork = next((i for i, (a, b) in enumerate(zip(p, q)) if a != b), None)  # None: equal, or one a prefix
+    top = None if fork is None else _end_off(h, g, POSITIVE, p[:fork])
+    if top is None or (kind := type(top[1])) not in BINARY_KINDS or type(top[0]) is not kind:
         return None
-    (h, g), (p, q) = top, (p, q) if p[fork] == "1" else (q, p)
-    left, right = _end_off(h.left, g.left, p[fork + 2 :]), _end_off(h.right, g.right, q[fork + 2 :])
-    return None if left is None or right is None else (left[0], right[0])
+    h, g, sign = top
+    sides = {"1.": (h.left, g.left, -sign if kind is Implies else sign), "2.": (h.right, g.right, sign)}
+    ends = []
+    for spec in (p, q):  # a step other than 1. or 2. at the fork has no side
+        side = sides.get(spec[fork : fork + 2])
+        ends.append(side and _end_off(*side, spec[fork + 2 :]))
+    return None if None in ends else ends
 
 
-def _end_off(h: Formula, g: Formula, spec: str) -> tuple[Formula, Formula] | None:
-    """The nodes of ``h`` and of ``g`` where the descent along ``spec``, which ``g`` reads to
-    the end, stops (as ``occurrence_at``'s), if ``h`` agrees with ``g`` off the way: each node
+def _end_off(h: Formula, g: Formula, sign: int, spec: str) -> tuple[Formula, Formula, int] | None:
+    """The nodes of ``h`` and of ``g`` where the descent along ``spec`` stops, past the
+    negations and annotations below its last step, and the polarity there of ``g``'s node if
+    ``g`` has polarity ``sign``, as ``occurrence_at`` finds them in ``g``. None unless each step
+    is ``1.`` or ``2.`` at a binary node, and ``h`` agrees with ``g`` off the way: each node
     passed has ``g``'s connective and agent, and each child off the way equals ``g``'s (``==``,
-    which returns at once on a shared subtree). None if it does not."""
+    which returns at once on a shared subtree)."""
     i = 0
     while (kind := type(g)) is Not or kind is EnvAnn or i < len(spec):
         if type(h) is not kind or (kind is EnvAnn and h.agent != g.agent):
             return None
         if kind is Not or kind is EnvAnn:
-            h, g = h.child, g.child
+            h, g, sign = h.child, g.child, -sign if kind is Not else sign
             continue
-        h, g, off, g_off = (h.left, g.left, h.right, g.right) if spec[i] == "1" else (h.right, g.right, h.left, g.left)
+        if kind not in BINARY_KINDS:
+            return None
+        if spec.startswith("1.", i):
+            h, g, off, g_off, sign = h.left, g.left, h.right, g.right, -sign if kind is Implies else sign
+        elif spec.startswith("2.", i):
+            h, g, off, g_off = h.right, g.right, h.left, g.left
+        else:
+            return None
         if off is not g_off and off != g_off:
             return None
         i += 2
-    return h, g
+    return h, g, sign
 
 
 _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}
@@ -553,14 +588,15 @@ _RULE_LETTER = {RuleA: "A", RuleB: "B", RuleC: "C"}
 
 def format_proof(t: ProofTree) -> str:
     """Numbered listing, premises before conclusions: ``<id>. <formula>, rule <A|B|C>, <premise ids>``."""
+    order, todo = [], [t]
+    while todo:  # each node before its premises, which come last to first
+        order.append(node := todo.pop())
+        todo += node.premises
     lines: list[str] = []
-    _list_node(t, lines)
+    ids: list[int] = []
+    for node in reversed(order):  # each node after its premises, whose ids end ``ids``
+        k = len(ids) - len(node.premises)
+        refs = ", ".join(map(str, ids[k:])) or "0"
+        lines.append(f"{len(lines) + 1}. {print_formula(node.conclusion)}, rule {_RULE_LETTER[type(node.rule)]}, {refs}")
+        ids[k:] = [len(lines)]
     return "\n".join(lines)
-
-
-def _list_node(node: ProofTree, lines: list[str]) -> int:
-    """Append ``node``'s premises, then ``node``, to ``lines``; return ``node``'s id."""
-    ids = [_list_node(p, lines) for p in node.premises]
-    refs = ", ".join(str(i) for i in ids) if ids else "0"
-    lines.append(f"{len(lines) + 1}. {print_formula(node.conclusion)}, rule {_RULE_LETTER[type(node.rule)]}, {refs}")
-    return len(lines)

@@ -145,6 +145,21 @@ def test_prove_lists_a_500_level_implication_chain(capsys):
     assert run_cli(capsys, "prove", formula) == (0, f"1. {formula}, rule A, 0\n", "")
 
 
+def test_play_of_a_320_pairing_chain_is_won_at_the_default_recursion_limit(tmp_path, capsys):
+    """The engine opens a session on a 321-node pairing chain, which ``hybridize`` and
+    ``verify_proof`` take in loops, and the copy-cat wins it."""
+    bind = tmp_path / "coffee.bind"
+    bind.write_text("game C = coffee(zmax=10)\n", encoding="utf-8")
+    c = " /\\ ".join(["C"] * 320)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run_cli(capsys, "play", f"(({c}) -> ({c})) @ w", "--scripts", str(bind))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (0, "winner: T\n", "")
+
+
 # The bind file of the README.
 README_BIND = """\
 game C = coffee(zmax=10)

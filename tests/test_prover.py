@@ -1,7 +1,9 @@
 import random
+import sys
 import time
 from collections import Counter, defaultdict
 from operator import is_not
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from clbk.formula import (
     NEGATIVE,
     POSITIVE,
     And,
+    Chand,
+    Chor,
     Elementary,
     EnvAnn,
     FormulaError,
@@ -50,6 +54,7 @@ from clbk.prover import (
     prove,
     verify_proof,
 )
+from clbk.records import Frozen
 from genlib import (
     child_at,
     elementarize,
@@ -380,8 +385,9 @@ def _reference_verify(t, winnable=frozenset()):
 def _rule_c_mutants(tree):
     """(kind, mutant) for each rule-C node of ``tree``: its premise's conclusion changed off
     the paired paths, on them and at their ends, or paired at two general names, and its rule
-    given a name already in the conclusion, swapped specs, a spec without its trailing dot or
-    a spec into a choice."""
+    given a name already in the conclusion, swapped specs, a spec without its trailing dot,
+    equal specs, a positive spec that ends at the negative leaf's parent, a step other than
+    ``1.`` or ``2.`` where the specs part, or a spec into a choice."""
     for at, node in _tree_nodes(tree):
         rule = node.rule
         if not isinstance(rule, RuleC):
@@ -424,6 +430,13 @@ def _rule_c_mutants(tree):
         yield "swapped specs", _replace_node(tree, at, rule=RuleC(rule.neg_spec, rule.pos_spec, rule.name))
         for undotted in (rule.pos_spec[:-1], rule.pos_spec + "1"):
             yield "undotted spec", _replace_node(tree, at, rule=RuleC(undotted, rule.neg_spec, rule.name))
+        for spec in (rule.pos_spec, rule.neg_spec):
+            yield "equal specs", _replace_node(tree, at, rule=RuleC(spec, spec, rule.name))
+        yield "spec above a leaf", _replace_node(tree, at, rule=RuleC(rule.neg_spec[:-2], rule.neg_spec, rule.name))
+        fork = next(i for i, (a, b) in enumerate(zip(rule.pos_spec, rule.neg_spec)) if a != b)
+        for step in ("0.", "3."):
+            stepped = rule.pos_spec[:fork] + step + rule.pos_spec[fork + 2 :]
+            yield "step 0 or 3 at the fork", _replace_node(tree, at, rule=RuleC(stepped, rule.neg_spec, rule.name))
         for choice in surface_occurrences(g, "choice")[:1]:
             crossing = RuleC(rule.pos_spec, choice.spec + "1.", rule.name)
             yield "spec into a choice", _replace_node(tree, at, rule=crossing)
@@ -903,16 +916,25 @@ def test_pairing_premises_built_only_when_tried(monkeypatch):
     assert (len(calls), len(builds)) == (361, 466)
 
 
+def _choice_count(f):
+    """The number of choice operators in ``f``, under choices too."""
+    return isinstance(f, (Chand, Chor)) + sum(map(_choice_count, children(f)))
+
+
 def test_search_memoizes_proofs_by_formula_and_refutations_by_key_alone(monkeypatch):
-    """Below the root, ``_Search.proofs`` holds exactly the proved nodes, each by its own
-    conclusion, and ``_Search.refuted`` the ``memo_key`` of each refuted node: no refuted
-    node enters ``proofs``. The root is in neither. On the 4-clause variant, which is
-    refuted, and on two proofs whose searches refute nodes on the way."""
+    """Below the root, ``_Search.proofs`` holds exactly the proved nodes below a branch
+    premise, each by its own conclusion: those with fewer choice operators than the root, since
+    a pairing keeps the count and a branch premise lowers it. ``_Search.refuted`` holds the
+    ``memo_key`` of each refuted node: no refuted node enters ``proofs``. The root is in
+    neither. On the 4-clause variant, which is refuted, and on three proofs whose searches
+    refute nodes on the way; the last pairs twice before it branches, and those two chain
+    nodes are not kept."""
     searches, verdicts = [], []
     search, new_search = prover._search, prover._Search
     monkeypatch.setattr(prover, "_Search", lambda *args: searches.append(new_search(*args)) or searches[-1])
     monkeypatch.setattr(prover, "_search", lambda g, *rest: verdicts.append((g, search(g, *rest))) or verdicts[-1][1])
-    cases = [(_CLAUSE_VARIANT_4, False), (_BRANCHING_PAIRINGS[0], True), (_BRANCHING_PAIRINGS[2], True)]
+    chain = "((C /\\ D /\\ (p & q)) -> (C /\\ D /\\ (p & q))) @ w"
+    cases = [(_CLAUSE_VARIANT_4, False), (_BRANCHING_PAIRINGS[0], True), (_BRANCHING_PAIRINGS[2], True), (chain, True)]
     for source, provable in cases:
         searches.clear()
         verdicts.clear()
@@ -924,9 +946,94 @@ def test_search_memoizes_proofs_by_formula_and_refutations_by_key_alone(monkeypa
         refuted = [g for g, tree in below if tree is None]
         assert refuted and all(g not in s.proofs for g in refuted)
         assert s.refuted == {memo_key(g, avoid) for g in refuted}
-        assert s.proofs == {g: tree for g, tree in below if tree is not None}
+        branched = {g: tree for g, tree in below if tree is not None and _choice_count(g) < _choice_count(root)}
+        assert s.proofs == branched
         assert all(g is tree.conclusion for g, tree in s.proofs.items())
         assert root not in s.proofs and memo_key(root, avoid) not in s.refuted
+    # the chain case: its root and two chain nodes, the last three proved, keep the root's two choices
+    proved = [g for g, tree in verdicts if tree is not None]
+    assert (s.expanded, len(proved), len(s.proofs)) == (8, 7, 4)
+    assert [_choice_count(g) for g in proved[-3:]] == [2, 2, 2]
+
+
+def test_pairing_sequences_from_the_root_give_unequal_formulas():
+    """Why the proof memo is used only below a branch premise (see ``prove``): from random
+    formulas and random identities, distinct sequences of up to three pairings, each taken
+    from all of ``premises_C`` rather than the canonical ones, give pairwise unequal formulas,
+    each with the root's count of choice operators."""
+    rng = random.Random(83)
+    sequences = 0
+    for i in range(2000):
+        root = random_ast(rng, depth=rng.randint(3, 6)) if i % 2 else Implies(body := random_body(rng), body)
+        avoid, count = frozenset(elementary_names(root)), _choice_count(root)
+        seen, level = {root: ()}, [((), root)]
+        for _ in range(3):
+            level = [(seq + (k,), pair.formula) for seq, f in level for k, pair in enumerate(premises_C(f, avoid))]
+            for seq, f in level:
+                assert seen.setdefault(f, seq) == seq and _choice_count(f) == count, (print_formula(root), seq)
+            sequences += len(level)
+    assert sequences >= 5000, sequences
+
+
+def test_proving_the_11_chain_hashes_no_formula(monkeypatch):
+    """The 11-chain's proof is a pure pairing chain closed by rule A, so its search looks up
+    and keeps no proof, and hashes no record."""
+    c11 = " /\\ ".join(["C"] * 11)
+    root = parse_formula(f"({c11}) -> ({c11})")
+    hashes = []
+    original = Frozen.__hash__
+    monkeypatch.setattr(Frozen, "__hash__", lambda record: hashes.append(1) or original(record))
+    assert prove(root).node_count() == 12
+    assert hashes == []
+
+
+class _CountingProofs(dict):
+    """A proof memo that counts the lookups that find a proof."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        self.hits += found is not None
+        return found
+
+
+_GOLDEN = Path(__file__).parent / "golden" / "prover"
+
+
+def test_choices_golden_search_hits_its_proof_memo_four_times(monkeypatch):
+    """Every node of the choices golden's search but the root lies below a branch premise,
+    so it still meets four proved nodes again."""
+    searches = []
+    new_search = prover._Search
+
+    def counted(*args):
+        searches.append(new_search(*args))
+        searches[-1].proofs = _CountingProofs()
+        return searches[-1]
+
+    monkeypatch.setattr(prover, "_Search", counted)
+    tree = prove(parse_formula(_BRANCHING_PAIRINGS[0]))
+    assert format_proof(tree) + "\n" == (_GOLDEN / "choices.txt").read_text(encoding="utf-8")
+    (s,) = searches
+    assert (s.proofs.hits, s.expanded) == (4, 37)
+
+
+def test_a_320_pairing_chain_is_converted_checked_and_listed_at_the_default_recursion_limit():
+    """``hybridize``, ``verify_proof`` and ``format_proof`` walk a proof in loops, not one or
+    two frames per level, so they take every proof ``prove`` returns at the default recursion
+    limit: here the (C^320) -> (C^320) chain, 321 nodes deep, in both forms."""
+    c = " /\\ ".join(["C"] * 320)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree = prove(parse_formula(f"({c}) -> ({c})"))
+        for form in (tree, hybridize(tree)):
+            assert verify_proof(form)
+            lines = format_proof(form).splitlines()
+            assert len(lines) == 321 and lines[-1].endswith(", rule C, 320")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _keeps_a_walk(f):
