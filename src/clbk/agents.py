@@ -27,7 +27,7 @@ from .formula import (
 )
 from .games import GameDef, Heuristic, Labmove, Player, Script, Verdict, subrun
 from .prover import hybridize, prove
-from .records import Frozen, Record, set_field
+from .records import Frozen, Record
 
 GOD = "God"
 
@@ -129,16 +129,22 @@ class MoveMsg(Frozen):
     __slots__ = __match_args__ = ("session_id", "move")
 
     def __init__(self, session_id: str, move: Labmove):
-        set_field(self, "session_id", session_id)
-        set_field(self, "move", move)
+        _set_session_id(self, session_id)
+        _set_move(self, move)
+
+
+# each slot's own setter, which costs less than set_field's lookup of the slot by name
+_set_session_id, _set_move = (MoveMsg.__dict__[name].__set__ for name in MoveMsg.__slots__)
 
 
 class Bus:
     """One FIFO inbox per registered receiver: each receiver gets its messages in arrival
-    order, so the messages of any one sender also arrive in the order they were sent."""
+    order, so the messages of any one sender also arrive in the order they were sent.
+    ``queued`` counts the messages in all inboxes."""
 
     def __init__(self):
         self.inboxes: dict[str, deque[MoveMsg]] = {}
+        self.queued = 0
 
     def register(self, agent_id: str) -> None:
         self.inboxes.setdefault(agent_id, deque())
@@ -148,13 +154,14 @@ class Bus:
         if inbox is None:
             raise BusError(f"unknown recipient {to!r}")
         inbox.append(msg)
+        self.queued += 1
 
     def deliver(self, to: str) -> MoveMsg | None:
         inbox = self.inboxes.get(to)
-        return inbox.popleft() if inbox else None
-
-    def idle(self) -> bool:
-        return not any(self.inboxes.values())
+        if not inbox:
+            return None
+        self.queued -= 1
+        return inbox.popleft()
 
 
 # --- queue and flow plumbing -------------------------------------------------
@@ -278,7 +285,9 @@ class Simulation:
     each agent's manuals and winnable atoms are computed once, up front.
     Sessions are at rest between visits: every delivery is followed by
     ``engine.run_to_quiescence``, which returns only once its session is quiescent or finished,
-    so no session is left running and only the bus and the unopened queries can hold work.
+    so no session is left running and only the bus and the unopened queries can hold work. That
+    work is counted, not scanned: the bus counts its queued messages (``Bus.queued``) and the
+    simulation its unopened queries (``waiting``), so whether a visit is due reads two integers.
 
     A seat is an occurrence ``(qid, spec)`` of a planned formula where an agent relays play
     between sessions; ``aid`` holds it locally when it serves ``qid``. ``seats[aid]`` maps each
@@ -308,6 +317,7 @@ class Simulation:
         self.queries: dict[str, Query] = {}
         self.queues: dict[str, list[Query]] = {a: [] for a in self.agents}  # all queries each agent serves
         self.unopened: dict[str, deque[Query]] = {a: deque() for a in self.agents}
+        self.waiting = 0  # queries in all of ``unopened``
         self.opened: list[Query] = []
         self.unroutable: list[Query] = []
         self.trace: list[str] = []
@@ -345,10 +355,13 @@ class Simulation:
             if unknown := sorted(note_names(planned, kind[0]) - defined.keys()):
                 text = print_formula(q)
                 raise AgentError(f"query {text} names {kind} {unknown[0]!r}, which {server!r} does not define")
+        if "seats" in self.__dict__:  # paired already: keep the walk that pairing keeps for the others
+            surface_occurrences(planned, "atom")
         query = Query(qid, q, client, server, contract_ref, planned, consumed)
         self.queries[qid] = query
         self.queues[server].append(query)
         self.unopened[server].append(query)
+        self.waiting += 1
         return qid
 
     @staticmethod
@@ -421,7 +434,7 @@ class Simulation:
 
     def _on_append(self, query: Query, lm: Labmove) -> None:
         mover = query.server if lm.player is Player.MACHINE else query.env_mover(lm.spec)
-        line = f"{len(self.trace) + 1} {mover} {lm.player.value} {lm.spec}{lm.payload}"
+        line = f"{len(self.trace) + 1} {mover} {lm.player._value_} {lm.spec}{lm.payload}"
         self.trace.append(line)
         if mover in self.agent_traces:
             self.agent_traces[mover].append(line)
@@ -480,6 +493,7 @@ class Simulation:
         if not self.unopened[aid]:
             return False
         query = self.unopened[aid].popleft()
+        self.waiting -= 1
         agent = self.agents[aid]
         seats = self.seats  # paired first, so the prover reads each planned formula's kept walk
         tree = prove(query.planned, winnable=self.winnable[aid])
@@ -509,7 +523,7 @@ class Simulation:
         return True
 
     def _has_work(self) -> bool:
-        return not self.bus.idle() or any(self.unopened.values())
+        return self.bus.queued > 0 or self.waiting > 0
 
     def exec_step(self, aid: str) -> str:
         """One visit: deliver one bus message, else open one queued query, else wait."""

@@ -44,9 +44,9 @@ def is_valid(f: Formula, general: GeneralFold | None = None) -> bool:
     With ``general``, the validity of ``f``'s elementarization, folded straight from ``f``
     with no elementarized copy built: each general atom folds to ``general(atom, sign)``,
     its polarity in ``f`` being ``sign``, a hybrid atom to its elementary component, a choice
-    conjunction to T and a choice disjunction to F. ``f`` is valid iff ``_falsify`` finds
-    no valuation that makes it false."""
-    return _falsify(_fold(f, POSITIVE, general)) is None
+    conjunction to T and a choice disjunction to F. ``f`` is valid iff ``_false_row`` finds
+    no row that makes it false."""
+    return _false_row(_fold(f, POSITIVE, general)) is None
 
 
 # A folded formula is a bool, an atom name, or a tuple ("~", a), ("&", a, b) or ("|", a, b)
@@ -155,24 +155,38 @@ def _count(g: Folded, count: dict[str, int]) -> None:
 
 
 def _falsify(g: Folded) -> Valuation | None:
-    """A valuation of some of g's atoms under which g folds to F, or None when there is none.
-    A g of n <= ``_TABLE_ATOMS`` atoms is evaluated on all 2^n rows at once: atom i is the
-    2^n-bit mask of the rows where bit i is set, ``~``, ``&`` and ``|`` act on whole masks,
-    and the lowest clear bit of the result is the row returned. Above that, split on the atom
-    that occurs most often, trying True and then False for it."""
+    """A valuation of some of g's atoms under which g folds to F, or None when there is none:
+    the row ``_false_row`` finds, spelled out."""
+    found = _false_row(g)
+    if found is None:
+        return None
+    names, row, splits = found
+    valuation = {name: row >> i & 1 == 1 for i, name in enumerate(names)}
+    valuation.update(splits)
+    return valuation
+
+
+def _false_row(g: Folded) -> tuple | None:
+    """A row under which g folds to F, or None when there is none. The row is no valuation,
+    so that ``is_valid`` builds none: it is the table's atoms in order, the row's index in
+    that table and the ``(atom, value)`` pairs of the splits that led there. A g of n <=
+    ``_TABLE_ATOMS`` atoms is evaluated on all 2^n rows at once: atom i is the 2^n-bit mask
+    of the rows where bit i is set, ``~``, ``&`` and ``|`` act on whole masks, and the lowest
+    clear bit of the result is the row returned. Above that, split on the atom that occurs
+    most often, trying True and then False for it."""
     if type(g) is bool:
-        return None if g else {}
+        return None if g else ((), 0, ())
     count: dict[str, int] = {}
     _count(g, count)
     if len(count) <= _TABLE_ATOMS:
         full, *masks = _masks(len(count))
         rows = _table(g, dict(zip(count, masks)), full)
         row = (~rows & (rows + 1)).bit_length() - 1  # the lowest clear bit
-        return None if rows == full else {name: row >> i & 1 == 1 for i, name in enumerate(count)}
+        return None if rows == full else (count, row, ())
     name = max(count, key=count.__getitem__)
     for value in (True, False):
-        found = _falsify(_assign(g, name, value))
+        found = _false_row(_assign(g, name, value))
         if found is not None:
-            found[name] = value
-            return found
+            names, row, splits = found
+            return names, row, (*splits, (name, value))
     return None

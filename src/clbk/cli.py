@@ -116,7 +116,7 @@ def cmd_play(args) -> int:
 
     def show(session: engine.Session, lm: Labmove) -> None:
         mover = "m" if lm.player is Player.MACHINE else "env"
-        line = f"{len(session.run)} {mover} {lm.player.value} {lm.spec}{lm.payload}"
+        line = f"{len(session.run)} {mover} {lm.player._value_} {lm.spec}{lm.payload}"
         print(line)
         if sink:
             print(line, file=sink)

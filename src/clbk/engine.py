@@ -10,22 +10,25 @@ always at hand. A move exists once: every binding holds the run's own ``Labmove`
 negated occurrence swaps the two players' roles by reading them through ``Binding.machine``, the
 session player on its local machine seat, not by a flipped copy. Every copied or scripted move is
 a ``Labmove.relabeled`` copy, so the engine parses a payload only where it enters play: a
-heuristic's answer or a committed choice. One seat rule serves both players: ``_seat_move`` polls
-the bindings in order for the seats a player holds (the local environment seat is the
-environment's at a positive occurrence and the machine's at a negative one), and a heuristic is
-polled again only after a move is filed at its occurrence.
+heuristic's answer or a committed choice. One seat rule serves both players: ``_seat_move``
+polls, in binding order, only the bindings where the player holds a strategy (the local
+environment seat, with its script, is the environment's at a positive occurrence and the
+machine's at a negative one; the local machine seat holds the heuristic). These per-player
+lists, ``session.seats``, are made by the first poll after play enters a node, which is why
+strategies are set before the first step; a heuristic is polled again only after a move is filed
+at its occurrence.
 Moves leave a session only through ``Session.listener``, called once per appended move; the
 driving functions report only whether they moved. ``_enter`` is the only place that changes
-``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``, when play reaches a proof
-node. It reads the conclusion's surface walk through ``surface_occurrences``, which keeps one
-walk per formula, so ``_enter``, ``verify_proof``'s ``premises_A`` and the simulator's seat
-pairing share one walk of a conclusion and its ``Occurrence`` objects. An environment
-choice at a closure node enters the closure premise at its branch's position in ``premises_A``,
-the order in which the checker holds closure premises. Once the session rests, the winner is
-one fold over the final formula (``evaluate_winner``): each binding's game is read once for
-its verdict (``read_verdicts``), straight from its run, and the connectives fold those
-verdicts to one Boolean, as the winner of a parallel composition is a Boolean function of its
-components' winners."""
+``node`` (whose conclusion is ``formula``), ``atoms`` and ``bindings``, and it resets ``seats``,
+when play reaches a proof node. It reads the conclusion's surface walk through
+``surface_occurrences``, which keeps one walk per formula, so ``_enter``, ``verify_proof``'s
+``premises_A`` and the simulator's seat pairing share one walk of a conclusion and its
+``Occurrence`` objects. An environment choice at a closure node enters the closure premise at
+its branch's position in ``premises_A``, the order in which the checker holds closure premises.
+Once the session rests, the winner is one fold over the final formula (``evaluate_winner``):
+each binding's game is read once for its verdict (``read_verdicts``), straight from its run, and
+the connectives fold those verdicts to one Boolean, as the winner of a parallel composition is a
+Boolean function of its components' winners."""
 
 from __future__ import annotations
 
@@ -119,10 +122,16 @@ class Binding(Record):
 
 
 class Session(Record):
-    __slots__ = __match_args__ = (
+    """One proof played as a game. ``seats`` is no field: the bindings where the machine holds
+    a strategy, then those where the environment does, each in binding order (a script on the
+    local environment seat, a heuristic on the local machine seat); ``_enter`` resets it to
+    None and the next poll of ``_seat_move`` builds it."""
+
+    __match_args__ = (
         "node", "run", "atoms", "bindings", "games", "heuristics", "scripts", "interpretation", "inbox",
         "status", "listener",
     )
+    __slots__ = (*__match_args__, "seats")
 
     def __init__(
         self,
@@ -143,6 +152,7 @@ class Session(Record):
         self.inbox: deque[Labmove] = deque()
         self.status = Status.RUNNING
         self.listener: Callable[[Session, Labmove], None] | None = None
+        self.seats: tuple[list[Binding], list[Binding]] | None = None
 
     @property
     def formula(self) -> Formula:  # the conclusion of the proof node play rests at
@@ -190,6 +200,7 @@ def _enter(session: Session, node: ProofTree) -> None:
     """Move play to proof node ``node``: index its conclusion's surface atoms by spec, keep
     the bindings already made at those specs and bind the rest."""
     session.node = node
+    session.seats = None
     session.atoms = {occ.spec: occ for occ in surface_occurrences(node.conclusion, "atom")}
     old = session.bindings
     session.bindings = {
@@ -228,10 +239,13 @@ def machine_turn(session: Session) -> bool:
     moved = False
     while True:
         rule = session.node.rule
-        if isinstance(rule, RuleB):
+        kind = type(rule)
+        if kind is RuleA:
+            return moved
+        if kind is RuleB:
             session.append(Labmove(Player.MACHINE, rule.spec, str(rule.branch)))
             moved = True
-        elif isinstance(rule, RuleC):
+        else:
             # Each side takes the environment's moves so far at the other, both read before either is copied.
             pi, nu = session.bindings[rule.pos_spec], session.bindings[rule.neg_spec]
             env = Player.ENVIRONMENT
@@ -240,8 +254,6 @@ def machine_turn(session: Session) -> bool:
                 for m in moves:
                     session.append(m.relabeled(Player.MACHINE, to.spec))
                     moved = True
-        else:
-            return moved
         _enter(session, session.node.premises[0])
 
 
@@ -292,23 +304,41 @@ def env_move(session: Session, lm: Labmove) -> None:
         session.append(lm.relabeled(Player.MACHINE, _partner(session, occ).spec))
 
 
-def _seat_move(session: Session, player: Player) -> Labmove | None:
-    """The next move ``player`` plays from one of its strategy seats, polling the bindings in
-    order. ``player`` holds an occurrence's local environment seat where it is the environment
-    at a positive occurrence or the machine at a negative one, and plays the script there (the
-    machine only a legal payload, speaking for the counterpart it answers to); on the local
-    machine seat it plays the heuristic's answer. None if no seat of ``player`` has a move."""
-    env = player is Player.ENVIRONMENT
+def _strategy_seats(session: Session) -> tuple[list[Binding], list[Binding]]:
+    """The bindings where the machine holds a strategy, then those where the environment
+    does, each in binding order: a script is on the local environment seat, a heuristic on the
+    local machine seat, and the machine holds the local machine seat at a positive occurrence."""
+    machine: list[Binding] = []
+    environment: list[Binding] = []
     for binding in session.bindings.values():
+        positive = binding.machine is Player.MACHINE
+        if binding.script is not None:
+            (environment if positive else machine).append(binding)
+        if binding.heuristic is not None:
+            (machine if positive else environment).append(binding)
+    return machine, environment
+
+
+def _seat_move(session: Session, player: Player) -> Labmove | None:
+    """The next move ``player`` plays from one of its strategy seats, polling them in binding
+    order (``session.seats``). ``player`` holds an occurrence's local environment seat where it
+    is the environment at a positive occurrence or the machine at a negative one, and plays the
+    script there (the machine only a legal payload, speaking for the counterpart it answers to);
+    on the local machine seat it plays the heuristic's answer. None if no seat of ``player`` has
+    a move."""
+    seats = session.seats
+    if seats is None:
+        seats = session.seats = _strategy_seats(session)
+    env = player is Player.ENVIRONMENT
+    for binding in seats[env]:
         if player is not binding.machine:
             script = binding.script
-            if script is not None and binding.script_pos < len(script.moves):
+            if binding.script_pos < len(script.moves):
                 move = script.moves[binding.script_pos].relabeled(player, binding.spec)
                 if env or binding.game.legal(binding.local, move, binding.machine):
                     binding.script_pos += 1
                     return move
-        elif binding.heuristic is not None and binding.heuristic_idle_at != len(binding.local):
-            # a move was filed since it last passed
+        elif binding.heuristic_idle_at != len(binding.local):  # a move was filed since it last passed
             payload = binding.heuristic(binding.local, binding.machine)
             if payload is not None:
                 binding.heuristic_fired = True

@@ -46,27 +46,33 @@ class Labmove(Frozen):
         if m is None:
             raise ValueError(f"bad move payload {payload!r}")
         key, digits = m.groups()
-        set_field(self, "player", player)
-        set_field(self, "spec", spec)
-        set_field(self, "payload", payload)
-        set_field(self, "key", key)
-        set_field(self, "value", None if digits is None else int(digits))
+        _set_player(self, player)
+        _set_spec(self, spec)
+        _set_payload(self, payload)
+        _set_key(self, key)
+        _set_value(self, None if digits is None else int(digits))
 
     def relabeled(self, player: Player, spec: str) -> Labmove:
         """This move played by ``player`` at ``spec``, its payload's parse carried over."""
         copy = object.__new__(Labmove)
-        set_field(copy, "player", player)
-        set_field(copy, "spec", spec)
-        set_field(copy, "payload", self.payload)
-        set_field(copy, "key", self.key)
-        set_field(copy, "value", self.value)
+        _set_player(copy, player)
+        _set_spec(copy, spec)
+        _set_payload(copy, self.payload)
+        _set_key(copy, self.key)
+        _set_value(copy, self.value)
         return copy
 
     def is_choice(self) -> bool:
         return self.payload.isdigit()
 
     def __str__(self) -> str:
-        return f"{self.player.value}{self.spec}{self.payload}"
+        return f"{self.player._value_}{self.spec}{self.payload}"
+
+
+# each slot's own setter, which costs less than set_field's lookup of the slot by name
+_set_player, _set_spec, _set_payload, _set_key, _set_value = (
+    Labmove.__dict__[name].__set__ for name in Labmove.__slots__
+)
 
 
 Run = Sequence[Labmove]  # a tuple, or a binding's live list
@@ -104,6 +110,9 @@ class Verdict(NamedTuple):
 
     complete: bool
     winner: Player
+
+
+_verdict = tuple.__new__  # builds a Verdict from its tuple of fields, past NamedTuple's generated __new__
 
 
 class GameDef(Frozen):
@@ -168,9 +177,10 @@ class GameDef(Frozen):
         seen = self._read(run, machine)
         asked = self._asked(seen)
         if asked is None:
-            return Verdict(False, Player.MACHINE)
+            return _verdict(Verdict, (False, Player.MACHINE))
         answer = seen.get(self.answer)
-        return Verdict(answer is not None, Player.MACHINE if answer == self.correct(*asked) else Player.ENVIRONMENT)
+        winner = Player.MACHINE if answer == self.correct(*asked) else Player.ENVIRONMENT
+        return _verdict(Verdict, (answer is not None, winner))
 
     def default_heuristic(self, run: Run, machine: Player = Player.MACHINE) -> str | None:
         """Answer a completed ask with ``correct`` of its values, clamped to ``answer_range``."""

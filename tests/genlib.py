@@ -1,9 +1,10 @@
 """Seeded random formula generators shared by the property and acceptance tests, and the
 reference definitions the tests check the package against: path queries and a path-based
 replacement (the package addresses an occurrence by its spec alone), elementarization,
-classical evaluation, the termination measure, the machine-choice premises and the flipped
-run. Each is written from its definition by plain recursion over public ``clbk`` names, so
-that it stays independent of the code it checks."""
+classical evaluation, the termination measure, the machine-choice premises, the flipped run
+and the engine's former seat poll, which scans every binding. Each is written from its
+definition by plain recursion over public ``clbk`` names, so that it stays independent of
+the code it checks."""
 
 import random
 from itertools import product
@@ -34,6 +35,7 @@ from clbk.formula import (
     surface_leaves,
     transform,
 )
+from clbk.games import Labmove, Player
 from clbk.prover import BranchPremise, RuleC, prove
 
 ELEMENTARY = ["p", "q", "r", "s"]
@@ -319,3 +321,26 @@ def illegal_moves(session):
             if not binding.game.legal(binding.local[:i], lm, binding.machine):
                 found.append((spec, str(lm)))
     return found
+
+
+def full_scan_seat_move(session, player):
+    """The engine's former ``_seat_move``, kept as an oracle: each poll scans every binding in
+    order for a seat of ``player`` with a strategy, where the engine polls only the bindings
+    that hold one."""
+    env = player is Player.ENVIRONMENT
+    for binding in session.bindings.values():
+        if player is not binding.machine:
+            script = binding.script
+            if script is not None and binding.script_pos < len(script.moves):
+                move = script.moves[binding.script_pos].relabeled(player, binding.spec)
+                if env or binding.game.legal(binding.local, move, binding.machine):
+                    binding.script_pos += 1
+                    return move
+        elif binding.heuristic is not None and binding.heuristic_idle_at != len(binding.local):
+            # a move was filed since it last passed
+            payload = binding.heuristic(binding.local, binding.machine)
+            if payload is not None:
+                binding.heuristic_fired = True
+                return Labmove(player, binding.spec, payload)
+            binding.heuristic_idle_at = len(binding.local)
+    return None

@@ -19,7 +19,7 @@ from clbk.formula import NEGATIVE, POSITIVE, parse_formula, surface_occurrences
 from clbk.games import GameDef, Labmove, Player, coffee_game
 from clbk.prover import hybridize, prove
 from clbk.scenario import builtin_scenario, parse_scenario
-from genlib import illegal_moves
+from genlib import full_scan_seat_move, illegal_moves
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 
@@ -587,6 +587,69 @@ def test_sessions_rest_between_visits(text):
     report = sim.run(10_000)
     assert report.quiescent and report.all_won()
     assert len(visits) == report.steps > 0
+
+
+@pytest.mark.parametrize("text", [builtin_scenario("starbucks"), MIDDLEMAN], ids=["starbucks", "middleman"])
+def test_the_work_left_is_counted(text):
+    """Whether a visit is due reads two counts, which after every visit equal what they count:
+    the bus's queued messages and the simulation's unopened queries."""
+    sim = Simulation(parse_scenario(text))
+    visit = sim.exec_step
+    visits = []
+
+    def checked(aid):
+        visits.append(visit(aid))
+        assert sim.bus.queued == sum(len(inbox) for inbox in sim.bus.inboxes.values()), len(visits)
+        assert sim.waiting == sum(len(queue) for queue in sim.unopened.values()), len(visits)
+        return visits[-1]
+
+    sim.exec_step = checked
+    report = sim.run(10_000)
+    assert report.quiescent and report.all_won()
+    assert len(visits) == report.steps > 0 and sim.bus.queued == sim.waiting == 0
+
+
+def _played(text):
+    """What a run of the scenario ``text`` leaves: its traces, steps, results, heuristic wins,
+    ledgers and resource bases."""
+    report = Simulation(parse_scenario(text)).run(10_000)
+    results = [(query.qid, query.status) for query in report.results]
+    wins = [(w.agent, w.atom, w.session_id, w.spec, w.payloads) for w in report.heuristic_wins]
+    return report.trace, report.agent_traces, report.steps, results, wins, report.ledgers, report.final_rb
+
+
+@pytest.mark.parametrize(
+    "text",
+    [builtin_scenario("starbucks"), MINI, MIDDLEMAN, CD_MIDDLEMAN],
+    ids=["starbucks", "mini", "middleman", "cd-middleman"],
+)
+def test_strategy_seats_play_as_the_full_scan(monkeypatch, text):
+    """Polling only the bindings where a player holds a strategy plays every scenario exactly
+    as the former poll of every binding does."""
+    played = _played(text)
+    monkeypatch.setattr(engine, "_seat_move", full_scan_seat_move)
+    assert _played(text) == played
+
+
+def test_a_late_query_is_walked_once(monkeypatch):
+    """A query submitted once the seats are paired keeps its planned formula's walk when it is
+    submitted, so the prover's root node, the checker and the engine read that one walk."""
+    text = MIDDLEMAN.replace("  rb C{h=hx} @ God", "  script req = [x=2, y=3]\n  rb C{h=hx} @ God")
+    sim = Simulation(parse_scenario(text))
+    assert sim.run(10_000).all_won()
+    roots = []
+    walk = formula._surface_walk
+
+    def counted(out, node, spec, *rest):
+        if not spec:  # the walk recurses only into left operands, whose specs end in "1."
+            roots.append(node)
+        return walk(out, node, spec, *rest)
+
+    monkeypatch.setattr(formula, "_surface_walk", counted)
+    query = sim.queries[sim.submit_query("f", parse_formula("((C{s=req} /\\ p) -> C) @ u"), client="u")]
+    assert sim.exec_step("f") == "opened"
+    assert query.session is not None and query.session.status is Status.QUIESCENT
+    assert sum(node is query.planned for node in roots) == 1
 
 
 def test_move_before_opening_is_applied_once_open():

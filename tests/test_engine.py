@@ -21,6 +21,7 @@ from clbk.formula import (
     Implies,
     NEGATIVE,
     Not,
+    Note,
     Or,
     POSITIVE,
     SPEC_RE,
@@ -29,10 +30,11 @@ from clbk.formula import (
     parse_formula,
     print_formula,
     surface_occurrences,
+    transform,
 )
 from clbk.games import Labmove, Player, Script, coffee_game, dollar_game
 from clbk.prover import ProofTree, RuleA, RuleB, RuleC, hybridize, premises_A, prove
-from genlib import flip_run, premises_B, random_ast, random_provable
+from genlib import flip_run, full_scan_seat_move, premises_B, random_ast, random_provable
 
 T, B = Player.MACHINE, Player.ENVIRONMENT
 COFFEE = coffee_game(10)
@@ -625,6 +627,60 @@ def test_listener_is_the_only_output():
         assert engine.step(s) is False
         assert [id(lm) for lm in heard] == [id(lm) for lm in s.run], print_formula(f)
     assert min(seen.values()) > 10 and len(seen) == 3, seen
+
+
+# Strategies that notes on drawn formulas name, so that bindings made as play enters a node hold some.
+NOTED_HEURISTICS = {"hc": COFFEE.default_heuristic, "hd": dollar_game(5).default_heuristic}
+NOTED_SCRIPTS = {"sc": Script(("x=2", "y=3")), "sd": Script(("v=2",)), "sz": Script(("z=4", "x=1"))}
+
+
+def _play_drawn_sessions(seed):
+    """Sessions on random proofs whose general atoms carry random notes, with random
+    strategies on random seats (a heuristic, a script, both or neither), driven by ``step``
+    with random environment moves delivered between rests: each session's run as text and its
+    winner."""
+    rng = random.Random(seed)
+    games = {"C": COFFEE, "D": dollar_game(5)}
+    notes = [Note("h", name) for name in NOTED_HEURISTICS] + [Note("s", name) for name in NOTED_SCRIPTS]
+
+    def noted(node):
+        return General(node.name, rng.choice(notes)) if type(node) is General and rng.random() < 0.5 else node
+
+    played = []
+    for f, _ in random_provable(rng, 25) + random_provable(rng, 25, need_pairing=True):
+        tree = prove(transform(f, noted))
+        if tree is None:
+            continue
+        s = engine.new_session(hybridize(tree), games=games, heuristics=NOTED_HEURISTICS, scripts=NOTED_SCRIPTS)
+        for binding in s.bindings.values():
+            roll = rng.random()
+            if roll < 0.5:
+                binding.heuristic = rng.choice([COFFEE, dollar_game(5)]).default_heuristic
+            if 0.3 < roll < 0.8:
+                binding.script = Script(tuple(rng.sample(PAYLOADS[binding.game.name], rng.randint(0, 3))))
+        for _ in range(rng.randint(0, 10)):
+            while engine.step(s):
+                pass
+            choices = [o for o in surface_occurrences(s.formula, "choice") if env_chooses(o)]
+            if choices and rng.random() < 0.4:
+                occ = rng.choice(choices)
+                s.deliver(Labmove(B, occ.spec, str(rng.randint(1, len(occ.node.parts)))))
+            elif s.atoms:
+                spec = rng.choice(list(s.atoms))
+                s.deliver(Labmove(B, spec, rng.choice(PAYLOADS[s.bindings[spec].game.name])))
+        engine.run_to_quiescence(s)
+        played.append(([str(lm) for lm in s.run], engine.evaluate_winner(s)))
+    return played
+
+
+@pytest.mark.parametrize("seed", [59, 61])
+def test_strategy_seats_play_as_the_full_scan(monkeypatch, seed):
+    """Polling only the bindings where a player holds a strategy plays every drawn session
+    exactly as the former poll of every binding does."""
+    played = _play_drawn_sessions(seed)
+    assert sum(len(run) for run, _ in played) > 100
+    monkeypatch.setattr(engine, "_seat_move", full_scan_seat_move)
+    assert _play_drawn_sessions(seed) == played
 
 
 def _answer_once(after: int, payload: str):
